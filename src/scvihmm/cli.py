@@ -23,6 +23,7 @@ from .corpus import (
     split,
 )
 from .engine import (
+    MetricRecord,
     NumericalError,
     k_effective,
     predictive_log_likelihood,
@@ -173,15 +174,8 @@ def cmd_eval(args) -> int:
     ll = predictive_log_likelihood(model, corpus)
     print(f"{ll:.6f}")
     if args.metrics_out:
-
-        class _Row:
-            step = 0
-            pass_index = 0
-            seconds = time.perf_counter() - started
-            heldout_ll = ll
-
-        _Row.k_effective = k_effective(model)
-        append_metrics(args.metrics_out, [_Row])
+        seconds = time.perf_counter() - started
+        append_metrics(args.metrics_out, [MetricRecord(0, 0, seconds, ll, k_effective(model))])
     return EXIT_OK
 
 

@@ -1,10 +1,10 @@
 """Categorical emission family and its surrogate-row computation.
 
-The emission model is kept in exponential-family form: a prior given by a
-natural-parameter pair (a vector component and a count component) and
-expected sufficient statistics accumulated per state.  Only the
-categorical/Dirichlet family is implemented; its sufficient statistic for a
-token is the indicator vector of that token, and the surrogate row has the
+The emission model is kept in exponential-family form: a prior given by
+its pseudo-counts and expected sufficient statistics accumulated per
+state.  Only the categorical/Dirichlet family is implemented; its
+sufficient statistic for a token is the indicator vector of that token, so
+the statistics are expected token counts, and the surrogate row has the
 closed form
 
     row[w] = (pseudo[w] + stats[k][w]) / (sum(pseudo) + count[k]).
@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "EmissionPrior",
     "EmissionStats",
-    "sufficient_stat",
     "surrogate_emission_row",
     "surrogate_emission_matrix",
 ]
@@ -34,15 +33,11 @@ __all__ = [
 class EmissionPrior:
     """Natural-parameter prior for one emission family.
 
-    ``pseudo_counts`` is the vector component (one entry per
-    sufficient-statistic dimension; Dirichlet pseudo-counts for the
-    categorical family).  ``count_weight`` is the count component; for the
-    categorical family it is redundant (the pseudo-count total already
-    determines it) and is stored for interface generality but ignored.
+    ``pseudo_counts`` has one entry per sufficient-statistic dimension
+    (Dirichlet pseudo-counts for the categorical family).
     """
 
     pseudo_counts: np.ndarray
-    count_weight: float = 1.0
 
     def __post_init__(self):
         pseudo = np.asarray(self.pseudo_counts, dtype=float)
@@ -50,8 +45,6 @@ class EmissionPrior:
             raise ValueError("pseudo_counts must be a nonempty 1-d vector")
         if not np.all(np.isfinite(pseudo)) or np.any(pseudo <= 0.0):
             raise ValueError("pseudo_counts entries must be finite and > 0")
-        if not np.isfinite(self.count_weight) or self.count_weight <= 0.0:
-            raise ValueError("count_weight must be finite and > 0")
         object.__setattr__(self, "pseudo_counts", pseudo)
 
     @classmethod
@@ -72,44 +65,27 @@ class EmissionStats:
     """Expected emission sufficient statistics, one row per state.
 
     ``token_stats[k][w]`` is the expected count of token w emitted from
-    state k; ``state_counts[k]`` is the expected number of emissions from
-    state k and must equal the row sum of ``token_stats`` within 1e-8.
+    state k.
     """
 
     token_stats: np.ndarray
-    state_counts: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.token_stats, dtype=float)
-        c = np.asarray(self.state_counts, dtype=float)
-        if t.ndim != 2 or c.shape != (t.shape[0],):
-            raise ValueError("token_stats must be K x V with state_counts of length K")
+        if t.ndim != 2:
+            raise ValueError("token_stats must be K x V")
         if not np.all(np.isfinite(t)) or np.any(t < 0.0):
             raise ValueError("token_stats entries must be finite and >= 0")
-        if not np.all(np.isfinite(c)) or np.any(c < 0.0):
-            raise ValueError("state_counts entries must be finite and >= 0")
-        if np.any(np.abs(t.sum(axis=1) - c) > 1e-8 * np.maximum(1.0, c)):
-            raise ValueError("state_counts must match token_stats row sums")
         self.token_stats = t
-        self.state_counts = c
+
+    @property
+    def state_counts(self) -> np.ndarray:
+        """Expected number of emissions from each state: the row sums."""
+        return self.token_stats.sum(axis=1)
 
     @classmethod
     def zeros(cls, num_states: int, vocab_size: int) -> "EmissionStats":
-        return cls(np.zeros((num_states, vocab_size)), np.zeros(num_states))
-
-    @classmethod
-    def from_token_stats(cls, token_stats: np.ndarray) -> "EmissionStats":
-        t = np.asarray(token_stats, dtype=float)
-        return cls(t, t.sum(axis=1))
-
-
-def sufficient_stat(w: int, vocab_size: int) -> np.ndarray:
-    """Indicator vector for token ``w`` (the categorical sufficient statistic)."""
-    if not 0 <= w < vocab_size:
-        raise IndexError(f"token index {w} outside vocabulary of size {vocab_size}")
-    out = np.zeros(vocab_size)
-    out[w] = 1.0
-    return out
+        return cls(np.zeros((num_states, vocab_size)))
 
 
 def surrogate_emission_row(prior: EmissionPrior, stats: EmissionStats, k: int) -> np.ndarray:

@@ -3,10 +3,12 @@
 One minibatch step freezes the surrogate transition and emission matrices,
 sweeps every sequence in the batch with forward-backward against that
 frozen snapshot, and blends the corpus-scaled batch statistics into the
-running expectations with step size rho_n = (1+n)^(-kappa).  In
+running expectations with step size rho_n = (1+n)^(-kappa).  All three
+algorithms keep the same statistics and take the same step; they differ
+only in the mode the surrogate is built from (see ``initial_mode``).  In
 hierarchical mode the stick posterior is refreshed once per large batch
 from per-sequence table-count estimates accumulated along the way; the
-finite mode simply has no large-batch level.
+other modes simply have no large-batch level.
 
 Sequences within a minibatch are independent given the frozen snapshot, so
 they may be swept by a thread pool; results are reduced in submission
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import svi
 from .config import RunConfig
 from .corpus import Corpus, minibatches
 from .emissions import EmissionPrior, EmissionStats, surrogate_emission_matrix
@@ -47,9 +50,11 @@ __all__ = [
     "Schedule",
     "FiniteMode",
     "HdpMode",
+    "SviMode",
     "MetricRecord",
     "TrainedModel",
     "step_size",
+    "initial_mode",
     "initialize_stats",
     "build_surrogate",
     "process_minibatch",
@@ -69,6 +74,8 @@ class GlobalStats:
     """Running expected transition counts and emission statistics.
 
     ``trans_counts`` is (K+1) x K with row 0 holding start transitions.
+    Every algorithm keeps this state; the mode decides how it becomes a
+    surrogate.
     """
 
     trans_counts: np.ndarray
@@ -96,16 +103,12 @@ class Schedule:
 
     kappa: float
     step_counter: int = 0
-    minibatch_size: int = 1
-    large_batch_size: int = 1
 
     def __post_init__(self):
         if not 0.5 <= self.kappa <= 1.0:
             raise ValueError("kappa must lie in [0.5, 1]")
         if self.step_counter < 0:
             raise ValueError("step_counter must be >= 0")
-        if self.minibatch_size < 1 or self.large_batch_size < self.minibatch_size:
-            raise ValueError("need large_batch_size >= minibatch_size >= 1")
 
 
 def step_size(sched: Schedule) -> float:
@@ -131,6 +134,37 @@ class HdpMode:
     hdp: HdpPosterior
 
 
+@dataclass(frozen=True)
+class SviMode:
+    """Uncollapsed baseline: geometric rows of the Dirichlet parameters prior + counts."""
+
+    prior_count: float
+
+    def __post_init__(self):
+        if not self.prior_count > 0:
+            raise ValueError("prior_count must be positive")
+
+
+def _concentration_priors(config: RunConfig):
+    return (
+        GammaParams(config.alpha_prior_shape, config.alpha_prior_rate),
+        GammaParams(config.gamma_prior_shape, config.gamma_prior_rate),
+    )
+
+
+def initial_mode(config: RunConfig):
+    """The mode a run of ``config.algorithm`` starts from.
+
+    This is the one place that reads the algorithm name; training and
+    checkpoints dispatch on the type of the mode it returns.
+    """
+    if config.algorithm == "scvi-hdphmm":
+        return HdpMode(HdpPosterior.initial(config.num_states, *_concentration_priors(config)))
+    if config.algorithm == "svi-hmm":
+        return SviMode(config.trans_prior)
+    return FiniteMode(config.trans_prior)
+
+
 def initialize_stats(num_states: int, vocab_size: int, token_count: float, seed: int) -> GlobalStats:
     """Exponential random statistics scaled to the corpus token mass.
 
@@ -142,16 +176,23 @@ def initialize_stats(num_states: int, vocab_size: int, token_count: float, seed:
     trans *= token_count / trans.sum()
     emit = rng.exponential(1.0, size=(num_states, vocab_size))
     emit *= token_count / emit.sum()
-    return GlobalStats(trans, EmissionStats(emit, emit.sum(axis=1)))
+    return GlobalStats(trans, EmissionStats(emit))
 
 
 def build_surrogate(stats: GlobalStats, mode, prior: EmissionPrior) -> SurrogateParams:
     """Point transition/emission matrices from the current statistics.
 
-    Each transition row k is proportional to prior_term + counts, where
-    the prior term is the flat count in finite mode and the per-target
-    geometric weight in hierarchical mode (the start row included).
+    In the collapsed modes each transition row k is proportional to
+    prior_term + counts, where the prior term is the flat count in finite
+    mode and the per-target geometric weight in hierarchical mode (the
+    start row included).  The uncollapsed mode takes the geometric rows of
+    prior + counts for transitions and emissions alike.
     """
+    if isinstance(mode, SviMode):
+        return svi.svi_surrogate(
+            mode.prior_count + stats.trans_counts,
+            prior.pseudo_counts + stats.emissions.token_stats,
+        )
     if isinstance(mode, FiniteMode):
         prior_term = np.full(stats.trans_counts.shape[1], mode.prior_count)
     elif isinstance(mode, HdpMode):
@@ -244,7 +285,7 @@ def process_minibatch(
     new_counts = (1.0 - rho) * stats.trans_counts + rho * scale * sum_counts
     new_tokens = (1.0 - rho) * stats.emissions.token_stats + rho * scale * sum_tokens
     sched.step_counter += 1
-    return GlobalStats(new_counts, EmissionStats(new_tokens, new_tokens.sum(axis=1)))
+    return GlobalStats(new_counts, EmissionStats(new_tokens))
 
 
 @dataclass
@@ -266,29 +307,18 @@ class TrainedModel:
     num_states: int
     vocab_size: int
     config: RunConfig
-    stats: GlobalStats = None
-    mode: object = None
-    rows: object = None
+    stats: GlobalStats
+    mode: object
     vocab: object = None
 
     def surrogate(self) -> SurrogateParams:
-        if self.algorithm == "svi-hmm":
-            from .svi import svi_surrogate
-
-            return svi_surrogate(self.rows)
         prior = EmissionPrior.symmetric(self.config.emit_prior, self.vocab_size)
         return build_surrogate(self.stats, self.mode, prior)
-
-    def expected_transitions(self) -> np.ndarray:
-        if self.algorithm == "svi-hmm":
-            return np.maximum(self.rows.trans_posterior - self.config.trans_prior, 0.0)
-        return self.stats.trans_counts
 
 
 def k_effective(model: TrainedModel) -> int:
     """States whose incoming expected-transition mass is non-negligible."""
-    counts = model.expected_transitions()
-    column_mass = counts.sum(axis=0)
+    column_mass = model.stats.trans_counts.sum(axis=0)
     return int(np.sum(column_mass > K_EFFECTIVE_THRESHOLD * column_mass.sum()))
 
 
@@ -327,28 +357,13 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     vocab_size = len(corpus.vocab)
     corpus_size = len(corpus)
     emit_prior = EmissionPrior.symmetric(config.emit_prior, vocab_size)
-    alpha_prior = GammaParams(config.alpha_prior_shape, config.alpha_prior_rate)
-    gamma_prior = GammaParams(config.gamma_prior_shape, config.gamma_prior_rate)
-    sched = Schedule(config.kappa, 0, config.minibatch_size, config.large_batch_size)
+    alpha_prior, gamma_prior = _concentration_priors(config)
+    sched = Schedule(config.kappa)
 
-    stats = rows = None
-    mode = None
-    if config.algorithm == "svi-hmm":
-        from .svi import svi_initialize, svi_step
-
-        rows = svi_initialize(
-            num_states, vocab_size, config.trans_prior, config.emit_prior,
-            corpus.counts, config.seed + 1,
-        )
-    else:
-        stats = initialize_stats(num_states, vocab_size, corpus.counts, config.seed + 1)
-        if config.algorithm == "scvi-hdphmm":
-            mode = HdpMode(HdpPosterior.initial(num_states, alpha_prior, gamma_prior))
-        else:
-            mode = FiniteMode(config.trans_prior)
-
-    is_hdp = config.algorithm == "scvi-hdphmm"
-    hdp_sched = Schedule(config.kappa, 0, config.minibatch_size, config.large_batch_size)
+    stats = initialize_stats(num_states, vocab_size, corpus.counts, config.seed + 1)
+    mode = initial_mode(config)
+    is_hdp = isinstance(mode, HdpMode)
+    hdp_sched = Schedule(config.kappa)
     steps_per_large = max(1, math.ceil(config.large_batch_size / config.minibatch_size))
     acc = HdpAccumulator(num_states) if is_hdp else None
 
@@ -362,8 +377,7 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
 
     def current_model():
         return TrainedModel(
-            config.algorithm, num_states, vocab_size, config, stats, mode, rows,
-            corpus.vocab,
+            config.algorithm, num_states, vocab_size, config, stats, mode, corpus.vocab
         )
 
     def record():
@@ -388,15 +402,9 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
             if config.budget_seconds is not None and time.perf_counter() - start >= config.budget_seconds:
                 break
             batch = [corpus.sequences[i] for i in next(stream)]
-            if config.algorithm == "svi-hmm":
-                rows = svi_step(
-                    rows, batch, sched, config.trans_prior, config.emit_prior,
-                    corpus_size, pool,
-                )
-            else:
-                stats = process_minibatch(
-                    stats, batch, sched, mode, emit_prior, corpus_size, acc, pool
-                )
+            stats = process_minibatch(
+                stats, batch, sched, mode, emit_prior, corpus_size, acc, pool
+            )
             step += 1
             if is_hdp and step % steps_per_large == 0 and acc.count > 0:
                 tables = tables_from_aggregates(*acc.means(), corpus_size, mode.hdp)

@@ -3,9 +3,13 @@
 Layout: 4 magic bytes, little-endian uint32 format version, a
 length-prefixed UTF-8 JSON header (algorithm tag, dimensions, run
 configuration, vocabulary words), then each matrix as row-major 64-bit
-little-endian floats in a fixed per-algorithm order, and a trailing
-SHA-256 digest over everything before it.  Raw float bytes give bit-exact
-round trips.
+little-endian floats in a fixed order, and a trailing SHA-256 digest over
+everything before it.  Raw float bytes give bit-exact round trips.
+
+Every algorithm stores its expected counts ``trans_counts`` and
+``token_stats``; the hierarchical model adds its stick posterior.  Format
+1 stored Dirichlet posteriors for ``svi-hmm`` in the same shapes, so
+reading them as counts would be silently wrong: only format 2 is read.
 
 Error classification on load is structural first: the expected total size
 is derived from the header, so a short file reports truncation rather
@@ -22,12 +26,12 @@ import numpy as np
 from .config import RunConfig
 from .corpus import Vocabulary
 from .emissions import EmissionStats
-from .engine import FiniteMode, GlobalStats, HdpMode, TrainedModel
+from .engine import GlobalStats, HdpMode, TrainedModel, initial_mode
 from .hdp import HdpPosterior
 from .special import BetaParams, GammaParams
 
 MAGIC = b"SCVM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 __all__ = [
     "MAGIC",
@@ -57,12 +61,10 @@ class ChecksumError(ModelFormatError):
     """The trailing digest does not match the file contents."""
 
 
-def _matrix_shapes(algorithm: str, num_states: int, vocab_size: int):
+def _matrix_shapes(num_states: int, vocab_size: int, hdp: bool):
     k, v = num_states, vocab_size
-    if algorithm == "svi-hmm":
-        return [("trans_posterior", (k + 1, k)), ("emit_posterior", (k, v))]
     shapes = [("trans_counts", (k + 1, k)), ("token_stats", (k, v))]
-    if algorithm == "scvi-hdphmm":
+    if hdp:
         shapes += [
             ("stick_u", (k,)),
             ("stick_v", (k,)),
@@ -73,16 +75,11 @@ def _matrix_shapes(algorithm: str, num_states: int, vocab_size: int):
 
 
 def _gather_arrays(model: TrainedModel) -> dict:
-    if model.algorithm == "svi-hmm":
-        return {
-            "trans_posterior": model.rows.trans_posterior,
-            "emit_posterior": model.rows.emit_posterior,
-        }
     arrays = {
         "trans_counts": model.stats.trans_counts,
         "token_stats": model.stats.emissions.token_stats,
     }
-    if model.algorithm == "scvi-hdphmm":
+    if isinstance(model.mode, HdpMode):
         post = model.mode.hdp
         arrays.update(
             stick_u=np.asarray(post.sticks.u, float),
@@ -108,7 +105,8 @@ def save_model(model: TrainedModel, path):
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     parts.append(struct.pack("<I", len(header_bytes)))
     parts.append(header_bytes)
-    for name, shape in _matrix_shapes(model.algorithm, model.num_states, model.vocab_size):
+    shapes = _matrix_shapes(model.num_states, model.vocab_size, isinstance(model.mode, HdpMode))
+    for name, shape in shapes:
         arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         if arr.shape != shape:
             raise ValueError(f"matrix {name} has shape {arr.shape}, expected {shape}")
@@ -142,9 +140,11 @@ def load_model(path) -> TrainedModel:
         vocab_size = int(header["vocab_size"])
         config = RunConfig.from_dict(header["config"])
         vocab_words = header.get("vocab_words")
+        mode = initial_mode(config)
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelFormatError(f"unreadable header: {exc}") from None
-    shapes = _matrix_shapes(algorithm, num_states, vocab_size)
+    is_hdp = isinstance(mode, HdpMode)
+    shapes = _matrix_shapes(num_states, vocab_size, is_hdp)
     body_len = sum(8 * int(np.prod(shape)) for _, shape in shapes)
     expected = body_start + body_len + 32
     if len(blob) < expected:
@@ -169,15 +169,8 @@ def load_model(path) -> TrainedModel:
         offset += n
 
     vocab = Vocabulary(vocab_words) if vocab_words is not None else None
-    if algorithm == "svi-hmm":
-        from .svi import DirichletRows
-
-        rows = DirichletRows(arrays["trans_posterior"], arrays["emit_posterior"])
-        return TrainedModel(algorithm, num_states, vocab_size, config,
-                            rows=rows, vocab=vocab)
-    tokens = arrays["token_stats"]
-    stats = GlobalStats(arrays["trans_counts"], EmissionStats(tokens, tokens.sum(axis=1)))
-    if algorithm == "scvi-hdphmm":
+    stats = GlobalStats(arrays["trans_counts"], EmissionStats(arrays["token_stats"]))
+    if is_hdp:
         a_al, b_al, a_ga, b_ga = arrays["concentrations"]
         post = HdpPosterior(
             BetaParams(arrays["stick_u"], arrays["stick_v"]),
@@ -186,7 +179,4 @@ def load_model(path) -> TrainedModel:
             arrays["geo_alpha_pi"],
         )
         mode = HdpMode(post)
-    else:
-        mode = FiniteMode(config.trans_prior)
-    return TrainedModel(algorithm, num_states, vocab_size, config,
-                        stats=stats, mode=mode, vocab=vocab)
+    return TrainedModel(algorithm, num_states, vocab_size, config, stats, mode, vocab)

@@ -1,62 +1,24 @@
-"""Uncollapsed stochastic variational baseline for finite chains.
+"""Geometric surrogate of the uncollapsed stochastic variational baseline.
 
-Keeps Dirichlet variational parameters per transition and emission row and
-takes natural-gradient steps toward prior + scaled batch statistics.  The
-per-sweep point matrices are the rows' geometric mean-field weights
-exp(psi(entry) - psi(row sum)); those weights do not sum to 1, so they are
-renormalized for the shared forward-backward code (posterior marginals are
-unchanged because the recursion renormalizes per step anyway, only the
-reported data likelihood is affected).
+``svi-hmm`` shares the collapsed engine's state and step: expected
+transition and emission counts n, blended with the same corpus scale and
+rho schedule.  Read as uncollapsed variational inference, prior + n are
+the Dirichlet variational parameters of every row, and the blend is the
+natural-gradient step toward prior + scaled batch statistics.  The one
+difference is the point matrices each sweep uses: the rows' geometric
+mean-field weights exp(psi(prior + n) - psi(row sum)) instead of their
+means.  Those weights do not sum to 1, so they are renormalized for the
+shared forward-backward code (posterior marginals are unchanged because
+the recursion renormalizes per step anyway, only the reported data
+likelihood is affected).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .messages import SurrogateParams, forward_backward, local_stats
+from .messages import SurrogateParams
 from .special import digamma
 
-__all__ = ["DirichletRows", "svi_initialize", "svi_surrogate", "svi_step"]
-
-
-@dataclass
-class DirichletRows:
-    """Variational Dirichlet parameters; (K+1) x K transitions, K x V emissions."""
-
-    trans_posterior: np.ndarray
-    emit_posterior: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.trans_posterior, dtype=float)
-        e = np.asarray(self.emit_posterior, dtype=float)
-        if t.ndim != 2 or t.shape[0] != t.shape[1] + 1 or e.ndim != 2 or e.shape[0] != t.shape[1]:
-            raise ValueError("need (K+1) x K transitions and K x V emissions")
-        for name, mat in (("trans_posterior", t), ("emit_posterior", e)):
-            if not np.all(np.isfinite(mat)) or np.any(mat <= 0.0):
-                raise ValueError(f"{name} entries must be finite and > 0")
-        self.trans_posterior = t
-        self.emit_posterior = e
-
-
-def svi_initialize(
-    num_states: int,
-    vocab_size: int,
-    trans_prior: float,
-    emit_prior: float,
-    token_count: float,
-    seed: int,
-) -> DirichletRows:
-    """Prior plus exponential noise scaled to the corpus token mass.
-
-    Mirrors the collapsed engine's initialization policy so the two
-    algorithms start from comparably sized states.
-    """
-    rng = np.random.default_rng(seed)
-    trans = rng.exponential(1.0, size=(num_states + 1, num_states))
-    trans *= token_count / trans.sum()
-    emit = rng.exponential(1.0, size=(num_states, vocab_size))
-    emit *= token_count / emit.sum()
-    return DirichletRows(trans_prior + trans, emit_prior + emit)
+__all__ = ["svi_surrogate"]
 
 
 def _geometric_rows(mat: np.ndarray) -> np.ndarray:
@@ -64,53 +26,10 @@ def _geometric_rows(mat: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def svi_surrogate(rows: DirichletRows) -> SurrogateParams:
-    """Renormalized geometric mean-field weights of every row."""
-    return SurrogateParams(
-        _geometric_rows(rows.trans_posterior), _geometric_rows(rows.emit_posterior)
-    )
+def svi_surrogate(trans_posterior: np.ndarray, emit_posterior: np.ndarray) -> SurrogateParams:
+    """Renormalized geometric mean-field weights of every Dirichlet row.
 
-
-def svi_step(
-    rows: DirichletRows,
-    batch,
-    sched,
-    trans_prior: float,
-    emit_prior: float,
-    corpus_size: int,
-    pool=None,
-) -> DirichletRows:
-    """One natural-gradient step: rows toward prior + (N/M) * batch stats.
-
-    Shares the minibatch contract of the collapsed engine: frozen
-    per-sweep parameters, order-preserving reduction, counter increment.
+    ``trans_posterior`` is (K+1) x K and ``emit_posterior`` K x V; every
+    entry is a positive Dirichlet parameter.
     """
-    from .engine import NumericalError, step_size
-
-    if len(batch) == 0:
-        raise ValueError("minibatch must not be empty")
-    params = svi_surrogate(rows)
-    rho = step_size(sched)
-    vocab_size = params.vocab_size
-
-    def work(seq):
-        post = forward_backward(params, seq)
-        return local_stats(post, seq, vocab_size)
-
-    results = pool.map(work, batch) if pool is not None else map(work, batch)
-    sum_counts = np.zeros_like(rows.trans_posterior)
-    sum_tokens = np.zeros_like(rows.emit_posterior)
-    for pos, (localC, localT) in enumerate(results):
-        if not (np.all(np.isfinite(localC)) and np.all(np.isfinite(localT))):
-            raise NumericalError(
-                f"non-finite local statistics for sequence at batch position {pos}"
-                f" (step {sched.step_counter})"
-            )
-        sum_counts += localC
-        sum_tokens += localT
-
-    scale = corpus_size / len(batch)
-    new_trans = (1.0 - rho) * rows.trans_posterior + rho * (trans_prior + scale * sum_counts)
-    new_emit = (1.0 - rho) * rows.emit_posterior + rho * (emit_prior + scale * sum_tokens)
-    sched.step_counter += 1
-    return DirichletRows(new_trans, new_emit)
+    return SurrogateParams(_geometric_rows(trans_posterior), _geometric_rows(emit_posterior))

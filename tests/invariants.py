@@ -32,6 +32,7 @@ from scvihmm.engine import (
     GlobalStats,
     HdpMode,
     Schedule,
+    SviMode,
     TrainedModel,
     batch_stream,
     build_surrogate,
@@ -58,7 +59,6 @@ from scvihmm.special import (
     gamma_expect,
     gamma_geo_expect,
 )
-from scvihmm.svi import DirichletRows, svi_initialize, svi_step
 
 
 def _random_params(rng, num_states=None, vocab_size=None):
@@ -133,7 +133,7 @@ def check_emission_smoothing_toward_uniform(n=100):
         kls = []
         for c in (0.0, 1.0, 10.0, 100.0)[:4]:
             t = base + c
-            row = surrogate_emission_row(prior, EmissionStats(t, t.sum(axis=1)), 0)
+            row = surrogate_emission_row(prior, EmissionStats(t), 0)
             assert np.all(row > 0) and abs(row.sum() - 1.0) < 1e-12
             kls.append(_kl_to_uniform(row))
         assert kls[0] >= kls[1] >= kls[2] >= kls[3]
@@ -147,7 +147,7 @@ def check_emission_large_count_limit(n=100):
         prior = EmissionPrior.symmetric(rng.uniform(0.05, 2.0), v)
         props = rng.dirichlet(np.ones(v))
         t = (1e6 * props)[None, :]
-        row = surrogate_emission_row(prior, EmissionStats(t, t.sum(axis=1)), 0)
+        row = surrogate_emission_row(prior, EmissionStats(t), 0)
         assert np.max(np.abs(row - props)) < 1e-4
     return f"{n} rows at 1e6 scale"
 
@@ -158,10 +158,10 @@ def check_emission_row_independence(n=100):
         k, v = int(rng.integers(2, 5)), int(rng.integers(2, 8))
         prior = EmissionPrior.symmetric(0.1, v)
         t = rng.uniform(0.0, 5.0, size=(k, v))
-        before = surrogate_emission_matrix(prior, EmissionStats(t, t.sum(axis=1)))
+        before = surrogate_emission_matrix(prior, EmissionStats(t))
         t2 = t.copy()
         t2[0] += rng.uniform(1.0, 3.0, size=v)
-        after = surrogate_emission_matrix(prior, EmissionStats(t2, t2.sum(axis=1)))
+        after = surrogate_emission_matrix(prior, EmissionStats(t2))
         assert np.array_equal(before[1:], after[1:])
         assert not np.array_equal(before[0], after[0])
     return f"{n} perturbed-row matrices"
@@ -283,7 +283,7 @@ def check_flat_prior_term_structure(n=100):
         k, v = int(rng.integers(1, 8)), int(rng.integers(2, 6))
         counts = rng.uniform(0.0, 10.0, size=(k + 1, k))
         emit = rng.uniform(0.01, 5.0, size=(k, v))
-        stats = GlobalStats(counts, EmissionStats(emit, emit.sum(axis=1)))
+        stats = GlobalStats(counts, EmissionStats(emit))
         params = build_surrogate(stats, FiniteMode(0.1), EmissionPrior.symmetric(0.1, v))
         unnorm = 0.1 + counts
         assert np.allclose(params.trans, unnorm / unnorm.sum(axis=1, keepdims=True),
@@ -302,8 +302,7 @@ def check_predictive_pure_function(n=100):
         clone = TrainedModel(
             "scvi-hmm", k, len(corpus.vocab), RunConfig(num_states=k),
             GlobalStats(stats.trans_counts.copy(),
-                        EmissionStats(stats.emissions.token_stats.copy(),
-                                      stats.emissions.state_counts.copy())),
+                        EmissionStats(stats.emissions.token_stats.copy())),
             FiniteMode(0.1),
         )
         assert predictive_log_likelihood(model, corpus) == first
@@ -406,21 +405,23 @@ def check_geo_cache_coherent(n=100):
 
 
 def check_rows_stay_above_prior(n=100):
+    # the Dirichlet rows are prior + counts, so they stay above the prior
+    # exactly when the counts stay above 0
     rng = np.random.default_rng(61)
     for _ in range(n):
         k, v = int(rng.integers(1, 4)), int(rng.integers(2, 7))
-        rows = svi_initialize(k, v, 0.1, 0.1, 60.0, int(rng.integers(1000)))
+        stats = initialize_stats(k, v, 60.0, int(rng.integers(1000)))
+        prior = EmissionPrior.symmetric(0.1, v)
         seqs = [rng.integers(0, v, rng.integers(2, 9)) for _ in range(3)]
-        # rho = 1 wipes the old rows, so a word absent from the batch sits
-        # exactly on the prior; every later step is a strict convex blend
-        first = svi_step(rows, seqs, sched=Schedule(0.5, 0), trans_prior=0.1,
-                         emit_prior=0.1, corpus_size=6)
-        assert np.all(first.trans_posterior >= 0.1)
-        assert np.all(first.emit_posterior >= 0.1)
+        # rho = 1 wipes the old counts, so a word absent from the batch sits
+        # exactly on 0; every later step is a strict convex blend
+        first = process_minibatch(stats, seqs, Schedule(0.5, 0), SviMode(0.1), prior, 6)
+        assert np.all(first.trans_counts >= 0.0)
+        assert np.all(first.emissions.token_stats >= 0.0)
         sched = Schedule(float(rng.uniform(0.5, 1.0)), int(rng.integers(1, 10)))
-        stepped = svi_step(rows, seqs, sched, 0.1, 0.1, 6)
-        assert np.all(stepped.trans_posterior > 0.1)
-        assert np.all(stepped.emit_posterior > 0.1)
+        stepped = process_minibatch(stats, seqs, sched, SviMode(0.1), prior, 6)
+        assert np.all(stepped.trans_counts > 0.0)
+        assert np.all(stepped.emissions.token_stats > 0.0)
     return f"{n} natural-gradient steps"
 
 
@@ -530,33 +531,26 @@ def check_model_round_trip_persistence(n=100, tmp_dir=None):
         k, v = int(rng.integers(1, 5)), int(rng.integers(2, 7))
         config = RunConfig(algorithm=algo, num_states=k)
         vocab = Vocabulary(f"w{j}" for j in range(v - 1))
-        if algo == "svi-hmm":
-            rows = DirichletRows(rng.uniform(0.1, 5.0, (k + 1, k)),
-                                 rng.uniform(0.1, 5.0, (k, v)))
-            model = TrainedModel(algo, k, v, config, rows=rows, vocab=vocab)
+        emit = rng.uniform(0.0, 5.0, (k, v))
+        stats = GlobalStats(rng.uniform(0.0, 5.0, (k + 1, k)), EmissionStats(emit))
+        if algo == "scvi-hdphmm":
+            mode = HdpMode(HdpPosterior(
+                BetaParams(rng.uniform(0.5, 3.0, k), rng.uniform(1.0, 12.0, k)),
+                GammaParams(1.0, 0.1), GammaParams(2.0, 0.3),
+                rng.uniform(0.01, 1.0, k),
+            ))
+        elif algo == "svi-hmm":
+            mode = SviMode(0.1)
         else:
-            emit = rng.uniform(0.0, 5.0, (k, v))
-            stats = GlobalStats(rng.uniform(0.0, 5.0, (k + 1, k)),
-                                EmissionStats(emit, emit.sum(axis=1)))
-            if algo == "scvi-hdphmm":
-                mode = HdpMode(HdpPosterior(
-                    BetaParams(rng.uniform(0.5, 3.0, k), rng.uniform(1.0, 12.0, k)),
-                    GammaParams(1.0, 0.1), GammaParams(2.0, 0.3),
-                    rng.uniform(0.01, 1.0, k),
-                ))
-            else:
-                mode = FiniteMode(0.1)
-            model = TrainedModel(algo, k, v, config, stats=stats, mode=mode, vocab=vocab)
+            mode = FiniteMode(0.1)
+        model = TrainedModel(algo, k, v, config, stats=stats, mode=mode, vocab=vocab)
         path = base / f"m{i}.bin"
         save_model(model, path)
         loaded = load_model(path)
-        if algo == "svi-hmm":
-            assert np.array_equal(loaded.rows.trans_posterior, model.rows.trans_posterior)
-            assert np.array_equal(loaded.rows.emit_posterior, model.rows.emit_posterior)
-        else:
-            assert np.array_equal(loaded.stats.trans_counts, model.stats.trans_counts)
-            assert np.array_equal(loaded.stats.emissions.token_stats,
-                                  model.stats.emissions.token_stats)
+        assert type(loaded.mode) is type(model.mode)
+        assert np.array_equal(loaded.stats.trans_counts, model.stats.trans_counts)
+        assert np.array_equal(loaded.stats.emissions.token_stats,
+                              model.stats.emissions.token_stats)
         assert loaded.config == model.config and loaded.vocab == model.vocab
     return f"{n} checkpoint cycles"
 

@@ -9,7 +9,6 @@ from oracles import dirichlet_predictive_row
 from scvihmm.emissions import (
     EmissionPrior,
     EmissionStats,
-    sufficient_stat,
     surrogate_emission_matrix,
     surrogate_emission_row,
 )
@@ -30,10 +29,6 @@ class TestEmissionPrior:
         with pytest.raises(ValueError):
             EmissionPrior(pseudo)
 
-    def test_rejects_bad_count_weight(self):
-        with pytest.raises(ValueError):
-            EmissionPrior(np.ones(3), count_weight=0.0)
-
 
 class TestEmissionStats:
     def test_zeros(self):
@@ -43,31 +38,11 @@ class TestEmissionStats:
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            EmissionStats(np.array([[1.0, -1.0]]), np.array([0.0]))
-
-    def test_rejects_inconsistent_counts(self):
-        with pytest.raises(ValueError):
-            EmissionStats(np.array([[1.0, 2.0]]), np.array([4.0]))
+            EmissionStats(np.array([[1.0, -1.0]]))
 
     def test_from_token_stats_fills_counts(self):
-        stats = EmissionStats.from_token_stats(np.array([[1.0, 2.0], [0.5, 0.0]]))
+        stats = EmissionStats(np.array([[1.0, 2.0], [0.5, 0.0]]))
         np.testing.assert_allclose(stats.state_counts, [3.0, 0.5])
-
-
-class TestSufficientStat:
-    def test_first_and_last_position(self):
-        np.testing.assert_array_equal(sufficient_stat(0, 3), [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(sufficient_stat(2, 3), [0.0, 0.0, 1.0])
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=0, max_value=49))
-    def test_indicator_sums_to_one(self, w):
-        assert sufficient_stat(w, 50).sum() == 1.0
-
-    @pytest.mark.parametrize("w", [-1, 3, 100])
-    def test_out_of_vocabulary(self, w):
-        with pytest.raises(IndexError):
-            sufficient_stat(w, 3)
 
 
 class TestSurrogateRow:
@@ -79,7 +54,7 @@ class TestSurrogateRow:
 
     def test_single_count_example(self):
         prior = EmissionPrior.symmetric(0.1, 5)
-        stats = EmissionStats.from_token_stats(
+        stats = EmissionStats(
             np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
         )
         row = surrogate_emission_row(prior, stats, 0)
@@ -90,7 +65,7 @@ class TestSurrogateRow:
 
     def test_two_token_example(self):
         prior = EmissionPrior.symmetric(0.1, 2)
-        stats = EmissionStats.from_token_stats(np.array([[3.0, 1.0]]))
+        stats = EmissionStats(np.array([[3.0, 1.0]]))
         row = surrogate_emission_row(prior, stats, 0)
         np.testing.assert_allclose(row, np.array([3.1, 1.1]) / 4.2, atol=1e-15)
         oracle = dirichlet_predictive_row(prior.pseudo_counts, stats.token_stats[0])
@@ -101,7 +76,7 @@ class TestSurrogateRow:
         for _ in range(25):
             vocab = int(rng.integers(2, 8))
             prior = EmissionPrior(rng.uniform(0.05, 3.0, vocab))
-            stats = EmissionStats.from_token_stats(
+            stats = EmissionStats(
                 rng.uniform(0.0, 10.0, (1, vocab))
             )
             row = surrogate_emission_row(prior, stats, 0)
@@ -112,7 +87,7 @@ class TestSurrogateRow:
         rng = np.random.default_rng(11)
         prior = EmissionPrior.symmetric(0.1, 9)
         for _ in range(100):
-            stats = EmissionStats.from_token_stats(rng.uniform(0.0, 50.0, (4, 9)))
+            stats = EmissionStats(rng.uniform(0.0, 50.0, (4, 9)))
             mat = surrogate_emission_matrix(prior, stats)
             assert np.all(mat > 0.0) and np.all(mat < 1.0)
             np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
@@ -120,7 +95,7 @@ class TestSurrogateRow:
     def test_matrix_matches_rows(self):
         rng = np.random.default_rng(17)
         prior = EmissionPrior(rng.uniform(0.1, 2.0, 6))
-        stats = EmissionStats.from_token_stats(rng.uniform(0.0, 5.0, (3, 6)))
+        stats = EmissionStats(rng.uniform(0.0, 5.0, (3, 6)))
         mat = surrogate_emission_matrix(prior, stats)
         for k in range(3):
             np.testing.assert_array_equal(mat[k], surrogate_emission_row(prior, stats, k))
@@ -150,10 +125,10 @@ class TestSurrogateRowProperties:
         prior = EmissionPrior.symmetric(0.1, 5)
         base = np.array([[12.0, 3.0, 0.5, 0.0, 1.5]])
         last_kl = kl_to_uniform(
-            surrogate_emission_row(prior, EmissionStats.from_token_stats(base), 0)
+            surrogate_emission_row(prior, EmissionStats(base), 0)
         )
         for c in (1.0, 10.0, 100.0):
-            stats = EmissionStats.from_token_stats(base + c)
+            stats = EmissionStats(base + c)
             row = surrogate_emission_row(prior, stats, 0)
             np.testing.assert_allclose(row.sum(), 1.0, atol=1e-12)
             kl = kl_to_uniform(row)
@@ -163,7 +138,7 @@ class TestSurrogateRowProperties:
     def test_large_count_limit_recovers_proportions(self):
         prior = EmissionPrior.symmetric(0.1, 4)
         proportions = np.array([0.4, 0.3, 0.2, 0.1])
-        stats = EmissionStats.from_token_stats(1e6 * proportions[None, :])
+        stats = EmissionStats(1e6 * proportions[None, :])
         row = surrogate_emission_row(prior, stats, 0)
         np.testing.assert_allclose(row, proportions, atol=1e-4)
 
@@ -171,10 +146,10 @@ class TestSurrogateRowProperties:
         prior = EmissionPrior.symmetric(0.1, 6)
         rng = np.random.default_rng(23)
         t = rng.uniform(0.0, 10.0, (4, 6))
-        before = surrogate_emission_matrix(prior, EmissionStats.from_token_stats(t))
+        before = surrogate_emission_matrix(prior, EmissionStats(t))
         t2 = t.copy()
         t2[2] += rng.uniform(1.0, 5.0, 6)
-        after = surrogate_emission_matrix(prior, EmissionStats.from_token_stats(t2))
+        after = surrogate_emission_matrix(prior, EmissionStats(t2))
         for k in (0, 1, 3):
             assert np.array_equal(before[k], after[k])
         assert not np.array_equal(before[2], after[2])
@@ -185,7 +160,7 @@ class TestSurrogateRowProperties:
         rng = np.random.default_rng(seed)
         vocab = int(rng.integers(2, 12))
         prior = EmissionPrior(rng.uniform(0.01, 5.0, vocab))
-        stats = EmissionStats.from_token_stats(rng.uniform(0.0, 100.0, (2, vocab)))
+        stats = EmissionStats(rng.uniform(0.0, 100.0, (2, vocab)))
         row = surrogate_emission_row(prior, stats, 1)
         assert np.all(row > 0.0)
         assert abs(row.sum() - 1.0) < 1e-12

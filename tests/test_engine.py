@@ -16,6 +16,7 @@ from scvihmm.engine import (
     HdpMode,
     NumericalError,
     Schedule,
+    SviMode,
     TrainedModel,
     batch_stream,
     build_surrogate,
@@ -56,8 +57,9 @@ class TestSchedule:
             Schedule(kappa)
 
     def test_batch_sizes(self):
-        with pytest.raises(ValueError):
-            Schedule(0.6, minibatch_size=10, large_batch_size=5)
+        # the schedule holds no batch sizes; the run config checks them
+        with pytest.raises(ConfigError, match="large_batch_size"):
+            RunConfig(minibatch_size=10, large_batch_size=5).validate()
 
 
 class TestInitializeStats:
@@ -394,7 +396,7 @@ class TestTrain:
             large_batch_size=4, passes=2, seed=7,
         )
         model, metrics = train(corpus, config, heldout=corpus)
-        assert model.rows is not None
+        assert isinstance(model.mode, SviMode)
         assert np.isfinite(metrics[-1].heldout_ll)
 
     def test_shared_batch_stream_across_algorithms(self):

@@ -1,4 +1,8 @@
-"""Checks for the uncollapsed variational baseline."""
+"""Checks for the uncollapsed variational baseline.
+
+Its state is the engine's expected counts; the Dirichlet variational
+parameters of every row are the prior plus those counts.
+"""
 
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -7,23 +11,32 @@ import numpy as np
 import pytest
 
 from oracles import batch_vb_hmm
-from scvihmm.engine import Schedule
-from scvihmm.svi import DirichletRows, svi_initialize, svi_step, svi_surrogate
+from scvihmm.config import RunConfig
+from scvihmm.corpus import Corpus, Vocabulary
+from scvihmm.emissions import EmissionPrior, EmissionStats
+from scvihmm.engine import (
+    GlobalStats,
+    Schedule,
+    SviMode,
+    build_surrogate,
+    initialize_stats,
+    process_minibatch,
+    train,
+)
+from scvihmm.svi import svi_surrogate
 
 
 class TestSurrogate:
     @pytest.mark.parametrize("c", [0.5, 1.0, 7.0])
     def test_symmetric_rows_are_uniform(self, c):
-        rows = DirichletRows(np.full((4, 3), c), np.full((3, 5), c))
-        params = svi_surrogate(rows)
+        params = svi_surrogate(np.full((4, 3), c), np.full((3, 5), c))
         np.testing.assert_allclose(params.trans, 1 / 3, atol=1e-12)
         np.testing.assert_allclose(params.emit, 1 / 5, atol=1e-12)
 
     def test_two_to_one_row(self):
         # weights exp(psi(2)), exp(psi(1)) over common denominator
         # renormalize to e/(e+1), 1/(e+1)
-        rows = DirichletRows(np.ones((2, 1)), np.array([[2.0, 1.0]]))
-        params = svi_surrogate(rows)
+        params = svi_surrogate(np.ones((2, 1)), np.array([[2.0, 1.0]]))
         e = math.e
         np.testing.assert_allclose(
             params.emit[0], [e / (e + 1), 1 / (e + 1)], atol=1e-12
@@ -31,31 +44,47 @@ class TestSurrogate:
 
     def test_rows_positive_and_normalized(self):
         rng = np.random.default_rng(0)
-        rows = DirichletRows(rng.gamma(2.0, size=(5, 4)), rng.gamma(2.0, size=(4, 6)))
-        params = svi_surrogate(rows)
+        params = svi_surrogate(rng.gamma(2.0, size=(5, 4)), rng.gamma(2.0, size=(4, 6)))
         assert np.all(params.trans > 0) and np.all(params.emit > 0)
         np.testing.assert_allclose(params.trans.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(params.emit.sum(axis=1), 1.0, atol=1e-12)
 
 
+def untrained_svi_model(vocab_size, num_states, seed):
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary(f"w{i}" for i in range(vocab_size - 1))
+    seqs = [rng.integers(1, vocab_size, rng.integers(3, 9)) for _ in range(10)]
+    corpus = Corpus.from_sequences(seqs, vocab)
+    config = RunConfig(algorithm="svi-hmm", num_states=num_states, minibatch_size=5,
+                       large_batch_size=5, passes=0, seed=seed)
+    model, _ = train(corpus, config)
+    return model, corpus
+
+
 class TestInitialize:
     def test_deterministic_and_above_prior(self):
-        a = svi_initialize(3, 6, 0.1, 0.2, 800.0, seed=4)
-        b = svi_initialize(3, 6, 0.1, 0.2, 800.0, seed=4)
-        np.testing.assert_array_equal(a.trans_posterior, b.trans_posterior)
-        assert np.all(a.trans_posterior > 0.1)
-        assert np.all(a.emit_posterior > 0.2)
+        a, _ = untrained_svi_model(6, 3, seed=4)
+        b, _ = untrained_svi_model(6, 3, seed=4)
+        assert isinstance(a.mode, SviMode) and a.mode.prior_count == 0.1
+        np.testing.assert_array_equal(a.stats.trans_counts, b.stats.trans_counts)
+        # the Dirichlet parameters prior + counts sit strictly above the prior
+        assert np.all(a.stats.trans_counts > 0)
+        assert np.all(a.stats.emissions.token_stats > 0)
 
     def test_noise_mass_scaled_to_tokens(self):
-        rows = svi_initialize(4, 9, 0.1, 0.1, 321.0, seed=1)
-        assert abs((rows.trans_posterior - 0.1).sum() - 321.0) < 1e-6
-        assert abs((rows.emit_posterior - 0.1).sum() - 321.0) < 1e-6
+        model, corpus = untrained_svi_model(9, 4, seed=1)
+        init = initialize_stats(4, 9, corpus.counts, seed=2)
+        np.testing.assert_array_equal(model.stats.trans_counts, init.trans_counts)
+        assert abs(model.stats.trans_counts.sum() - corpus.counts) < 1e-6
+        assert abs(model.stats.emissions.token_stats.sum() - corpus.counts) < 1e-6
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            DirichletRows(np.ones((3, 3)), np.ones((3, 4)))
+            GlobalStats(np.ones((3, 3)), EmissionStats(np.ones((3, 4))))
         with pytest.raises(ValueError):
-            DirichletRows(np.ones((4, 3)), -np.ones((3, 4)))
+            GlobalStats(np.ones((4, 3)), EmissionStats(-np.ones((3, 4))))
+        with pytest.raises(ValueError):
+            SviMode(0.0)
 
 
 def random_batch(rng, n_seqs, vocab_size, max_len=12):
@@ -65,14 +94,20 @@ def random_batch(rng, n_seqs, vocab_size, max_len=12):
     ]
 
 
+def svi_update(stats, batch, sched, corpus_size, pool=None):
+    vocab_size = stats.emissions.token_stats.shape[1]
+    prior = EmissionPrior.symmetric(0.1, vocab_size)
+    return process_minibatch(stats, batch, sched, SviMode(0.1), prior, corpus_size, pool=pool)
+
+
 class TestStep:
     def test_full_step_is_prior_plus_batch_estimate(self):
         from scvihmm.messages import forward_backward, local_stats
 
         rng = np.random.default_rng(5)
-        rows = svi_initialize(2, 4, 0.1, 0.1, 50.0, seed=2)
+        stats = initialize_stats(2, 4, 50.0, seed=2)
         batch = random_batch(rng, 3, 4)
-        params = svi_surrogate(rows)
+        params = build_surrogate(stats, SviMode(0.1), EmissionPrior.symmetric(0.1, 4))
         sum_counts = np.zeros((3, 2))
         sum_tokens = np.zeros((2, 4))
         for seq in batch:
@@ -80,47 +115,52 @@ class TestStep:
             sum_counts += c
             sum_tokens += t
         scale = 9 / 3
-        out = svi_step(rows, batch, Schedule(1.0), 0.1, 0.1, 9)
-        np.testing.assert_array_equal(out.trans_posterior, 0.1 + scale * sum_counts)
-        np.testing.assert_array_equal(out.emit_posterior, 0.1 + scale * sum_tokens)
+        out = svi_update(stats, batch, Schedule(1.0), 9)
+        np.testing.assert_array_equal(out.trans_counts, scale * sum_counts)
+        np.testing.assert_array_equal(out.emissions.token_stats, scale * sum_tokens)
 
     def test_vanishing_step_changes_nothing(self):
         rng = np.random.default_rng(6)
-        rows = svi_initialize(2, 4, 0.1, 0.1, 50.0, seed=3)
+        stats = initialize_stats(2, 4, 50.0, seed=3)
         batch = random_batch(rng, 3, 4)
-        out = svi_step(rows, batch, Schedule(1.0, step_counter=10**12), 0.1, 0.1, 9)
-        np.testing.assert_allclose(out.trans_posterior, rows.trans_posterior, rtol=1e-9)
+        out = svi_update(stats, batch, Schedule(1.0, step_counter=10**12), 9)
+        np.testing.assert_allclose(out.trans_counts, stats.trans_counts, rtol=1e-9)
 
     def test_counter_increment_and_empty_batch(self):
-        rows = svi_initialize(2, 4, 0.1, 0.1, 50.0, seed=3)
+        stats = initialize_stats(2, 4, 50.0, seed=3)
         sched = Schedule(0.7, step_counter=3)
-        svi_step(rows, [np.array([1, 2, 0])], sched, 0.1, 0.1, 5)
+        svi_update(stats, [np.array([1, 2, 0])], sched, 5)
         assert sched.step_counter == 4
         with pytest.raises(ValueError):
-            svi_step(rows, [], sched, 0.1, 0.1, 5)
+            svi_update(stats, [], sched, 5)
 
     def test_thread_pool_matches_serial(self):
         rng = np.random.default_rng(7)
-        rows = svi_initialize(3, 5, 0.1, 0.1, 80.0, seed=4)
+        stats = initialize_stats(3, 5, 80.0, seed=4)
         batch = random_batch(rng, 6, 5)
-        serial = svi_step(rows, batch, Schedule(0.6, 1), 0.1, 0.1, 12)
+        serial = svi_update(stats, batch, Schedule(0.6, 1), 12)
         with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded = svi_step(rows, batch, Schedule(0.6, 1), 0.1, 0.1, 12, pool=pool)
-        np.testing.assert_array_equal(serial.trans_posterior, threaded.trans_posterior)
-        np.testing.assert_array_equal(serial.emit_posterior, threaded.emit_posterior)
+            threaded = svi_update(stats, batch, Schedule(0.6, 1), 12, pool=pool)
+        np.testing.assert_array_equal(serial.trans_counts, threaded.trans_counts)
+        np.testing.assert_array_equal(
+            serial.emissions.token_stats, threaded.emissions.token_stats
+        )
 
     def test_batch_vb_fixed_point(self):
         # full-batch steps with rho pinned to 1 must walk the same
         # trajectory as an independently coded batch VB iteration
         rng = np.random.default_rng(8)
         batch = random_batch(rng, 6, 5, max_len=15)
-        rows = svi_initialize(2, 5, 0.1, 0.1, 60.0, seed=5)
+        stats = initialize_stats(2, 5, 60.0, seed=5)
         oracle = batch_vb_hmm(
-            batch, 2, 5, 0.1, 0.1, rows.trans_posterior, rows.emit_posterior, 40
+            batch, 2, 5, 0.1, 0.1,
+            0.1 + stats.trans_counts, 0.1 + stats.emissions.token_stats, 40,
         )
-        current = rows
+        current = stats
         for _ in range(40):
-            current = svi_step(current, batch, Schedule(1.0), 0.1, 0.1, len(batch))
+            current = svi_update(current, batch, Schedule(1.0), len(batch))
         ref_trans, ref_emit = oracle[-1]
-        np.testing.assert_allclose(current.trans_posterior, ref_trans, rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(current.emit_posterior, ref_emit, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(0.1 + current.trans_counts, ref_trans, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(
+            0.1 + current.emissions.token_stats, ref_emit, rtol=1e-6, atol=1e-9
+        )
