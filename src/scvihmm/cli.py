@@ -1,13 +1,13 @@
 """Command-line surface: training, evaluation, synthetic generation.
 
-Config precedence is flags over config file over built-in defaults; the
-thread count additionally falls back to the SCVIHMM_THREADS environment
-variable before the default of 1.  Failure classes map to distinct exit
-codes so callers can tell a bad flag from a corrupted checkpoint.
+Config precedence is flags over config file over built-in defaults.
+Failure classes map to distinct exit codes so callers can tell a bad flag
+from a corrupted checkpoint.
 """
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -39,7 +39,6 @@ from .model_io import (
 )
 
 METRICS_HEADER = ["step", "pass", "seconds", "heldout_ll", "k_effective"]
-THREADS_ENV = "SCVIHMM_THREADS"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,83 +49,49 @@ EXIT_VERSION = 6
 EXIT_TRUNCATED = 7
 EXIT_CHECKSUM = 8
 
-# (flag destination, config field)
+# (flag, config field, argparse keywords); flags override the --config file
 _CONFIG_FLAGS = [
-    ("algo", "algorithm"),
-    ("states", "num_states"),
-    ("kappa", "kappa"),
-    ("minibatch", "minibatch_size"),
-    ("large_batch", "large_batch_size"),
-    ("passes", "passes"),
-    ("budget_seconds", "budget_seconds"),
-    ("trans_prior", "trans_prior"),
-    ("emit_prior", "emit_prior"),
-    ("alpha_shape", "alpha_prior_shape"),
-    ("alpha_rate", "alpha_prior_rate"),
-    ("gamma_shape", "gamma_prior_shape"),
-    ("gamma_rate", "gamma_prior_rate"),
-    ("seed", "seed"),
-    ("batch_mode", "batch_mode"),
-    ("eval_every", "eval_every_steps"),
-    ("threads", "threads"),
+    ("--algo", "algorithm", dict(choices=ALGORITHMS)),
+    ("--states", "num_states", dict(type=int)),
+    ("--kappa", "kappa", dict(type=float)),
+    ("--minibatch", "minibatch_size", dict(type=int)),
+    ("--large-batch", "large_batch_size", dict(type=int)),
+    ("--passes", "passes", dict(type=int)),
+    ("--budget-seconds", "budget_seconds", dict(type=float)),
+    ("--trans-prior", "trans_prior", dict(type=float)),
+    ("--emit-prior", "emit_prior", dict(type=float)),
+    ("--alpha-shape", "alpha_prior_shape", dict(type=float)),
+    ("--alpha-rate", "alpha_prior_rate", dict(type=float)),
+    ("--gamma-shape", "gamma_prior_shape", dict(type=float)),
+    ("--gamma-rate", "gamma_prior_rate", dict(type=float)),
+    ("--seed", "seed", dict(type=int)),
+    ("--batch-mode", "batch_mode", dict(choices=("shuffle", "iid"))),
+    ("--eval-every", "eval_every_steps", dict(type=int)),
+    ("--threads", "threads", dict(type=int)),
 ]
 
 
 def _add_config_flags(p):
     p.add_argument("--config", help="JSON file with config fields (flags win)")
-    p.add_argument("--algo", choices=ALGORITHMS)
-    p.add_argument("--states", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--minibatch", type=int)
-    p.add_argument("--large-batch", dest="large_batch", type=int)
-    p.add_argument("--passes", type=int)
-    p.add_argument("--budget-seconds", dest="budget_seconds", type=float)
-    p.add_argument("--trans-prior", dest="trans_prior", type=float)
-    p.add_argument("--emit-prior", dest="emit_prior", type=float)
-    p.add_argument("--alpha-shape", dest="alpha_shape", type=float)
-    p.add_argument("--alpha-rate", dest="alpha_rate", type=float)
-    p.add_argument("--gamma-shape", dest="gamma_shape", type=float)
-    p.add_argument("--gamma-rate", dest="gamma_rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-mode", dest="batch_mode", choices=("shuffle", "iid"))
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--threads", type=int)
+    for flag, field, keywords in _CONFIG_FLAGS:
+        p.add_argument(flag, dest=field, **keywords)
 
 
 def build_config(args) -> RunConfig:
-    data = RunConfig().to_dict()
-    file_fields = set()
+    data = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                file_data = json.load(fh)
+                data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
-        if not isinstance(file_data, dict):
+        if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_data) - set(data)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        data.update(file_data)
-        file_fields = set(file_data)
-    if (
-        args.threads is None
-        and "threads" not in file_fields
-        and os.environ.get(THREADS_ENV)
-    ):
-        try:
-            data["threads"] = int(os.environ[THREADS_ENV])
-        except ValueError:
-            raise ConfigError(
-                f"{THREADS_ENV} must be an integer, got {os.environ[THREADS_ENV]!r}"
-            )
-    for dest, field in _CONFIG_FLAGS:
-        value = getattr(args, dest)
+    for _, field, _ in _CONFIG_FLAGS:
+        value = getattr(args, field)
         if value is not None:
             data[field] = value
-    config = RunConfig.from_dict(data)
-    config.validate()
-    return config
+    return RunConfig.from_dict(data).validate()
 
 
 def append_metrics(path, records):
@@ -179,12 +144,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-_SPEC_FIELDS = (
-    "num_states", "vocab_size", "seq_count", "min_length", "max_length",
-    "seed", "self_persistence",
-)
-
-
 def cmd_generate(args) -> int:
     try:
         if args.spec.lstrip().startswith("{"):
@@ -196,13 +155,17 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"spec is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("spec must hold a JSON object")
-    unknown = set(data) - set(_SPEC_FIELDS)
+    params = inspect.signature(SyntheticSpec.random).parameters
+    unknown = set(data) - set(params)
     if unknown:
         raise ConfigError(f"unknown spec fields: {sorted(unknown)}")
-    missing = {"num_states", "vocab_size", "seq_count", "min_length", "max_length"} - set(data)
+    missing = {name for name, p in params.items() if p.default is p.empty} - set(data)
     if missing:
         raise ConfigError(f"spec missing fields: {sorted(missing)}")
-    spec = SyntheticSpec.random(**data)
+    try:
+        spec = SyntheticSpec.random(**data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid spec: {exc}") from None
     corpus, _ = generate_synthetic(spec)
     if args.heldout_out:
         train_c, test_c = split(corpus, 1.0 - args.heldout_fraction, args.split_seed)

@@ -1,12 +1,21 @@
 """Run configuration shared by the library entry points and the CLI."""
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 
 ALGORITHMS = ("scvi-hmm", "scvi-hdphmm", "svi-hmm")
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; message names the offending field."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 @dataclass
@@ -40,33 +49,27 @@ class RunConfig:
     threads: int = 1
 
     def validate(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if not isinstance(self.num_states, int) or self.num_states < 1:
-            raise ConfigError(f"num_states must be a positive integer, got {self.num_states!r}")
-        if not 0.5 <= self.kappa <= 1.0:
-            raise ConfigError(f"kappa must lie in [0.5, 1], got {self.kappa!r}")
-        if not isinstance(self.minibatch_size, int) or self.minibatch_size < 1:
-            raise ConfigError(f"minibatch_size must be a positive integer, got {self.minibatch_size!r}")
-        if not isinstance(self.large_batch_size, int) or self.large_batch_size < self.minibatch_size:
-            raise ConfigError(
-                f"large_batch_size must be an integer >= minibatch_size, got {self.large_batch_size!r}"
-            )
-        if not isinstance(self.passes, int) or self.passes < 0:
-            raise ConfigError(f"passes must be a nonnegative integer, got {self.passes!r}")
-        if self.budget_seconds is not None and self.budget_seconds <= 0:
-            raise ConfigError(f"budget_seconds must be positive, got {self.budget_seconds!r}")
+        def require(name, ok, want):
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name} must be {want}, got {value!r}")
+
+        require("algorithm", lambda v: v in ALGORITHMS, f"one of {ALGORITHMS}")
+        for name in ("num_states", "minibatch_size", "threads"):
+            require(name, lambda v: _is_int(v) and v >= 1, "a positive integer")
+        require("large_batch_size", lambda v: _is_int(v) and v >= self.minibatch_size,
+                "an integer >= minibatch_size")
+        for name in ("passes", "seed"):
+            require(name, lambda v: _is_int(v) and v >= 0, "a nonnegative integer")
+        require("kappa", lambda v: _is_real(v) and 0.5 <= v <= 1.0, "a number in [0.5, 1]")
         for name in ("trans_prior", "emit_prior", "alpha_prior_shape",
                      "alpha_prior_rate", "gamma_prior_shape", "gamma_prior_rate"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value!r}")
-        if self.batch_mode not in ("shuffle", "iid"):
-            raise ConfigError(f"batch_mode must be 'shuffle' or 'iid', got {self.batch_mode!r}")
-        if self.eval_every_steps is not None and self.eval_every_steps < 1:
-            raise ConfigError(f"eval_every_steps must be >= 1, got {self.eval_every_steps!r}")
-        if not isinstance(self.threads, int) or self.threads < 1:
-            raise ConfigError(f"threads must be a positive integer, got {self.threads!r}")
+            require(name, lambda v: _is_real(v) and v > 0, "a positive number")
+        require("budget_seconds", lambda v: v is None or (_is_real(v) and v > 0),
+                "null or a positive number")
+        require("batch_mode", lambda v: v in ("shuffle", "iid"), "'shuffle' or 'iid'")
+        require("eval_every_steps", lambda v: v is None or (_is_int(v) and v >= 1),
+                "null or a positive integer")
         return self
 
     def to_dict(self) -> dict:

@@ -158,11 +158,13 @@ def initial_mode(config: RunConfig):
     This is the one place that reads the algorithm name; training and
     checkpoints dispatch on the type of the mode it returns.
     """
+    if config.algorithm == "scvi-hmm":
+        return FiniteMode(config.trans_prior)
     if config.algorithm == "scvi-hdphmm":
         return HdpMode(HdpPosterior.initial(config.num_states, *_concentration_priors(config)))
     if config.algorithm == "svi-hmm":
         return SviMode(config.trans_prior)
-    return FiniteMode(config.trans_prior)
+    raise ValueError(f"unknown algorithm {config.algorithm!r}")
 
 
 def initialize_stats(num_states: int, vocab_size: int, token_count: float, seed: int) -> GlobalStats:
@@ -301,15 +303,33 @@ class MetricRecord:
 
 @dataclass
 class TrainedModel:
-    """Everything needed to rebuild surrogates and evaluate."""
+    """Everything needed to rebuild surrogates and evaluate.
 
-    algorithm: str
-    num_states: int
-    vocab_size: int
+    ``config`` records the algorithm; the sizes are the shapes of ``stats``.
+    """
+
     config: RunConfig
     stats: GlobalStats
     mode: object
     vocab: object = None
+
+    def __post_init__(self):
+        if self.config.num_states != self.num_states:
+            raise ValueError(f"config num_states {self.config.num_states!r}, stats {self.num_states}")
+        if self.vocab is not None and len(self.vocab) != self.vocab_size:
+            raise ValueError(f"vocab of {len(self.vocab)} words, stats {self.vocab_size}")
+
+    @property
+    def algorithm(self) -> str:
+        return self.config.algorithm
+
+    @property
+    def num_states(self) -> int:
+        return self.stats.trans_counts.shape[1]
+
+    @property
+    def vocab_size(self) -> int:
+        return self.stats.emissions.token_stats.shape[1]
 
     def surrogate(self) -> SurrogateParams:
         prior = EmissionPrior.symmetric(self.config.emit_prior, self.vocab_size)
@@ -376,9 +396,7 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     start = time.perf_counter()
 
     def current_model():
-        return TrainedModel(
-            config.algorithm, num_states, vocab_size, config, stats, mode, corpus.vocab
-        )
+        return TrainedModel(config, stats, mode, corpus.vocab)
 
     def record():
         model = current_model()

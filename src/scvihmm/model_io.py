@@ -14,7 +14,9 @@ reading them as counts would be silently wrong: only format 2 is read.
 Error classification on load is structural first: the expected total size
 is derived from the header, so a short file reports truncation rather
 than the checksum mismatch it also implies; the digest is verified before
-the matrices are interpreted.
+the matrices are interpreted.  The stored config is the record of the
+algorithm and the state count: it must validate, and the header's own
+``algorithm`` and ``num_states`` must agree with it.
 """
 
 import hashlib
@@ -135,16 +137,24 @@ def load_model(path) -> TrainedModel:
         raise TruncatedFileError("file ends inside the header")
     try:
         header = json.loads(blob[12:body_start].decode("utf-8"))
-        algorithm = header["algorithm"]
-        num_states = int(header["num_states"])
-        vocab_size = int(header["vocab_size"])
-        config = RunConfig.from_dict(header["config"])
+        config = RunConfig.from_dict(header["config"]).validate()
+        vocab_size = header["vocab_size"]
         vocab_words = header.get("vocab_words")
         mode = initial_mode(config)
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelFormatError(f"unreadable header: {exc}") from None
+    for name in ("algorithm", "num_states"):
+        if header.get(name) != getattr(config, name):
+            stored = getattr(config, name)
+            raise ModelFormatError(f"header {name} {header.get(name)!r} contradicts config {stored!r}")
+    if type(vocab_size) is not int or vocab_size < 1:
+        raise ModelFormatError(f"header vocab_size {vocab_size!r} is not a positive integer")
+    if vocab_words is not None and not (
+        isinstance(vocab_words, list) and all(isinstance(w, str) for w in vocab_words)
+    ):
+        raise ModelFormatError("header vocab_words is not a list of strings")
     is_hdp = isinstance(mode, HdpMode)
-    shapes = _matrix_shapes(num_states, vocab_size, is_hdp)
+    shapes = _matrix_shapes(config.num_states, vocab_size, is_hdp)
     body_len = sum(8 * int(np.prod(shape)) for _, shape in shapes)
     expected = body_start + body_len + 32
     if len(blob) < expected:
@@ -168,15 +178,17 @@ def load_model(path) -> TrainedModel:
         )
         offset += n
 
-    vocab = Vocabulary(vocab_words) if vocab_words is not None else None
-    stats = GlobalStats(arrays["trans_counts"], EmissionStats(arrays["token_stats"]))
-    if is_hdp:
-        a_al, b_al, a_ga, b_ga = arrays["concentrations"]
-        post = HdpPosterior(
-            BetaParams(arrays["stick_u"], arrays["stick_v"]),
-            GammaParams(float(a_al), float(b_al)),
-            GammaParams(float(a_ga), float(b_ga)),
-            arrays["geo_alpha_pi"],
-        )
-        mode = HdpMode(post)
-    return TrainedModel(algorithm, num_states, vocab_size, config, stats, mode, vocab)
+    try:
+        vocab = Vocabulary(vocab_words) if vocab_words is not None else None
+        stats = GlobalStats(arrays["trans_counts"], EmissionStats(arrays["token_stats"]))
+        if is_hdp:
+            a_al, b_al, a_ga, b_ga = arrays["concentrations"]
+            mode = HdpMode(HdpPosterior(
+                BetaParams(arrays["stick_u"], arrays["stick_v"]),
+                GammaParams(float(a_al), float(b_al)),
+                GammaParams(float(a_ga), float(b_ga)),
+                arrays["geo_alpha_pi"],
+            ))
+        return TrainedModel(config, stats, mode, vocab)
+    except ValueError as exc:
+        raise ModelFormatError(f"invalid checkpoint contents: {exc}") from None

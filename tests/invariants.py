@@ -296,11 +296,10 @@ def check_predictive_pure_function(n=100):
     for _ in range(n):
         corpus, stats, prior, _ = _random_minibatch_setup(rng)
         k = stats.trans_counts.shape[1]
-        model = TrainedModel("scvi-hmm", k, len(corpus.vocab),
-                             RunConfig(num_states=k), stats, FiniteMode(0.1))
+        model = TrainedModel(RunConfig(num_states=k), stats, FiniteMode(0.1))
         first = predictive_log_likelihood(model, corpus)
         clone = TrainedModel(
-            "scvi-hmm", k, len(corpus.vocab), RunConfig(num_states=k),
+            RunConfig(num_states=k),
             GlobalStats(stats.trans_counts.copy(),
                         EmissionStats(stats.emissions.token_stats.copy())),
             FiniteMode(0.1),
@@ -543,7 +542,7 @@ def check_model_round_trip_persistence(n=100, tmp_dir=None):
             mode = SviMode(0.1)
         else:
             mode = FiniteMode(0.1)
-        model = TrainedModel(algo, k, v, config, stats=stats, mode=mode, vocab=vocab)
+        model = TrainedModel(config, stats=stats, mode=mode, vocab=vocab)
         path = base / f"m{i}.bin"
         save_model(model, path)
         loaded = load_model(path)

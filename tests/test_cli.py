@@ -28,6 +28,7 @@ from scvihmm.corpus import Vocabulary
 from scvihmm.emissions import EmissionStats
 from scvihmm.engine import FiniteMode, GlobalStats, TrainedModel
 from scvihmm.model_io import save_model
+from test_model_io import TAMPERED_HEADERS, resign_header
 
 
 def write_corpus(path, lines):
@@ -67,21 +68,14 @@ class TestConfigResolution:
 
     def test_flags_override_file_overrides_defaults(self, tmp_path):
         cfg_file = tmp_path / "run.json"
-        cfg_file.write_text(json.dumps({"kappa": 0.8, "seed": 5, "num_states": 7}))
+        cfg_file.write_text(json.dumps({"kappa": 0.8, "seed": 5, "num_states": 7, "threads": 2}))
         args = self._args(["--config", str(cfg_file), "--kappa", "0.9"])
         config = build_config(args)
         assert config.kappa == 0.9
         assert config.seed == 5
         assert config.num_states == 7
+        assert config.threads == 2
         assert config.minibatch_size == 1000
-
-    def test_env_var_supplies_default_threads(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("SCVIHMM_THREADS", "3")
-        assert build_config(self._args([])).threads == 3
-        assert build_config(self._args(["--threads", "2"])).threads == 2
-        cfg_file = tmp_path / "run.json"
-        cfg_file.write_text(json.dumps({"threads": 4}))
-        assert build_config(self._args(["--config", str(cfg_file)])).threads == 4
 
     def test_unknown_file_field_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -123,6 +117,20 @@ class TestTrain:
         rows = parse_metrics(metrics_out)
         assert len(rows) == 1 and rows[0][0] == 0
 
+    def test_eval_every_adds_metric_rows(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        sample_corpus(corpus)
+        out = tmp_path / "metrics.csv"
+        code = main([
+            "train", str(corpus), "--states", "2", "--minibatch", "10",
+            "--large-batch", "10", "--passes", "2", "--eval-every", "4",
+            "--heldout-fraction", "0.2", "--metrics-out", str(out),
+        ])
+        assert code == 0
+        # 24 training sequences make 3 steps per pass
+        rows = parse_metrics(out)
+        assert [(r[0], r[1]) for r in rows] == [(0, 0), (3, 1), (4, 1), (6, 2)]
+
     def test_metrics_deterministic_modulo_clock(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
         sample_corpus(corpus, seed=3)
@@ -162,6 +170,11 @@ class TestTrain:
         code = main(["train", str(corpus), "--kappa", "0.2"])
         assert code == EXIT_CONFIG
         assert "kappa" in capsys.readouterr().err
+        cfg_file = tmp_path / "run.json"
+        for field, value in [("kappa", "0.8"), ("eval_every_steps", 1.5), ("num_states", True)]:
+            cfg_file.write_text(json.dumps({field: value}))
+            assert main(["train", str(corpus), "--config", str(cfg_file)]) == EXIT_CONFIG
+            assert field in capsys.readouterr().err
 
     def test_numerical_error_exit_cites_step(self, tmp_path, capsys, monkeypatch):
         from scvihmm.engine import NumericalError
@@ -207,7 +220,7 @@ class TestEval:
     def test_uniform_single_state_closed_form(self, tmp_path, capsys):
         vocab = Vocabulary(f"w{i}" for i in range(99))
         model = TrainedModel(
-            "scvi-hmm", 1, 100, RunConfig(num_states=1),
+            RunConfig(num_states=1),
             GlobalStats(np.zeros((2, 1)), EmissionStats.zeros(1, 100)),
             FiniteMode(0.1), vocab=vocab,
         )
@@ -242,6 +255,14 @@ class TestEval:
         assert len(rows) == 1
         assert abs(rows[0][3] - printed) < 1e-6
 
+    @pytest.mark.parametrize("case", sorted(TAMPERED_HEADERS))
+    def test_header_contradicting_config_exit_code(self, tmp_path, capsys, case):
+        corpus, model_out = self._train_model(tmp_path, algo="svi-hmm")
+        field, edit = TAMPERED_HEADERS[case]
+        resign_header(model_out, edit)
+        assert main(["eval", str(model_out), str(corpus)]) == EXIT_FORMAT
+        assert field in capsys.readouterr().err
+
     def test_corrupted_model_exit_codes(self, tmp_path, capsys):
         _, model_out = self._train_model(tmp_path)
         blob = bytearray(model_out.read_bytes())
@@ -273,6 +294,7 @@ class TestGenerate:
         data = dict(num_states=3, vocab_size=10, seq_count=40,
                     min_length=5, max_length=12, seed=2)
         data.update(overrides)
+        data = {k: v for k, v in data.items() if v is not None}  # None drops a field
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(data), encoding="utf-8")
         return spec
@@ -322,6 +344,15 @@ class TestGenerate:
         code = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "c.txt")])
         assert code == EXIT_CONFIG
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("seq_count", 0), ("num_states", "2"), ("max_length", None),
+    ])
+    def test_invalid_spec_value(self, tmp_path, capsys, field, value):
+        spec = self._spec(tmp_path, **{field: value})
+        code = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "c.txt")])
+        assert code == EXIT_CONFIG
+        assert "spec" in capsys.readouterr().err
 
 
 class TestInstalledEntryPoint:

@@ -20,6 +20,7 @@ from scvihmm.engine import (
     TrainedModel,
     batch_stream,
     build_surrogate,
+    initial_mode,
     initialize_stats,
     k_effective,
     predictive_log_likelihood,
@@ -104,6 +105,10 @@ class TestBuildSurrogate:
         stats = GlobalStats(np.zeros((3, 2)), EmissionStats.zeros(2, 3))
         with pytest.raises(TypeError):
             build_surrogate(stats, object(), EmissionPrior.symmetric(0.1, 3))
+
+    def test_unknown_algorithm_has_no_mode(self):
+        with pytest.raises(ValueError, match="bogus"):
+            initial_mode(RunConfig(algorithm="bogus"))
 
 
 class TestProcessMinibatch:
@@ -285,8 +290,23 @@ class TestKEffective:
         counts[:, 1] = [1.0, 2.0, 1.0, 0.5]
         counts[0, 2] = 1e-5
         stats = GlobalStats(counts, EmissionStats.zeros(3, 2))
-        model = TrainedModel("scvi-hmm", 3, 2, RunConfig(num_states=3), stats, FiniteMode(0.1))
+        model = TrainedModel(RunConfig(num_states=3), stats, FiniteMode(0.1))
         assert k_effective(model) == 2
+
+
+class TestTrainedModel:
+    def test_sizes_and_algorithm_are_derived(self):
+        stats = GlobalStats(np.zeros((4, 3)), EmissionStats.zeros(3, 5))
+        config = RunConfig(algorithm="svi-hmm", num_states=3)
+        model = TrainedModel(config, stats, SviMode(0.1))
+        assert (model.algorithm, model.num_states, model.vocab_size) == ("svi-hmm", 3, 5)
+
+    def test_contradicting_config_or_vocab_rejected(self):
+        stats = GlobalStats(np.zeros((4, 3)), EmissionStats.zeros(3, 5))
+        with pytest.raises(ValueError, match="num_states"):
+            TrainedModel(RunConfig(num_states=7), stats, FiniteMode(0.1))
+        with pytest.raises(ValueError, match="vocab"):
+            TrainedModel(RunConfig(num_states=3), stats, FiniteMode(0.1), Vocabulary(["a"]))
 
 
 class TestTrain:
@@ -347,6 +367,19 @@ class TestTrain:
         assert [m.pass_index for m in metrics] == [0, 1, 2]
         seconds = [m.seconds for m in metrics]
         assert all(b >= a for a, b in zip(seconds, seconds[1:]))
+
+    def test_eval_every_steps_cadence(self):
+        rng = np.random.default_rng(50)
+        corpus = tiny_corpus(rng, n_seqs=10)
+        config = RunConfig(
+            algorithm="scvi-hmm", num_states=2, minibatch_size=3,
+            large_batch_size=3, passes=3, eval_every_steps=3, seed=1,
+        )
+        _, metrics = train(corpus, config, heldout=corpus)
+        # 4 steps per pass, 12 in all: step 0, the multiples of 3, the pass
+        # boundaries and the final step, each once (12 is all three)
+        assert [m.step for m in metrics] == [0, 3, 4, 6, 8, 9, 12]
+        assert [m.pass_index for m in metrics] == [0, 0, 1, 1, 2, 2, 3]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(43)
@@ -415,8 +448,18 @@ class TestTrain:
     def test_invalid_config_rejected(self):
         rng = np.random.default_rng(48)
         corpus = tiny_corpus(rng)
-        with pytest.raises(ConfigError, match="kappa"):
-            train(corpus, RunConfig(kappa=0.3), heldout=corpus)
+        bad = [
+            ("algorithm", 3), ("num_states", True), ("kappa", 0.3), ("kappa", "0.8"),
+            ("minibatch_size", 2.0), ("large_batch_size", "10000"), ("passes", None),
+            ("budget_seconds", "5"), ("trans_prior", [0.1]), ("emit_prior", True),
+            ("alpha_prior_shape", None), ("alpha_prior_rate", "1"),
+            ("gamma_prior_shape", float("nan")), ("gamma_prior_rate", {}),
+            ("seed", 1.5), ("seed", -1), ("batch_mode", 0), ("eval_every_steps", 1.5),
+            ("eval_every_steps", False), ("threads", False),
+        ]
+        for name, value in bad:
+            with pytest.raises(ConfigError, match=f"^{name} must"):
+                train(corpus, RunConfig(**{name: value}), heldout=corpus)
 
     def test_budget_mode_stops(self):
         rng = np.random.default_rng(49)

@@ -1,5 +1,9 @@
 """Checkpoint round-trip and corruption handling."""
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,31 @@ def trained(algorithm, seed=1):
     )
     model, _ = train(corpus, config)
     return model, corpus
+
+
+def resign_header(path, edit):
+    """Rewrite a checkpoint's JSON header through ``edit`` and sign the file again."""
+    blob = path.read_bytes()
+    header_len = struct.unpack_from("<I", blob, 8)[0]
+    header = json.loads(blob[12 : 12 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = b"".join([
+        blob[:8], struct.pack("<I", len(header_bytes)), header_bytes, blob[12 + header_len : -32]
+    ])
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+# header edits of an svi-hmm checkpoint: (field the error must name, edit)
+TAMPERED_HEADERS = {
+    "unknown-algorithm": ("algorithm", lambda h: h["config"].update(algorithm="bogus")),
+    "header-algorithm": ("algorithm", lambda h: h.update(algorithm="scvi-hmm")),
+    "config-num-states": ("num_states", lambda h: h["config"].update(num_states=7)),
+    "negative-emit-prior": ("emit_prior", lambda h: h["config"].update(emit_prior=-0.1)),
+    "short-vocab-words": ("vocab", lambda h: h.update(vocab_words=h["vocab_words"][:-1])),
+    "fractional-vocab-size": ("vocab_size", lambda h: h.update(vocab_size=h["vocab_size"] + 0.5)),
+    "numeric-vocab-words": ("vocab_words", lambda h: h.update(vocab_words=[7] * h["vocab_size"])),
+}
 
 
 @pytest.mark.parametrize("algorithm", ["scvi-hmm", "scvi-hdphmm", "svi-hmm"])
@@ -132,6 +161,19 @@ class TestCorruption:
             fh.write(b"\x00" * 8)
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("case", sorted(TAMPERED_HEADERS))
+    def test_header_contradicting_config(self, tmp_path, case):
+        model, _ = trained("svi-hmm", seed=4)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        field, edit = TAMPERED_HEADERS[case]
+        resign_header(path, edit)
+        with pytest.raises(ModelFormatError, match=field) as excinfo:
+            load_model(path)
+        assert not isinstance(
+            excinfo.value, (VersionMismatchError, TruncatedFileError, ChecksumError)
+        )
 
     def test_error_types_are_distinct(self):
         kinds = {VersionMismatchError, TruncatedFileError, ChecksumError}
