@@ -21,7 +21,6 @@ from .engine import (
     GlobalStats,
     MetricRecord,
     NumericalError,
-    Schedule,
     TrainedModel,
     k_effective,
     predictive_log_likelihood,
@@ -55,7 +54,6 @@ __all__ = [
     "GlobalStats",
     "MetricRecord",
     "NumericalError",
-    "Schedule",
     "TrainedModel",
     "k_effective",
     "predictive_log_likelihood",

@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from .config import ALGORITHMS, ConfigError, RunConfig
+from .config import ALGORITHMS, ConfigError, RunConfig, _is_int, _is_real
 from .corpus import (
     SyntheticSpec,
     Vocabulary,
@@ -48,6 +48,21 @@ EXIT_FORMAT = 5
 EXIT_VERSION = 6
 EXIT_TRUNCATED = 7
 EXIT_CHECKSUM = 8
+
+# (exception type, exit code), each subclass before its base
+_EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG),
+    (NumericalError, EXIT_NUMERICAL),
+    (ChecksumError, EXIT_CHECKSUM),
+    (TruncatedFileError, EXIT_TRUNCATED),
+    (VersionMismatchError, EXIT_VERSION),
+    (ModelFormatError, EXIT_FORMAT),
+    (OSError, EXIT_DATA),
+    (ValueError, EXIT_DATA),
+)
+
+# spec value checks by the annotation of its SyntheticSpec.random parameter
+_SPEC_TYPES = {int: (_is_int, "an integer"), float: (_is_real, "a finite number")}
 
 # (flag, config field, argparse keywords); flags override the --config file
 _CONFIG_FLAGS = [
@@ -94,6 +109,13 @@ def build_config(args) -> RunConfig:
     return RunConfig.from_dict(data).validate()
 
 
+def _train_fraction(args) -> float:
+    """The train share of a ``--heldout-fraction`` split."""
+    if not 0.0 < args.heldout_fraction < 1.0:
+        raise ConfigError(f"--heldout-fraction must lie in (0, 1), got {args.heldout_fraction}")
+    return 1.0 - args.heldout_fraction
+
+
 def append_metrics(path, records):
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8", newline="") as fh:
@@ -113,8 +135,8 @@ def cmd_train(args) -> int:
     heldout = None
     if args.heldout:
         heldout = load_corpus(args.heldout, vocab=corpus.vocab)
-    elif args.heldout_fraction:
-        corpus, heldout = split(corpus, 1.0 - args.heldout_fraction, args.split_seed)
+    elif args.heldout_fraction is not None:
+        corpus, heldout = split(corpus, _train_fraction(args), args.split_seed)
     model, metrics = train(corpus, config, heldout)
     if args.model_out:
         save_model(model, args.model_out)
@@ -162,13 +184,17 @@ def cmd_generate(args) -> int:
     missing = {name for name, p in params.items() if p.default is p.empty} - set(data)
     if missing:
         raise ConfigError(f"spec missing fields: {sorted(missing)}")
+    for name, value in data.items():
+        ok, want = _SPEC_TYPES[params[name].annotation]
+        if not ok(value):
+            raise ConfigError(f"spec field {name} must be {want}, got {value!r}")
     try:
         spec = SyntheticSpec.random(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid spec: {exc}") from None
     corpus, _ = generate_synthetic(spec)
     if args.heldout_out:
-        train_c, test_c = split(corpus, 1.0 - args.heldout_fraction, args.split_seed)
+        train_c, test_c = split(corpus, _train_fraction(args), args.split_seed)
         save_corpus(train_c, args.out)
         save_corpus(test_c, args.heldout_out)
     else:
@@ -219,27 +245,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ChecksumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKSUM
-    except TruncatedFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATED
-    except VersionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERSION
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

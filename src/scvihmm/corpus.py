@@ -190,8 +190,9 @@ class SyntheticSpec:
         for name, mat in (("trans", self.trans), ("emit", self.emit)):
             if np.any(mat < 0.0) or np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-10):
                 raise ValueError(f"{name} rows must be stochastic")
-        if self.seq_count < 1 or self.min_length < 1 or self.max_length < self.min_length:
-            raise ValueError("invalid sequence count or length range")
+        for name, low in (("seq_count", 1), ("min_length", 1), ("max_length", self.min_length)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @classmethod
     def random(
@@ -206,6 +207,10 @@ class SyntheticSpec:
     ) -> "SyntheticSpec":
         """Random Dirichlet rows; ``self_persistence`` adds extra mass on
         self-transitions to make states sticky."""
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if not 0.0 <= self_persistence <= 1.0:
+            raise ValueError(f"self_persistence must lie in [0, 1], got {self_persistence}")
         rng = np.random.default_rng(seed)
         trans = rng.dirichlet(np.ones(num_states), size=num_states + 1)
         if self_persistence > 0.0:
@@ -266,8 +271,10 @@ def minibatches(corpus: Corpus, batch_size: int, seed: int, mode: str = "shuffle
         raise ValueError("batch_size must be >= 1")
     if mode not in ("shuffle", "iid"):
         raise ValueError(f"unknown batch mode {mode!r}")
-    rng = np.random.default_rng(seed)
     n = len(corpus)
+    if n == 0:
+        raise ValueError("cannot draw minibatches from an empty corpus")
+    rng = np.random.default_rng(seed)
     if mode == "iid":
         while True:
             yield rng.integers(0, n, size=batch_size)

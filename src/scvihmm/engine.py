@@ -3,11 +3,13 @@
 One minibatch step freezes the surrogate transition and emission matrices,
 sweeps every sequence in the batch with forward-backward against that
 frozen snapshot, and blends the corpus-scaled batch statistics into the
-running expectations with step size rho_n = (1+n)^(-kappa).  All three
-algorithms keep the same statistics and take the same step; they differ
-only in the mode the surrogate is built from (see ``initial_mode``).  In
-hierarchical mode the stick posterior is refreshed once per large batch
-from per-sequence table-count estimates accumulated along the way; the
+running expectations with step size rho_n = (1+n)^(-kappa).  The step
+count n is the only schedule state: ``train`` keeps it and passes rho in.
+All three algorithms keep the same statistics and take the same step; they
+differ only in the mode the surrogate is built from (see
+``initial_mode``).  In hierarchical mode the stick posterior is refreshed
+once per large batch from per-sequence table-count estimates accumulated
+along the way, with the same schedule over the count of large batches; the
 other modes simply have no large-batch level.
 
 Sequences within a minibatch are independent given the frozen snapshot, so
@@ -25,7 +27,7 @@ import numpy as np
 from . import svi
 from .config import RunConfig
 from .corpus import Corpus, minibatches
-from .emissions import EmissionPrior, EmissionStats, surrogate_emission_matrix
+from .emissions import EmissionPrior, surrogate_emission_matrix
 from .hdp import (
     HdpPosterior,
     absence_log_probs,
@@ -47,7 +49,6 @@ K_EFFECTIVE_THRESHOLD = 1e-3
 __all__ = [
     "NumericalError",
     "GlobalStats",
-    "Schedule",
     "FiniteMode",
     "HdpMode",
     "SviMode",
@@ -73,47 +74,34 @@ class NumericalError(RuntimeError):
 class GlobalStats:
     """Running expected transition counts and emission statistics.
 
-    ``trans_counts`` is (K+1) x K with row 0 holding start transitions.
-    Every algorithm keeps this state; the mode decides how it becomes a
-    surrogate.
+    ``trans_counts`` is (K+1) x K with row 0 holding start transitions;
+    ``token_stats[k][w]`` is the expected count of token w emitted from
+    state k.  Every algorithm keeps this state; the mode decides how it
+    becomes a surrogate.
     """
 
     trans_counts: np.ndarray
-    emissions: EmissionStats
+    token_stats: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.trans_counts, dtype=float)
+        t = np.asarray(self.token_stats, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1] + 1:
             raise ValueError("trans_counts must be (K+1) x K")
-        if not np.all(np.isfinite(c)) or np.any(c < 0.0):
-            raise ValueError("trans_counts entries must be finite and >= 0")
-        if self.emissions.token_stats.shape[0] != c.shape[1]:
+        if t.ndim != 2:
+            raise ValueError("token_stats must be K x V")
+        for name, arr in (("trans_counts", c), ("token_stats", t)):
+            if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+                raise ValueError(f"{name} entries must be finite and >= 0")
+        if t.shape[0] != c.shape[1]:
             raise ValueError("emission stats state count does not match trans_counts")
         self.trans_counts = c
+        self.token_stats = t
 
 
-@dataclass
-class Schedule:
-    """Step-size schedule state.
-
-    kappa in [0.5, 1]; strictly above 0.5 gives the summability guarantee
-    (sum of rho diverges, sum of rho^2 converges), 0.5 itself is the
-    customary boundary setting and is accepted.
-    """
-
-    kappa: float
-    step_counter: int = 0
-
-    def __post_init__(self):
-        if not 0.5 <= self.kappa <= 1.0:
-            raise ValueError("kappa must lie in [0.5, 1]")
-        if self.step_counter < 0:
-            raise ValueError("step_counter must be >= 0")
-
-
-def step_size(sched: Schedule) -> float:
-    """rho_n = (1+n)^(-kappa) for the schedule's current counter."""
-    return float((1.0 + sched.step_counter) ** -sched.kappa)
+def step_size(step: int, kappa: float) -> float:
+    """rho_n = (1+n)^(-kappa) for step count n."""
+    return float((1.0 + step) ** -kappa)
 
 
 @dataclass(frozen=True)
@@ -178,7 +166,7 @@ def initialize_stats(num_states: int, vocab_size: int, token_count: float, seed:
     trans *= token_count / trans.sum()
     emit = rng.exponential(1.0, size=(num_states, vocab_size))
     emit *= token_count / emit.sum()
-    return GlobalStats(trans, EmissionStats(emit))
+    return GlobalStats(trans, emit)
 
 
 def build_surrogate(stats: GlobalStats, mode, prior: EmissionPrior) -> SurrogateParams:
@@ -193,7 +181,7 @@ def build_surrogate(stats: GlobalStats, mode, prior: EmissionPrior) -> Surrogate
     if isinstance(mode, SviMode):
         return svi.svi_surrogate(
             mode.prior_count + stats.trans_counts,
-            prior.pseudo_counts + stats.emissions.token_stats,
+            prior.pseudo_counts + stats.token_stats,
         )
     if isinstance(mode, FiniteMode):
         prior_term = np.full(stats.trans_counts.shape[1], mode.prior_count)
@@ -203,7 +191,7 @@ def build_surrogate(stats: GlobalStats, mode, prior: EmissionPrior) -> Surrogate
         raise TypeError(f"unknown model mode {type(mode).__name__}")
     unnorm = prior_term[None, :] + stats.trans_counts
     trans = unnorm / unnorm.sum(axis=1, keepdims=True)
-    emit = surrogate_emission_matrix(prior, stats.emissions)
+    emit = surrogate_emission_matrix(prior, stats.token_stats)
     return SurrogateParams(trans, emit)
 
 
@@ -244,7 +232,7 @@ def _sequence_stats(params, seq, vocab_size, want_absence):
 def process_minibatch(
     stats: GlobalStats,
     batch,
-    sched: Schedule,
+    rho: float,
     mode,
     prior: EmissionPrior,
     corpus_size: int,
@@ -255,14 +243,13 @@ def process_minibatch(
 
     Freezes the surrogate, sweeps the batch, then blends
     (1-rho) * old + rho * (N/M) * batch sums, where N is the corpus
-    sequence count and M the batch's actual size.  Increments the step
-    counter.  When ``hdp_acc`` is given, per-sequence table inputs are
-    accumulated into it along the way.
+    sequence count and M the batch's actual size, and returns the blend
+    as new statistics.  When ``hdp_acc`` is given, per-sequence table
+    inputs are accumulated into it along the way.
     """
     if len(batch) == 0:
         raise ValueError("minibatch must not be empty")
     params = build_surrogate(stats, mode, prior)
-    rho = step_size(sched)
     vocab_size = params.vocab_size
     want_absence = hdp_acc is not None
 
@@ -271,12 +258,11 @@ def process_minibatch(
 
     results = pool.map(work, batch) if pool is not None else map(work, batch)
     sum_counts = np.zeros_like(stats.trans_counts)
-    sum_tokens = np.zeros_like(stats.emissions.token_stats)
+    sum_tokens = np.zeros_like(stats.token_stats)
     for pos, (localC, localT, pair, row) in enumerate(results):
         if not (np.all(np.isfinite(localC)) and np.all(np.isfinite(localT))):
             raise NumericalError(
                 f"non-finite local statistics for sequence at batch position {pos}"
-                f" (step {sched.step_counter})"
             )
         sum_counts += localC
         sum_tokens += localT
@@ -285,9 +271,8 @@ def process_minibatch(
 
     scale = corpus_size / len(batch)
     new_counts = (1.0 - rho) * stats.trans_counts + rho * scale * sum_counts
-    new_tokens = (1.0 - rho) * stats.emissions.token_stats + rho * scale * sum_tokens
-    sched.step_counter += 1
-    return GlobalStats(new_counts, EmissionStats(new_tokens))
+    new_tokens = (1.0 - rho) * stats.token_stats + rho * scale * sum_tokens
+    return GlobalStats(new_counts, new_tokens)
 
 
 @dataclass
@@ -329,7 +314,7 @@ class TrainedModel:
 
     @property
     def vocab_size(self) -> int:
-        return self.stats.emissions.token_stats.shape[1]
+        return self.stats.token_stats.shape[1]
 
     def surrogate(self) -> SurrogateParams:
         prior = EmissionPrior.symmetric(self.config.emit_prior, self.vocab_size)
@@ -370,7 +355,8 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     Metrics are recorded at initialization, at every pass boundary, every
     ``eval_every_steps`` if configured, and at the final step.  Training
     length is ``passes`` sweeps, or ``budget_seconds`` of wall clock when
-    set.
+    set.  The step count is the only schedule state: the n-th minibatch
+    step takes rho_n, and the n-th large-batch HDP update takes rho_n too.
     """
     config.validate()
     num_states = config.num_states
@@ -378,13 +364,11 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     corpus_size = len(corpus)
     emit_prior = EmissionPrior.symmetric(config.emit_prior, vocab_size)
     alpha_prior, gamma_prior = _concentration_priors(config)
-    sched = Schedule(config.kappa)
 
     stats = initialize_stats(num_states, vocab_size, corpus.counts, config.seed + 1)
     mode = initial_mode(config)
     is_hdp = isinstance(mode, HdpMode)
-    hdp_sched = Schedule(config.kappa)
-    steps_per_large = max(1, math.ceil(config.large_batch_size / config.minibatch_size))
+    steps_per_large = math.ceil(config.large_batch_size / config.minibatch_size)
     acc = HdpAccumulator(num_states) if is_hdp else None
 
     stream = batch_stream(corpus, config)
@@ -393,6 +377,7 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
 
     pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
     metrics = []
+    step = 0
     start = time.perf_counter()
 
     def current_model():
@@ -403,8 +388,8 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
         ll = predictive_log_likelihood(model, heldout) if heldout is not None else float("nan")
         metrics.append(
             MetricRecord(
-                sched.step_counter,
-                sched.step_counter // batches_per_pass,
+                step,
+                step // batches_per_pass,
                 time.perf_counter() - start,
                 ll,
                 k_effective(model),
@@ -413,22 +398,24 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
 
     try:
         record()
-        step = 0
         while True:
             if total_steps is not None and step >= total_steps:
                 break
             if config.budget_seconds is not None and time.perf_counter() - start >= config.budget_seconds:
                 break
             batch = [corpus.sequences[i] for i in next(stream)]
-            stats = process_minibatch(
-                stats, batch, sched, mode, emit_prior, corpus_size, acc, pool
-            )
+            rho = step_size(step, config.kappa)
+            try:
+                stats = process_minibatch(
+                    stats, batch, rho, mode, emit_prior, corpus_size, acc, pool
+                )
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} (step {step})") from None
             step += 1
-            if is_hdp and step % steps_per_large == 0 and acc.count > 0:
+            if is_hdp and step % steps_per_large == 0:
                 tables = tables_from_aggregates(*acc.means(), corpus_size, mode.hdp)
-                rho = step_size(hdp_sched)
-                hdp_sched.step_counter += 1
-                mode = HdpMode(update_hdp(mode.hdp, tables, rho, alpha_prior, gamma_prior))
+                hdp_rho = step_size(step // steps_per_large - 1, config.kappa)
+                mode = HdpMode(update_hdp(mode.hdp, tables, hdp_rho, alpha_prior, gamma_prior))
                 acc = HdpAccumulator(num_states)
             due_pass = step % batches_per_pass == 0
             due_interval = (
@@ -437,7 +424,7 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
             )
             if due_pass or due_interval:
                 record()
-        if metrics[-1].step != sched.step_counter:
+        if metrics[-1].step != step:
             record()
     finally:
         if pool is not None:

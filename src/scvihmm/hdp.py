@@ -30,6 +30,9 @@ _LOG_FLOOR = -650.0
 
 DEFAULT_CONCENTRATION_PRIOR = GammaParams(1.0, 0.1)
 
+# every state's geometric weight before the first update (see HdpPosterior)
+STARTUP_GEO_WEIGHT = 0.1
+
 __all__ = [
     "DEFAULT_CONCENTRATION_PRIOR",
     "HdpPosterior",
@@ -81,8 +84,8 @@ class HdpPosterior:
     ``alpha`` and ``gamma`` the two Gamma concentration posteriors, and
     ``geo_alpha_pi`` caches the per-destination geometric weights.  The
     cache is refreshed by every update; at initialization it is pinned to a
-    flat 0.1 so the first sweep starts from the same transition prior
-    counts as the flat-prior models.
+    flat ``STARTUP_GEO_WEIGHT`` (0.1) so the first sweep starts from the
+    same transition prior counts as the flat-prior models.
     """
 
     sticks: BetaParams
@@ -108,17 +111,11 @@ class HdpPosterior:
         num_states: int,
         alpha_prior: GammaParams = DEFAULT_CONCENTRATION_PRIOR,
         gamma_prior: GammaParams = DEFAULT_CONCENTRATION_PRIOR,
-        pinned_weight: float = 0.1,
     ) -> "HdpPosterior":
         sticks = BetaParams(
             np.ones(num_states), np.full(num_states, gamma_expect(gamma_prior))
         )
-        return cls(
-            sticks,
-            alpha_prior,
-            gamma_prior,
-            np.full(num_states, float(pinned_weight)),
-        )
+        return cls(sticks, alpha_prior, gamma_prior, np.full(num_states, STARTUP_GEO_WEIGHT))
 
 
 def compute_geo_alpha_pi(sticks: BetaParams, alpha: GammaParams) -> np.ndarray:

@@ -27,7 +27,6 @@ import numpy as np
 
 from .config import RunConfig
 from .corpus import Vocabulary
-from .emissions import EmissionStats
 from .engine import GlobalStats, HdpMode, TrainedModel, initial_mode
 from .hdp import HdpPosterior
 from .special import BetaParams, GammaParams
@@ -79,7 +78,7 @@ def _matrix_shapes(num_states: int, vocab_size: int, hdp: bool):
 def _gather_arrays(model: TrainedModel) -> dict:
     arrays = {
         "trans_counts": model.stats.trans_counts,
-        "token_stats": model.stats.emissions.token_stats,
+        "token_stats": model.stats.token_stats,
     }
     if isinstance(model.mode, HdpMode):
         post = model.mode.hdp
@@ -180,7 +179,7 @@ def load_model(path) -> TrainedModel:
 
     try:
         vocab = Vocabulary(vocab_words) if vocab_words is not None else None
-        stats = GlobalStats(arrays["trans_counts"], EmissionStats(arrays["token_stats"]))
+        stats = GlobalStats(arrays["trans_counts"], arrays["token_stats"])
         if is_hdp:
             a_al, b_al, a_ga, b_ga = arrays["concentrations"]
             mode = HdpMode(HdpPosterior(

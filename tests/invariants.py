@@ -23,7 +23,6 @@ from scvihmm.corpus import (
 )
 from scvihmm.emissions import (
     EmissionPrior,
-    EmissionStats,
     surrogate_emission_matrix,
     surrogate_emission_row,
 )
@@ -31,7 +30,6 @@ from scvihmm.engine import (
     FiniteMode,
     GlobalStats,
     HdpMode,
-    Schedule,
     SviMode,
     TrainedModel,
     batch_stream,
@@ -39,6 +37,7 @@ from scvihmm.engine import (
     initialize_stats,
     predictive_log_likelihood,
     process_minibatch,
+    step_size,
 )
 from scvihmm.hdp import (
     HdpPosterior,
@@ -133,7 +132,7 @@ def check_emission_smoothing_toward_uniform(n=100):
         kls = []
         for c in (0.0, 1.0, 10.0, 100.0)[:4]:
             t = base + c
-            row = surrogate_emission_row(prior, EmissionStats(t), 0)
+            row = surrogate_emission_row(prior, t, 0)
             assert np.all(row > 0) and abs(row.sum() - 1.0) < 1e-12
             kls.append(_kl_to_uniform(row))
         assert kls[0] >= kls[1] >= kls[2] >= kls[3]
@@ -147,7 +146,7 @@ def check_emission_large_count_limit(n=100):
         prior = EmissionPrior.symmetric(rng.uniform(0.05, 2.0), v)
         props = rng.dirichlet(np.ones(v))
         t = (1e6 * props)[None, :]
-        row = surrogate_emission_row(prior, EmissionStats(t), 0)
+        row = surrogate_emission_row(prior, t, 0)
         assert np.max(np.abs(row - props)) < 1e-4
     return f"{n} rows at 1e6 scale"
 
@@ -158,10 +157,10 @@ def check_emission_row_independence(n=100):
         k, v = int(rng.integers(2, 5)), int(rng.integers(2, 8))
         prior = EmissionPrior.symmetric(0.1, v)
         t = rng.uniform(0.0, 5.0, size=(k, v))
-        before = surrogate_emission_matrix(prior, EmissionStats(t))
+        before = surrogate_emission_matrix(prior, t)
         t2 = t.copy()
         t2[0] += rng.uniform(1.0, 3.0, size=v)
-        after = surrogate_emission_matrix(prior, EmissionStats(t2))
+        after = surrogate_emission_matrix(prior, t2)
         assert np.array_equal(before[1:], after[1:])
         assert not np.array_equal(before[0], after[0])
     return f"{n} perturbed-row matrices"
@@ -230,30 +229,29 @@ def _random_minibatch_setup(rng):
     corpus = Corpus.from_sequences(seqs, vocab)
     stats = initialize_stats(k, v, corpus.counts, int(rng.integers(1000)))
     prior = EmissionPrior.symmetric(0.1, v)
-    sched = Schedule(float(rng.uniform(0.5, 1.0)), int(rng.integers(0, 20)))
-    return corpus, stats, prior, sched
+    kappa = float(rng.uniform(0.5, 1.0))
+    return corpus, stats, prior, step_size(int(rng.integers(0, 20)), kappa)
 
 
 def check_stats_nonnegative_finite(n=100):
     rng = np.random.default_rng(41)
     for _ in range(n):
-        corpus, stats, prior, sched = _random_minibatch_setup(rng)
-        out = process_minibatch(stats, corpus.sequences, sched, FiniteMode(0.1),
+        corpus, stats, prior, rho = _random_minibatch_setup(rng)
+        out = process_minibatch(stats, corpus.sequences, rho, FiniteMode(0.1),
                                 prior, len(corpus))
         assert np.all(out.trans_counts >= 0) and np.all(np.isfinite(out.trans_counts))
-        assert np.all(out.emissions.token_stats >= 0)
-        assert np.all(np.isfinite(out.emissions.token_stats))
+        assert np.all(out.token_stats >= 0)
+        assert np.all(np.isfinite(out.token_stats))
     return f"{n} minibatch updates"
 
 
 def check_convex_total_mass(n=100):
     rng = np.random.default_rng(42)
     for _ in range(n):
-        corpus, stats, prior, sched = _random_minibatch_setup(rng)
+        corpus, stats, prior, rho = _random_minibatch_setup(rng)
         m = int(rng.integers(1, len(corpus) + 1))
         batch = corpus.sequences[:m]
-        rho = (1.0 + sched.step_counter) ** -sched.kappa
-        out = process_minibatch(stats, batch, sched, FiniteMode(0.1), prior, len(corpus))
+        out = process_minibatch(stats, batch, rho, FiniteMode(0.1), prior, len(corpus))
         mean_tokens = sum(len(s) for s in batch) / m
         expected = (1 - rho) * stats.trans_counts.sum() + rho * len(corpus) * mean_tokens
         assert abs(out.trans_counts.sum() - expected) <= 1e-8 * max(expected, 1.0)
@@ -263,15 +261,14 @@ def check_convex_total_mass(n=100):
 def check_minibatch_order_invariance(n=100):
     rng = np.random.default_rng(43)
     for _ in range(n):
-        corpus, stats, prior, sched = _random_minibatch_setup(rng)
-        counter = sched.step_counter
-        a = process_minibatch(stats, corpus.sequences, Schedule(sched.kappa, counter),
+        corpus, stats, prior, rho = _random_minibatch_setup(rng)
+        a = process_minibatch(stats, corpus.sequences, rho,
                               FiniteMode(0.1), prior, len(corpus))
-        b = process_minibatch(stats, corpus.sequences, Schedule(sched.kappa, counter),
+        b = process_minibatch(stats, corpus.sequences, rho,
                               FiniteMode(0.1), prior, len(corpus))
         assert np.array_equal(a.trans_counts, b.trans_counts)
-        assert np.array_equal(a.emissions.token_stats, b.emissions.token_stats)
-        c = process_minibatch(stats, corpus.sequences[::-1], Schedule(sched.kappa, counter),
+        assert np.array_equal(a.token_stats, b.token_stats)
+        c = process_minibatch(stats, corpus.sequences[::-1], rho,
                               FiniteMode(0.1), prior, len(corpus))
         assert np.allclose(c.trans_counts, a.trans_counts, rtol=1e-9, atol=1e-12)
     return f"{n} repeat/reversed minibatches"
@@ -283,7 +280,7 @@ def check_flat_prior_term_structure(n=100):
         k, v = int(rng.integers(1, 8)), int(rng.integers(2, 6))
         counts = rng.uniform(0.0, 10.0, size=(k + 1, k))
         emit = rng.uniform(0.01, 5.0, size=(k, v))
-        stats = GlobalStats(counts, EmissionStats(emit))
+        stats = GlobalStats(counts, emit)
         params = build_surrogate(stats, FiniteMode(0.1), EmissionPrior.symmetric(0.1, v))
         unnorm = 0.1 + counts
         assert np.allclose(params.trans, unnorm / unnorm.sum(axis=1, keepdims=True),
@@ -300,8 +297,7 @@ def check_predictive_pure_function(n=100):
         first = predictive_log_likelihood(model, corpus)
         clone = TrainedModel(
             RunConfig(num_states=k),
-            GlobalStats(stats.trans_counts.copy(),
-                        EmissionStats(stats.emissions.token_stats.copy())),
+            GlobalStats(stats.trans_counts.copy(), stats.token_stats.copy()),
             FiniteMode(0.1),
         )
         assert predictive_log_likelihood(model, corpus) == first
@@ -414,13 +410,14 @@ def check_rows_stay_above_prior(n=100):
         seqs = [rng.integers(0, v, rng.integers(2, 9)) for _ in range(3)]
         # rho = 1 wipes the old counts, so a word absent from the batch sits
         # exactly on 0; every later step is a strict convex blend
-        first = process_minibatch(stats, seqs, Schedule(0.5, 0), SviMode(0.1), prior, 6)
+        first = process_minibatch(stats, seqs, 1.0, SviMode(0.1), prior, 6)
         assert np.all(first.trans_counts >= 0.0)
-        assert np.all(first.emissions.token_stats >= 0.0)
-        sched = Schedule(float(rng.uniform(0.5, 1.0)), int(rng.integers(1, 10)))
-        stepped = process_minibatch(stats, seqs, sched, SviMode(0.1), prior, 6)
+        assert np.all(first.token_stats >= 0.0)
+        kappa = float(rng.uniform(0.5, 1.0))
+        rho = step_size(int(rng.integers(1, 10)), kappa)
+        stepped = process_minibatch(stats, seqs, rho, SviMode(0.1), prior, 6)
         assert np.all(stepped.trans_counts > 0.0)
-        assert np.all(stepped.emissions.token_stats > 0.0)
+        assert np.all(stepped.token_stats > 0.0)
     return f"{n} natural-gradient steps"
 
 
@@ -531,7 +528,7 @@ def check_model_round_trip_persistence(n=100, tmp_dir=None):
         config = RunConfig(algorithm=algo, num_states=k)
         vocab = Vocabulary(f"w{j}" for j in range(v - 1))
         emit = rng.uniform(0.0, 5.0, (k, v))
-        stats = GlobalStats(rng.uniform(0.0, 5.0, (k + 1, k)), EmissionStats(emit))
+        stats = GlobalStats(rng.uniform(0.0, 5.0, (k + 1, k)), emit)
         if algo == "scvi-hdphmm":
             mode = HdpMode(HdpPosterior(
                 BetaParams(rng.uniform(0.5, 3.0, k), rng.uniform(1.0, 12.0, k)),
@@ -548,8 +545,7 @@ def check_model_round_trip_persistence(n=100, tmp_dir=None):
         loaded = load_model(path)
         assert type(loaded.mode) is type(model.mode)
         assert np.array_equal(loaded.stats.trans_counts, model.stats.trans_counts)
-        assert np.array_equal(loaded.stats.emissions.token_stats,
-                              model.stats.emissions.token_stats)
+        assert np.array_equal(loaded.stats.token_stats, model.stats.token_stats)
         assert loaded.config == model.config and loaded.vocab == model.vocab
     return f"{n} checkpoint cycles"
 

@@ -18,7 +18,6 @@ from scvihmm.corpus import SyntheticSpec, generate_synthetic
 from scvihmm.emissions import EmissionPrior
 from scvihmm.engine import (
     FiniteMode,
-    Schedule,
     initialize_stats,
     predictive_log_likelihood,
     process_minibatch,
@@ -103,19 +102,19 @@ def test_single_sequence_full_step_reaches_batch_fixed_point():
     stats = initialize_stats(num_states, vocab_size, 20.0, seed=7)
     oracle = batch_cvb0_hmm(
         seq, num_states, vocab_size, 0.1, 0.1,
-        stats.trans_counts, stats.emissions.token_stats, 60,
+        stats.trans_counts, stats.token_stats, 60,
     )
     current = stats
     for _ in range(60):
-        # step counter pinned at 0 keeps the blend weight at 1
+        # a blend weight of 1 replaces the statistics with the batch estimate
         current = process_minibatch(
-            current, [seq], Schedule(1.0), FiniteMode(0.1),
+            current, [seq], 1.0, FiniteMode(0.1),
             EmissionPrior.symmetric(0.1, vocab_size), 1,
         )
     ref_counts, ref_tokens = oracle[-1]
     dev = max(
         float(np.max(np.abs(current.trans_counts - ref_counts))),
-        float(np.max(np.abs(current.emissions.token_stats - ref_tokens))),
+        float(np.max(np.abs(current.token_stats - ref_tokens))),
     )
     elapsed = time.perf_counter() - t0
     assert dev <= 1e-6, f"stats deviate by {dev:.2e}"

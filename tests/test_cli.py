@@ -25,7 +25,6 @@ from scvihmm.cli import (
 )
 from scvihmm.config import RunConfig
 from scvihmm.corpus import Vocabulary
-from scvihmm.emissions import EmissionStats
 from scvihmm.engine import FiniteMode, GlobalStats, TrainedModel
 from scvihmm.model_io import save_model
 from test_model_io import TAMPERED_HEADERS, resign_header
@@ -175,6 +174,10 @@ class TestTrain:
             cfg_file.write_text(json.dumps({field: value}))
             assert main(["train", str(corpus), "--config", str(cfg_file)]) == EXIT_CONFIG
             assert field in capsys.readouterr().err
+        for fraction in ("1.5", "0", "-0.1"):
+            code = main(["train", str(corpus), "--passes", "0", "--heldout-fraction", fraction])
+            assert code == EXIT_CONFIG
+            assert "--heldout-fraction" in capsys.readouterr().err
 
     def test_numerical_error_exit_cites_step(self, tmp_path, capsys, monkeypatch):
         from scvihmm.engine import NumericalError
@@ -221,7 +224,7 @@ class TestEval:
         vocab = Vocabulary(f"w{i}" for i in range(99))
         model = TrainedModel(
             RunConfig(num_states=1),
-            GlobalStats(np.zeros((2, 1)), EmissionStats.zeros(1, 100)),
+            GlobalStats(np.zeros((2, 1)), np.zeros((1, 100))),
             FiniteMode(0.1), vocab=vocab,
         )
         model_out = tmp_path / "uniform.bin"
@@ -329,7 +332,7 @@ class TestGenerate:
         assert main(["generate", "--spec", str(spec), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_heldout_split(self, tmp_path):
+    def test_heldout_split(self, tmp_path, capsys):
         spec = self._spec(tmp_path, seq_count=50)
         out, held = tmp_path / "train.txt", tmp_path / "held.txt"
         code = main(["generate", "--spec", str(spec), "--out", str(out),
@@ -338,6 +341,10 @@ class TestGenerate:
         n_train = len(out.read_text(encoding="utf-8").strip().splitlines())
         n_held = len(held.read_text(encoding="utf-8").strip().splitlines())
         assert (n_train, n_held) == (40, 10)
+        code = main(["generate", "--spec", str(spec), "--out", str(out),
+                     "--heldout-out", str(held), "--heldout-fraction", "1.5"])
+        assert code == EXIT_CONFIG
+        assert "--heldout-fraction" in capsys.readouterr().err
 
     def test_unknown_spec_field(self, tmp_path, capsys):
         spec = self._spec(tmp_path, bogus=1)
@@ -347,12 +354,15 @@ class TestGenerate:
 
     @pytest.mark.parametrize("field, value", [
         ("seq_count", 0), ("num_states", "2"), ("max_length", None),
+        ("seed", -1), ("max_length", 4.5), ("self_persistence", -0.5),
+        ("self_persistence", 1.5), ("self_persistence", "0.5"),
     ])
     def test_invalid_spec_value(self, tmp_path, capsys, field, value):
         spec = self._spec(tmp_path, **{field: value})
         code = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "c.txt")])
         assert code == EXIT_CONFIG
-        assert "spec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "spec" in err and field in err
 
 
 class TestInstalledEntryPoint:

@@ -221,3 +221,6 @@ class TestMinibatches:
             next(minibatches(self._corpus(3), 0, seed=0))
         with pytest.raises(ValueError):
             next(minibatches(self._corpus(3), 1, seed=0, mode="bogus"))
+        for mode in ("shuffle", "iid"):
+            with pytest.raises(ValueError, match="empty corpus"):
+                next(minibatches(self._corpus(0), 2, seed=0, mode=mode))

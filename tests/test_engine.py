@@ -9,13 +9,12 @@ import pytest
 from oracles import batch_cvb0_hmm, log_space_loglik
 from scvihmm.config import ConfigError, RunConfig
 from scvihmm.corpus import Corpus, SyntheticSpec, Vocabulary, generate_synthetic, split
-from scvihmm.emissions import EmissionPrior, EmissionStats
+from scvihmm.emissions import EmissionPrior
 from scvihmm.engine import (
     FiniteMode,
     GlobalStats,
     HdpMode,
     NumericalError,
-    Schedule,
     SviMode,
     TrainedModel,
     batch_stream,
@@ -28,7 +27,7 @@ from scvihmm.engine import (
     step_size,
     train,
 )
-from scvihmm.hdp import HdpPosterior
+from scvihmm.hdp import HdpPosterior, update_hdp
 from scvihmm.messages import SurrogateParams
 
 
@@ -44,21 +43,16 @@ def tiny_corpus(rng, n_seqs=12, vocab_size=5, max_len=9):
 class TestSchedule:
     def test_first_step_is_one(self):
         for kappa in (0.5, 0.7, 1.0):
-            assert step_size(Schedule(kappa)) == 1.0
+            assert step_size(0, kappa) == 1.0
 
     def test_second_step_half_kappa(self):
-        assert abs(step_size(Schedule(0.5, step_counter=1)) - 2 ** -0.5) < 1e-15
+        assert abs(step_size(1, 0.5) - 2 ** -0.5) < 1e-15
 
     def test_fourth_step_full_kappa(self):
-        assert step_size(Schedule(1.0, step_counter=3)) == 0.25
-
-    @pytest.mark.parametrize("kappa", [0.49, 1.01, 0.0])
-    def test_kappa_domain(self, kappa):
-        with pytest.raises(ValueError):
-            Schedule(kappa)
+        assert step_size(3, 1.0) == 0.25
 
     def test_batch_sizes(self):
-        # the schedule holds no batch sizes; the run config checks them
+        # the schedule is the step count alone; the run config checks batch sizes
         with pytest.raises(ConfigError, match="large_batch_size"):
             RunConfig(minibatch_size=10, large_batch_size=5).validate()
 
@@ -68,27 +62,27 @@ class TestInitializeStats:
         a = initialize_stats(3, 7, 1000.0, seed=5)
         b = initialize_stats(3, 7, 1000.0, seed=5)
         np.testing.assert_array_equal(a.trans_counts, b.trans_counts)
-        np.testing.assert_array_equal(a.emissions.token_stats, b.emissions.token_stats)
+        np.testing.assert_array_equal(a.token_stats, b.token_stats)
 
     def test_positive_entries(self):
         stats = initialize_stats(4, 6, 500.0, seed=1)
         assert np.all(stats.trans_counts > 0)
-        assert np.all(stats.emissions.token_stats > 0)
+        assert np.all(stats.token_stats > 0)
 
     def test_mass_scaled_to_token_count(self):
         stats = initialize_stats(5, 11, 1234.5, seed=2)
         assert abs(stats.trans_counts.sum() - 1234.5) < 1e-6
-        assert abs(stats.emissions.token_stats.sum() - 1234.5) < 1e-6
+        assert abs(stats.token_stats.sum() - 1234.5) < 1e-6
 
 
 class TestBuildSurrogate:
     def test_zero_stats_finite_uniform(self):
-        stats = GlobalStats(np.zeros((5, 4)), EmissionStats.zeros(4, 3))
+        stats = GlobalStats(np.zeros((5, 4)), np.zeros((4, 3)))
         params = build_surrogate(stats, FiniteMode(0.1), EmissionPrior.symmetric(0.1, 3))
         np.testing.assert_allclose(params.trans, 0.25, atol=1e-15)
 
     def test_zero_stats_hdp_startup_uniform(self):
-        stats = GlobalStats(np.zeros((5, 4)), EmissionStats.zeros(4, 3))
+        stats = GlobalStats(np.zeros((5, 4)), np.zeros((4, 3)))
         mode = HdpMode(HdpPosterior.initial(4))
         params = build_surrogate(stats, mode, EmissionPrior.symmetric(0.1, 3))
         np.testing.assert_allclose(params.trans, 0.25, atol=1e-15)
@@ -96,13 +90,13 @@ class TestBuildSurrogate:
     def test_count_row_normalization(self):
         counts = np.zeros((3, 2))
         counts[1] = [8.0, 2.0]
-        stats = GlobalStats(counts, EmissionStats.zeros(2, 3))
+        stats = GlobalStats(counts, np.zeros((2, 3)))
         params = build_surrogate(stats, FiniteMode(0.1), EmissionPrior.symmetric(0.1, 3))
         np.testing.assert_allclose(params.trans[1], np.array([8.1, 2.1]) / 10.2, atol=1e-12)
         np.testing.assert_allclose(params.trans[0], 0.5, atol=1e-12)
 
     def test_unknown_mode(self):
-        stats = GlobalStats(np.zeros((3, 2)), EmissionStats.zeros(2, 3))
+        stats = GlobalStats(np.zeros((3, 2)), np.zeros((2, 3)))
         with pytest.raises(TypeError):
             build_surrogate(stats, object(), EmissionPrior.symmetric(0.1, 3))
 
@@ -123,54 +117,54 @@ class TestProcessMinibatch:
         from scvihmm.messages import forward_backward, local_stats
 
         corpus, stats, prior = self._setup()
-        sched = Schedule(0.6)
+        before = (stats.trans_counts.copy(), stats.token_stats.copy())
         batch = corpus.sequences[:4]
         # rho = 1 zeroes the old statistics in the blend; the result must be
         # exactly (N/M) * batch sums under the frozen surrogate
         params = build_surrogate(stats, FiniteMode(0.1), prior)
         sum_counts = np.zeros_like(stats.trans_counts)
-        sum_tokens = np.zeros_like(stats.emissions.token_stats)
+        sum_tokens = np.zeros_like(stats.token_stats)
         for seq in batch:
             c, t = local_stats(forward_backward(params, seq), seq, 5)
             sum_counts += c
             sum_tokens += t
         scale = len(corpus) / len(batch)
-        out = process_minibatch(stats, batch, sched, FiniteMode(0.1), prior, len(corpus))
+        out = process_minibatch(stats, batch, 1.0, FiniteMode(0.1), prior, len(corpus))
         np.testing.assert_array_equal(out.trans_counts, scale * sum_counts)
-        np.testing.assert_array_equal(out.emissions.token_stats, scale * sum_tokens)
-        assert sched.step_counter == 1
+        np.testing.assert_array_equal(out.token_stats, scale * sum_tokens)
+        # the step returns new statistics and leaves its input as it was
+        np.testing.assert_array_equal(stats.trans_counts, before[0])
+        np.testing.assert_array_equal(stats.token_stats, before[1])
 
     def test_vanishing_step_changes_nothing(self):
         corpus, stats, prior = self._setup()
-        sched = Schedule(1.0, step_counter=10**12)
+        rho = step_size(10**12, 1.0)
         out = process_minibatch(
-            stats, corpus.sequences[:4], sched, FiniteMode(0.1), prior, len(corpus)
+            stats, corpus.sequences[:4], rho, FiniteMode(0.1), prior, len(corpus)
         )
         np.testing.assert_allclose(out.trans_counts, stats.trans_counts, rtol=1e-9)
         np.testing.assert_allclose(
-            out.emissions.token_stats, stats.emissions.token_stats, rtol=1e-9
+            out.token_stats, stats.token_stats, rtol=1e-9
         )
 
     def test_total_mass_convex_combination(self):
         corpus, stats, prior = self._setup(seed=8)
-        sched = Schedule(0.7, step_counter=4)
-        rho = step_size(sched)
+        rho = step_size(4, 0.7)
         batch = corpus.sequences[:5]
-        out = process_minibatch(stats, batch, sched, FiniteMode(0.1), prior, len(corpus))
+        out = process_minibatch(stats, batch, rho, FiniteMode(0.1), prior, len(corpus))
         batch_tokens = sum(len(s) for s in batch)
         expected = (1 - rho) * stats.trans_counts.sum() + rho * (
             len(corpus) / len(batch)
         ) * batch_tokens
         assert abs(out.trans_counts.sum() - expected) < 1e-8 * expected
-        assert abs(out.emissions.token_stats.sum() - expected) < 1e-8 * expected
+        assert abs(out.token_stats.sum() - expected) < 1e-8 * expected
 
     def test_nonnegative_and_finite(self):
         corpus, stats, prior = self._setup(seed=9)
-        sched = Schedule(0.5)
         out = stats
-        for start in range(0, 12, 4):
+        for step, start in enumerate(range(0, 12, 4)):
             out = process_minibatch(
-                out, corpus.sequences[start : start + 4], sched,
+                out, corpus.sequences[start : start + 4], step_size(step, 0.5),
                 FiniteMode(0.1), prior, len(corpus),
             )
             assert np.all(out.trans_counts >= 0) and np.all(np.isfinite(out.trans_counts))
@@ -178,17 +172,17 @@ class TestProcessMinibatch:
     def test_repeat_call_bit_identical(self):
         corpus, stats, prior = self._setup(seed=10)
         batch = corpus.sequences[:6]
-        a = process_minibatch(stats, batch, Schedule(0.6, 2), FiniteMode(0.1), prior, len(corpus))
-        b = process_minibatch(stats, batch, Schedule(0.6, 2), FiniteMode(0.1), prior, len(corpus))
+        a = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
+        b = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
         np.testing.assert_array_equal(a.trans_counts, b.trans_counts)
-        np.testing.assert_array_equal(a.emissions.token_stats, b.emissions.token_stats)
+        np.testing.assert_array_equal(a.token_stats, b.token_stats)
 
     def test_order_invariance_of_reduction(self):
         corpus, stats, prior = self._setup(seed=11)
         batch = corpus.sequences[:6]
-        a = process_minibatch(stats, batch, Schedule(0.6, 2), FiniteMode(0.1), prior, len(corpus))
+        a = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
         b = process_minibatch(
-            stats, batch[::-1], Schedule(0.6, 2), FiniteMode(0.1), prior, len(corpus)
+            stats, batch[::-1], step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus)
         )
         np.testing.assert_allclose(a.trans_counts, b.trans_counts, rtol=1e-9, atol=1e-12)
 
@@ -196,22 +190,22 @@ class TestProcessMinibatch:
         corpus, stats, prior = self._setup(seed=12)
         batch = corpus.sequences[:8]
         serial = process_minibatch(
-            stats, batch, Schedule(0.6, 1), FiniteMode(0.1), prior, len(corpus)
+            stats, batch, step_size(1, 0.6), FiniteMode(0.1), prior, len(corpus)
         )
         with ThreadPoolExecutor(max_workers=3) as pool:
             threaded = process_minibatch(
-                stats, batch, Schedule(0.6, 1), FiniteMode(0.1), prior, len(corpus),
+                stats, batch, step_size(1, 0.6), FiniteMode(0.1), prior, len(corpus),
                 pool=pool,
             )
         np.testing.assert_array_equal(serial.trans_counts, threaded.trans_counts)
         np.testing.assert_array_equal(
-            serial.emissions.token_stats, threaded.emissions.token_stats
+            serial.token_stats, threaded.token_stats
         )
 
     def test_empty_batch(self):
         _, stats, prior = self._setup()
         with pytest.raises(ValueError):
-            process_minibatch(stats, [], Schedule(0.6), FiniteMode(0.1), prior, 10)
+            process_minibatch(stats, [], step_size(0, 0.6), FiniteMode(0.1), prior, 10)
 
     def test_nonfinite_stats_abort(self, monkeypatch):
         corpus, stats, prior = self._setup()
@@ -223,11 +217,11 @@ class TestProcessMinibatch:
         monkeypatch.setattr("scvihmm.engine._sequence_stats", broken)
         with pytest.raises(NumericalError, match="batch position 0"):
             process_minibatch(
-                stats, corpus.sequences[:2], Schedule(0.6), FiniteMode(0.1), prior, 12
+                stats, corpus.sequences[:2], step_size(0, 0.6), FiniteMode(0.1), prior, 12
             )
 
     def test_batch_cvb_fixed_point(self):
-        # single sequence, rho pinned to 1 by resetting the counter: the
+        # single sequence, rho pinned to 1 at every step: the
         # engine must walk the same trajectory as an independently coded
         # batch collapsed-VB iteration from the same start
         rng = np.random.default_rng(20)
@@ -239,16 +233,16 @@ class TestProcessMinibatch:
         prior = EmissionPrior.symmetric(0.1, vocab_size)
         oracle = batch_cvb0_hmm(
             seq, num_states, vocab_size, 0.1, 0.1,
-            stats.trans_counts, stats.emissions.token_stats, 60,
+            stats.trans_counts, stats.token_stats, 60,
         )
         current = stats
         for i in range(60):
             current = process_minibatch(
-                current, [seq], Schedule(1.0), FiniteMode(0.1), prior, 1
+                current, [seq], step_size(0, 1.0), FiniteMode(0.1), prior, 1
             )
         ref_counts, ref_tokens = oracle[-1]
         np.testing.assert_allclose(current.trans_counts, ref_counts, atol=1e-6)
-        np.testing.assert_allclose(current.emissions.token_stats, ref_tokens, atol=1e-6)
+        np.testing.assert_allclose(current.token_stats, ref_tokens, atol=1e-6)
 
 
 class TestPredictiveLogLikelihood:
@@ -289,20 +283,20 @@ class TestKEffective:
         counts[:, 0] = [5.0, 100.0, 200.0, 50.0]
         counts[:, 1] = [1.0, 2.0, 1.0, 0.5]
         counts[0, 2] = 1e-5
-        stats = GlobalStats(counts, EmissionStats.zeros(3, 2))
+        stats = GlobalStats(counts, np.zeros((3, 2)))
         model = TrainedModel(RunConfig(num_states=3), stats, FiniteMode(0.1))
         assert k_effective(model) == 2
 
 
 class TestTrainedModel:
     def test_sizes_and_algorithm_are_derived(self):
-        stats = GlobalStats(np.zeros((4, 3)), EmissionStats.zeros(3, 5))
+        stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
         config = RunConfig(algorithm="svi-hmm", num_states=3)
         model = TrainedModel(config, stats, SviMode(0.1))
         assert (model.algorithm, model.num_states, model.vocab_size) == ("svi-hmm", 3, 5)
 
     def test_contradicting_config_or_vocab_rejected(self):
-        stats = GlobalStats(np.zeros((4, 3)), EmissionStats.zeros(3, 5))
+        stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
         with pytest.raises(ValueError, match="num_states"):
             TrainedModel(RunConfig(num_states=7), stats, FiniteMode(0.1))
         with pytest.raises(ValueError, match="vocab"):
@@ -421,6 +415,34 @@ class TestTrain:
         assert not np.allclose(model.mode.hdp.geo_alpha_pi, 0.1)
         assert np.isfinite(metrics[-1].heldout_ll)
 
+    def test_hdp_step_sizes_follow_large_batch_count(self, monkeypatch):
+        rhos = []
+
+        def recording(post, tables, rho, *priors):
+            rhos.append(rho)
+            return update_hdp(post, tables, rho, *priors)
+
+        monkeypatch.setattr("scvihmm.engine.update_hdp", recording)
+        corpus = tiny_corpus(np.random.default_rng(51), n_seqs=20)
+        config = RunConfig(
+            algorithm="scvi-hdphmm", num_states=3, kappa=0.7, minibatch_size=5,
+            large_batch_size=10, passes=2, seed=3,
+        )
+        train(corpus, config)
+        # 8 steps, one HDP update every 2: the n-th update takes (1+n)^-kappa
+        assert rhos == [1.0, 2 ** -0.7, 3 ** -0.7, 4 ** -0.7]
+
+    def test_nonfinite_stats_name_batch_position_and_step(self, monkeypatch):
+        def broken(params, seq, vocab_size, want):
+            k = params.trans.shape[1]
+            return np.full((k + 1, k), np.nan), np.zeros((k, vocab_size)), None, None
+
+        monkeypatch.setattr("scvihmm.engine._sequence_stats", broken)
+        corpus = tiny_corpus(np.random.default_rng(52))
+        config = RunConfig(num_states=2, minibatch_size=4, large_batch_size=4, passes=1)
+        with pytest.raises(NumericalError, match=r"batch position 0.*step 0"):
+            train(corpus, config)
+
     def test_svi_mode_runs(self):
         rng = np.random.default_rng(46)
         corpus = tiny_corpus(rng, n_seqs=16)
@@ -450,6 +472,7 @@ class TestTrain:
         corpus = tiny_corpus(rng)
         bad = [
             ("algorithm", 3), ("num_states", True), ("kappa", 0.3), ("kappa", "0.8"),
+            ("kappa", 0.49), ("kappa", 1.01),
             ("minibatch_size", 2.0), ("large_batch_size", "10000"), ("passes", None),
             ("budget_seconds", "5"), ("trans_prior", [0.1]), ("emit_prior", True),
             ("alpha_prior_shape", None), ("alpha_prior_rate", "1"),

@@ -17,7 +17,6 @@ from scvihmm.emissions import EmissionPrior
 from scvihmm.engine import (
     HdpAccumulator,
     HdpMode,
-    Schedule,
     initialize_stats,
     process_minibatch,
 )
@@ -317,14 +316,14 @@ class TestBatchTrajectory:
         prior = EmissionPrior.symmetric(0.1, V)
         snaps = batch_hdp_scvi(
             seqs, K, V, 0.1,
-            stats.trans_counts, stats.emissions.token_stats, 20,
+            stats.trans_counts, stats.token_stats, 20,
         )
         post = HdpPosterior.initial(K)
         current = stats
         for i in range(20):
             acc = HdpAccumulator(K)
             current = process_minibatch(
-                current, seqs, Schedule(1.0), HdpMode(post), prior,
+                current, seqs, 1.0, HdpMode(post), prior,
                 len(seqs), hdp_acc=acc,
             )
             tables = tables_from_aggregates(*acc.means(), len(seqs), post)
@@ -334,7 +333,7 @@ class TestBatchTrajectory:
                 current.trans_counts, ref["counts"], rtol=1e-8, atol=1e-10
             )
             np.testing.assert_allclose(
-                current.emissions.token_stats, ref["tokens"], rtol=1e-8, atol=1e-10
+                current.token_stats, ref["tokens"], rtol=1e-8, atol=1e-10
             )
             np.testing.assert_allclose(post.sticks.u, ref["u"], rtol=1e-8)
             np.testing.assert_allclose(post.sticks.v, ref["v"], rtol=1e-8)

@@ -77,7 +77,7 @@ class TestRoundTrip:
         assert type(loaded.mode) is type(model.mode)
         np.testing.assert_array_equal(loaded.stats.trans_counts, model.stats.trans_counts)
         np.testing.assert_array_equal(
-            loaded.stats.emissions.token_stats, model.stats.emissions.token_stats
+            loaded.stats.token_stats, model.stats.token_stats
         )
         if algorithm == "scvi-hdphmm":
             a, b = loaded.mode.hdp, model.mode.hdp

@@ -13,14 +13,14 @@ import pytest
 from oracles import batch_vb_hmm
 from scvihmm.config import RunConfig
 from scvihmm.corpus import Corpus, Vocabulary
-from scvihmm.emissions import EmissionPrior, EmissionStats
+from scvihmm.emissions import EmissionPrior
 from scvihmm.engine import (
     GlobalStats,
-    Schedule,
     SviMode,
     build_surrogate,
     initialize_stats,
     process_minibatch,
+    step_size,
     train,
 )
 from scvihmm.svi import svi_surrogate
@@ -69,20 +69,20 @@ class TestInitialize:
         np.testing.assert_array_equal(a.stats.trans_counts, b.stats.trans_counts)
         # the Dirichlet parameters prior + counts sit strictly above the prior
         assert np.all(a.stats.trans_counts > 0)
-        assert np.all(a.stats.emissions.token_stats > 0)
+        assert np.all(a.stats.token_stats > 0)
 
     def test_noise_mass_scaled_to_tokens(self):
         model, corpus = untrained_svi_model(9, 4, seed=1)
         init = initialize_stats(4, 9, corpus.counts, seed=2)
         np.testing.assert_array_equal(model.stats.trans_counts, init.trans_counts)
         assert abs(model.stats.trans_counts.sum() - corpus.counts) < 1e-6
-        assert abs(model.stats.emissions.token_stats.sum() - corpus.counts) < 1e-6
+        assert abs(model.stats.token_stats.sum() - corpus.counts) < 1e-6
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            GlobalStats(np.ones((3, 3)), EmissionStats(np.ones((3, 4))))
+            GlobalStats(np.ones((3, 3)), np.ones((3, 4)))
         with pytest.raises(ValueError):
-            GlobalStats(np.ones((4, 3)), EmissionStats(-np.ones((3, 4))))
+            GlobalStats(np.ones((4, 3)), -np.ones((3, 4)))
         with pytest.raises(ValueError):
             SviMode(0.0)
 
@@ -94,10 +94,10 @@ def random_batch(rng, n_seqs, vocab_size, max_len=12):
     ]
 
 
-def svi_update(stats, batch, sched, corpus_size, pool=None):
-    vocab_size = stats.emissions.token_stats.shape[1]
+def svi_update(stats, batch, rho, corpus_size, pool=None):
+    vocab_size = stats.token_stats.shape[1]
     prior = EmissionPrior.symmetric(0.1, vocab_size)
-    return process_minibatch(stats, batch, sched, SviMode(0.1), prior, corpus_size, pool=pool)
+    return process_minibatch(stats, batch, rho, SviMode(0.1), prior, corpus_size, pool=pool)
 
 
 class TestStep:
@@ -115,35 +115,37 @@ class TestStep:
             sum_counts += c
             sum_tokens += t
         scale = 9 / 3
-        out = svi_update(stats, batch, Schedule(1.0), 9)
+        out = svi_update(stats, batch, 1.0, 9)
         np.testing.assert_array_equal(out.trans_counts, scale * sum_counts)
-        np.testing.assert_array_equal(out.emissions.token_stats, scale * sum_tokens)
+        np.testing.assert_array_equal(out.token_stats, scale * sum_tokens)
 
     def test_vanishing_step_changes_nothing(self):
         rng = np.random.default_rng(6)
         stats = initialize_stats(2, 4, 50.0, seed=3)
         batch = random_batch(rng, 3, 4)
-        out = svi_update(stats, batch, Schedule(1.0, step_counter=10**12), 9)
+        out = svi_update(stats, batch, step_size(10**12, 1.0), 9)
         np.testing.assert_allclose(out.trans_counts, stats.trans_counts, rtol=1e-9)
 
     def test_counter_increment_and_empty_batch(self):
         stats = initialize_stats(2, 4, 50.0, seed=3)
-        sched = Schedule(0.7, step_counter=3)
-        svi_update(stats, [np.array([1, 2, 0])], sched, 5)
-        assert sched.step_counter == 4
+        before = (stats.trans_counts.copy(), stats.token_stats.copy())
+        svi_update(stats, [np.array([1, 2, 0])], step_size(3, 0.7), 5)
+        # the schedule is the caller's step count; the step mutates nothing
+        np.testing.assert_array_equal(stats.trans_counts, before[0])
+        np.testing.assert_array_equal(stats.token_stats, before[1])
         with pytest.raises(ValueError):
-            svi_update(stats, [], sched, 5)
+            svi_update(stats, [], step_size(4, 0.7), 5)
 
     def test_thread_pool_matches_serial(self):
         rng = np.random.default_rng(7)
         stats = initialize_stats(3, 5, 80.0, seed=4)
         batch = random_batch(rng, 6, 5)
-        serial = svi_update(stats, batch, Schedule(0.6, 1), 12)
+        serial = svi_update(stats, batch, step_size(1, 0.6), 12)
         with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded = svi_update(stats, batch, Schedule(0.6, 1), 12, pool=pool)
+            threaded = svi_update(stats, batch, step_size(1, 0.6), 12, pool=pool)
         np.testing.assert_array_equal(serial.trans_counts, threaded.trans_counts)
         np.testing.assert_array_equal(
-            serial.emissions.token_stats, threaded.emissions.token_stats
+            serial.token_stats, threaded.token_stats
         )
 
     def test_batch_vb_fixed_point(self):
@@ -154,13 +156,13 @@ class TestStep:
         stats = initialize_stats(2, 5, 60.0, seed=5)
         oracle = batch_vb_hmm(
             batch, 2, 5, 0.1, 0.1,
-            0.1 + stats.trans_counts, 0.1 + stats.emissions.token_stats, 40,
+            0.1 + stats.trans_counts, 0.1 + stats.token_stats, 40,
         )
         current = stats
         for _ in range(40):
-            current = svi_update(current, batch, Schedule(1.0), len(batch))
+            current = svi_update(current, batch, 1.0, len(batch))
         ref_trans, ref_emit = oracle[-1]
         np.testing.assert_allclose(0.1 + current.trans_counts, ref_trans, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(
-            0.1 + current.emissions.token_stats, ref_emit, rtol=1e-6, atol=1e-9
+            0.1 + current.token_stats, ref_emit, rtol=1e-6, atol=1e-9
         )
