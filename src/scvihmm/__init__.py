@@ -26,7 +26,7 @@ from .engine import (
     predictive_log_likelihood,
     train,
 )
-from .messages import SurrogateParams, forward_backward, sequence_log_likelihood
+from .messages import SurrogateParams, sweep
 from .model_io import (
     ChecksumError,
     ModelFormatError,
@@ -59,8 +59,7 @@ __all__ = [
     "predictive_log_likelihood",
     "train",
     "SurrogateParams",
-    "forward_backward",
-    "sequence_log_likelihood",
+    "sweep",
     "ChecksumError",
     "ModelFormatError",
     "TruncatedFileError",

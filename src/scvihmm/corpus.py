@@ -183,6 +183,12 @@ class SyntheticSpec:
     def __post_init__(self):
         self.trans = np.asarray(self.trans, dtype=float)
         self.emit = np.asarray(self.emit, dtype=float)
+        for name, low in (
+            ("num_states", 1), ("vocab_size", 1), ("seq_count", 1),
+            ("min_length", 1), ("max_length", self.min_length),
+        ):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.trans.shape != (self.num_states + 1, self.num_states):
             raise ValueError("trans must be (K+1) x K")
         if self.emit.shape != (self.num_states, self.vocab_size):
@@ -190,9 +196,6 @@ class SyntheticSpec:
         for name, mat in (("trans", self.trans), ("emit", self.emit)):
             if np.any(mat < 0.0) or np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-10):
                 raise ValueError(f"{name} rows must be stochastic")
-        for name, low in (("seq_count", 1), ("min_length", 1), ("max_length", self.min_length)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @classmethod
     def random(
@@ -266,6 +269,7 @@ def minibatches(corpus: Corpus, batch_size: int, seed: int, mode: str = "shuffle
 
     ``shuffle`` chunks a fresh permutation each pass (final batch may be
     short); ``iid`` draws ``batch_size`` uniform indices with replacement.
+    The arguments are checked by this call, before any batch is drawn.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -274,7 +278,10 @@ def minibatches(corpus: Corpus, batch_size: int, seed: int, mode: str = "shuffle
     n = len(corpus)
     if n == 0:
         raise ValueError("cannot draw minibatches from an empty corpus")
-    rng = np.random.default_rng(seed)
+    return _draw_batches(n, batch_size, np.random.default_rng(seed), mode)
+
+
+def _draw_batches(n, batch_size, rng, mode):
     if mode == "iid":
         while True:
             yield rng.integers(0, n, size=batch_size)

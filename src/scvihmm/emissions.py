@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "EmissionPrior",
-    "surrogate_emission_row",
     "surrogate_emission_matrix",
 ]
 
@@ -60,21 +59,8 @@ class EmissionPrior:
         return float(self.pseudo_counts.sum())
 
 
-def surrogate_emission_row(prior: EmissionPrior, token_stats: np.ndarray, k: int) -> np.ndarray:
-    """Surrogate emission distribution for state ``k``.
-
-    Returns a strictly positive vector summing to 1 within 1e-12.
-    """
-    if not 0 <= k < token_stats.shape[0]:
-        raise IndexError(f"state index {k} outside truncation {token_stats.shape[0]}")
-    if token_stats.shape[1] != prior.vocab_size:
-        raise ValueError("stats vocabulary size does not match prior")
-    numer = prior.pseudo_counts + token_stats[k]
-    return numer / (prior.total + token_stats[k].sum())
-
-
 def surrogate_emission_matrix(prior: EmissionPrior, token_stats: np.ndarray) -> np.ndarray:
-    """All surrogate rows at once; row k equals surrogate_emission_row(prior, token_stats, k)."""
+    """Surrogate emission rows of all K states, each strictly positive and summing to 1."""
     if token_stats.shape[1] != prior.vocab_size:
         raise ValueError("stats vocabulary size does not match prior")
     numer = prior.pseudo_counts[None, :] + token_stats

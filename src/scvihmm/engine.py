@@ -8,13 +8,15 @@ count n is the only schedule state: ``train`` keeps it and passes rho in.
 All three algorithms keep the same statistics and take the same step; they
 differ only in the mode the surrogate is built from (see
 ``initial_mode``).  In hierarchical mode the stick posterior is refreshed
-once per large batch from per-sequence table-count estimates accumulated
-along the way, with the same schedule over the count of large batches; the
-other modes simply have no large-batch level.
+once per large batch from table-count estimates whose inputs (the
+transition counts and absence sums of ``messages.sweep``) are summed over
+the large batch's sequences, with the same schedule over the count of large
+batches; the other modes simply have no large-batch level.
 
-Sequences within a minibatch are independent given the frozen snapshot, so
-they may be swept by a thread pool; results are reduced in submission
-order, which keeps multi-threaded runs bit-identical to serial ones.
+The sweep cuts a minibatch into length slices that are independent given
+the frozen snapshot, so a thread pool may sweep them; their sums are
+reduced in slice order, which keeps multi-threaded runs bit-identical to
+serial ones.
 """
 
 import math
@@ -28,18 +30,8 @@ from . import svi
 from .config import RunConfig
 from .corpus import Corpus, minibatches
 from .emissions import EmissionPrior, surrogate_emission_matrix
-from .hdp import (
-    HdpPosterior,
-    absence_log_probs,
-    tables_from_aggregates,
-    update_hdp,
-)
-from .messages import (
-    SurrogateParams,
-    forward_backward,
-    local_stats,
-    sequence_log_likelihood,
-)
+from .hdp import HdpPosterior, tables_from_aggregates, update_hdp
+from .messages import SurrogateParams, sweep
 from .special import GammaParams
 
 # a state counts as "used" if its incoming expected-transition mass
@@ -195,40 +187,6 @@ def build_surrogate(stats: GlobalStats, mode, prior: EmissionPrior) -> Surrogate
     return SurrogateParams(trans, emit)
 
 
-class HdpAccumulator:
-    """Per-sequence table-statistic inputs summed over a large batch."""
-
-    def __init__(self, num_states: int):
-        self.sum_counts = np.zeros((num_states + 1, num_states))
-        self.sum_logq0_pair = np.zeros((num_states + 1, num_states))
-        self.sum_logq0_row = np.zeros(num_states + 1)
-        self.count = 0
-
-    def add(self, localC, logq0_pair, logq0_row):
-        self.sum_counts += localC
-        self.sum_logq0_pair += logq0_pair
-        self.sum_logq0_row += logq0_row
-        self.count += 1
-
-    def means(self):
-        if self.count == 0:
-            raise ValueError("no sequences accumulated")
-        return (
-            self.sum_counts / self.count,
-            self.sum_logq0_pair / self.count,
-            self.sum_logq0_row / self.count,
-        )
-
-
-def _sequence_stats(params, seq, vocab_size, want_absence):
-    post = forward_backward(params, seq)
-    localC, localT = local_stats(post, seq, vocab_size)
-    if want_absence:
-        pair, row = absence_log_probs(post.unary, post.pairwise)
-        return localC, localT, pair, row
-    return localC, localT, None, None
-
-
 def process_minibatch(
     stats: GlobalStats,
     batch,
@@ -236,7 +194,7 @@ def process_minibatch(
     mode,
     prior: EmissionPrior,
     corpus_size: int,
-    hdp_acc: HdpAccumulator = None,
+    hdp_sums=None,
     pool: ThreadPoolExecutor = None,
 ) -> GlobalStats:
     """One stochastic update of the global statistics.
@@ -244,34 +202,23 @@ def process_minibatch(
     Freezes the surrogate, sweeps the batch, then blends
     (1-rho) * old + rho * (N/M) * batch sums, where N is the corpus
     sequence count and M the batch's actual size, and returns the blend
-    as new statistics.  When ``hdp_acc`` is given, per-sequence table
-    inputs are accumulated into it along the way.
+    as new statistics.  When ``hdp_sums`` (the transition counts, pair
+    absence and row absence arrays of a large batch) is given, the
+    batch's sums are added into it in place.
     """
-    if len(batch) == 0:
-        raise ValueError("minibatch must not be empty")
     params = build_surrogate(stats, mode, prior)
-    vocab_size = params.vocab_size
-    want_absence = hdp_acc is not None
-
-    def work(seq):
-        return _sequence_stats(params, seq, vocab_size, want_absence)
-
-    results = pool.map(work, batch) if pool is not None else map(work, batch)
-    sum_counts = np.zeros_like(stats.trans_counts)
-    sum_tokens = np.zeros_like(stats.token_stats)
-    for pos, (localC, localT, pair, row) in enumerate(results):
-        if not (np.all(np.isfinite(localC)) and np.all(np.isfinite(localT))):
-            raise NumericalError(
-                f"non-finite local statistics for sequence at batch position {pos}"
-            )
-        sum_counts += localC
-        sum_tokens += localT
-        if want_absence:
-            hdp_acc.add(localC, pair, row)
+    sums = sweep(params, batch, absence=hdp_sums is not None, pool=pool)
+    if not (np.all(np.isfinite(sums.counts)) and np.all(np.isfinite(sums.token_stats))):
+        bad = np.flatnonzero(~np.isfinite(sums.loglik))
+        where = f"sequence at batch position {bad[0]}" if bad.size else "minibatch"
+        raise NumericalError(f"non-finite local statistics for {where}")
+    if hdp_sums is not None:
+        for total, part in zip(hdp_sums, (sums.counts, sums.absence_pair, sums.absence_row)):
+            total += part
 
     scale = corpus_size / len(batch)
-    new_counts = (1.0 - rho) * stats.trans_counts + rho * scale * sum_counts
-    new_tokens = (1.0 - rho) * stats.token_stats + rho * scale * sum_tokens
+    new_counts = (1.0 - rho) * stats.trans_counts + rho * scale * sums.counts
+    new_tokens = (1.0 - rho) * stats.token_stats + rho * scale * sums.token_stats
     return GlobalStats(new_counts, new_tokens)
 
 
@@ -332,12 +279,7 @@ def predictive_log_likelihood(model, heldout: Corpus) -> float:
     if len(heldout.sequences) == 0:
         raise ValueError("held-out corpus is empty")
     params = model.surrogate() if isinstance(model, TrainedModel) else model
-    total_ll = 0.0
-    total_steps = 0
-    for seq in heldout.sequences:
-        total_ll += sequence_log_likelihood(params, seq)
-        total_steps += seq.size
-    return total_ll / total_steps
+    return float(sweep(params, heldout.sequences, stats=False).loglik.sum()) / heldout.counts
 
 
 def batch_stream(corpus: Corpus, config: RunConfig):
@@ -369,7 +311,14 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     mode = initial_mode(config)
     is_hdp = isinstance(mode, HdpMode)
     steps_per_large = math.ceil(config.large_batch_size / config.minibatch_size)
-    acc = HdpAccumulator(num_states) if is_hdp else None
+
+    def empty_hdp_sums():
+        return (np.zeros((num_states + 1, num_states)),
+                np.zeros((num_states + 1, num_states)),
+                np.zeros(num_states + 1))
+
+    hdp_sums = empty_hdp_sums() if is_hdp else None
+    hdp_seqs = 0
 
     stream = batch_stream(corpus, config)
     batches_per_pass = max(1, math.ceil(corpus_size / config.minibatch_size))
@@ -407,16 +356,18 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
             rho = step_size(step, config.kappa)
             try:
                 stats = process_minibatch(
-                    stats, batch, rho, mode, emit_prior, corpus_size, acc, pool
+                    stats, batch, rho, mode, emit_prior, corpus_size, hdp_sums, pool
                 )
             except NumericalError as exc:
                 raise NumericalError(f"{exc} (step {step})") from None
             step += 1
+            hdp_seqs += len(batch)
             if is_hdp and step % steps_per_large == 0:
-                tables = tables_from_aggregates(*acc.means(), corpus_size, mode.hdp)
+                means = [total / hdp_seqs for total in hdp_sums]
+                tables = tables_from_aggregates(*means, corpus_size, mode.hdp)
                 hdp_rho = step_size(step // steps_per_large - 1, config.kappa)
                 mode = HdpMode(update_hdp(mode.hdp, tables, hdp_rho, alpha_prior, gamma_prior))
-                acc = HdpAccumulator(num_states)
+                hdp_sums, hdp_seqs = empty_hdp_sums(), 0
             due_pass = step % batches_per_pass == 0
             due_interval = (
                 config.eval_every_steps is not None

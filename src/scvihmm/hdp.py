@@ -4,11 +4,12 @@ Holds the variational posterior over the shared stick proportions and the
 two concentration parameters, the geometric expectation feeding the
 transition surrogate, and the expected table-count statistics that drive
 the stick updates.  Table counts for a corpus of N sequences are estimated
-from a single batch of sequences by treating the corpus as N replicates of
-a representative sequence: per-position transition indicators are treated
+from a batch of sequences by treating the corpus as N replicates of a
+representative sequence: per-position transition indicators are treated
 as overlapping but independent, which turns the absence probability of
 each transition into a sum of log terms and keeps the whole computation
-linear in sequence length.
+linear in sequence length.  ``messages.sweep`` returns those log terms
+summed over a batch; their batch means are the inputs here.
 """
 
 from dataclasses import dataclass
@@ -38,9 +39,7 @@ __all__ = [
     "HdpPosterior",
     "TableStats",
     "compute_geo_alpha_pi",
-    "absence_log_probs",
     "tables_from_aggregates",
-    "expected_tables",
     "update_hdp",
 ]
 
@@ -70,10 +69,6 @@ class TableStats:
             raise ValueError("elogeta entries must be finite and <= 0")
         object.__setattr__(self, "es", es)
         object.__setattr__(self, "elogeta", elogeta)
-
-    @classmethod
-    def zeros(cls, num_states: int) -> "TableStats":
-        return cls(np.zeros((num_states + 1, num_states)), np.zeros(num_states + 1))
 
 
 @dataclass(frozen=True)
@@ -130,23 +125,6 @@ def compute_geo_alpha_pi(sticks: BetaParams, alpha: GammaParams) -> np.ndarray:
     return np.exp(np.maximum(logs, _LOG_FLOOR))
 
 
-def absence_log_probs(unary: np.ndarray, pairwise: np.ndarray):
-    """Per-cell log probability that one sequence never uses a transition.
-
-    Under the overlapping-pair independence approximation the absence log
-    probability is a position sum of log(1 - p).  Returns the (K+1) x K
-    pair-level matrix and the (K+1) row-level vector (source-state absence);
-    entries are -inf where a position forces the event (the start row).
-    """
-    with np.errstate(divide="ignore"):
-        pair = np.log1p(-np.minimum(pairwise, 1.0)).sum(axis=0)
-        from_marg = np.zeros((unary.shape[0], unary.shape[1] + 1))
-        from_marg[0, 0] = 1.0
-        from_marg[1:, 1:] = unary[:-1]
-        row = np.log1p(-np.minimum(from_marg, 1.0)).sum(axis=0)
-    return pair, row
-
-
 def tables_from_aggregates(
     mean_counts: np.ndarray,
     mean_logq0_pair: np.ndarray,
@@ -157,7 +135,8 @@ def tables_from_aggregates(
     """Table statistics for the N-replicate corpus from batch-mean inputs.
 
     ``mean_counts`` and the two absence log probabilities are per-sequence
-    expectations (batch means keep them so).  Cells with exactly zero
+    expectations: the batch means of the ``counts``, ``absence_pair`` and
+    ``absence_row`` sums of ``messages.sweep``.  Cells with exactly zero
     expected count short-circuit to zero tables.
     """
     n = float(corpus_size)
@@ -184,18 +163,6 @@ def tables_from_aggregates(
         pos_row, q_row * (digamma(mean_alpha) - digamma(mean_alpha + e_plus_row)), 0.0
     )
     return TableStats(np.maximum(es, 0.0), np.minimum(elogeta, 0.0))
-
-
-def expected_tables(
-    localC: np.ndarray,
-    unary: np.ndarray,
-    pairwise: np.ndarray,
-    corpus_size: int,
-    post: HdpPosterior,
-) -> TableStats:
-    """Table statistics when the batch is a single sequence."""
-    logq0_pair, logq0_row = absence_log_probs(unary, pairwise)
-    return tables_from_aggregates(localC, logq0_pair, logq0_row, corpus_size, post)
 
 
 def _solve_gamma_mean(c_v, c_b, u_new, a_gamma, rho):

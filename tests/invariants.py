@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from oracles import enumerate_paths, log_space_loglik
+from oracles import batch_sums, enumerate_paths, log_space_loglik, surrogate_emission_row
 from scvihmm.config import RunConfig
 from scvihmm.corpus import (
     Corpus,
@@ -21,11 +21,7 @@ from scvihmm.corpus import (
     save_corpus,
     split,
 )
-from scvihmm.emissions import (
-    EmissionPrior,
-    surrogate_emission_matrix,
-    surrogate_emission_row,
-)
+from scvihmm.emissions import EmissionPrior, surrogate_emission_matrix
 from scvihmm.engine import (
     FiniteMode,
     GlobalStats,
@@ -42,13 +38,11 @@ from scvihmm.engine import (
 from scvihmm.hdp import (
     HdpPosterior,
     TableStats,
-    absence_log_probs,
     compute_geo_alpha_pi,
-    expected_tables,
     tables_from_aggregates,
     update_hdp,
 )
-from scvihmm.messages import SurrogateParams, forward_backward, local_stats
+from scvihmm.messages import SurrogateParams, sweep
 from scvihmm.model_io import load_model, save_model
 from scvihmm.special import (
     BetaParams,
@@ -68,10 +62,14 @@ def _random_params(rng, num_states=None, vocab_size=None):
     )
 
 
-def _random_case(rng, max_states=5, max_len=16):
+def _random_case(rng, max_states=5, max_len=16, max_seqs=4):
+    """Random surrogate and a batch of 1..max_seqs sequences for it."""
     params = _random_params(rng, int(rng.integers(1, max_states)))
-    seq = rng.integers(0, params.vocab_size, int(rng.integers(2, max_len)))
-    return params, seq
+    batch = [
+        rng.integers(0, params.vocab_size, int(rng.integers(2, max_len)))
+        for _ in range(int(rng.integers(1, max_seqs + 1)))
+    ]
+    return params, batch
 
 
 # ---------------------------------------------------------------- special
@@ -172,27 +170,27 @@ def check_emission_row_independence(n=100):
 def check_loglik_log_space_agreement(n=100):
     rng = np.random.default_rng(31)
     for _ in range(n):
-        params, seq = _random_case(rng)
-        got = forward_backward(params, seq).loglik
-        ref = log_space_loglik(params.trans, params.emit, seq)
-        assert abs(got - ref) <= 1e-9 * abs(ref)
+        params, batch = _random_case(rng)
+        for got, seq in zip(sweep(params, batch, stats=False).loglik, batch):
+            ref = log_space_loglik(params.trans, params.emit, seq)
+            assert abs(got - ref) <= 1e-9 * abs(ref)
     return f"{n} scaled-vs-log sweeps"
 
 
 def check_label_equivariance(n=100):
     rng = np.random.default_rng(32)
     for _ in range(n):
-        params, seq = _random_case(rng, max_states=5)
+        params, batch = _random_case(rng, max_states=5)
         k = params.num_states
         perm = rng.permutation(k)
-        post = forward_backward(params, seq)
+        sums = sweep(params, batch)
         permuted = SurrogateParams(
             np.vstack((params.trans[0, perm], params.trans[1:][perm][:, perm])),
             params.emit[perm],
         )
-        post_p = forward_backward(permuted, seq)
-        assert np.allclose(post_p.unary, post.unary[:, perm], atol=1e-12)
-        assert abs(post_p.loglik - post.loglik) < 1e-9
+        sums_p = sweep(permuted, batch)
+        assert np.allclose(sums_p.token_stats, sums.token_stats[perm], atol=1e-12)
+        assert np.all(np.abs(sums_p.loglik - sums.loglik) < 1e-9)
     return f"{n} permutations"
 
 
@@ -200,22 +198,27 @@ def check_enumeration_equivalence(n=100):
     rng = np.random.default_rng(33)
     for _ in range(n):
         params = _random_params(rng, int(rng.integers(1, 4)), int(rng.integers(2, 5)))
-        seq = rng.integers(0, params.vocab_size, int(rng.integers(1, 9)))
-        post = forward_backward(params, seq)
-        unary, pairwise, loglik = enumerate_paths(params.trans, params.emit, seq)
-        assert np.max(np.abs(post.unary - unary)) <= 1e-10
-        assert np.max(np.abs(post.pairwise - pairwise)) <= 1e-10
-        assert abs(post.loglik - loglik) <= 1e-10 * abs(loglik)
+        batch = [
+            rng.integers(0, params.vocab_size, int(rng.integers(1, 9)))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        sums = sweep(params, batch)
+        counts, tokens, loglik = batch_sums(enumerate_paths, params.trans, params.emit, batch)
+        assert np.max(np.abs(sums.token_stats - tokens)) <= 1e-10
+        assert np.max(np.abs(sums.counts - counts)) <= 1e-10
+        assert np.all(np.abs(sums.loglik - loglik) <= 1e-10 * np.abs(loglik))
     return f"{n} brute-force comparisons"
 
 
 def check_pairwise_unary_consistency(n=100):
     rng = np.random.default_rng(34)
     for _ in range(n):
-        params, seq = _random_case(rng)
-        post = forward_backward(params, seq)
-        assert np.allclose(post.pairwise.sum(axis=1), post.unary, atol=1e-12)
-        assert np.allclose(post.unary.sum(axis=1), 1.0, atol=1e-12)
+        params, batch = _random_case(rng)
+        total = sum(seq.size for seq in batch)
+        sums = sweep(params, batch)
+        # the pairwise marginals sum to the unary ones, which sum to 1
+        assert np.allclose(sums.counts.sum(axis=0), sums.token_stats.sum(axis=1), atol=1e-12)
+        assert abs(sums.token_stats.sum() - total) <= 1e-12 * total
     return f"{n} posterior consistency sweeps"
 
 
@@ -309,38 +312,42 @@ def check_predictive_pure_function(n=100):
 
 
 def _random_table_inputs(rng):
+    """One sequence's sweep sums (its own batch means) and a random prior."""
     k = int(rng.integers(1, 5))
     params = _random_params(rng, k)
     seq = rng.integers(0, params.vocab_size, int(rng.integers(2, 14)))
-    post = forward_backward(params, seq)
-    localC, _ = local_stats(post, seq, params.vocab_size)
+    sums = sweep(params, [seq], absence=True)
     hdp_post = HdpPosterior(
         BetaParams(rng.uniform(0.5, 3.0, k), rng.uniform(1.0, 15.0, k)),
         GammaParams(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.05, 1.0))),
         GammaParams(1.0, 0.1),
         rng.uniform(1e-3, 2.0, k),
     )
-    return post, localC, hdp_post
+    return sums, hdp_post
+
+
+def _tables(sums, n_rep, hdp_post):
+    return tables_from_aggregates(sums.counts, sums.absence_pair, sums.absence_row, n_rep, hdp_post)
 
 
 def check_tables_at_most_customers(n=100):
     rng = np.random.default_rng(51)
     for _ in range(n):
-        post, localC, hdp_post = _random_table_inputs(rng)
+        sums, hdp_post = _random_table_inputs(rng)
         n_rep = int(rng.integers(1, 2000))
-        tables = expected_tables(localC, post.unary, post.pairwise, n_rep, hdp_post)
-        assert np.all(tables.es <= n_rep * localC + 1e-9)
+        tables = _tables(sums, n_rep, hdp_post)
+        assert np.all(tables.es <= n_rep * sums.counts + 1e-9)
     return f"{n} table/customer bounds"
 
 
 def check_tables_at_least_presence(n=100):
     rng = np.random.default_rng(52)
     for _ in range(n):
-        post, localC, hdp_post = _random_table_inputs(rng)
+        sums, hdp_post = _random_table_inputs(rng)
+        localC = sums.counts
         n_rep = int(rng.integers(1, 2000))
-        tables = expected_tables(localC, post.unary, post.pairwise, n_rep, hdp_post)
-        lqp, _ = absence_log_probs(post.unary, post.pairwise)
-        q_pos = -np.expm1(n_rep * lqp)
+        tables = _tables(sums, n_rep, hdp_post)
+        q_pos = -np.expm1(n_rep * sums.absence_pair)
         geo = hdp_post.geo_alpha_pi[None, :]
         e_plus = np.where(localC > 0, n_rep * localC / np.maximum(q_pos, 1e-300), 1.0)
         floor = q_pos * geo * (digamma(geo + np.minimum(e_plus, 1.0)) - digamma(geo))
@@ -353,11 +360,8 @@ def check_tables_monotone_concave_in_replicates(n=100):
     rng = np.random.default_rng(53)
     grid = np.array([2**i for i in range(11)], dtype=float)
     for _ in range(n):
-        post, localC, hdp_post = _random_table_inputs(rng)
-        curves = np.array([
-            expected_tables(localC, post.unary, post.pairwise, int(g), hdp_post).es
-            for g in grid
-        ])
+        sums, hdp_post = _random_table_inputs(rng)
+        curves = np.array([_tables(sums, int(g), hdp_post).es for g in grid])
         diffs = np.diff(curves, axis=0)
         assert np.all(diffs >= -1e-9)
         # concavity on the dyadic grid, as slopes of the divided differences

@@ -33,6 +33,27 @@ def dirichlet_predictive_row(pseudo_counts, token_stats_row):
     return scores / scores.sum()
 
 
+def surrogate_emission_row(prior, token_stats, k):
+    """Surrogate emission distribution of state ``k``, one row at a time.
+
+    The per-row reference for ``emissions.surrogate_emission_matrix``:
+    (pseudo + token_stats[k]) / (sum(pseudo) + sum(token_stats[k])), with
+    ``prior`` anything carrying a ``pseudo_counts`` vector.
+    """
+    pseudo = np.asarray(prior.pseudo_counts, float)
+    token_stats = np.asarray(token_stats, float)
+    if not 0 <= k < token_stats.shape[0]:
+        raise IndexError(f"state index {k} outside truncation {token_stats.shape[0]}")
+    if token_stats.shape[1] != pseudo.size:
+        raise ValueError("stats vocabulary size does not match prior")
+    return (pseudo + token_stats[k]) / (pseudo.sum() + token_stats[k].sum())
+
+
+def zero_tables(num_states):
+    """(es, elogeta) arrays of a truncation with no tables at all."""
+    return np.zeros((num_states + 1, num_states)), np.zeros(num_states + 1)
+
+
 def enumerate_paths(trans, emit, seq):
     """Exact chain posterior by summing over every state path.
 
@@ -97,6 +118,24 @@ def log_forward_backward(trans, emit, seq):
             la[t - 1][:, None] + log_tr + (log_e[:, seq[t]] + lb[t])[None, :] - loglik
         )
     return unary, pairwise, loglik
+
+
+def batch_sums(posterior, trans, emit, batch):
+    """Batch sums of one posterior routine, the package's sweep layout.
+
+    ``posterior`` is ``enumerate_paths`` or ``log_forward_backward``.
+    Returns (counts, token_stats, per-sequence logliks): the pairwise
+    slices summed over positions and sequences, the unary rows scattered
+    onto their tokens, and each sequence's log normalizer.
+    """
+    vocab_size = np.asarray(emit).shape[1]
+    counts, tokens, logliks = 0.0, 0.0, []
+    for seq in batch:
+        unary, pairwise, loglik = posterior(trans, emit, seq)
+        counts = counts + pairwise.sum(axis=0)
+        tokens = tokens + _scatter_tokens(unary, seq, vocab_size)
+        logliks.append(loglik)
+    return counts, tokens, np.array(logliks)
 
 
 def _scatter_tokens(unary, seq, vocab_size):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import invariants
-from oracles import batch_cvb0_hmm, crp_expected_tables_mc
+from oracles import batch_cvb0_hmm, crp_expected_tables_mc, log_forward_backward
 from scvihmm.config import RunConfig
 from scvihmm.corpus import SyntheticSpec, generate_synthetic
 from scvihmm.emissions import EmissionPrior
@@ -23,8 +23,8 @@ from scvihmm.engine import (
     process_minibatch,
     train,
 )
-from scvihmm.hdp import HdpPosterior, expected_tables
-from scvihmm.messages import SurrogateParams, forward_backward, local_stats
+from scvihmm.hdp import HdpPosterior, tables_from_aggregates
+from scvihmm.messages import SurrogateParams, sweep
 from scvihmm.special import BetaParams, GammaParams
 
 
@@ -90,7 +90,7 @@ def test_forward_backward_matches_enumeration():
     invariants.check_enumeration_equivalence(n=200)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
-    return f"200 posteriors match exhaustive path enumeration at 1e-10 ({elapsed:.1f}s)"
+    return f"200 batch sweeps match exhaustive path enumeration at 1e-10 ({elapsed:.1f}s)"
 
 
 @_criterion(2)
@@ -194,8 +194,9 @@ def test_expected_tables_match_restaurant_simulation():
         rng.dirichlet(np.ones(2), size=3), rng.dirichlet(np.ones(5), size=2)
     )
     seq = rng.integers(0, 5, 4)
-    post = forward_backward(params, seq)
-    localC, _ = local_stats(post, seq, 5)
+    sums = sweep(params, [seq], absence=True)
+    localC = sums.counts
+    _, pairwise, _ = log_forward_backward(params.trans, params.emit, seq)
     hdp_post = HdpPosterior(
         BetaParams(np.array([1.0, 1.0]), np.array([8.0, 10.0])),
         GammaParams(2.0, 0.5), GammaParams(1.0, 0.1),
@@ -204,15 +205,14 @@ def test_expected_tables_match_restaurant_simulation():
     active = localC >= 0.05
     worst, prev = 0.0, None
     for n_rep in (1, 10, 100):
-        tables = expected_tables(localC, post.unary, post.pairwise, n_rep, hdp_post)
+        tables = tables_from_aggregates(
+            localC, sums.absence_pair, sums.absence_row, n_rep, hdp_post
+        )
         for row in range(3):
             for col in range(2):
                 if not active[row, col]:
                     continue
-                probs = (
-                    post.pairwise[1:, row, col] if row >= 1
-                    else [post.pairwise[0, 0, col]]
-                )
+                probs = pairwise[1:, row, col] if row >= 1 else [pairwise[0, 0, col]]
                 mc = crp_expected_tables_mc(
                     probs, n_rep, hdp_post.geo_alpha_pi[col], 10_000,
                     seed=row * 10 + col,

@@ -354,6 +354,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("field, value", [
         ("seq_count", 0), ("num_states", "2"), ("max_length", None),
+        ("num_states", 0), ("vocab_size", 0),
         ("seed", -1), ("max_length", 4.5), ("self_persistence", -0.5),
         ("self_persistence", 1.5), ("self_persistence", "0.5"),
     ])

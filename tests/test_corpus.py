@@ -224,3 +224,8 @@ class TestMinibatches:
         for mode in ("shuffle", "iid"):
             with pytest.raises(ValueError, match="empty corpus"):
                 next(minibatches(self._corpus(0), 2, seed=0, mode=mode))
+        # the call itself checks, before any batch is drawn
+        with pytest.raises(ValueError, match="empty corpus"):
+            minibatches(self._corpus(0), 2, seed=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            minibatches(self._corpus(3), 0, seed=0)

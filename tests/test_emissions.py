@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dirichlet_predictive_row
-from scvihmm.emissions import (
-    EmissionPrior,
-    surrogate_emission_matrix,
-    surrogate_emission_row,
-)
+from oracles import dirichlet_predictive_row, surrogate_emission_row
+from scvihmm.emissions import EmissionPrior, surrogate_emission_matrix
 from scvihmm.engine import GlobalStats
 
 
@@ -99,6 +95,8 @@ class TestSurrogateRow:
     def test_vocab_mismatch(self):
         prior = EmissionPrior.symmetric(0.1, 4)
         stats = np.zeros((2, 5))
+        with pytest.raises(ValueError):
+            surrogate_emission_matrix(prior, stats)
         with pytest.raises(ValueError):
             surrogate_emission_row(prior, stats, 0)
 

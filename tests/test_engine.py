@@ -6,7 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import batch_cvb0_hmm, log_space_loglik
+from oracles import batch_cvb0_hmm, batch_sums, log_forward_backward, log_space_loglik
+from scvihmm import messages
 from scvihmm.config import ConfigError, RunConfig
 from scvihmm.corpus import Corpus, SyntheticSpec, Vocabulary, generate_synthetic, split
 from scvihmm.emissions import EmissionPrior
@@ -28,7 +29,19 @@ from scvihmm.engine import (
     train,
 )
 from scvihmm.hdp import HdpPosterior, update_hdp
-from scvihmm.messages import SurrogateParams
+from scvihmm.messages import SurrogateParams, sweep
+
+
+def nan_sweep(position):
+    """The real sweep, with its sums and one sequence's log likelihood made NaN."""
+
+    def broken(params, batch, **kwargs):
+        sums = sweep(params, batch, **kwargs)
+        sums.counts[:] = np.nan
+        sums.loglik[position] = np.nan
+        return sums
+
+    return broken
 
 
 def tiny_corpus(rng, n_seqs=12, vocab_size=5, max_len=9):
@@ -114,24 +127,21 @@ class TestProcessMinibatch:
         return corpus, stats, prior
 
     def test_first_step_is_pure_batch_estimate(self):
-        from scvihmm.messages import forward_backward, local_stats
-
         corpus, stats, prior = self._setup()
         before = (stats.trans_counts.copy(), stats.token_stats.copy())
         batch = corpus.sequences[:4]
         # rho = 1 zeroes the old statistics in the blend; the result must be
         # exactly (N/M) * batch sums under the frozen surrogate
         params = build_surrogate(stats, FiniteMode(0.1), prior)
-        sum_counts = np.zeros_like(stats.trans_counts)
-        sum_tokens = np.zeros_like(stats.token_stats)
-        for seq in batch:
-            c, t = local_stats(forward_backward(params, seq), seq, 5)
-            sum_counts += c
-            sum_tokens += t
+        sums = sweep(params, batch)
         scale = len(corpus) / len(batch)
         out = process_minibatch(stats, batch, 1.0, FiniteMode(0.1), prior, len(corpus))
-        np.testing.assert_array_equal(out.trans_counts, scale * sum_counts)
-        np.testing.assert_array_equal(out.token_stats, scale * sum_tokens)
+        np.testing.assert_array_equal(out.trans_counts, scale * sums.counts)
+        np.testing.assert_array_equal(out.token_stats, scale * sums.token_stats)
+        # and those sums are the log-space posteriors' sums
+        counts, tokens, _ = batch_sums(log_forward_backward, params.trans, params.emit, batch)
+        np.testing.assert_allclose(sums.counts, counts, atol=1e-10)
+        np.testing.assert_allclose(sums.token_stats, tokens, atol=1e-10)
         # the step returns new statistics and leaves its input as it was
         np.testing.assert_array_equal(stats.trans_counts, before[0])
         np.testing.assert_array_equal(stats.token_stats, before[1])
@@ -202,6 +212,31 @@ class TestProcessMinibatch:
             serial.token_stats, threaded.token_stats
         )
 
+    @pytest.mark.parametrize("mode", [FiniteMode(0.1), HdpMode(HdpPosterior.initial(3))])
+    def test_thread_pool_matches_serial_across_slices(self, monkeypatch, mode):
+        # a small slice size spreads the batch over several slices; the pool
+        # must reduce them in the same order as the serial sweep
+        corpus, stats, prior = self._setup(seed=13)
+        batch = corpus.sequences[:10]
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 12)
+        assert len(messages._slices(batch, 5)) >= 3
+
+        def step(pool):
+            sums = (np.zeros((4, 3)), np.zeros((4, 3)), np.zeros(4))
+            hdp_sums = sums if isinstance(mode, HdpMode) else None
+            out = process_minibatch(
+                stats, batch, step_size(1, 0.6), mode, prior, len(corpus), hdp_sums, pool
+            )
+            return out, sums
+
+        serial, serial_sums = step(None)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            threaded, threaded_sums = step(pool)
+        np.testing.assert_array_equal(serial.trans_counts, threaded.trans_counts)
+        np.testing.assert_array_equal(serial.token_stats, threaded.token_stats)
+        for a, b in zip(serial_sums, threaded_sums):
+            np.testing.assert_array_equal(a, b)
+
     def test_empty_batch(self):
         _, stats, prior = self._setup()
         with pytest.raises(ValueError):
@@ -209,12 +244,7 @@ class TestProcessMinibatch:
 
     def test_nonfinite_stats_abort(self, monkeypatch):
         corpus, stats, prior = self._setup()
-
-        def broken(params, seq, vocab_size, want):
-            shape = (params.trans.shape[0], params.trans.shape[1])
-            return np.full(shape, np.nan), np.zeros((params.trans.shape[1], vocab_size)), None, None
-
-        monkeypatch.setattr("scvihmm.engine._sequence_stats", broken)
+        monkeypatch.setattr("scvihmm.engine.sweep", nan_sweep(position=0))
         with pytest.raises(NumericalError, match="batch position 0"):
             process_minibatch(
                 stats, corpus.sequences[:2], step_size(0, 0.6), FiniteMode(0.1), prior, 12
@@ -433,15 +463,45 @@ class TestTrain:
         assert rhos == [1.0, 2 ** -0.7, 3 ** -0.7, 4 ** -0.7]
 
     def test_nonfinite_stats_name_batch_position_and_step(self, monkeypatch):
-        def broken(params, seq, vocab_size, want):
-            k = params.trans.shape[1]
-            return np.full((k + 1, k), np.nan), np.zeros((k, vocab_size)), None, None
-
-        monkeypatch.setattr("scvihmm.engine._sequence_stats", broken)
+        monkeypatch.setattr("scvihmm.engine.sweep", nan_sweep(position=0))
         corpus = tiny_corpus(np.random.default_rng(52))
         config = RunConfig(num_states=2, minibatch_size=4, large_batch_size=4, passes=1)
         with pytest.raises(NumericalError, match=r"batch position 0.*step 0"):
             train(corpus, config)
+
+    def test_nan_in_multi_slice_batch_names_position_and_step(self, monkeypatch):
+        # one sequence alone carries the last token; from the second step on
+        # its emission column is NaN, so only that sequence goes non-finite
+        rng = np.random.default_rng(53)
+        seqs = [rng.integers(1, 5, rng.integers(2, 10)) for _ in range(11)]
+        target = 6
+        seqs[target] = np.array([1, 5, 2, 5, 3])
+        corpus = Corpus.from_sequences(seqs, Vocabulary(f"w{i}" for i in range(5)))
+        config = RunConfig(num_states=2, minibatch_size=11, large_batch_size=11, passes=2, seed=4)
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 10)
+        stream = batch_stream(corpus, config)
+        next(stream)
+        second = next(stream)
+        assert len(messages._slices([corpus.sequences[i] for i in second], 6)) >= 3
+        position = int(np.flatnonzero(second == target)[0])
+        calls = []
+
+        def poisoned(stats, mode, prior):
+            params = build_surrogate(stats, mode, prior)
+            calls.append(1)
+            if len(calls) >= 2:
+                params.emit[:, 5] = np.nan
+            return params
+
+        monkeypatch.setattr("scvihmm.engine.build_surrogate", poisoned)
+        with pytest.raises(NumericalError, match=rf"batch position {position} \(step 1\)"):
+            train(corpus, config)
+
+    def test_empty_corpus_rejected_before_any_step(self):
+        empty = Corpus.from_sequences([], Vocabulary(["a"]))
+        for passes in (0, 1):
+            with pytest.raises(ValueError, match="empty corpus"):
+                train(empty, RunConfig(passes=passes, num_states=2))
 
     def test_svi_mode_runs(self):
         rng = np.random.default_rng(46)

@@ -21,16 +21,16 @@ SVI_LL_RTOL = 1e-12
 
 GOLDEN = {
     "scvi-hmm": dict(
-        heldout_ll="-3.0314969633474145",
+        heldout_ll="-3.0314969633474163",
         k_effective=6,
-        trans_sha256="d3e627adfd470715a728b24bbb14e374396f56308059e2603f533e9c2e6d536a",
-        emit_sha256="9af8952d4b7a97e13750c92eed0a9347a62545297808826947a911c5d6e8ba45",
+        trans_sha256="010273e97621166a57abe874062fbf4fdb9d465853f5757efa4dee61b93143b9",
+        emit_sha256="4e7d6b24f45815fe8c19304b0a5a01a1fcc71017dd9678100ce719325f0733ef",
     ),
     "scvi-hdphmm": dict(
-        heldout_ll="-3.0326623701133886",
+        heldout_ll="-3.0326623701133877",
         k_effective=6,
-        trans_sha256="5d464853619b159b474465826abbeeae97433383c88e12a20535572fd39908f3",
-        emit_sha256="47359a6c7d881877f4cddcde00f61f2838c3ebfed334bbf4895605fde69bad68",
+        trans_sha256="5855aa387fca8713220b34a640d5a2c05afda1bb5cb2c8ce368ddbbf64bf3279",
+        emit_sha256="9df5fa2d3749a43bf8a99512d9b0e285c0c6a4e7ce3ec66615131d7a2bf9010c",
     ),
     "svi-hmm": dict(heldout_ll="-3.0273708479871546", k_effective=6),
 }

@@ -11,25 +11,18 @@ implementation.
 import numpy as np
 import pytest
 
-from oracles import batch_hdp_scvi, crp_expected_tables_mc
+from oracles import batch_hdp_scvi, crp_expected_tables_mc, log_forward_backward, zero_tables
 from scvihmm.corpus import Corpus, Vocabulary
 from scvihmm.emissions import EmissionPrior
-from scvihmm.engine import (
-    HdpAccumulator,
-    HdpMode,
-    initialize_stats,
-    process_minibatch,
-)
+from scvihmm.engine import HdpMode, initialize_stats, process_minibatch
 from scvihmm.hdp import (
     HdpPosterior,
     TableStats,
-    absence_log_probs,
     compute_geo_alpha_pi,
-    expected_tables,
     tables_from_aggregates,
     update_hdp,
 )
-from scvihmm.messages import SurrogateParams, forward_backward, local_stats
+from scvihmm.messages import SurrogateParams, sweep
 from scvihmm.special import BetaParams, GammaParams
 
 
@@ -43,6 +36,7 @@ def make_posterior(num_states, geo, alpha=(1.0, 0.1), gamma=(1.0, 0.1)):
 
 
 def random_posterior_case(seed, num_states=None, seq_len=None, vocab_size=None):
+    """One sequence's sweep sums (its own batch means), its surrogate and a prior."""
     rng = np.random.default_rng(seed)
     K = num_states or int(rng.integers(1, 5))
     T = seq_len or int(rng.integers(2, 16))
@@ -51,10 +45,15 @@ def random_posterior_case(seed, num_states=None, seq_len=None, vocab_size=None):
     emit = rng.dirichlet(np.ones(V), size=K)
     seq = rng.integers(0, V, T)
     params = SurrogateParams(trans, emit)
-    post = forward_backward(params, seq)
-    localC, _ = local_stats(post, seq, V)
+    sums = sweep(params, [seq], absence=True)
     geo = rng.uniform(1e-3, 2.0, size=K)
-    return post, localC, make_posterior(K, geo), rng
+    return sums, (params, seq), make_posterior(K, geo), rng
+
+
+def tables(sums, n, hdp_post):
+    return tables_from_aggregates(
+        sums.counts, sums.absence_pair, sums.absence_row, n, hdp_post
+    )
 
 
 class TestGeoWeights:
@@ -96,32 +95,30 @@ class TestGeoWeights:
 class TestAbsenceLogProbs:
     def test_single_state_deterministic(self):
         params = SurrogateParams(np.ones((2, 1)), np.full((1, 3), 1 / 3))
-        post = forward_backward(params, np.array([0, 2, 1]))
-        pair, row = absence_log_probs(post.unary, post.pairwise)
+        sums = sweep(params, [np.array([0, 2, 1])], absence=True)
+        pair, row = sums.absence_pair, sums.absence_row
         # every transition into the only state is certain at every step
         assert pair[0, 0] == -np.inf and pair[1, 0] == -np.inf
         assert row[0] == -np.inf and row[1] == -np.inf
 
     def test_start_row_always_forced(self):
-        post, _, _, _ = random_posterior_case(1)
-        _, row = absence_log_probs(post.unary, post.pairwise)
-        assert row[0] == -np.inf
+        sums, _, _, _ = random_posterior_case(1)
+        assert sums.absence_row[0] == -np.inf
 
     def test_hand_computed_two_state(self):
-        post, _, _, _ = random_posterior_case(2, num_states=2, seq_len=3)
-        pair, row = absence_log_probs(post.unary, post.pairwise)
-        expected = np.log1p(-post.pairwise[0, 1, 0]) + sum(
-            np.log1p(-post.pairwise[t, 1, 0]) for t in (1, 2)
+        sums, (params, seq), _, _ = random_posterior_case(2, num_states=2, seq_len=3)
+        unary, pairwise, _ = log_forward_backward(params.trans, params.emit, seq)
+        expected = np.log1p(-pairwise[0, 1, 0]) + sum(
+            np.log1p(-pairwise[t, 1, 0]) for t in (1, 2)
         )
-        assert abs(pair[1, 0] - expected) < 1e-12
-        expected_row = np.log1p(-post.unary[0, 0]) + np.log1p(-post.unary[1, 0])
-        assert abs(row[1] - expected_row) < 1e-12
+        assert abs(sums.absence_pair[1, 0] - expected) < 1e-12
+        expected_row = np.log1p(-unary[0, 0]) + np.log1p(-unary[1, 0])
+        assert abs(sums.absence_row[1] - expected_row) < 1e-12
 
     def test_nonpositive(self):
         for seed in range(5):
-            post, _, _, _ = random_posterior_case(100 + seed)
-            pair, row = absence_log_probs(post.unary, post.pairwise)
-            assert np.all(pair <= 0) and np.all(row <= 0)
+            sums, _, _, _ = random_posterior_case(100 + seed)
+            assert np.all(sums.absence_pair <= 0) and np.all(sums.absence_row <= 0)
 
 
 class TestExpectedTables:
@@ -152,30 +149,23 @@ class TestExpectedTables:
 
     def test_tables_bounded_by_customers_and_presence(self):
         for seed in range(120):
-            post, localC, hdp_post, rng = random_posterior_case(200 + seed)
+            sums, _, hdp_post, rng = random_posterior_case(200 + seed)
             n = int(rng.integers(1, 1000))
-            tables = expected_tables(localC, post.unary, post.pairwise, n, hdp_post)
-            assert np.all(tables.es >= 0) and np.all(np.isfinite(tables.es))
-            assert np.all(tables.elogeta <= 0) and np.all(np.isfinite(tables.elogeta))
+            got = tables(sums, n, hdp_post)
+            assert np.all(got.es >= 0) and np.all(np.isfinite(got.es))
+            assert np.all(got.elogeta <= 0) and np.all(np.isfinite(got.elogeta))
             # never more tables than expected customers
-            assert np.all(tables.es <= n * localC * (1 + 1e-10) + 1e-12)
+            assert np.all(got.es <= n * sums.counts * (1 + 1e-10) + 1e-12)
             # at least one table whenever anyone shows up at all
-            lqp, _ = absence_log_probs(post.unary, post.pairwise)
-            q_pos = -np.expm1(n * lqp)
-            active = localC > 0
-            assert np.all(tables.es[active] >= q_pos[active] - 1e-12)
+            q_pos = -np.expm1(n * sums.absence_pair)
+            active = sums.counts > 0
+            assert np.all(got.es[active] >= q_pos[active] - 1e-12)
 
     def test_growth_in_replicates_concave_and_monotone(self):
-        post, localC, hdp_post, _ = random_posterior_case(7, num_states=3, seq_len=10)
+        sums, _, hdp_post, _ = random_posterior_case(7, num_states=3, seq_len=10)
         grid = [2**i for i in range(11)]
-        curves = np.array([
-            expected_tables(localC, post.unary, post.pairwise, n, hdp_post).es
-            for n in grid
-        ])
-        etas = np.array([
-            expected_tables(localC, post.unary, post.pairwise, n, hdp_post).elogeta
-            for n in grid
-        ])
+        curves = np.array([tables(sums, n, hdp_post).es for n in grid])
+        etas = np.array([tables(sums, n, hdp_post).elogeta for n in grid])
         diffs = np.diff(curves, axis=0)
         assert np.all(diffs >= -1e-12)
         slopes = diffs / np.diff(grid)[:, None, None]
@@ -183,12 +173,9 @@ class TestExpectedTables:
         assert np.all(np.diff(etas, axis=0) <= 1e-12)
 
     def test_sublinear_replication(self):
-        post, localC, hdp_post, _ = random_posterior_case(8, num_states=2, seq_len=4)
-        es = {
-            n: expected_tables(localC, post.unary, post.pairwise, n, hdp_post).es
-            for n in (1, 10, 100)
-        }
-        active = localC > 1e-3
+        sums, _, hdp_post, _ = random_posterior_case(8, num_states=2, seq_len=4)
+        es = {n: tables(sums, n, hdp_post).es for n in (1, 10, 100)}
+        active = sums.counts > 1e-3
         assert np.all(es[10][active] < 10 * es[1][active])
         assert np.all(es[100][active] < 10 * es[10][active])
 
@@ -197,25 +184,24 @@ class TestExpectedTables:
         trans = rng.dirichlet(np.ones(2), size=3)
         emit = rng.dirichlet(np.ones(4), size=2)
         seq = rng.integers(0, 4, 4)
-        params = SurrogateParams(trans, emit)
-        post = forward_backward(params, seq)
-        localC, _ = local_stats(post, seq, 4)
+        sums = sweep(SurrogateParams(trans, emit), [seq], absence=True)
+        _, pairwise, _ = log_forward_backward(trans, emit, seq)
         geo = np.array([0.3, 0.2])
         hdp_post = make_posterior(2, geo)
         seed = 1000
         for n in (1, 10, 100):
-            tables = expected_tables(localC, post.unary, post.pairwise, n, hdp_post)
+            got = tables(sums, n, hdp_post)
             for row in range(3):
                 for col in range(2):
-                    if localC[row, col] < 0.05:
+                    if sums.counts[row, col] < 0.05:
                         continue
                     if row == 0:
-                        probs = [post.pairwise[0, 0, col]]
+                        probs = [pairwise[0, 0, col]]
                     else:
-                        probs = list(post.pairwise[1:, row, col])
+                        probs = list(pairwise[1:, row, col])
                     seed += 1
                     mc = crp_expected_tables_mc(probs, n, geo[col], 10_000, seed)
-                    assert abs(tables.es[row, col] - mc) <= 0.15 * mc
+                    assert abs(got.es[row, col] - mc) <= 0.15 * mc
 
 
 class TestValidation:
@@ -238,12 +224,12 @@ class TestValidation:
 
     def test_update_rho_and_shape_domain(self):
         post = HdpPosterior.initial(3)
-        tables = TableStats.zeros(3)
+        tables = TableStats(*zero_tables(3))
         for rho in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 update_hdp(post, tables, rho)
         with pytest.raises(ValueError):
-            update_hdp(post, TableStats.zeros(4), 1.0)
+            update_hdp(post, TableStats(*zero_tables(4)), 1.0)
 
 
 class TestUpdate:
@@ -251,7 +237,7 @@ class TestUpdate:
         # with no observed tables the coupled solve has the exact solution
         # E[gamma] = 10: v = 10, b_gamma = (1 + K) / 10 * prior rate shape
         K = 5
-        post = update_hdp(HdpPosterior.initial(K), TableStats.zeros(K), 1.0)
+        post = update_hdp(HdpPosterior.initial(K), TableStats(*zero_tables(K)), 1.0)
         np.testing.assert_array_equal(post.sticks.u, np.ones(K))
         np.testing.assert_allclose(post.sticks.v, np.full(K, 10.0), atol=1e-9)
         assert post.gamma.a == 1.0 + K
@@ -260,7 +246,7 @@ class TestUpdate:
         assert abs(post.alpha.b - 0.1) < 1e-15
 
     def test_cache_refreshed(self):
-        post = update_hdp(HdpPosterior.initial(4), TableStats.zeros(4), 1.0)
+        post = update_hdp(HdpPosterior.initial(4), TableStats(*zero_tables(4)), 1.0)
         np.testing.assert_array_equal(
             post.geo_alpha_pi, compute_geo_alpha_pi(post.sticks, post.alpha)
         )
@@ -321,13 +307,13 @@ class TestBatchTrajectory:
         post = HdpPosterior.initial(K)
         current = stats
         for i in range(20):
-            acc = HdpAccumulator(K)
+            sums = (np.zeros((K + 1, K)), np.zeros((K + 1, K)), np.zeros(K + 1))
             current = process_minibatch(
                 current, seqs, 1.0, HdpMode(post), prior,
-                len(seqs), hdp_acc=acc,
+                len(seqs), hdp_sums=sums,
             )
-            tables = tables_from_aggregates(*acc.means(), len(seqs), post)
-            post = update_hdp(post, tables, 1.0)
+            means = [total / len(seqs) for total in sums]
+            post = update_hdp(post, tables_from_aggregates(*means, len(seqs), post), 1.0)
             ref = snaps[i]
             np.testing.assert_allclose(
                 current.trans_counts, ref["counts"], rtol=1e-8, atol=1e-10

@@ -1,4 +1,4 @@
-"""Checks for forward-backward inference and local statistics."""
+"""Checks for the batched forward-backward sweep."""
 
 import math
 
@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_paths, log_space_loglik
-from scvihmm.messages import (
-    SequencePosterior,
-    SurrogateParams,
-    forward_backward,
-    local_stats,
-    sequence_log_likelihood,
-)
+from oracles import batch_sums, enumerate_paths, log_forward_backward, log_space_loglik
+from scvihmm import messages
+from scvihmm.messages import SurrogateParams, sweep
 
 
 def random_params(rng, num_states, vocab_size):
     trans = rng.dirichlet(np.full(num_states, 0.8), size=num_states + 1)
     emit = rng.dirichlet(np.full(vocab_size, 0.8), size=num_states)
     return SurrogateParams(trans, emit)
+
+
+def random_batch(rng, vocab_size, n_seqs, max_len):
+    return [rng.integers(0, vocab_size, int(rng.integers(1, max_len + 1))) for _ in range(n_seqs)]
 
 
 class TestSurrogateParams:
@@ -52,148 +51,194 @@ class TestSurrogateParams:
 class TestForwardBackward:
     def test_single_position(self):
         params = random_params(np.random.default_rng(1), 3, 4)
-        post = forward_backward(params, [2])
+        sums = sweep(params, [np.array([2])])
         expected = params.trans[0] * params.emit[:, 2]
-        np.testing.assert_allclose(post.unary[0], expected / expected.sum(), atol=1e-12)
-        np.testing.assert_allclose(post.pairwise[0, 0], post.unary[0], atol=1e-12)
-        assert abs(post.loglik - math.log(expected.sum())) < 1e-12
+        np.testing.assert_allclose(sums.counts[0], expected / expected.sum(), atol=1e-12)
+        np.testing.assert_array_equal(sums.counts[1:], 0.0)
+        np.testing.assert_allclose(sums.token_stats[:, 2], sums.counts[0], atol=1e-12)
+        assert abs(sums.loglik[0] - math.log(expected.sum())) < 1e-12
 
     def test_single_state_chain(self):
         rng = np.random.default_rng(2)
         emit = rng.dirichlet(np.full(5, 1.0))[None, :]
         params = SurrogateParams(np.ones((2, 1)), emit)
-        seq = [0, 3, 3, 1, 4]
-        post = forward_backward(params, seq)
-        np.testing.assert_allclose(post.unary, 1.0, atol=1e-12)
+        seq = np.array([0, 3, 3, 1, 4])
+        sums = sweep(params, [seq])
+        np.testing.assert_allclose(sums.counts, [[1.0], [4.0]], atol=1e-12)
+        np.testing.assert_allclose(sums.token_stats, [[1.0, 1.0, 0.0, 2.0, 1.0]], atol=1e-12)
         expected_ll = float(np.log(emit[0, seq]).sum())
-        assert abs(post.loglik - expected_ll) < 1e-12
+        assert abs(sums.loglik[0] - expected_ll) < 1e-12
 
     def test_fixed_case_against_enumeration(self):
         params = random_params(np.random.default_rng(42), 2, 3)
-        seq = [0, 2, 1]
-        post = forward_backward(params, seq)
-        unary, pairwise, loglik = enumerate_paths(params.trans, params.emit, seq)
-        np.testing.assert_allclose(post.unary, unary, atol=1e-10)
-        np.testing.assert_allclose(post.pairwise, pairwise, atol=1e-10)
-        assert abs(post.loglik - loglik) < 1e-10 * abs(loglik)
+        batch = [np.array([0, 2, 1])]
+        sums = sweep(params, batch)
+        counts, tokens, loglik = batch_sums(enumerate_paths, params.trans, params.emit, batch)
+        np.testing.assert_allclose(sums.counts, counts, atol=1e-10)
+        np.testing.assert_allclose(sums.token_stats, tokens, atol=1e-10)
+        assert abs(sums.loglik[0] - loglik[0]) < 1e-10 * abs(loglik[0])
 
     def test_random_cases_against_enumeration(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             K = int(rng.integers(1, 4))
             V = int(rng.integers(2, 5))
-            T = int(rng.integers(1, 9))
             params = random_params(rng, K, V)
-            seq = rng.integers(0, V, T)
-            post = forward_backward(params, seq)
-            unary, pairwise, loglik = enumerate_paths(params.trans, params.emit, seq)
-            np.testing.assert_allclose(post.unary, unary, atol=1e-10)
-            np.testing.assert_allclose(post.pairwise, pairwise, atol=1e-10)
-            assert abs(math.exp(post.loglik) - math.exp(loglik)) < 1e-10 * math.exp(loglik)
+            batch = random_batch(rng, V, int(rng.integers(1, 5)), 8)
+            sums = sweep(params, batch)
+            counts, tokens, loglik = batch_sums(enumerate_paths, params.trans, params.emit, batch)
+            np.testing.assert_allclose(sums.counts, counts, atol=1e-10)
+            np.testing.assert_allclose(sums.token_stats, tokens, atol=1e-10)
+            np.testing.assert_array_less(
+                np.abs(np.exp(sums.loglik) - np.exp(loglik)), 1e-10 * np.exp(loglik)
+            )
 
     def test_agrees_with_log_space_recursion(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             params = random_params(rng, int(rng.integers(1, 6)), 8)
-            seq = rng.integers(0, 8, int(rng.integers(1, 200)))
-            ll = forward_backward(params, seq).loglik
-            ref = log_space_loglik(params.trans, params.emit, seq)
-            assert abs(ll - ref) < 1e-9 * max(1.0, abs(ref))
+            batch = random_batch(rng, 8, int(rng.integers(1, 6)), 199)
+            got = sweep(params, batch).loglik
+            for ll, seq in zip(got, batch):
+                ref = log_space_loglik(params.trans, params.emit, seq)
+                assert abs(ll - ref) < 1e-9 * max(1.0, abs(ref))
+
+    def test_agrees_with_log_space_sweep(self):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            params = random_params(rng, int(rng.integers(1, 6)), 8)
+            batch = random_batch(rng, 8, int(rng.integers(1, 9)), 60)
+            sums = sweep(params, batch)
+            counts, tokens, loglik = batch_sums(
+                log_forward_backward, params.trans, params.emit, batch
+            )
+            np.testing.assert_allclose(sums.counts, counts, atol=1e-10)
+            np.testing.assert_allclose(sums.token_stats, tokens, atol=1e-10)
+            np.testing.assert_allclose(sums.loglik, loglik, rtol=1e-10)
 
     def test_label_equivariance(self):
         rng = np.random.default_rng(13)
         K = 4
         params = random_params(rng, K, 6)
-        seq = rng.integers(0, 6, 12)
+        batch = random_batch(rng, 6, 3, 12)
         perm = rng.permutation(K)
         trans_p = np.empty_like(params.trans)
         trans_p[0] = params.trans[0, perm]
         trans_p[1:] = params.trans[1:][perm][:, perm]
         params_p = SurrogateParams(trans_p, params.emit[perm])
-        post = forward_backward(params, seq)
-        post_p = forward_backward(params_p, seq)
-        np.testing.assert_allclose(post_p.unary, post.unary[:, perm], atol=1e-12)
-        np.testing.assert_allclose(post_p.pairwise[0, 0], post.pairwise[0, 0, perm], atol=1e-12)
-        np.testing.assert_allclose(
-            post_p.pairwise[1:, 1:, :],
-            post.pairwise[1:, 1:, :][:, perm][:, :, perm],
-            atol=1e-12,
-        )
-        assert abs(post_p.loglik - post.loglik) < 1e-12 * abs(post.loglik)
+        sums = sweep(params, batch)
+        sums_p = sweep(params_p, batch)
+        np.testing.assert_allclose(sums_p.counts[0], sums.counts[0, perm], atol=1e-12)
+        np.testing.assert_allclose(sums_p.counts[1:], sums.counts[1:][perm][:, perm], atol=1e-12)
+        np.testing.assert_allclose(sums_p.token_stats, sums.token_stats[perm], atol=1e-12)
+        np.testing.assert_allclose(sums_p.loglik, sums.loglik, rtol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_posterior_consistency(self, seed):
+        # the pairwise marginals sum to the unary ones: every state's incoming
+        # transition mass is its emitted token mass, and both total T
         rng = np.random.default_rng(seed)
         K = int(rng.integers(1, 7))
         V = int(rng.integers(2, 9))
         params = random_params(rng, K, V)
-        seq = rng.integers(0, V, int(rng.integers(1, 40)))
-        post = forward_backward(params, seq)
-        np.testing.assert_allclose(post.unary.sum(axis=1), 1.0, atol=1e-8)
-        np.testing.assert_allclose(post.pairwise.sum(axis=(1, 2)), 1.0, atol=1e-8)
-        np.testing.assert_allclose(post.pairwise.sum(axis=1), post.unary, atol=1e-8)
+        batch = random_batch(rng, V, int(rng.integers(1, 6)), 39)
+        total = sum(seq.size for seq in batch)
+        sums = sweep(params, batch)
+        np.testing.assert_allclose(sums.counts.sum(axis=0), sums.token_stats.sum(axis=1), atol=1e-8)
+        assert abs(sums.counts.sum() - total) < 1e-8
+        assert abs(sums.token_stats.sum() - total) < 1e-8
 
     def test_empty_sequence(self):
         params = random_params(np.random.default_rng(3), 2, 3)
         with pytest.raises(ValueError):
-            forward_backward(params, [])
+            sweep(params, [np.array([0, 1]), np.array([], dtype=int)])
+        with pytest.raises(ValueError):
+            sweep(params, [])
 
     def test_token_out_of_range(self):
         params = random_params(np.random.default_rng(3), 2, 3)
-        with pytest.raises(ValueError):
-            forward_backward(params, [0, 3])
+        for bad in ([0, 3], [-1, 0]):
+            with pytest.raises(ValueError):
+                sweep(params, [np.array([0, 1, 2]), np.array(bad)])
 
 
 class TestLocalStats:
     def test_single_state_counts(self):
         params = SurrogateParams(np.ones((2, 1)), np.full((1, 4), 0.25))
         seq = np.array([0, 1, 2, 3, 0])
-        post = forward_backward(params, seq)
-        localC, localT = local_stats(post, seq, 4)
-        assert abs(localC[0, 0] - 1.0) < 1e-12
-        assert abs(localC[1, 0] - 4.0) < 1e-12
-        np.testing.assert_allclose(localT[0], [2.0, 1.0, 1.0, 1.0], atol=1e-12)
-
-    def test_one_hot_posterior_recovers_path(self):
-        # path 1 -> 0 -> 1 over K=2, tokens (2, 0, 1) over V=3
-        unary = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        pairwise = np.zeros((3, 3, 2))
-        pairwise[0, 0, 1] = 1.0
-        pairwise[1, 2, 0] = 1.0
-        pairwise[2, 1, 1] = 1.0
-        post = SequencePosterior(unary, pairwise, 0.0)
-        localC, localT = local_stats(post, np.array([2, 0, 1]), 3)
-        expectedC = np.zeros((3, 2))
-        expectedC[0, 1] = 1.0
-        expectedC[2, 0] = 1.0
-        expectedC[1, 1] = 1.0
-        np.testing.assert_array_equal(localC, expectedC)
-        expectedT = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
-        np.testing.assert_array_equal(localT, expectedT)
+        sums = sweep(params, [seq])
+        assert abs(sums.counts[0, 0] - 1.0) < 1e-12
+        assert abs(sums.counts[1, 0] - 4.0) < 1e-12
+        np.testing.assert_allclose(sums.token_stats[0], [2.0, 1.0, 1.0, 1.0], atol=1e-12)
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(21)
         params = random_params(rng, 3, 5)
         seq = rng.integers(0, 5, 6)
-        post = forward_backward(params, seq)
-        localC, localT = local_stats(post, seq, 5)
-        assert abs(localC.sum() - 6.0) < 1e-8
-        assert abs(localT.sum() - 6.0) < 1e-8
-
-    def test_length_mismatch(self):
-        params = random_params(np.random.default_rng(4), 2, 3)
-        post = forward_backward(params, [0, 1, 2])
-        with pytest.raises(ValueError):
-            local_stats(post, [0, 1], 3)
+        sums = sweep(params, [seq])
+        assert abs(sums.counts.sum() - 6.0) < 1e-8
+        assert abs(sums.token_stats.sum() - 6.0) < 1e-8
 
 
 class TestSequenceLogLikelihood:
     def test_matches_forward_backward(self):
+        # evaluation runs the forward half alone; it is the same recursion
         rng = np.random.default_rng(31)
         for _ in range(20):
             params = random_params(rng, int(rng.integers(1, 5)), 6)
-            seq = rng.integers(0, 6, int(rng.integers(1, 60)))
-            full = forward_backward(params, seq).loglik
-            fast = sequence_log_likelihood(params, seq)
-            assert abs(full - fast) < 1e-10 * max(1.0, abs(full))
+            batch = random_batch(rng, 6, int(rng.integers(1, 6)), 59)
+            full = sweep(params, batch).loglik
+            fast = sweep(params, batch, stats=False)
+            np.testing.assert_array_equal(fast.loglik, full)
+            assert fast.counts is None and fast.token_stats is None
+
+
+class TestSlices:
+    """A small ``SLICE_POSITIONS`` spreads one batch over several slices."""
+
+    def _case(self, seed=5, n_seqs=10):
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, 4, 7)
+        batch = [rng.integers(0, 7, int(n)) for n in rng.integers(1, 15, n_seqs)]
+        return params, batch
+
+    def test_batch_spans_several_slices(self, monkeypatch):
+        params, batch = self._case()
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 20)
+        slices = messages._slices(batch, params.vocab_size)
+        assert len(slices) >= 4
+        # every sequence lands in exactly one column, longest first
+        cols = np.concatenate([c for c, _, _ in slices])
+        assert sorted(cols) == list(range(len(batch)))
+        lengths = [batch[i].size for i in cols]
+        assert lengths == sorted(lengths, reverse=True)
+        for c, tokens, n_at in slices:
+            assert tokens.size <= 20 or c.size == 1
+
+    @pytest.mark.parametrize("absence", [False, True])
+    def test_order_and_slicing_move_sums_by_rounding_only(self, monkeypatch, absence):
+        params, batch = self._case(seed=6, n_seqs=12)
+        ref = sweep(params, batch, absence=absence)
+        variants = []
+        for positions in (20, 37, 2**15):
+            monkeypatch.setattr(messages, "SLICE_POSITIONS", positions)
+            variants.append((sweep(params, batch, absence=absence), False))
+            variants.append((sweep(params, batch[::-1], absence=absence), True))
+        for got, reversed_ in variants:
+            loglik = got.loglik[::-1] if reversed_ else got.loglik
+            np.testing.assert_allclose(loglik, ref.loglik, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got.counts, ref.counts, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got.token_stats, ref.token_stats, rtol=1e-12, atol=0)
+            if absence:
+                np.testing.assert_allclose(got.absence_pair, ref.absence_pair, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got.absence_row, ref.absence_row, rtol=1e-12, atol=0)
+
+    def test_multi_slice_sums_match_log_space_oracle(self, monkeypatch):
+        params, batch = self._case(seed=8, n_seqs=9)
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 20)
+        sums = sweep(params, batch)
+        counts, tokens, loglik = batch_sums(log_forward_backward, params.trans, params.emit, batch)
+        np.testing.assert_allclose(sums.counts, counts, atol=1e-10)
+        np.testing.assert_allclose(sums.token_stats, tokens, atol=1e-10)
+        np.testing.assert_allclose(sums.loglik, loglik, rtol=1e-10)

@@ -102,22 +102,17 @@ def svi_update(stats, batch, rho, corpus_size, pool=None):
 
 class TestStep:
     def test_full_step_is_prior_plus_batch_estimate(self):
-        from scvihmm.messages import forward_backward, local_stats
+        from scvihmm.messages import sweep
 
         rng = np.random.default_rng(5)
         stats = initialize_stats(2, 4, 50.0, seed=2)
         batch = random_batch(rng, 3, 4)
         params = build_surrogate(stats, SviMode(0.1), EmissionPrior.symmetric(0.1, 4))
-        sum_counts = np.zeros((3, 2))
-        sum_tokens = np.zeros((2, 4))
-        for seq in batch:
-            c, t = local_stats(forward_backward(params, seq), seq, 4)
-            sum_counts += c
-            sum_tokens += t
+        sums = sweep(params, batch)
         scale = 9 / 3
         out = svi_update(stats, batch, 1.0, 9)
-        np.testing.assert_array_equal(out.trans_counts, scale * sum_counts)
-        np.testing.assert_array_equal(out.token_stats, scale * sum_tokens)
+        np.testing.assert_array_equal(out.trans_counts, scale * sums.counts)
+        np.testing.assert_array_equal(out.token_stats, scale * sums.token_stats)
 
     def test_vanishing_step_changes_nothing(self):
         rng = np.random.default_rng(6)
