@@ -231,6 +231,19 @@ class GroundTruth:
     emit: np.ndarray
 
 
+def _cumulative(mat: np.ndarray) -> np.ndarray:
+    """Cumulative rows for ``_sample_rows``, +inf from each row's last positive cell on.
+
+    A row may sum to a little less than 1, so a uniform can exceed its whole
+    cumulative row; the +inf tail lands such a draw on the last cell with
+    mass and leaves every other draw where it was.
+    """
+    cum = np.cumsum(mat, axis=1)
+    last = mat.shape[1] - 1 - np.argmax(mat[:, ::-1] > 0.0, axis=1)
+    cum[np.arange(mat.shape[1])[None, :] >= last[:, None]] = np.inf
+    return cum
+
+
 def _sample_rows(cum_rows: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     # inverse-CDF draw per row: count how many cumulative cells each uniform exceeds
     return (u[:, None] > cum_rows[rows]).sum(axis=1)
@@ -247,12 +260,12 @@ def generate_synthetic(spec: SyntheticSpec):
     n = spec.seq_count
     lengths = rng.integers(spec.min_length, spec.max_length + 1, size=n)
     t_max = int(lengths.max())
-    cum_trans = np.cumsum(spec.trans, axis=1)
-    cum_emit = np.cumsum(spec.emit, axis=1)
+    cum_trans = _cumulative(spec.trans)
+    cum_emit = _cumulative(spec.emit)
 
     states = np.empty((n, t_max), dtype=np.int64)
     tokens = np.empty((n, t_max), dtype=np.int64)
-    states[:, 0] = (rng.random(n)[:, None] > cum_trans[0]).sum(axis=1)
+    states[:, 0] = _sample_rows(cum_trans, np.zeros(n, dtype=np.int64), rng.random(n))
     tokens[:, 0] = _sample_rows(cum_emit, states[:, 0], rng.random(n))
     for t in range(1, t_max):
         states[:, t] = _sample_rows(cum_trans, states[:, t - 1] + 1, rng.random(n))

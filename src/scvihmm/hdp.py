@@ -173,6 +173,11 @@ def _solve_gamma_mean(c_v, c_b, u_new, a_gamma, rho):
     g = E[gamma].  f(g) = a_gamma / b_gamma(g) - g is positive near zero
     and negative for large g; plain bisection is deterministic, which also
     makes the full update idempotent at rho = 1.
+
+    f is pure, so a step that moves neither end of the bracket (the
+    midpoint rounds onto the end it would replace) is a fixed point: every
+    later step would repeat it.  The loop stops there, which returns the
+    same bits as running all 200 steps, usually after 50-60 of them.
     """
 
     def b_gamma_of(g):
@@ -195,8 +200,12 @@ def _solve_gamma_mean(c_v, c_b, u_new, a_gamma, rho):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     g = 0.5 * (lo + hi)
     return g, b_gamma_of(g)

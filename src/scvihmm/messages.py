@@ -15,6 +15,25 @@ first n_t sequences are still running, so each step works on a row prefix
 and padded positions stay zero.  The pairwise posteriors are never stored:
 the transition counts are inner * sum_t alpha[t-1]^T right[t], one matrix
 product, with right[t] = obs[t] * beta[t] / scale[t].
+
+The hierarchical prior's pair absence sum, sum_t log(1 - p_tij) with pair
+posterior p_tij = alpha[t-1, i] * inner[i, j] * right[t, j], is a power
+series over matrix products in the same way:
+
+    sum_t log(1 - p_tij) = -sum_m (inner_ij^m / m) * (sum_t alpha^m[t-1]^T right^m[t])_ij,
+
+with powers taken elementwise, one product per term, summed for m = 1 ..
+``SERIES_TERMS`` (M).  Cut there, the series is exact to within
+tau^M / ((M + 1)(1 - tau)) of |log(1 - p)| for p <= tau = ``SERIES_BOUND``;
+at M = 13 and tau = 1/16 that is 1.7e-17.  The pair posterior sums over j to
+the marginal of i at t-1 and over i to the marginal of j at t, so p_tij is
+at most the smaller of the two, and only cells where both marginals exceed
+tau can exceed it.  A marginal row sums to 1, so there are at most 15 such
+states on each side; those few cells get log(1 - p) exactly, in place of
+their share of the series, and a forced transition (p = 1) stays -inf.  The
+forward vectors are at most 1 but right[t] is not bounded, so a position
+whose right[t] exceeds ``SERIES_RIGHT_MAX`` (where right^M could overflow)
+is summed exactly over every cell instead.
 """
 
 from dataclasses import dataclass
@@ -23,8 +42,14 @@ import numpy as np
 
 # padded positions (longest length x sequence count) of one slice
 SLICE_POSITIONS = 2**15
-# running positions per chunk of the hierarchical prior's pair term
-PAIR_CHUNK_ROWS = 64
+# positions per matrix product of the pair absence series
+SERIES_CHUNK_ROWS = 256
+# terms kept of log(1 - p) = -sum_m p^m / m
+SERIES_TERMS = 13
+# the largest pair posterior the series covers; larger cells are summed exactly
+SERIES_BOUND = 1.0 / 16.0
+# positions with a larger right factor are summed exactly, so right^m stays finite
+SERIES_RIGHT_MAX = 2.0**64
 
 __all__ = ["SurrogateParams", "BatchSums", "sweep"]
 
@@ -132,24 +157,78 @@ def _forward(params, tokens, n_at, alpha=None):
     return scales
 
 
+def _series(p):
+    """-sum_{m=1..SERIES_TERMS} p^m / m, by Horner's rule."""
+    acc = np.full_like(p, 1.0 / SERIES_TERMS)
+    for m in range(SERIES_TERMS - 1, 0, -1):
+        acc = acc * p + 1.0 / m
+    return -p * acc
+
+
+def _exact_cells(hot_before, hot_after):
+    """(row, i, j) of every cell with hot_before[row, i] and hot_after[row, j]."""
+    K = hot_before.shape[1]
+    rows_i, cols_i = np.divmod(np.flatnonzero(hot_before), K)
+    rows_j, cols_j = np.divmod(np.flatnonzero(hot_after), K)
+    # the hot j of each row sit together in cols_j; pair each hot i with them
+    per_row = np.bincount(rows_j, minlength=hot_before.shape[0])
+    first_j = np.cumsum(per_row) - per_row
+    reps = per_row[rows_i]
+    offsets = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    return (
+        np.repeat(rows_i, reps),
+        np.repeat(cols_i, reps),
+        cols_j[np.repeat(first_j[rows_i], reps) + offsets],
+    )
+
+
 def _absence(inner, alpha, right, unary, running):
-    """Pair and row absence sums of one slice, the pair term in row chunks."""
+    """Pair and row absence sums of one slice; see the module docstring."""
     K = inner.shape[0]
     pair = np.zeros((K + 1, K))
     row = np.empty(K + 1)
-    # flat (t-1) x B index of every running position t >= 1
-    rows = np.flatnonzero(running[1:])
+    # before[r] = alpha[t-1, b] and after[r] = right[t, b] meet in the pair term at t
     before = alpha[:-1].reshape(-1, K)
     after = right[1:].reshape(-1, K)
+    unary_before = unary[:-1].reshape(-1, K)
+    # flat (t-1) x B index of every running position t >= 1
+    rows = np.flatnonzero(running[1:])
     with np.errstate(divide="ignore"):
         pair[0] = np.log1p(-np.minimum(unary[0], 1.0)).sum(axis=0)
-        for lo in range(0, rows.size, PAIR_CHUNK_ROWS):
-            idx = rows[lo : lo + PAIR_CHUNK_ROWS]
-            p = before[idx, :, None] * inner * after[idx, None, :]
-            pair[1:] += np.log1p(-np.minimum(p, 1.0)).sum(axis=0)
         # every sequence leaves the start state at its first position
         row[0] = -np.inf
-        row[1:] = np.log1p(-np.minimum(unary[:-1][running[1:]], 1.0)).sum(axis=0)
+        row[1:] = np.log1p(-np.minimum(unary_before[rows], 1.0)).sum(axis=0)
+
+    dense = after.max(axis=1) > SERIES_RIGHT_MAX
+    series_rows = rows[~dense[rows]]
+    powers = np.zeros((SERIES_TERMS, K, K))
+    for lo in range(0, series_rows.size, SERIES_CHUNK_ROWS):
+        idx = series_rows[lo : lo + SERIES_CHUNK_ROWS]
+        a, r = before[idx], after[idx]
+        a_m, r_m = a.copy(), r.copy()
+        for m in range(SERIES_TERMS):
+            if m:
+                a_m *= a
+                r_m *= r
+            powers[m] += a_m.T @ r_m
+    inner_m = inner.copy()
+    for m in range(SERIES_TERMS):
+        if m:
+            inner_m *= inner
+        pair[1:] -= inner_m / (m + 1) * powers[m]
+
+    hot_after = (unary[1:].reshape(-1, K) > SERIES_BOUND) & ~dense[:, None]
+    at, i, j = _exact_cells(unary_before > SERIES_BOUND, hot_after)
+    p = before[at, i] * inner[i, j] * after[at, j]
+    with np.errstate(divide="ignore"):
+        np.add.at(pair[1:], (i, j), np.log1p(-np.minimum(p, 1.0)) - _series(p))
+        dense_rows = np.flatnonzero(dense)
+        # a block of pair posteriors as large as one series chunk
+        step = max(1, SERIES_CHUNK_ROWS // K)
+        for lo in range(0, dense_rows.size, step):
+            idx = dense_rows[lo : lo + step]
+            p = before[idx, :, None] * inner * after[idx, None, :]
+            pair[1:] += np.log1p(-np.minimum(p, 1.0)).sum(axis=0)
     return pair, row
 
 
@@ -173,9 +252,13 @@ def _slice_sums(params, tokens, n_at, stats, absence):
     counts = np.empty((K + 1, K))
     counts[0] = unary[0].sum(axis=0)
     counts[1:] = inner * (alpha[:-1].reshape(-1, K).T @ right[1:].reshape(-1, K))
-    by_token = np.zeros((params.vocab_size, K))
-    np.add.at(by_token, tokens.ravel(), unary.reshape(-1, K))
-    sums = (counts, by_token.T)
+    flat_tokens = tokens.ravel()
+    weights = unary.reshape(-1, K)
+    by_token = [
+        np.bincount(flat_tokens, weights=weights[:, k], minlength=params.vocab_size)
+        for k in range(K)
+    ]
+    sums = (counts, np.stack(by_token))
     if absence:
         running = np.arange(B)[None, :] < n_at[:, None]
         sums += _absence(inner, alpha, right, unary, running)

@@ -120,6 +120,31 @@ def log_forward_backward(trans, emit, seq):
     return unary, pairwise, loglik
 
 
+def dense_absence(inner, alpha, right, unary, running):
+    """Pair and row absence sums of one sweep slice, every cell exact.
+
+    The reference for ``messages._absence``, taking the same arguments:
+    the pair term sums log(1 - min(p, 1)) over every running position and
+    every (i, j) cell, p = alpha[t-1, i] * inner[i, j] * right[t, j],
+    building the pair posteriors 64 positions at a time.
+    """
+    K = inner.shape[0]
+    pair = np.zeros((K + 1, K))
+    row = np.empty(K + 1)
+    rows = np.flatnonzero(running[1:])
+    before = alpha[:-1].reshape(-1, K)
+    after = right[1:].reshape(-1, K)
+    with np.errstate(divide="ignore"):
+        pair[0] = np.log1p(-np.minimum(unary[0], 1.0)).sum(axis=0)
+        for lo in range(0, rows.size, 64):
+            idx = rows[lo : lo + 64]
+            p = before[idx, :, None] * inner * after[idx, None, :]
+            pair[1:] += np.log1p(-np.minimum(p, 1.0)).sum(axis=0)
+        row[0] = -np.inf
+        row[1:] = np.log1p(-np.minimum(unary[:-1][running[1:]], 1.0)).sum(axis=0)
+    return pair, row
+
+
 def batch_sums(posterior, trans, emit, batch):
     """Batch sums of one posterior routine, the package's sweep layout.
 

@@ -1,9 +1,12 @@
 """Checks for corpus loading, splitting, batching, and synthesis."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from scvihmm import corpus as corpus_mod
 from scvihmm.corpus import (
     Corpus,
     SyntheticSpec,
@@ -178,6 +181,59 @@ class TestGenerateSynthetic:
             expected = counts[k].sum() * trans_inner[k]
             stat += float(((counts[k] - expected) ** 2 / expected).sum())
         assert stat < chi2.ppf(0.999, df=6)
+
+    def test_draw_past_a_short_row_lands_on_its_last_cell_with_mass(self):
+        # a row may sum to 1 - 9e-11 and still pass the spec check; a uniform
+        # above that total used to count every cell and come back as V
+        emit = np.array([[0.5, 0.5 - 9e-11, 0.0]])
+        spec = SyntheticSpec(1, 3, np.ones((2, 1)), emit, 1, 1, 1)
+        u = np.array([1.0 - 5e-11, 0.75, 0.25])
+        raw = corpus_mod._sample_rows(np.cumsum(spec.emit, axis=1), np.zeros(3, int), u)
+        np.testing.assert_array_equal(raw, [3, 1, 0])
+        got = corpus_mod._sample_rows(corpus_mod._cumulative(spec.emit), np.zeros(3, int), u)
+        np.testing.assert_array_equal(got, [1, 1, 0])
+
+    def test_state_draw_stays_inside_the_truncation(self):
+        trans = np.array([[0.5, 0.5], [0.3, 0.7 - 9e-11], [0.6, 0.4]])
+        spec = SyntheticSpec(2, 2, trans, np.full((2, 2), 0.5), 1, 1, 1)
+        cum = corpus_mod._cumulative(spec.trans)
+        u = np.full(3, 1.0 - 5e-11)
+        assert (u[:, None] > np.cumsum(spec.trans, axis=1)).sum(axis=1)[1] == 2
+        np.testing.assert_array_equal(corpus_mod._sample_rows(cum, np.arange(3), u), [1, 1, 1])
+
+    def test_in_range_draws_keep_their_cell(self):
+        rng = np.random.default_rng(12)
+        mat = rng.dirichlet(np.ones(6), size=50) * rng.integers(0, 2, (50, 6))
+        mat[:, 0] += 1e-3
+        mat /= mat.sum(axis=1, keepdims=True)
+        rows = rng.integers(0, 50, 5000)
+        u = rng.random(5000)
+        raw = corpus_mod._sample_rows(np.cumsum(mat, axis=1), rows, u)
+        np.testing.assert_array_equal(corpus_mod._sample_rows(corpus_mod._cumulative(mat), rows, u), raw)
+
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("random", "48f726e4b4cf71968b8b95a0d610308a23786d247584b46637eb7b8898a7884b"),
+            ("zero cells", "a1a53ac30f7f2586bbff75b0a973da2d78b6ac3d63ac6365319ecaf374010ad4"),
+        ],
+    )
+    def test_fixed_seed_corpus_pinned(self, case, digest):
+        if case == "random":
+            spec = SyntheticSpec.random(5, 40, 200, 3, 30, seed=11, self_persistence=0.3)
+        else:
+            trans = np.array([
+                [0.0, 0.6, 0.4, 0.0], [0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0],
+                [0.2, 0.3, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25],
+            ])
+            emit = np.array([
+                [0.0, 0.7, 0.3, 0.0, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2],
+                [0.0, 0.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.5, 0.0],
+            ])
+            spec = SyntheticSpec(4, 5, trans, emit, 300, 1, 25, seed=4)
+        corpus, _ = generate_synthetic(spec)
+        tokens = np.concatenate(corpus.sequences).astype("<i8")
+        assert hashlib.sha256(tokens.tobytes()).hexdigest() == digest
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -18,12 +18,13 @@ from scvihmm.engine import HdpMode, initialize_stats, process_minibatch
 from scvihmm.hdp import (
     HdpPosterior,
     TableStats,
+    _solve_gamma_mean,
     compute_geo_alpha_pi,
     tables_from_aggregates,
     update_hdp,
 )
 from scvihmm.messages import SurrogateParams, sweep
-from scvihmm.special import BetaParams, GammaParams
+from scvihmm.special import BetaParams, GammaParams, beta_expect_logs
 
 
 def make_posterior(num_states, geo, alpha=(1.0, 0.1), gamma=(1.0, 0.1)):
@@ -287,6 +288,62 @@ class TestUpdate:
             np.asarray(post.sticks.u) + np.asarray(post.sticks.v)
         )
         assert means[0] > means[1] > means[2]
+
+
+def full_bisection(c_v, c_b, u_new, a_gamma, rho):
+    """The gamma-mean solve run for all 200 bisection steps, no early stop.
+
+    Also returns how many times the lower bracket was divided.
+    """
+
+    def b_gamma_of(g):
+        _, e_log1m = beta_expect_logs(BetaParams(u_new, c_v + rho * g))
+        return c_b - rho * e_log1m.sum()
+
+    def f(g):
+        return a_gamma / b_gamma_of(g) - g
+
+    lo = 1e-12
+    lower = 0
+    while f(lo) <= 0.0 and lower < 60:
+        lo /= 8.0
+        lower += 1
+    hi = a_gamma / c_b + 1.0
+    attempts = 0
+    while f(hi) > 0.0 and attempts < 60:
+        hi *= 2.0
+        attempts += 1
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    g = 0.5 * (lo + hi)
+    return g, b_gamma_of(g), lower
+
+
+class TestSolveGammaMean:
+    def test_fixed_point_stop_returns_the_full_bisection_bits(self):
+        rng = np.random.default_rng(71)
+        exhausted = 0
+        for case in range(30):
+            K = int(rng.integers(1, 12))
+            rho = float(rng.choice([1.0, rng.uniform(0.01, 1.0)]))
+            u_new = rng.uniform(1.0, 50.0, K)
+            if case % 3 == 0:
+                # no tail mass: f stays <= 0 down to the last lower bracket
+                c_v = np.zeros(K)
+                a_gamma = float(rng.uniform(0.05, 0.9)) * K
+            else:
+                c_v = rng.uniform(0.0, 20.0, K) * rng.integers(0, 2, K)
+                a_gamma = float(rng.uniform(0.5, 30.0))
+            c_b = float(rng.uniform(0.01, 5.0))
+            g, b_gamma, lower = full_bisection(c_v, c_b, u_new, a_gamma, rho)
+            exhausted += lower == 60
+            got = _solve_gamma_mean(c_v, c_b, u_new, a_gamma, rho)
+            assert got[0] == g and got[1] == b_gamma
+        assert exhausted > 0
 
 
 class TestBatchTrajectory:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_sums, enumerate_paths, log_forward_backward, log_space_loglik
+from oracles import (
+    batch_sums,
+    dense_absence,
+    enumerate_paths,
+    log_forward_backward,
+    log_space_loglik,
+)
 from scvihmm import messages
 from scvihmm.messages import SurrogateParams, sweep
 
@@ -242,3 +248,129 @@ class TestSlices:
         np.testing.assert_allclose(sums.counts, counts, atol=1e-10)
         np.testing.assert_allclose(sums.token_stats, tokens, atol=1e-10)
         np.testing.assert_allclose(sums.loglik, loglik, rtol=1e-10)
+
+
+def chain_batch(rng, trans, emit, n_seqs, max_len):
+    """Token sequences sampled from a chain: (K+1) x K trans, K x V emit."""
+    batch = []
+    for _ in range(n_seqs):
+        z = rng.choice(trans.shape[1], p=trans[0])
+        seq = []
+        for _ in range(int(rng.integers(1, max_len + 1))):
+            seq.append(rng.choice(emit.shape[1], p=emit[z]))
+            z = rng.choice(trans.shape[1], p=trans[1 + z])
+        batch.append(np.array(seq))
+    return batch
+
+
+class TestAbsenceSeries:
+    """The pair absence series against the dense, every-cell reference."""
+
+    def _compare(self, monkeypatch, params, batch):
+        seen = []
+        series_absence = messages._absence
+
+        def spy(*args):
+            seen.append(args)
+            return series_absence(*args)
+
+        monkeypatch.setattr(messages, "_absence", spy)
+        got = sweep(params, batch, absence=True)
+        monkeypatch.setattr(messages, "_absence", dense_absence)
+        ref = sweep(params, batch, absence=True)
+        monkeypatch.setattr(messages, "_absence", series_absence)
+        np.testing.assert_array_equal(np.isneginf(got.absence_pair), np.isneginf(ref.absence_pair))
+        finite = np.isfinite(ref.absence_pair)
+        assert np.all(np.isfinite(got.absence_pair[finite]))
+        np.testing.assert_allclose(
+            got.absence_pair[finite], ref.absence_pair[finite], rtol=1e-13, atol=0
+        )
+        np.testing.assert_array_equal(got.absence_row, ref.absence_row)
+        return seen, got
+
+    def test_random_batches_over_several_chunks(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        monkeypatch.setattr(messages, "SERIES_CHUNK_ROWS", 5)
+        forced = 0
+        for _ in range(25):
+            K = int(rng.integers(1, 7))
+            params = random_params(rng, K, 6)
+            batch = random_batch(rng, 6, int(rng.integers(2, 9)), 30)
+            seen, got = self._compare(monkeypatch, params, batch)
+            # more running positions than one chunk holds
+            assert sum(np.count_nonzero(args[4][1:]) for args in seen) > 5
+            # with one state, the only transition is forced at every position
+            forced += np.count_nonzero(np.isneginf(got.absence_pair[1:]))
+        assert forced > 0
+
+    def _sticky_one_hot(self, K=4, V=4):
+        trans = np.full((K + 1, K), 0.01 / (K - 1))
+        trans[0] = 1.0 / K
+        trans[1:][np.eye(K, dtype=bool)] = 0.99
+        emit = np.full((K, V), 1e-9)
+        emit[np.arange(K), np.arange(K) % V] = 1.0 - (V - 1) * 1e-9
+        return trans, emit
+
+    def test_near_deterministic_chain_runs_exact_cells(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        trans, emit = self._sticky_one_hot()
+        params = SurrogateParams(trans, emit)
+        batch = chain_batch(rng, trans, emit, 12, 40)
+        seen, _ = self._compare(monkeypatch, params, batch)
+        pair_max = max(
+            (alpha[:-1, :, :, None] * inner * right[1:, :, None, :]).max()
+            for inner, alpha, right, _, _ in seen
+        )
+        assert pair_max > messages.SERIES_BOUND
+
+    def test_large_right_factor_takes_the_dense_path(self, monkeypatch):
+        # state 2 is all but unreachable yet alone emits token 2, so its
+        # right factor at a token 2 is about 1e30, past SERIES_RIGHT_MAX
+        trans = np.array([[0.5, 0.5, 1e-30], [0.7, 0.3, 1e-30], [0.3, 0.7, 1e-30], [0.5, 0.5, 1e-30]])
+        trans /= trans.sum(axis=1, keepdims=True)
+        emit = np.array([[0.5, 0.5, 1e-40], [0.4, 0.6, 1e-40], [1e-12, 1e-12, 1.0]])
+        emit /= emit.sum(axis=1, keepdims=True)
+        params = SurrogateParams(trans, emit)
+        batch = [np.array([0, 1, 2, 0, 1]), np.array([1, 0, 0, 1, 1, 0, 2]), np.array([1, 1])]
+        seen, _ = self._compare(monkeypatch, params, batch)
+        right_max = max(args[2].max() for args in seen)
+        assert right_max > messages.SERIES_RIGHT_MAX
+
+    @pytest.mark.parametrize("constant", ["SERIES_BOUND", "SERIES_RIGHT_MAX"])
+    def test_every_cell_exact(self, monkeypatch, constant):
+        # SERIES_BOUND = 0 sends every cell to the exact correction,
+        # SERIES_RIGHT_MAX = 0 every position to the dense path
+        rng = np.random.default_rng(47)
+        monkeypatch.setattr(messages, constant, 0.0)
+        trans, emit = self._sticky_one_hot()
+        self._compare(monkeypatch, SurrogateParams(trans, emit), chain_batch(rng, trans, emit, 6, 25))
+        for _ in range(10):
+            params = random_params(rng, int(rng.integers(1, 6)), 5)
+            self._compare(monkeypatch, params, random_batch(rng, 5, int(rng.integers(1, 6)), 20))
+
+
+class TestTokenStats:
+    def test_bit_identical_to_scatter_add(self, monkeypatch):
+        # by position, in the order np.add.at adds, over a padded multi-slice batch
+        rng = np.random.default_rng(53)
+        params = random_params(rng, 5, 9)
+        batch = random_batch(rng, 9, 14, 30)
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 60)
+        unaries = []
+        series_absence = messages._absence
+
+        def spy(*args):
+            unaries.append(args[3])
+            return series_absence(*args)
+
+        monkeypatch.setattr(messages, "_absence", spy)
+        got = sweep(params, batch, absence=True).token_stats
+        slices = messages._slices(batch, params.vocab_size)
+        assert len(slices) > 2
+        assert any(n_at.min() < tokens.shape[1] for _, tokens, n_at in slices)
+        ref = None
+        for (_, tokens, _), unary in zip(slices, unaries):
+            by_token = np.zeros((params.vocab_size, params.num_states))
+            np.add.at(by_token, tokens.ravel(), unary.reshape(-1, params.num_states))
+            ref = by_token.T if ref is None else ref + by_token.T
+        np.testing.assert_array_equal(got, ref)
