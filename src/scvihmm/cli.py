@@ -38,7 +38,7 @@ from .model_io import (
     save_model,
 )
 
-METRICS_HEADER = ["step", "pass", "seconds", "heldout_ll", "k_effective"]
+METRICS_HEADER = ["step", "pass", "train_seconds", "eval_seconds", "heldout_ll", "k_effective"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,9 +123,10 @@ def append_metrics(path, records):
         if fresh:
             writer.writerow(METRICS_HEADER)
         for m in records:
-            writer.writerow(
-                [m.step, m.pass_index, f"{m.seconds:.6f}", repr(m.heldout_ll), m.k_effective]
-            )
+            writer.writerow([
+                m.step, m.pass_index, f"{m.train_seconds:.6f}", f"{m.eval_seconds:.6f}",
+                repr(m.heldout_ll), m.k_effective,
+            ])
 
 
 def cmd_train(args) -> int:
@@ -162,7 +163,7 @@ def cmd_eval(args) -> int:
     print(f"{ll:.6f}")
     if args.metrics_out:
         seconds = time.perf_counter() - started
-        append_metrics(args.metrics_out, [MetricRecord(0, 0, seconds, ll, k_effective(model))])
+        append_metrics(args.metrics_out, [MetricRecord(0, 0, 0.0, seconds, ll, k_effective(model))])
     return EXIT_OK
 
 

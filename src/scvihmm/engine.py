@@ -224,11 +224,17 @@ def process_minibatch(
 
 @dataclass
 class MetricRecord:
-    """One evaluation point along a training run."""
+    """One evaluation point along a training run.
+
+    ``train_seconds`` is the wall clock since the run started less the time
+    spent at evaluation points; ``eval_seconds`` is the time spent on
+    held-out evaluation, 0 without a held-out set.  Both are cumulative.
+    """
 
     step: int
     pass_index: int
-    seconds: float
+    train_seconds: float
+    eval_seconds: float
     heldout_ll: float
     k_effective: int
 
@@ -328,22 +334,31 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     metrics = []
     step = 0
     start = time.perf_counter()
+    # seconds spent at evaluation points, and on held-out evaluation within them
+    paused = eval_seconds = 0.0
 
     def current_model():
         return TrainedModel(config, stats, mode, corpus.vocab)
 
     def record():
+        nonlocal paused, eval_seconds
+        entered = time.perf_counter()
         model = current_model()
-        ll = predictive_log_likelihood(model, heldout) if heldout is not None else float("nan")
+        ll = float("nan")
+        if heldout is not None:
+            ll = predictive_log_likelihood(model, heldout)
+            eval_seconds += time.perf_counter() - entered
         metrics.append(
             MetricRecord(
                 step,
                 step // batches_per_pass,
-                time.perf_counter() - start,
+                entered - start - paused,
+                eval_seconds,
                 ll,
                 k_effective(model),
             )
         )
+        paused += time.perf_counter() - entered
 
     try:
         record()

@@ -2,23 +2,65 @@
 
 One sweep runs the scaled recursion of Rabiner (1989) over a whole batch
 of sequences against one frozen set of surrogate parameters and returns
-batch sums.  Each forward vector is renormalized and its scale kept, which
-keeps everything in ordinary floating point regardless of sequence length;
-a sequence's log likelihood is the sum of its log scales.  State 0 is the
-start state; it emits nothing, nothing transitions back into it, and its
-outgoing row is used only for the first step of a sequence.
+batch sums.  The forward and backward vectors are renormalized often enough
+to stay in ordinary floating point regardless of sequence length, and a
+sequence's log likelihood is the sum of the log factors divided out.  State
+0 is the start state; it emits nothing, nothing transitions back into it,
+and its outgoing row is used only for the first step of a sequence.
 
 The batch is sorted by length, longest first, and cut into slices whose
 padded size (longest length x sequence count) stays within
 ``SLICE_POSITIONS``.  A slice is laid out time-major; at time t only its
-first n_t sequences are still running, so each step works on a row prefix
-and padded positions stay zero.  The pairwise posteriors are never stored:
-the transition counts are inner * sum_t alpha[t-1]^T right[t], one matrix
-product, with right[t] = obs[t] * beta[t] / scale[t].
+first n_t sequences are still running, so each step works on a row prefix.
+
+Renormalization is lazy.  Write A for ``inner`` (the K x K block of
+``trans`` below the start row), obs_t for the emission column of token x_t,
+and R for ``RENORM_EVERY``.  The forward rows are
+
+    a_1 = trans[0] * obs_1,    a_t = (a_{t-1} A) * obs_t / f_t,
+
+where f_t is the sum of the row before the division at each position t
+with t % R == R - 1 and at the sequence's last position, and f_t = 1
+elsewhere.  A step is then one matrix product into its row and one in-place
+product.  Each a_t is the exact forward message p(x_1..t, z_t) divided by
+f_1 ... f_t, and a_T sums to 1 at the last position T, so log p(x) =
+sum_t log f_t.  A is row-stochastic and obs_t <= 1, so a row only loses
+mass between renormalizations and no entry exceeds 1.  The backward rows
+b_t are proportional to the exact backward messages, with any positive
+factor per position: b_T = 1, b_{t-1} = r_t A^T with r_t = obs_t * b_t,
+divided by its own sum on the same cadence.  ``right`` holds r_t.
+
+The posteriors then follow from whole-array operations.  With
+
+    U_t = sum_k a_tk b_tk,
+
+the unary posterior is a_t * b_t / U_t and the pair posterior is
+
+    xi_tij = a_{t-1,i} A_ij r_tj / (f_t U_t).
+
+The pair term is proportional to a_{t-1,i} A_ij obs_tj b_tj, and its sum
+over i and j is sum_j ((a_{t-1} A) * obs_t)_j b_tj = f_t sum_j a_tj b_tj =
+f_t U_t, which is the normalizer.  So ``right`` is divided by f_t U_t in
+place, and the transition counts are inner * sum_t a[t-1]^T right[t], one
+matrix product; the pairwise posteriors are never stored.  U is inf at
+padded positions, which zeroes ``right`` and ``unary`` there.
+
+A product of R factors can underflow where one factor would not: a token
+with emission 1e-90 under every state, repeated R = 8 times, is 1e-720, so
+its sum reads 0 and its renormalization NaN.  If any f_t or any running
+U_t is not within [``RENORM_FLOOR``, 1 / ``RENORM_FLOOR``] (a NaN is not),
+the slice is swept again by the same code with R = 1, the textbook
+recursion.  The first attempt runs with floating point warnings off.
 
 The hierarchical prior's pair absence sum, sum_t log(1 - p_tij) with pair
 posterior p_tij = alpha[t-1, i] * inner[i, j] * right[t, j], is a power
-series over matrix products in the same way:
+series over matrix products in the same way.  Before it is taken, each
+forward row is divided by its sum S_t and right[t] multiplied by S_{t-1}.
+That leaves every p_tij as it is, makes alpha[t] the normalized forward
+vector (at most 1, as the bounds below need), and gives right[t] the scale
+of the textbook recursion; without it right[t] would carry 1 / S_{t-1},
+up to about 1e22 after 8 positions, and push positions onto the dense path
+below.  Then
 
     sum_t log(1 - p_tij) = -sum_m (inner_ij^m / m) * (sum_t alpha^m[t-1]^T right^m[t])_ij,
 
@@ -35,7 +77,6 @@ forward vectors are at most 1 but right[t] is not bounded, so a position
 whose right[t] exceeds ``SERIES_RIGHT_MAX`` (where right^M could overflow)
 is summed exactly over every cell instead.
 """
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +91,11 @@ SERIES_TERMS = 13
 SERIES_BOUND = 1.0 / 16.0
 # positions with a larger right factor are summed exactly, so right^m stays finite
 SERIES_RIGHT_MAX = 2.0**64
+# positions between renormalizations of the running forward and backward rows
+RENORM_EVERY = 8
+# a slice whose factors or posterior normalizers leave [RENORM_FLOOR, 1 / RENORM_FLOOR]
+# is swept again, renormalizing at every position
+RENORM_FLOOR = 2.0**-700
 
 __all__ = ["SurrogateParams", "BatchSums", "sweep"]
 
@@ -137,23 +183,44 @@ def _slices(batch, vocab_size):
     return slices
 
 
-def _forward(params, tokens, n_at, alpha=None):
-    """T x B scales of the forward recursion over one slice.
+def _forward(params, tokens, n_at, every, alpha=None, obs=None):
+    """T x B factors f_t divided out of the forward rows of one slice.
 
-    Padded positions keep scale 1.  When ``alpha`` (T x B x K, zeros) is
-    given, the normalized forward vectors are written into it.
+    A running row is renormalized at each position t with t % every ==
+    every - 1 and at its last position; every other factor is 1.  With
+    ``alpha`` (T x B x K, zeros) the forward vectors are written into it and
+    ``obs`` (T x B x K) holds the slice's gathered emissions.  Without, the
+    emissions are gathered one block of ``every`` positions at a time and the
+    recursion runs in two B x K buffers, so memory stays O(T x B).
     """
     inner = params.trans[1:]
-    emit_by_token = params.emit.T
     scales = np.ones(tokens.shape)
+    sizes = n_at.tolist()
+    # rows ends[t] .. n_at[t] - 1 have their last position at t
+    ends = sizes[1:] + [0]
+    if alpha is None:
+        buffers = np.empty((2, tokens.shape[1], params.num_states))
     prev = None
-    for t, n in enumerate(n_at):
-        pred = params.trans[0] if t == 0 else prev[:n] @ inner
-        vec = pred * emit_by_token[tokens[t, :n]]
-        scales[t, :n] = vec.sum(axis=1)
-        prev = vec / scales[t, :n, None]
-        if alpha is not None:
-            alpha[t, :n] = prev
+    for t, n in enumerate(sizes):
+        phase = t % every
+        if alpha is None:
+            if phase == 0:
+                block = params.emit.T[tokens[t : t + every]]
+            cur, emit = buffers[t % 2], block[phase]
+        else:
+            cur, emit = alpha[t], obs[t]
+        head = cur[:n]
+        if t:
+            np.dot(prev[:n], inner, out=head)
+            head *= emit[:n]
+        else:
+            np.multiply(params.trans[0], emit[:n], out=head)
+        lo = 0 if phase == every - 1 else ends[t]
+        if lo < n:
+            factor = cur[lo:n].sum(axis=1)
+            cur[lo:n] /= factor[:, None]
+            scales[t, lo:n] = factor
+        prev = cur
     return scales
 
 
@@ -232,37 +299,81 @@ def _absence(inner, alpha, right, unary, running):
     return pair, row
 
 
+def _in_range(x):
+    """Whether every entry lies in [RENORM_FLOOR, 1 / RENORM_FLOOR]; NaN does not."""
+    return bool(np.all((x >= RENORM_FLOOR) & (x <= 1.0 / RENORM_FLOOR)))
+
+
+def _recursion(params, tokens, n_at, stats, every):
+    """(scales, posteriors, ok) of one slice, renormalizing every ``every`` positions.
+
+    ``posteriors`` is None without ``stats``, else (alpha, right, unary,
+    running) as the module docstring defines them.  ``ok`` is false when a
+    factor or a running normalizer left [RENORM_FLOOR, 1 / RENORM_FLOOR],
+    which a run with ``every`` = 1 does not check.
+    """
+    if not stats:
+        scales = _forward(params, tokens, n_at, every)
+        return scales, None, every == 1 or _in_range(scales)
+    T, B = tokens.shape
+    inner = params.trans[1:]
+    # the gathered emissions obs_t; the backward sweep makes each row r_t = obs_t * b_t
+    right = params.emit.T[tokens]
+    alpha = np.zeros(right.shape)
+    scales = _forward(params, tokens, n_at, every, alpha, right)
+    running = np.arange(B) < n_at[:, None]
+    beta = np.zeros(right.shape)
+    beta[running.sum(axis=0) - 1, np.arange(B)] = 1.0
+    inner_t = inner.T
+    for t, n in zip(range(T - 1, 0, -1), n_at[:0:-1].tolist()):
+        below = beta[t - 1, :n]
+        np.dot(right[t, :n], inner_t, out=below)
+        if (t - 1) % every == every - 1:
+            below /= below.sum(axis=1)[:, None]
+        right[t - 1, :n] *= below
+    unary = np.multiply(alpha, beta, out=beta)
+    norm = unary.sum(axis=2)
+    ok = every == 1 or (_in_range(scales) and _in_range(norm[running]))
+    # a padded position divides by inf, which zeroes its unary and right rows
+    norm[~running] = np.inf
+    unary /= norm[..., None]
+    right /= (scales * norm)[..., None]
+    return scales, (alpha, right, unary, running), ok
+
+
 def _slice_sums(params, tokens, n_at, stats, absence):
     """Per-sequence log likelihoods of one slice and, if asked, its sums."""
+    with np.errstate(all="ignore"):
+        scales, posteriors, ok = _recursion(params, tokens, n_at, stats, RENORM_EVERY)
+    if not ok:
+        scales, posteriors, _ = _recursion(params, tokens, n_at, stats, 1)
+    loglik = np.log(scales).sum(axis=0)
     if not stats:
-        return np.log(_forward(params, tokens, n_at)).sum(axis=0), ()
-    T, B = tokens.shape
+        return loglik, ()
+    alpha, right, unary, running = posteriors
     K = params.num_states
     inner = params.trans[1:]
-    emit_by_token = params.emit.T
-    alpha = np.zeros((T, B, K))
-    scales = _forward(params, tokens, n_at, alpha)
-    beta = np.ones((T, B, K))
-    right = np.zeros((T, B, K))
-    for t in range(T - 1, 0, -1):
-        n = n_at[t]
-        right[t, :n] = emit_by_token[tokens[t, :n]] * beta[t, :n] / scales[t, :n, None]
-        beta[t - 1, :n] = right[t, :n] @ inner.T
-    unary = np.multiply(alpha, beta, out=beta)  # zero at padded positions, as alpha is
     counts = np.empty((K + 1, K))
     counts[0] = unary[0].sum(axis=0)
     counts[1:] = inner * (alpha[:-1].reshape(-1, K).T @ right[1:].reshape(-1, K))
-    flat_tokens = tokens.ravel()
+    # padded weights are +0.0, so leaving them out of the sums changes no bit
+    on = np.flatnonzero(running)
+    on_tokens = tokens.ravel()[on]
     weights = unary.reshape(-1, K)
     by_token = [
-        np.bincount(flat_tokens, weights=weights[:, k], minlength=params.vocab_size)
+        np.bincount(on_tokens, weights=weights[:, k].take(on), minlength=params.vocab_size)
         for k in range(K)
     ]
     sums = (counts, np.stack(by_token))
     if absence:
-        running = np.arange(B)[None, :] < n_at[:, None]
+        # forward rows summing to 1 keep the series in its range; right takes
+        # the factor so that every pair posterior stays as it is
+        row_sums = alpha.sum(axis=2)
+        row_sums[~running] = 1.0
+        alpha /= row_sums[..., None]
+        right[1:] *= row_sums[:-1, :, None]
         sums += _absence(inner, alpha, right, unary, running)
-    return np.log(scales).sum(axis=0), sums
+    return loglik, sums
 
 
 def sweep(params: SurrogateParams, batch, stats=True, absence=False, pool=None) -> BatchSums:

@@ -569,21 +569,22 @@ def check_metrics_rows_parse(n=100, tmp_dir=None):
     base = Path(tmp_dir) if tmp_dir else Path(tempfile.mkdtemp(prefix="inv_csv_"))
     path = base / "metrics.csv"
     records = []
-    clock = 0.0
+    train_clock = eval_clock = 0.0
     for i in range(n):
-        clock += float(rng.uniform(0.0, 2.0))
+        train_clock += float(rng.uniform(0.0, 2.0))
+        eval_clock += float(rng.uniform(0.0, 0.5))
         ll = float(rng.normal(-3.0, 1.0)) if rng.random() < 0.9 else float("nan")
-        records.append(MetricRecord(i, i // 7, clock, ll, int(rng.integers(1, 50))))
+        records.append(MetricRecord(i, i // 7, train_clock, eval_clock, ll, int(rng.integers(1, 50))))
     append_metrics(path, records)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == METRICS_HEADER
     assert len(rows) == n + 1
-    seconds = []
     for row in rows[1:]:
-        int(row[0]); int(row[1]); float(row[3]); int(row[4])
-        seconds.append(float(row[2]))
-    assert all(b >= a for a, b in zip(seconds, seconds[1:]))
+        int(row[0]); int(row[1]); float(row[4]); int(row[5])
+    for col in (2, 3):
+        seconds = [float(row[col]) for row in rows[1:]]
+        assert all(b >= a for a, b in zip(seconds, seconds[1:]))
     return f"{n} metric rows"
 
 

@@ -48,7 +48,7 @@ def parse_metrics(path):
         rows = list(csv.reader(fh))
     assert rows[0] == METRICS_HEADER
     return [
-        (int(r[0]), int(r[1]), float(r[2]), float(r[3]), int(r[4]))
+        (int(r[0]), int(r[1]), float(r[2]), float(r[3]), float(r[4]), int(r[5]))
         for r in rows[1:]
     ]
 
@@ -98,9 +98,11 @@ class TestTrain:
         assert code == 0
         rows = parse_metrics(metrics_out)
         assert len(rows) >= 2
-        seconds = [r[2] for r in rows]
-        assert all(b >= a for a, b in zip(seconds, seconds[1:]))
-        assert all(math.isfinite(r[3]) for r in rows)
+        for col in (2, 3):
+            seconds = [r[col] for r in rows]
+            assert all(b >= a for a, b in zip(seconds, seconds[1:]))
+        assert rows[-1][3] > 0.0
+        assert all(math.isfinite(r[4]) for r in rows)
         assert model_out.exists()
 
     def test_zero_passes_only_initialization(self, tmp_path):
@@ -143,7 +145,7 @@ class TestTrain:
             ])
             assert code == 0
             outs.append([
-                (r[0], r[1], r[3], r[4]) for r in parse_metrics(out)
+                (r[0], r[1], r[4], r[5]) for r in parse_metrics(out)
             ])
         assert outs[0] == outs[1]
 
@@ -256,7 +258,8 @@ class TestEval:
         printed = float(capsys.readouterr().out.strip())
         rows = parse_metrics(out)
         assert len(rows) == 1
-        assert abs(rows[0][3] - printed) < 1e-6
+        assert rows[0][2] == 0.0 and rows[0][3] > 0.0
+        assert abs(rows[0][4] - printed) < 1e-6
 
     @pytest.mark.parametrize("case", sorted(TAMPERED_HEADERS))
     def test_header_contradicting_config_exit_code(self, tmp_path, capsys, case):

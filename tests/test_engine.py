@@ -389,8 +389,22 @@ class TestTrain:
         _, metrics = train(corpus, config, heldout=corpus)
         assert [m.step for m in metrics] == [0, 2, 4]
         assert [m.pass_index for m in metrics] == [0, 1, 2]
-        seconds = [m.seconds for m in metrics]
-        assert all(b >= a for a, b in zip(seconds, seconds[1:]))
+        for field in ("train_seconds", "eval_seconds"):
+            seconds = [getattr(m, field) for m in metrics]
+            assert all(b >= a for a, b in zip(seconds, seconds[1:]))
+        assert metrics[-1].eval_seconds > 0.0
+
+    def test_eval_clock_is_zero_without_heldout(self):
+        rng = np.random.default_rng(42)
+        corpus = tiny_corpus(rng, n_seqs=10)
+        config = RunConfig(
+            algorithm="scvi-hmm", num_states=2, minibatch_size=5,
+            large_batch_size=5, passes=2, seed=0,
+        )
+        _, metrics = train(corpus, config)
+        assert [m.eval_seconds for m in metrics] == [0.0, 0.0, 0.0]
+        seconds = [m.train_seconds for m in metrics]
+        assert seconds[0] >= 0.0 and all(b >= a for a, b in zip(seconds, seconds[1:]))
 
     def test_eval_every_steps_cadence(self):
         rng = np.random.default_rng(50)

@@ -23,14 +23,14 @@ GOLDEN = {
     "scvi-hmm": dict(
         heldout_ll="-3.0314969633474163",
         k_effective=6,
-        trans_sha256="010273e97621166a57abe874062fbf4fdb9d465853f5757efa4dee61b93143b9",
-        emit_sha256="4e7d6b24f45815fe8c19304b0a5a01a1fcc71017dd9678100ce719325f0733ef",
+        trans_sha256="75cf098a493a20f4876aab56e018d82e86687121d9e8e985745140481034d1aa",
+        emit_sha256="6c342288a33b449463b0b49d80626e1597a2dc0102258937e0b3a1d5efd5c6ff",
     ),
     "scvi-hdphmm": dict(
-        heldout_ll="-3.0326623701133877",
+        heldout_ll="-3.0326623701133886",
         k_effective=6,
-        trans_sha256="5855aa387fca8713220b34a640d5a2c05afda1bb5cb2c8ce368ddbbf64bf3279",
-        emit_sha256="9df5fa2d3749a43bf8a99512d9b0e285c0c6a4e7ce3ec66615131d7a2bf9010c",
+        trans_sha256="151fc282c604f7a3ab4d9e7b9731d1b05282cea313293110caad0c4aafb3befe",
+        emit_sha256="e5d0ad3e8d8edb32cec1e07b4662b8ed404f025d2cc26f0ff1adc91a560ff6e7",
     ),
     "svi-hmm": dict(heldout_ll="-3.0273708479871546", k_effective=6),
 }

@@ -1,6 +1,8 @@
 """Checks for the batched forward-backward sweep."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -374,3 +376,97 @@ class TestTokenStats:
             np.add.at(by_token, tokens.ravel(), unary.reshape(-1, params.num_states))
             ref = by_token.T if ref is None else ref + by_token.T
         np.testing.assert_array_equal(got, ref)
+
+
+class TestLazyRenormalization:
+    """The forward and backward rows renormalized every ``RENORM_EVERY`` positions."""
+
+    CADENCES = (1, 2, 3, 7, 2**20)
+
+    def _case(self):
+        # lengths that end inside a block, a length-1 sequence, and several slices
+        rng = np.random.default_rng(61)
+        params = random_params(rng, 4, 7)
+        lengths = [1, 2, 5, 8, 9, 13, 17, 22, 30, 31]
+        return params, [rng.integers(0, 7, n) for n in lengths]
+
+    def test_cadences_agree_with_each_other_and_the_oracle(self, monkeypatch):
+        params, batch = self._case()
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 64)
+        assert len(messages._slices(batch, params.vocab_size)) >= 3
+        counts, tokens, loglik = batch_sums(log_forward_backward, params.trans, params.emit, batch)
+        logliks = np.array([log_space_loglik(params.trans, params.emit, seq) for seq in batch])
+        runs = []
+        for every in self.CADENCES:
+            monkeypatch.setattr(messages, "RENORM_EVERY", every)
+            runs.append(sweep(params, batch, absence=True))
+        for got in runs:
+            np.testing.assert_allclose(got.loglik, logliks, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got.loglik, loglik, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got.counts, counts, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got.token_stats, tokens, rtol=1e-12, atol=0)
+            for field in ("loglik", "counts", "token_stats", "absence_pair", "absence_row"):
+                ref = getattr(runs[0], field)
+                np.testing.assert_array_equal(np.isneginf(getattr(got, field)), np.isneginf(ref))
+                finite = np.isfinite(ref)
+                np.testing.assert_allclose(getattr(got, field)[finite], ref[finite], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("every", CADENCES + (messages.RENORM_EVERY,))
+    def test_forward_only_is_bit_identical_to_the_full_sweep(self, monkeypatch, every):
+        params, batch = self._case()
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 64)
+        monkeypatch.setattr(messages, "RENORM_EVERY", every)
+        full = sweep(params, batch, absence=True).loglik
+        np.testing.assert_array_equal(sweep(params, batch, stats=False).loglik, full)
+
+    def _rare_token_case(self):
+        # token 0 has emission 1e-90 under every state, so 8 of them in a row
+        # multiply to 1e-720, past the smallest double
+        emit = np.array([[1e-90, 0.5, 0.5], [1e-90, 0.2, 0.8]])
+        emit[:, 1:] *= (1.0 - 1e-90) / emit[:, 1:].sum(axis=1, keepdims=True)
+        trans = np.array([[0.6, 0.4], [0.7, 0.3], [0.2, 0.8]])
+        params = SurrogateParams(trans, emit)
+        return params, [np.zeros(20, dtype=int), np.array([1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1]), np.array([2])]
+
+    @pytest.mark.parametrize("stats", [False, True])
+    def test_underflow_retries_at_every_position(self, monkeypatch, stats):
+        params, batch = self._rare_token_case()
+        seen = []
+        recursion = messages._recursion
+
+        def spy(*args):
+            out = recursion(*args)
+            seen.append((args[-1], out[2]))
+            return out
+
+        monkeypatch.setattr(messages, "_recursion", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sweep(params, batch, stats=stats)
+        assert seen == [(messages.RENORM_EVERY, False), (1, True)]
+        logliks = [log_space_loglik(params.trans, params.emit, seq) for seq in batch]
+        np.testing.assert_allclose(got.loglik, logliks, rtol=1e-12, atol=0)
+        if stats:
+            counts, tokens, _ = batch_sums(log_forward_backward, params.trans, params.emit, batch)
+            np.testing.assert_allclose(got.counts, counts, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got.token_stats, tokens, rtol=1e-12, atol=0)
+
+    def test_nan_fails_the_range_check(self):
+        assert not messages._in_range(np.array([1.0, np.nan]))
+        assert not messages._in_range(np.array([0.0, 1.0]))
+        assert not messages._in_range(np.array([np.inf]))
+        assert messages._in_range(np.array([messages.RENORM_FLOOR, 1.0]))
+
+    def test_forward_only_memory_stays_per_block(self):
+        # 5 chains x 6000 tokens at K = 45: gathering the slice's emissions
+        # whole would take 5 * 6000 * 45 * 8 bytes = 10.8 MB
+        rng = np.random.default_rng(67)
+        params = random_params(rng, 45, 500)
+        batch = [rng.integers(0, 500, 6000) for _ in range(5)]
+        tracemalloc.start()
+        try:
+            sweep(params, batch, stats=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
