@@ -116,8 +116,26 @@ def _train_fraction(args) -> float:
     return 1.0 - args.heldout_fraction
 
 
+def has_metrics_header(path) -> bool:
+    """Whether ``path`` already starts with ``METRICS_HEADER``; False if absent or empty.
+
+    A non-empty file under any other header raises ``ValueError``: rows
+    appended to it would not match its columns.
+    """
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return False
+    with open(path, encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), [])
+    if header != METRICS_HEADER:
+        raise ValueError(
+            f"metrics file {path} has header {','.join(header)!r}, "
+            f"expected {','.join(METRICS_HEADER)!r}"
+        )
+    return True
+
+
 def append_metrics(path, records):
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    fresh = not has_metrics_header(path)
     with open(path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if fresh:
@@ -131,6 +149,10 @@ def append_metrics(path, records):
 
 def cmd_train(args) -> int:
     config = build_config(args)
+    if args.heldout and args.heldout_fraction is not None:
+        raise ConfigError("--heldout and --heldout-fraction both set; give one")
+    if args.metrics_out:
+        has_metrics_header(args.metrics_out)
     vocab = Vocabulary.load(args.vocab) if args.vocab else None
     corpus = load_corpus(args.corpus, vocab=vocab)
     heldout = None
@@ -147,6 +169,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.metrics_out:
+        has_metrics_header(args.metrics_out)
     model = load_model(args.model)
     if args.vocab:
         vocab = Vocabulary.load(args.vocab)

@@ -7,11 +7,13 @@ running expectations with step size rho_n = (1+n)^(-kappa).  The step
 count n is the only schedule state: ``train`` keeps it and passes rho in.
 All three algorithms keep the same statistics and take the same step; they
 differ only in the mode the surrogate is built from (see
-``initial_mode``).  In hierarchical mode the stick posterior is refreshed
-once per large batch from table-count estimates whose inputs (the
-transition counts and absence sums of ``messages.sweep``) are summed over
-the large batch's sequences, with the same schedule over the count of large
-batches; the other modes simply have no large-batch level.
+``initial_mode``).  The step is pure: it returns the new statistics and the
+batch sums, which carry the absence sums exactly when the mode is an
+``HdpPosterior``.  In that hierarchical mode ``train`` sums the transition
+counts and absence sums over a large batch's sequences and refreshes the
+stick posterior once per large batch from the table-count estimates of
+their means, with the same schedule over the count of large batches; the
+other modes simply have no large-batch level.
 
 The sweep cuts a minibatch into length slices that are independent given
 the frozen snapshot, so a thread pool may sweep them; their sums are
@@ -42,7 +44,6 @@ __all__ = [
     "NumericalError",
     "GlobalStats",
     "FiniteMode",
-    "HdpMode",
     "SviMode",
     "MetricRecord",
     "TrainedModel",
@@ -108,13 +109,6 @@ class FiniteMode:
 
 
 @dataclass(frozen=True)
-class HdpMode:
-    """Hierarchical prior; the posterior is replaced wholesale on update."""
-
-    hdp: HdpPosterior
-
-
-@dataclass(frozen=True)
 class SviMode:
     """Uncollapsed baseline: geometric rows of the Dirichlet parameters prior + counts."""
 
@@ -141,7 +135,7 @@ def initial_mode(config: RunConfig):
     if config.algorithm == "scvi-hmm":
         return FiniteMode(config.trans_prior)
     if config.algorithm == "scvi-hdphmm":
-        return HdpMode(HdpPosterior.initial(config.num_states, *_concentration_priors(config)))
+        return HdpPosterior.initial(config.num_states, *_concentration_priors(config))
     if config.algorithm == "svi-hmm":
         return SviMode(config.trans_prior)
     raise ValueError(f"unknown algorithm {config.algorithm!r}")
@@ -177,8 +171,8 @@ def build_surrogate(stats: GlobalStats, mode, prior: EmissionPrior) -> Surrogate
         )
     if isinstance(mode, FiniteMode):
         prior_term = np.full(stats.trans_counts.shape[1], mode.prior_count)
-    elif isinstance(mode, HdpMode):
-        prior_term = mode.hdp.geo_alpha_pi
+    elif isinstance(mode, HdpPosterior):
+        prior_term = mode.geo_alpha_pi
     else:
         raise TypeError(f"unknown model mode {type(mode).__name__}")
     unnorm = prior_term[None, :] + stats.trans_counts
@@ -194,32 +188,26 @@ def process_minibatch(
     mode,
     prior: EmissionPrior,
     corpus_size: int,
-    hdp_sums=None,
     pool: ThreadPoolExecutor = None,
-) -> GlobalStats:
-    """One stochastic update of the global statistics.
+):
+    """One stochastic update of the global statistics; modifies no argument.
 
     Freezes the surrogate, sweeps the batch, then blends
     (1-rho) * old + rho * (N/M) * batch sums, where N is the corpus
-    sequence count and M the batch's actual size, and returns the blend
-    as new statistics.  When ``hdp_sums`` (the transition counts, pair
-    absence and row absence arrays of a large batch) is given, the
-    batch's sums are added into it in place.
+    sequence count and M the batch's actual size.  Returns the blend as new
+    ``GlobalStats`` and the batch's ``BatchSums``, whose absence sums are
+    computed exactly when ``mode`` is an ``HdpPosterior``.
     """
     params = build_surrogate(stats, mode, prior)
-    sums = sweep(params, batch, absence=hdp_sums is not None, pool=pool)
+    sums = sweep(params, batch, absence=isinstance(mode, HdpPosterior), pool=pool)
     if not (np.all(np.isfinite(sums.counts)) and np.all(np.isfinite(sums.token_stats))):
         bad = np.flatnonzero(~np.isfinite(sums.loglik))
         where = f"sequence at batch position {bad[0]}" if bad.size else "minibatch"
         raise NumericalError(f"non-finite local statistics for {where}")
-    if hdp_sums is not None:
-        for total, part in zip(hdp_sums, (sums.counts, sums.absence_pair, sums.absence_row)):
-            total += part
-
     scale = corpus_size / len(batch)
     new_counts = (1.0 - rho) * stats.trans_counts + rho * scale * sums.counts
     new_tokens = (1.0 - rho) * stats.token_stats + rho * scale * sums.token_stats
-    return GlobalStats(new_counts, new_tokens)
+    return GlobalStats(new_counts, new_tokens), sums
 
 
 @dataclass
@@ -307,24 +295,16 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     step takes rho_n, and the n-th large-batch HDP update takes rho_n too.
     """
     config.validate()
-    num_states = config.num_states
     vocab_size = len(corpus.vocab)
     corpus_size = len(corpus)
     emit_prior = EmissionPrior.symmetric(config.emit_prior, vocab_size)
     alpha_prior, gamma_prior = _concentration_priors(config)
 
-    stats = initialize_stats(num_states, vocab_size, corpus.counts, config.seed + 1)
+    stats = initialize_stats(config.num_states, vocab_size, corpus.counts, config.seed + 1)
     mode = initial_mode(config)
-    is_hdp = isinstance(mode, HdpMode)
     steps_per_large = math.ceil(config.large_batch_size / config.minibatch_size)
-
-    def empty_hdp_sums():
-        return (np.zeros((num_states + 1, num_states)),
-                np.zeros((num_states + 1, num_states)),
-                np.zeros(num_states + 1))
-
-    hdp_sums = empty_hdp_sums() if is_hdp else None
-    hdp_seqs = 0
+    # the large batch's summed (counts, absence_pair, absence_row) and its sequence count
+    large_sums, large_seqs = (0.0, 0.0, 0.0), 0
 
     stream = batch_stream(corpus, config)
     batches_per_pass = max(1, math.ceil(corpus_size / config.minibatch_size))
@@ -370,19 +350,22 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
             batch = [corpus.sequences[i] for i in next(stream)]
             rho = step_size(step, config.kappa)
             try:
-                stats = process_minibatch(
-                    stats, batch, rho, mode, emit_prior, corpus_size, hdp_sums, pool
+                stats, sums = process_minibatch(
+                    stats, batch, rho, mode, emit_prior, corpus_size, pool
                 )
             except NumericalError as exc:
                 raise NumericalError(f"{exc} (step {step})") from None
             step += 1
-            hdp_seqs += len(batch)
-            if is_hdp and step % steps_per_large == 0:
-                means = [total / hdp_seqs for total in hdp_sums]
-                tables = tables_from_aggregates(*means, corpus_size, mode.hdp)
-                hdp_rho = step_size(step // steps_per_large - 1, config.kappa)
-                mode = HdpMode(update_hdp(mode.hdp, tables, hdp_rho, alpha_prior, gamma_prior))
-                hdp_sums, hdp_seqs = empty_hdp_sums(), 0
+            if isinstance(mode, HdpPosterior):
+                parts = (sums.counts, sums.absence_pair, sums.absence_row)
+                large_sums = [total + part for total, part in zip(large_sums, parts)]
+                large_seqs += len(batch)
+                if step % steps_per_large == 0:
+                    means = [total / large_seqs for total in large_sums]
+                    tables = tables_from_aggregates(*means, corpus_size, mode)
+                    hdp_rho = step_size(step // steps_per_large - 1, config.kappa)
+                    mode = update_hdp(mode, tables, hdp_rho, alpha_prior, gamma_prior)
+                    large_sums, large_seqs = (0.0, 0.0, 0.0), 0
             due_pass = step % batches_per_pass == 0
             due_interval = (
                 config.eval_every_steps is not None

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import RunConfig
 from .corpus import Vocabulary
-from .engine import GlobalStats, HdpMode, TrainedModel, initial_mode
+from .engine import GlobalStats, TrainedModel, initial_mode
 from .hdp import HdpPosterior
 from .special import BetaParams, GammaParams
 
@@ -80,8 +80,8 @@ def _gather_arrays(model: TrainedModel) -> dict:
         "trans_counts": model.stats.trans_counts,
         "token_stats": model.stats.token_stats,
     }
-    if isinstance(model.mode, HdpMode):
-        post = model.mode.hdp
+    if isinstance(model.mode, HdpPosterior):
+        post = model.mode
         arrays.update(
             stick_u=np.asarray(post.sticks.u, float),
             stick_v=np.asarray(post.sticks.v, float),
@@ -106,7 +106,7 @@ def save_model(model: TrainedModel, path):
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     parts.append(struct.pack("<I", len(header_bytes)))
     parts.append(header_bytes)
-    shapes = _matrix_shapes(model.num_states, model.vocab_size, isinstance(model.mode, HdpMode))
+    shapes = _matrix_shapes(model.num_states, model.vocab_size, isinstance(model.mode, HdpPosterior))
     for name, shape in shapes:
         arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         if arr.shape != shape:
@@ -152,7 +152,7 @@ def load_model(path) -> TrainedModel:
         isinstance(vocab_words, list) and all(isinstance(w, str) for w in vocab_words)
     ):
         raise ModelFormatError("header vocab_words is not a list of strings")
-    is_hdp = isinstance(mode, HdpMode)
+    is_hdp = isinstance(mode, HdpPosterior)
     shapes = _matrix_shapes(config.num_states, vocab_size, is_hdp)
     body_len = sum(8 * int(np.prod(shape)) for _, shape in shapes)
     expected = body_start + body_len + 32
@@ -182,12 +182,12 @@ def load_model(path) -> TrainedModel:
         stats = GlobalStats(arrays["trans_counts"], arrays["token_stats"])
         if is_hdp:
             a_al, b_al, a_ga, b_ga = arrays["concentrations"]
-            mode = HdpMode(HdpPosterior(
+            mode = HdpPosterior(
                 BetaParams(arrays["stick_u"], arrays["stick_v"]),
                 GammaParams(float(a_al), float(b_al)),
                 GammaParams(float(a_ga), float(b_ga)),
                 arrays["geo_alpha_pi"],
-            ))
+            )
         return TrainedModel(config, stats, mode, vocab)
     except ValueError as exc:
         raise ModelFormatError(f"invalid checkpoint contents: {exc}") from None

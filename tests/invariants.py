@@ -25,7 +25,6 @@ from scvihmm.emissions import EmissionPrior, surrogate_emission_matrix
 from scvihmm.engine import (
     FiniteMode,
     GlobalStats,
-    HdpMode,
     SviMode,
     TrainedModel,
     batch_stream,
@@ -240,7 +239,7 @@ def check_stats_nonnegative_finite(n=100):
     rng = np.random.default_rng(41)
     for _ in range(n):
         corpus, stats, prior, rho = _random_minibatch_setup(rng)
-        out = process_minibatch(stats, corpus.sequences, rho, FiniteMode(0.1),
+        out, _ = process_minibatch(stats, corpus.sequences, rho, FiniteMode(0.1),
                                 prior, len(corpus))
         assert np.all(out.trans_counts >= 0) and np.all(np.isfinite(out.trans_counts))
         assert np.all(out.token_stats >= 0)
@@ -254,7 +253,7 @@ def check_convex_total_mass(n=100):
         corpus, stats, prior, rho = _random_minibatch_setup(rng)
         m = int(rng.integers(1, len(corpus) + 1))
         batch = corpus.sequences[:m]
-        out = process_minibatch(stats, batch, rho, FiniteMode(0.1), prior, len(corpus))
+        out, _ = process_minibatch(stats, batch, rho, FiniteMode(0.1), prior, len(corpus))
         mean_tokens = sum(len(s) for s in batch) / m
         expected = (1 - rho) * stats.trans_counts.sum() + rho * len(corpus) * mean_tokens
         assert abs(out.trans_counts.sum() - expected) <= 1e-8 * max(expected, 1.0)
@@ -265,13 +264,13 @@ def check_minibatch_order_invariance(n=100):
     rng = np.random.default_rng(43)
     for _ in range(n):
         corpus, stats, prior, rho = _random_minibatch_setup(rng)
-        a = process_minibatch(stats, corpus.sequences, rho,
+        a, _ = process_minibatch(stats, corpus.sequences, rho,
                               FiniteMode(0.1), prior, len(corpus))
-        b = process_minibatch(stats, corpus.sequences, rho,
+        b, _ = process_minibatch(stats, corpus.sequences, rho,
                               FiniteMode(0.1), prior, len(corpus))
         assert np.array_equal(a.trans_counts, b.trans_counts)
         assert np.array_equal(a.token_stats, b.token_stats)
-        c = process_minibatch(stats, corpus.sequences[::-1], rho,
+        c, _ = process_minibatch(stats, corpus.sequences[::-1], rho,
                               FiniteMode(0.1), prior, len(corpus))
         assert np.allclose(c.trans_counts, a.trans_counts, rtol=1e-9, atol=1e-12)
     return f"{n} repeat/reversed minibatches"
@@ -414,12 +413,12 @@ def check_rows_stay_above_prior(n=100):
         seqs = [rng.integers(0, v, rng.integers(2, 9)) for _ in range(3)]
         # rho = 1 wipes the old counts, so a word absent from the batch sits
         # exactly on 0; every later step is a strict convex blend
-        first = process_minibatch(stats, seqs, 1.0, SviMode(0.1), prior, 6)
+        first, _ = process_minibatch(stats, seqs, 1.0, SviMode(0.1), prior, 6)
         assert np.all(first.trans_counts >= 0.0)
         assert np.all(first.token_stats >= 0.0)
         kappa = float(rng.uniform(0.5, 1.0))
         rho = step_size(int(rng.integers(1, 10)), kappa)
-        stepped = process_minibatch(stats, seqs, rho, SviMode(0.1), prior, 6)
+        stepped, _ = process_minibatch(stats, seqs, rho, SviMode(0.1), prior, 6)
         assert np.all(stepped.trans_counts > 0.0)
         assert np.all(stepped.token_stats > 0.0)
     return f"{n} natural-gradient steps"
@@ -534,11 +533,11 @@ def check_model_round_trip_persistence(n=100, tmp_dir=None):
         emit = rng.uniform(0.0, 5.0, (k, v))
         stats = GlobalStats(rng.uniform(0.0, 5.0, (k + 1, k)), emit)
         if algo == "scvi-hdphmm":
-            mode = HdpMode(HdpPosterior(
+            mode = HdpPosterior(
                 BetaParams(rng.uniform(0.5, 3.0, k), rng.uniform(1.0, 12.0, k)),
                 GammaParams(1.0, 0.1), GammaParams(2.0, 0.3),
                 rng.uniform(0.01, 1.0, k),
-            ))
+            )
         elif algo == "svi-hmm":
             mode = SviMode(0.1)
         else:

@@ -107,7 +107,7 @@ def test_single_sequence_full_step_reaches_batch_fixed_point():
     current = stats
     for _ in range(60):
         # a blend weight of 1 replaces the statistics with the batch estimate
-        current = process_minibatch(
+        current, _ = process_minibatch(
             current, [seq], 1.0, FiniteMode(0.1),
             EmissionPrior.symmetric(0.1, vocab_size), 1,
         )

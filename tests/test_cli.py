@@ -165,6 +165,51 @@ class TestTrain:
         with open(out, encoding="utf-8") as fh:
             assert fh.read().count("step,pass") == 1
 
+    def test_metrics_file_under_other_header_left_alone(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        sample_corpus(corpus)
+        out = tmp_path / "metrics.csv"
+        old = b"step,pass,seconds,heldout_ll,k_effective\r\n0,0,0.000000,-2.0,3\r\n"
+        out.write_bytes(old)
+        model_out = tmp_path / "model.bin"
+        code = main([
+            "train", str(corpus), "--states", "2", "--minibatch", "10",
+            "--large-batch", "10", "--passes", "1", "--heldout-fraction", "0.2",
+            "--metrics-out", str(out), "--model-out", str(model_out),
+        ])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(out) in err and "step,pass,seconds" in err and ",".join(METRICS_HEADER) in err
+        assert out.read_bytes() == old
+        assert not model_out.exists()
+
+    def test_metrics_file_under_matching_header_appends(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        sample_corpus(corpus)
+        out = tmp_path / "metrics.csv"
+        out.write_text(",".join(METRICS_HEADER) + "\r\n", encoding="utf-8")
+        code = main([
+            "train", str(corpus), "--states", "2", "--minibatch", "10",
+            "--large-batch", "10", "--passes", "1", "--heldout-fraction", "0.2",
+            "--metrics-out", str(out),
+        ])
+        assert code == 0
+        assert len(parse_metrics(out)) == 2
+        assert out.read_text(encoding="utf-8").count("step,pass") == 1
+
+    def test_heldout_file_and_fraction_conflict(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        sample_corpus(corpus)
+        model_out = tmp_path / "model.bin"
+        code = main([
+            "train", str(corpus), "--passes", "0", "--heldout", str(corpus),
+            "--heldout-fraction", "0.2", "--model-out", str(model_out),
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--heldout " in err and "--heldout-fraction" in err
+        assert not model_out.exists()
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         sample_corpus(corpus)
@@ -260,6 +305,16 @@ class TestEval:
         assert len(rows) == 1
         assert rows[0][2] == 0.0 and rows[0][3] > 0.0
         assert abs(rows[0][4] - printed) < 1e-6
+
+    def test_eval_metrics_file_under_other_header_left_alone(self, tmp_path, capsys):
+        corpus, model_out = self._train_model(tmp_path)
+        out = tmp_path / "eval.csv"
+        old = b"step,pass,seconds,heldout_ll,k_effective\r\n"
+        out.write_bytes(old)
+        assert main(["eval", str(model_out), str(corpus), "--metrics-out", str(out)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(out) in captured.err
+        assert out.read_bytes() == old
 
     @pytest.mark.parametrize("case", sorted(TAMPERED_HEADERS))
     def test_header_contradicting_config_exit_code(self, tmp_path, capsys, case):

@@ -14,7 +14,6 @@ from scvihmm.emissions import EmissionPrior
 from scvihmm.engine import (
     FiniteMode,
     GlobalStats,
-    HdpMode,
     NumericalError,
     SviMode,
     TrainedModel,
@@ -28,8 +27,9 @@ from scvihmm.engine import (
     step_size,
     train,
 )
-from scvihmm.hdp import HdpPosterior, update_hdp
+from scvihmm.hdp import HdpPosterior, tables_from_aggregates, update_hdp
 from scvihmm.messages import SurrogateParams, sweep
+from scvihmm.special import BetaParams, GammaParams
 
 
 def nan_sweep(position):
@@ -51,6 +51,16 @@ def tiny_corpus(rng, n_seqs=12, vocab_size=5, max_len=9):
         for _ in range(n_seqs)
     ]
     return Corpus.from_sequences(seqs, vocab)
+
+
+def mode_bytes(mode):
+    """The bytes of every array and number a mode holds."""
+    if isinstance(mode, HdpPosterior):
+        parts = (mode.sticks.u, mode.sticks.v, mode.geo_alpha_pi,
+                 [mode.alpha.a, mode.alpha.b, mode.gamma.a, mode.gamma.b])
+    else:
+        parts = ([mode.prior_count],)
+    return [np.asarray(part, dtype=float).tobytes() for part in parts]
 
 
 class TestSchedule:
@@ -96,7 +106,7 @@ class TestBuildSurrogate:
 
     def test_zero_stats_hdp_startup_uniform(self):
         stats = GlobalStats(np.zeros((5, 4)), np.zeros((4, 3)))
-        mode = HdpMode(HdpPosterior.initial(4))
+        mode = HdpPosterior.initial(4)
         params = build_surrogate(stats, mode, EmissionPrior.symmetric(0.1, 3))
         np.testing.assert_allclose(params.trans, 0.25, atol=1e-15)
 
@@ -135,7 +145,7 @@ class TestProcessMinibatch:
         params = build_surrogate(stats, FiniteMode(0.1), prior)
         sums = sweep(params, batch)
         scale = len(corpus) / len(batch)
-        out = process_minibatch(stats, batch, 1.0, FiniteMode(0.1), prior, len(corpus))
+        out, _ = process_minibatch(stats, batch, 1.0, FiniteMode(0.1), prior, len(corpus))
         np.testing.assert_array_equal(out.trans_counts, scale * sums.counts)
         np.testing.assert_array_equal(out.token_stats, scale * sums.token_stats)
         # and those sums are the log-space posteriors' sums
@@ -146,10 +156,43 @@ class TestProcessMinibatch:
         np.testing.assert_array_equal(stats.trans_counts, before[0])
         np.testing.assert_array_equal(stats.token_stats, before[1])
 
+    @pytest.mark.parametrize("mode", [
+        FiniteMode(0.1),
+        SviMode(0.1),
+        HdpPosterior(
+            BetaParams(np.array([1.5, 2.0, 0.7]), np.array([3.0, 1.2, 4.0])),
+            GammaParams(2.0, 0.3), GammaParams(1.5, 0.4), np.array([0.4, 0.2, 0.05]),
+        ),
+    ])
+    def test_pure_step_returns_sweep_sums(self, mode):
+        corpus, stats, prior = self._setup(seed=14)
+        batch = corpus.sequences[:6]
+        stats_before = (stats.trans_counts.tobytes(), stats.token_stats.tobytes())
+        mode_before = mode_bytes(mode)
+        out, sums = process_minibatch(stats, batch, step_size(3, 0.6), mode, prior, len(corpus))
+        # no argument is modified
+        assert (stats.trans_counts.tobytes(), stats.token_stats.tobytes()) == stats_before
+        assert mode_bytes(mode) == mode_before
+        # the sums are the sweep's against the frozen surrogate, absence
+        # sums included exactly in the hierarchical mode
+        hierarchical = isinstance(mode, HdpPosterior)
+        ref = sweep(build_surrogate(stats, mode, prior), batch, absence=hierarchical)
+        for name in ("loglik", "counts", "token_stats"):
+            np.testing.assert_array_equal(getattr(sums, name), getattr(ref, name))
+        for name in ("absence_pair", "absence_row"):
+            assert (getattr(sums, name) is None) == (not hierarchical)
+            if hierarchical:
+                np.testing.assert_array_equal(getattr(sums, name), getattr(ref, name))
+        scale = len(corpus) / len(batch)
+        rho = step_size(3, 0.6)
+        np.testing.assert_array_equal(
+            out.trans_counts, (1.0 - rho) * stats.trans_counts + rho * scale * ref.counts
+        )
+
     def test_vanishing_step_changes_nothing(self):
         corpus, stats, prior = self._setup()
         rho = step_size(10**12, 1.0)
-        out = process_minibatch(
+        out, _ = process_minibatch(
             stats, corpus.sequences[:4], rho, FiniteMode(0.1), prior, len(corpus)
         )
         np.testing.assert_allclose(out.trans_counts, stats.trans_counts, rtol=1e-9)
@@ -161,7 +204,7 @@ class TestProcessMinibatch:
         corpus, stats, prior = self._setup(seed=8)
         rho = step_size(4, 0.7)
         batch = corpus.sequences[:5]
-        out = process_minibatch(stats, batch, rho, FiniteMode(0.1), prior, len(corpus))
+        out, _ = process_minibatch(stats, batch, rho, FiniteMode(0.1), prior, len(corpus))
         batch_tokens = sum(len(s) for s in batch)
         expected = (1 - rho) * stats.trans_counts.sum() + rho * (
             len(corpus) / len(batch)
@@ -173,7 +216,7 @@ class TestProcessMinibatch:
         corpus, stats, prior = self._setup(seed=9)
         out = stats
         for step, start in enumerate(range(0, 12, 4)):
-            out = process_minibatch(
+            out, _ = process_minibatch(
                 out, corpus.sequences[start : start + 4], step_size(step, 0.5),
                 FiniteMode(0.1), prior, len(corpus),
             )
@@ -182,16 +225,16 @@ class TestProcessMinibatch:
     def test_repeat_call_bit_identical(self):
         corpus, stats, prior = self._setup(seed=10)
         batch = corpus.sequences[:6]
-        a = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
-        b = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
+        a, _ = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
+        b, _ = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
         np.testing.assert_array_equal(a.trans_counts, b.trans_counts)
         np.testing.assert_array_equal(a.token_stats, b.token_stats)
 
     def test_order_invariance_of_reduction(self):
         corpus, stats, prior = self._setup(seed=11)
         batch = corpus.sequences[:6]
-        a = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
-        b = process_minibatch(
+        a, _ = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
+        b, _ = process_minibatch(
             stats, batch[::-1], step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus)
         )
         np.testing.assert_allclose(a.trans_counts, b.trans_counts, rtol=1e-9, atol=1e-12)
@@ -199,11 +242,11 @@ class TestProcessMinibatch:
     def test_thread_pool_matches_serial(self):
         corpus, stats, prior = self._setup(seed=12)
         batch = corpus.sequences[:8]
-        serial = process_minibatch(
+        serial, _ = process_minibatch(
             stats, batch, step_size(1, 0.6), FiniteMode(0.1), prior, len(corpus)
         )
         with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded = process_minibatch(
+            threaded, _ = process_minibatch(
                 stats, batch, step_size(1, 0.6), FiniteMode(0.1), prior, len(corpus),
                 pool=pool,
             )
@@ -212,7 +255,7 @@ class TestProcessMinibatch:
             serial.token_stats, threaded.token_stats
         )
 
-    @pytest.mark.parametrize("mode", [FiniteMode(0.1), HdpMode(HdpPosterior.initial(3))])
+    @pytest.mark.parametrize("mode", [FiniteMode(0.1), HdpPosterior.initial(3)])
     def test_thread_pool_matches_serial_across_slices(self, monkeypatch, mode):
         # a small slice size spreads the batch over several slices; the pool
         # must reduce them in the same order as the serial sweep
@@ -222,20 +265,20 @@ class TestProcessMinibatch:
         assert len(messages._slices(batch, 5)) >= 3
 
         def step(pool):
-            sums = (np.zeros((4, 3)), np.zeros((4, 3)), np.zeros(4))
-            hdp_sums = sums if isinstance(mode, HdpMode) else None
-            out = process_minibatch(
-                stats, batch, step_size(1, 0.6), mode, prior, len(corpus), hdp_sums, pool
+            return process_minibatch(
+                stats, batch, step_size(1, 0.6), mode, prior, len(corpus), pool
             )
-            return out, sums
 
         serial, serial_sums = step(None)
         with ThreadPoolExecutor(max_workers=3) as pool:
             threaded, threaded_sums = step(pool)
         np.testing.assert_array_equal(serial.trans_counts, threaded.trans_counts)
         np.testing.assert_array_equal(serial.token_stats, threaded.token_stats)
-        for a, b in zip(serial_sums, threaded_sums):
-            np.testing.assert_array_equal(a, b)
+        for name in ("loglik", "counts", "token_stats", "absence_pair", "absence_row"):
+            a, b = getattr(serial_sums, name), getattr(threaded_sums, name)
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(a, b)
 
     def test_empty_batch(self):
         _, stats, prior = self._setup()
@@ -267,7 +310,7 @@ class TestProcessMinibatch:
         )
         current = stats
         for i in range(60):
-            current = process_minibatch(
+            current, _ = process_minibatch(
                 current, [seq], step_size(0, 1.0), FiniteMode(0.1), prior, 1
             )
         ref_counts, ref_tokens = oracle[-1]
@@ -456,7 +499,7 @@ class TestTrain:
         model, metrics = train(corpus, config, heldout=corpus)
         # two minibatches per large batch, 4 per pass: the stick posterior
         # must have moved off its pinned startup cache
-        assert not np.allclose(model.mode.hdp.geo_alpha_pi, 0.1)
+        assert not np.allclose(model.mode.geo_alpha_pi, 0.1)
         assert np.isfinite(metrics[-1].heldout_ll)
 
     def test_hdp_step_sizes_follow_large_batch_count(self, monkeypatch):
@@ -475,6 +518,48 @@ class TestTrain:
         train(corpus, config)
         # 8 steps, one HDP update every 2: the n-th update takes (1+n)^-kappa
         assert rhos == [1.0, 2 ** -0.7, 3 ** -0.7, 4 ** -0.7]
+
+    def test_large_batch_sums_feed_table_estimates(self, monkeypatch):
+        # 11 sequences in minibatches of 4: each pass ends on a short batch of
+        # 3, and the second large batch (steps 3 and 4) crosses the pass
+        # boundary right after it
+        steps, tables_inputs = [], []
+
+        def stepping(stats, batch, rho, mode, prior, corpus_size, pool=None):
+            steps.append((stats, [np.array(seq) for seq in batch], mode, prior))
+            return process_minibatch(stats, batch, rho, mode, prior, corpus_size, pool)
+
+        def tabling(counts, absence_pair, absence_row, corpus_size, post):
+            tables_inputs.append((counts, absence_pair, absence_row, corpus_size, post))
+            return tables_from_aggregates(counts, absence_pair, absence_row, corpus_size, post)
+
+        monkeypatch.setattr("scvihmm.engine.process_minibatch", stepping)
+        monkeypatch.setattr("scvihmm.engine.tables_from_aggregates", tabling)
+        corpus = tiny_corpus(np.random.default_rng(54), n_seqs=11)
+        config = RunConfig(
+            algorithm="scvi-hdphmm", num_states=3, minibatch_size=4,
+            large_batch_size=8, passes=2, seed=2,
+        )
+        train(corpus, config)
+        stream = batch_stream(corpus, config)
+        for _, batch, _, _ in steps:
+            expected = [corpus.sequences[i] for i in next(stream)]
+            assert len(batch) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(batch, expected))
+        assert [len(batch) for _, batch, _, _ in steps] == [4, 4, 3, 4, 4, 3]
+        assert len(tables_inputs) == 3
+        for large, got in enumerate(tables_inputs):
+            pair = steps[2 * large : 2 * large + 2]
+            seqs = sum(len(batch) for _, batch, _, _ in pair)
+            totals = None
+            for stats, batch, mode, prior in pair:
+                sums = sweep(build_surrogate(stats, mode, prior), batch, absence=True)
+                parts = (sums.counts, sums.absence_pair, sums.absence_row)
+                totals = parts if totals is None else [a + b for a, b in zip(totals, parts)]
+            for total, arg in zip(totals, got[:3]):
+                np.testing.assert_array_equal(arg, total / seqs)
+            assert got[3] == len(corpus)
+            assert got[4] is pair[-1][2]
 
     def test_nonfinite_stats_name_batch_position_and_step(self, monkeypatch):
         monkeypatch.setattr("scvihmm.engine.sweep", nan_sweep(position=0))

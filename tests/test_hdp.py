@@ -14,7 +14,7 @@ import pytest
 from oracles import batch_hdp_scvi, crp_expected_tables_mc, log_forward_backward, zero_tables
 from scvihmm.corpus import Corpus, Vocabulary
 from scvihmm.emissions import EmissionPrior
-from scvihmm.engine import HdpMode, initialize_stats, process_minibatch
+from scvihmm.engine import initialize_stats, process_minibatch
 from scvihmm.hdp import (
     HdpPosterior,
     TableStats,
@@ -364,12 +364,9 @@ class TestBatchTrajectory:
         post = HdpPosterior.initial(K)
         current = stats
         for i in range(20):
-            sums = (np.zeros((K + 1, K)), np.zeros((K + 1, K)), np.zeros(K + 1))
-            current = process_minibatch(
-                current, seqs, 1.0, HdpMode(post), prior,
-                len(seqs), hdp_sums=sums,
-            )
-            means = [total / len(seqs) for total in sums]
+            current, sums = process_minibatch(current, seqs, 1.0, post, prior, len(seqs))
+            parts = (sums.counts, sums.absence_pair, sums.absence_row)
+            means = [total / len(seqs) for total in parts]
             post = update_hdp(post, tables_from_aggregates(*means, len(seqs), post), 1.0)
             ref = snaps[i]
             np.testing.assert_allclose(

@@ -80,7 +80,7 @@ class TestRoundTrip:
             loaded.stats.token_stats, model.stats.token_stats
         )
         if algorithm == "scvi-hdphmm":
-            a, b = loaded.mode.hdp, model.mode.hdp
+            a, b = loaded.mode, model.mode
             np.testing.assert_array_equal(a.sticks.u, b.sticks.u)
             np.testing.assert_array_equal(a.sticks.v, b.sticks.v)
             assert (a.alpha.a, a.alpha.b) == (b.alpha.a, b.alpha.b)

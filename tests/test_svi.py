@@ -97,7 +97,7 @@ def random_batch(rng, n_seqs, vocab_size, max_len=12):
 def svi_update(stats, batch, rho, corpus_size, pool=None):
     vocab_size = stats.token_stats.shape[1]
     prior = EmissionPrior.symmetric(0.1, vocab_size)
-    return process_minibatch(stats, batch, rho, SviMode(0.1), prior, corpus_size, pool=pool)
+    return process_minibatch(stats, batch, rho, SviMode(0.1), prior, corpus_size, pool=pool)[0]
 
 
 class TestStep:
