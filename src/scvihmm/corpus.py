@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 UNK = "<unk>"
+DRAW_BLOCK = 2**14  # uniform pairs per block of positions in generate_synthetic
+CHECK_BLOCK = 1024  # sequences per concatenated block in the Corpus range check
 
 __all__ = [
     "UNK",
@@ -84,8 +86,9 @@ class Corpus:
         if any(len(s) == 0 for s in self.sequences):
             raise ValueError("corpus must not contain empty sequences")
         vocab_size = len(self.vocab)
-        for s in self.sequences:
-            if np.any(s < 0) or np.any(s >= vocab_size):
+        for start in range(0, len(self.sequences), CHECK_BLOCK):
+            block = np.concatenate(self.sequences[start : start + CHECK_BLOCK])
+            if block.min() < 0 or block.max() >= vocab_size:
                 raise ValueError("sequence token index outside vocabulary")
 
     def __len__(self):
@@ -138,9 +141,10 @@ def load_corpus(path, vocab: Vocabulary = None, oov: str = "unk") -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path):
+    words = (UNK,) + corpus.vocab.words
     with open(path, "w", encoding="utf-8") as fh:
         for seq in corpus.sequences:
-            fh.write(" ".join(corpus.vocab.word(int(i)) for i in seq) + "\n")
+            fh.write(" ".join([words[i] for i in seq.tolist()]) + "\n")
 
 
 def split(corpus: Corpus, train_fraction: float, seed: int):
@@ -246,35 +250,69 @@ def _cumulative(mat: np.ndarray) -> np.ndarray:
 
 def _sample_rows(cum_rows: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     # inverse-CDF draw per row: count how many cumulative cells each uniform exceeds
-    return (u[:, None] > cum_rows[rows]).sum(axis=1)
+    return (u[:, None] > cum_rows.take(rows, axis=0)).sum(axis=1)
 
 
 def generate_synthetic(spec: SyntheticSpec):
     """Sample a corpus from the spec's chain; also returns the generator.
 
-    Sequences are drawn in lockstep across the corpus (vectorized over the
-    position axis), with per-sequence lengths uniform on
-    [min_length, max_length].
+    Sequences are drawn in lockstep across the corpus, with per-sequence
+    lengths uniform on [min_length, max_length].  The seed fixes the tokens
+    through this draw order: ``seq_count`` (n) lengths from one
+    ``rng.integers`` call, then, for each position t up to the longest
+    length, n uniforms for the states of sequences 0..n-1 at t followed by n
+    uniforms for their tokens at t.  A token uniform of a position past its
+    sequence's length is drawn and unused.  Each uniform u picks the first
+    cell of its cumulative row (``_cumulative``) that u does not exceed.
+
+    The uniforms come in blocks of ``DRAW_BLOCK // n`` positions (one at
+    least).  The state chain is walked position by position with
+    ``_sample_rows``; once per block, the block's tokens are drawn state by
+    state with ``_sample_by_row``.  Both give the same draw for the same u.
     """
     rng = np.random.default_rng(spec.seed)
-    n = spec.seq_count
-    lengths = rng.integers(spec.min_length, spec.max_length + 1, size=n)
-    t_max = int(lengths.max())
-    cum_trans = _cumulative(spec.trans)
-    cum_emit = _cumulative(spec.emit)
-
-    states = np.empty((n, t_max), dtype=np.int64)
-    tokens = np.empty((n, t_max), dtype=np.int64)
-    states[:, 0] = _sample_rows(cum_trans, np.zeros(n, dtype=np.int64), rng.random(n))
-    tokens[:, 0] = _sample_rows(cum_emit, states[:, 0], rng.random(n))
-    for t in range(1, t_max):
-        states[:, t] = _sample_rows(cum_trans, states[:, t - 1] + 1, rng.random(n))
-        tokens[:, t] = _sample_rows(cum_emit, states[:, t], rng.random(n))
-
+    lengths = rng.integers(spec.min_length, spec.max_length + 1, size=spec.seq_count)
+    tokens = _draw_tokens(rng, lengths, _cumulative(spec.trans), _cumulative(spec.emit))
+    flat = tokens.T[lengths[:, None] > np.arange(tokens.shape[0])]
+    del tokens  # the padded array need not outlive the gather
+    flat += 1
+    sequences = np.split(flat, np.cumsum(lengths[:-1]))
     vocab = Vocabulary(f"w{i}" for i in range(spec.vocab_size))
-    sequences = [tokens[i, : lengths[i]] + 1 for i in range(n)]
-    corpus = Corpus.from_sequences(sequences, vocab)
+    corpus = Corpus(sequences, vocab, int(flat.size))
     return corpus, GroundTruth(spec.trans.copy(), spec.emit.copy())
+
+
+def _draw_tokens(rng, lengths, cum_trans, cum_emit):
+    """Raw symbol ids, longest length x n, in ``generate_synthetic``'s draw order.
+
+    Cells past a sequence's length are left unset.
+    """
+    n, t_max = lengths.size, int(lengths.max())
+    block = max(1, DRAW_BLOCK // n)
+    tokens = np.empty((t_max, n), dtype=np.int64)
+    states = np.empty((block, n), dtype=np.int64)
+    prev = np.full(n, -1, dtype=np.int64)  # a state's trans row is prev + 1; row 0 starts a sequence
+    for start in range(0, t_max, block):
+        u = rng.random((min(block, t_max - start), 2, n))
+        drawn = states[: len(u)]
+        for j in range(len(u)):
+            prev = drawn[j] = _sample_rows(cum_trans, prev + 1, u[j, 0])
+        live = lengths > np.arange(start, start + len(u))[:, None]
+        tokens[start : start + len(u)][live] = _sample_by_row(cum_emit, drawn[live], u[:, 1][live])
+    return tokens
+
+
+def _sample_by_row(cum_rows: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_sample_rows`` with one ``np.searchsorted`` per row index.
+
+    A left search counts the cells strictly below u, as ``_sample_rows``
+    does, because cumulative rows never decrease.
+    """
+    out = np.empty(rows.shape, dtype=np.int64)
+    for k in range(cum_rows.shape[0]):
+        at = rows == k
+        out[at] = np.searchsorted(cum_rows[k], u[at], side="left")
+    return out
 
 
 def minibatches(corpus: Corpus, batch_size: int, seed: int, mode: str = "shuffle"):

@@ -163,10 +163,10 @@ def _slices(batch, vocab_size):
     seqs = [np.asarray(seq) for seq in batch]
     if not seqs:
         raise ValueError("batch must not be empty")
-    for seq in seqs:
-        if seq.ndim != 1 or seq.size == 0 or not np.issubdtype(seq.dtype, np.integer):
-            raise ValueError("sequence must be a nonempty 1-d array of token indices")
     lengths = np.array([seq.size for seq in seqs])
+    shapes = {(seq.ndim, seq.dtype.kind) for seq in seqs}
+    if not shapes <= {(1, "i"), (1, "u")} or lengths.min() == 0:
+        raise ValueError("sequence must be a nonempty 1-d array of token indices")
     order = np.argsort(-lengths, kind="stable")
     slices = []
     start = 0

@@ -1,6 +1,7 @@
 """Checks for corpus loading, splitting, batching, and synthesis."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,11 +82,46 @@ class TestRoundTrip:
         for a, b in zip(corpus.sequences, reloaded.sequences):
             np.testing.assert_array_equal(a, b)
 
+    def test_saved_bytes_match_the_per_token_formula(self, tmp_path):
+        vocab = Vocabulary(["the", "cat", "sat", "é"])
+        seqs = [[1, 2, 0, 3], [0], [4, 4, 1], [0, 0]]
+        corpus = Corpus.from_sequences(seqs, vocab)
+        got = tmp_path / "got.txt"
+        save_corpus(corpus, got)
+        want = "".join(" ".join(vocab.word(int(i)) for i in seq) + "\n" for seq in corpus.sequences)
+        assert got.read_bytes() == want.encode("utf-8")
+        assert got.read_text(encoding="utf-8").splitlines()[1] == "<unk>"
+
     def test_vocab_round_trip(self, tmp_path):
         vocab = Vocabulary(["alpha", "beta", "gamma"])
         vp = tmp_path / "v.txt"
         vocab.save(vp)
         assert Vocabulary.load(vp) == vocab
+
+
+class TestCorpusValidation:
+    def _seqs(self, n):
+        return [np.array([1, 2, 1])] * n
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_range_error_in_any_block(self, where):
+        vocab = Vocabulary(["a", "b"])
+        pos = where * corpus_mod.CHECK_BLOCK + 5
+        for bad in (np.array([1, 3]), np.array([-1, 2])):
+            seqs = self._seqs(3 * corpus_mod.CHECK_BLOCK)
+            seqs[pos] = bad
+            with pytest.raises(ValueError, match="^sequence token index outside vocabulary$"):
+                Corpus(seqs, vocab, 0)
+
+    def test_empty_sequence_past_the_first_block(self):
+        seqs = self._seqs(2 * corpus_mod.CHECK_BLOCK)
+        seqs[-1] = np.array([], dtype=np.int64)
+        with pytest.raises(ValueError, match="^corpus must not contain empty sequences$"):
+            Corpus.from_sequences(seqs, Vocabulary(["a", "b"]))
+
+    def test_empty_sequence_list_accepted(self):
+        corpus = Corpus.from_sequences([], Vocabulary(["a"]))
+        assert len(corpus) == 0 and corpus.counts == 0
 
 
 class TestSplit:
@@ -211,6 +247,38 @@ class TestGenerateSynthetic:
         raw = corpus_mod._sample_rows(np.cumsum(mat, axis=1), rows, u)
         np.testing.assert_array_equal(corpus_mod._sample_rows(corpus_mod._cumulative(mat), rows, u), raw)
 
+    def test_grouped_draw_matches_sample_rows_on_adversarial_uniforms(self):
+        mat = np.array([
+            [0.25, 0.25, 0.5, 0.0],          # ties at exact cumulative values
+            [0.0, 0.3, 0.0, 0.7],            # zero-mass cells: flat runs, a leading zero
+            [0.5, 0.0, 0.5 - 9e-11, 0.0],    # short row with a zero tail
+            [0.0, 0.0, 0.0, 1.0],            # all mass on the last cell
+        ])
+        cum = corpus_mod._cumulative(mat)
+        finite = np.cumsum(mat, axis=1)
+        rows, u = [], []
+        for k in range(mat.shape[0]):
+            edges = np.concatenate([finite[k], [0.0, 1.0 - 5e-11, np.nextafter(1.0, 0.0)]])
+            for v in np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]):
+                if 0.0 <= v < 1.0:
+                    rows.append(k)
+                    u.append(v)
+        rng = np.random.default_rng(3)
+        rows = np.array(rows + list(rng.integers(0, 4, 500)))
+        u = np.array(u + list(rng.random(500)))
+        order = rng.permutation(rows.size)
+        rows, u = rows[order], u[order]
+        got = corpus_mod._sample_by_row(cum, rows, u)
+        np.testing.assert_array_equal(got, corpus_mod._sample_rows(cum, rows, u))
+        # ties land on the cell whose cumulative value they equal
+        assert corpus_mod._sample_by_row(cum, np.zeros(2, int), np.array([0.25, 0.5])).tolist() == [0, 1]
+        # a zero-mass cell is never drawn by a positive uniform
+        assert set(got[(rows == 1) & (u > 0.0)].tolist()) <= {1, 3}
+        # above the short row's total, the draw lands on its last cell with mass
+        above = corpus_mod._sample_by_row(cum, np.array([2, 2]), np.array([1.0 - 5e-11, np.nextafter(1.0, 0.0)]))
+        assert above.tolist() == [2, 2]
+        assert (u[:, None] > finite[rows]).sum(axis=1).max() == 4  # the finite rows would leave the vocabulary
+
     @pytest.mark.parametrize(
         "case, digest",
         [
@@ -234,6 +302,38 @@ class TestGenerateSynthetic:
         corpus, _ = generate_synthetic(spec)
         tokens = np.concatenate(corpus.sequences).astype("<i8")
         assert hashlib.sha256(tokens.tobytes()).hexdigest() == digest
+
+    @staticmethod
+    def _benchmark_shape(seq_count, min_length, max_length):
+        # a sticky 10-state chain with sparse Dirichlet(0.1) emission rows, V = 500
+        rng = np.random.default_rng([1, 1])
+        trans = rng.dirichlet(np.ones(10), size=11)
+        trans[1:] = 0.5 * trans[1:] + 0.5 * np.eye(10)
+        emit = rng.dirichlet(np.full(500, 0.1), size=10)
+        return SyntheticSpec(10, 500, trans, emit, seq_count, min_length, max_length, seed=1)
+
+    @pytest.mark.parametrize(
+        "shape, digest, peak_mib",
+        [
+            ((3600, 10, 40), "89723b9ac284b7347436c0e82aaf2a79823cc81e9fc6c273f9e5c22636caab37", 6.0),
+            ((16, 4000, 6000), "4a6132dc58847c0e33926670fa0ff7bd247d4ef4d8ca7fe49dcc3e7d56f9f020", 2.5),
+        ],
+        ids=["many-short", "few-long"],
+    )
+    def test_benchmark_shapes_pinned_and_memory_bounded(self, shape, digest, peak_mib):
+        spec = self._benchmark_shape(*shape)
+        tracemalloc.start()
+        try:
+            corpus, _ = generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tokens = np.concatenate(corpus.sequences).astype("<i8")
+        assert hashlib.sha256(tokens.tobytes()).hexdigest() == digest
+        assert corpus.counts == tokens.size
+        # drawing the whole position range at once, or one n x V block per
+        # position, peaks above these bounds
+        assert peak < peak_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -170,6 +170,34 @@ class TestForwardBackward:
             with pytest.raises(ValueError):
                 sweep(params, [np.array([0, 1, 2]), np.array(bad)])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0.0, 1.0]),
+            np.array([True, False]),
+            np.array([[0, 1], [1, 0]]),
+            np.array([], dtype=np.int64),
+            np.array(1),
+        ],
+        ids=["float", "bool", "2-d", "empty", "0-d"],
+    )
+    def test_malformed_sequence_named_wherever_it_sits(self, bad):
+        params = random_params(np.random.default_rng(3), 2, 3)
+        good = [np.array([0, 1, 2]), np.array([2, 1], dtype=np.uint8)]
+        for batch in ([bad] + good, good + [bad], good[:1] + [bad] + good[1:]):
+            with pytest.raises(ValueError, match="^sequence must be a nonempty 1-d array of token indices$"):
+                sweep(params, batch)
+
+    def test_unsigned_and_narrow_integer_tokens_sweep_like_int64(self):
+        rng = np.random.default_rng(4)
+        params = random_params(rng, 3, 5)
+        batch = random_batch(rng, 5, 6, 19)
+        ref = sweep(params, batch, absence=True)
+        for dtype in (np.uint8, np.int16, np.uint64):
+            got = sweep(params, [seq.astype(dtype) for seq in batch], absence=True)
+            for name in ("loglik", "counts", "token_stats", "absence_pair", "absence_row"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
 
 class TestLocalStats:
     def test_single_state_counts(self):
