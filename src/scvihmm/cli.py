@@ -82,7 +82,6 @@ _CONFIG_FLAGS = [
     ("--seed", "seed", dict(type=int)),
     ("--batch-mode", "batch_mode", dict(choices=("shuffle", "iid"))),
     ("--eval-every", "eval_every_steps", dict(type=int)),
-    ("--threads", "threads", dict(type=int)),
 ]
 
 

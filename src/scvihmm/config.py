@@ -28,6 +28,11 @@ class RunConfig:
     hierarchical updates, and truncation 45.  The step-size theory wants
     kappa strictly above 0.5; 0.5 itself is the boundary value used in
     practice and is accepted.
+
+    ``threads`` is validated and recorded, as saved config files and format
+    2 checkpoints hold it, but it has no effect: every sweep runs serially
+    on the calling thread.  It goes with the benchmark change that drops the
+    benchmark's own thread count (ROADMAP.md, item 1).
     """
 
     algorithm: str = "scvi-hmm"

@@ -14,16 +14,10 @@ counts and absence sums over a large batch's sequences and refreshes the
 stick posterior once per large batch from the table-count estimates of
 their means, with the same schedule over the count of large batches; the
 other modes simply have no large-batch level.
-
-The sweep cuts a minibatch into length slices that are independent given
-the frozen snapshot, so a thread pool may sweep them; their sums are
-reduced in slice order, which keeps multi-threaded runs bit-identical to
-serial ones.
 """
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,7 +182,6 @@ def process_minibatch(
     mode,
     prior: EmissionPrior,
     corpus_size: int,
-    pool: ThreadPoolExecutor = None,
 ):
     """One stochastic update of the global statistics; modifies no argument.
 
@@ -199,7 +192,7 @@ def process_minibatch(
     computed exactly when ``mode`` is an ``HdpPosterior``.
     """
     params = build_surrogate(stats, mode, prior)
-    sums = sweep(params, batch, absence=isinstance(mode, HdpPosterior), pool=pool)
+    sums = sweep(params, batch, absence=isinstance(mode, HdpPosterior))
     if not (np.all(np.isfinite(sums.counts)) and np.all(np.isfinite(sums.token_stats))):
         bad = np.flatnonzero(~np.isfinite(sums.loglik))
         where = f"sequence at batch position {bad[0]}" if bad.size else "minibatch"
@@ -232,6 +225,10 @@ class TrainedModel:
     """Everything needed to rebuild surrogates and evaluate.
 
     ``config`` records the algorithm; the sizes are the shapes of ``stats``.
+    The mode must be one the config implies, as a checkpoint stores only
+    the config and the hierarchical posterior: it has the type of
+    ``initial_mode(config)``, equals it when flat or uncollapsed, and has
+    the config's state count when hierarchical.
     """
 
     config: RunConfig
@@ -242,6 +239,16 @@ class TrainedModel:
     def __post_init__(self):
         if self.config.num_states != self.num_states:
             raise ValueError(f"config num_states {self.config.num_states!r}, stats {self.num_states}")
+        implied = initial_mode(self.config)
+        if type(self.mode) is not type(implied):
+            raise ValueError(
+                f"{self.algorithm} takes a {type(implied).__name__} mode, got {type(self.mode).__name__}"
+            )
+        if isinstance(implied, HdpPosterior):
+            if self.mode.num_states != self.num_states:
+                raise ValueError(f"mode has {self.mode.num_states} states, config {self.num_states}")
+        elif self.mode != implied:
+            raise ValueError(f"mode {self.mode!r} contradicts config, which implies {implied!r}")
         if self.vocab is not None and len(self.vocab) != self.vocab_size:
             raise ValueError(f"vocab of {len(self.vocab)} words, stats {self.vocab_size}")
 
@@ -310,7 +317,6 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     batches_per_pass = max(1, math.ceil(corpus_size / config.minibatch_size))
     total_steps = None if config.budget_seconds is not None else config.passes * batches_per_pass
 
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
     metrics = []
     step = 0
     start = time.perf_counter()
@@ -340,42 +346,36 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
         )
         paused += time.perf_counter() - entered
 
-    try:
-        record()
-        while True:
-            if total_steps is not None and step >= total_steps:
-                break
-            if config.budget_seconds is not None and time.perf_counter() - start >= config.budget_seconds:
-                break
-            batch = [corpus.sequences[i] for i in next(stream)]
-            rho = step_size(step, config.kappa)
-            try:
-                stats, sums = process_minibatch(
-                    stats, batch, rho, mode, emit_prior, corpus_size, pool
-                )
-            except NumericalError as exc:
-                raise NumericalError(f"{exc} (step {step})") from None
-            step += 1
-            if isinstance(mode, HdpPosterior):
-                parts = (sums.counts, sums.absence_pair, sums.absence_row)
-                large_sums = [total + part for total, part in zip(large_sums, parts)]
-                large_seqs += len(batch)
-                if step % steps_per_large == 0:
-                    means = [total / large_seqs for total in large_sums]
-                    tables = tables_from_aggregates(*means, corpus_size, mode)
-                    hdp_rho = step_size(step // steps_per_large - 1, config.kappa)
-                    mode = update_hdp(mode, tables, hdp_rho, alpha_prior, gamma_prior)
-                    large_sums, large_seqs = (0.0, 0.0, 0.0), 0
-            due_pass = step % batches_per_pass == 0
-            due_interval = (
-                config.eval_every_steps is not None
-                and step % config.eval_every_steps == 0
-            )
-            if due_pass or due_interval:
-                record()
-        if metrics[-1].step != step:
+    record()
+    while True:
+        if total_steps is not None and step >= total_steps:
+            break
+        if config.budget_seconds is not None and time.perf_counter() - start >= config.budget_seconds:
+            break
+        batch = [corpus.sequences[i] for i in next(stream)]
+        rho = step_size(step, config.kappa)
+        try:
+            stats, sums = process_minibatch(stats, batch, rho, mode, emit_prior, corpus_size)
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} (step {step})") from None
+        step += 1
+        if isinstance(mode, HdpPosterior):
+            parts = (sums.counts, sums.absence_pair, sums.absence_row)
+            large_sums = [total + part for total, part in zip(large_sums, parts)]
+            large_seqs += len(batch)
+            if step % steps_per_large == 0:
+                means = [total / large_seqs for total in large_sums]
+                tables = tables_from_aggregates(*means, corpus_size, mode)
+                hdp_rho = step_size(step // steps_per_large - 1, config.kappa)
+                mode = update_hdp(mode, tables, hdp_rho, alpha_prior, gamma_prior)
+                large_sums, large_seqs = (0.0, 0.0, 0.0), 0
+        due_pass = step % batches_per_pass == 0
+        due_interval = (
+            config.eval_every_steps is not None
+            and step % config.eval_every_steps == 0
+        )
+        if due_pass or due_interval:
             record()
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    if metrics[-1].step != step:
+        record()
     return current_model(), metrics

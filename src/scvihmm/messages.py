@@ -376,25 +376,16 @@ def _slice_sums(params, tokens, n_at, stats, absence):
     return loglik, sums
 
 
-def sweep(params: SurrogateParams, batch, stats=True, absence=False, pool=None) -> BatchSums:
+def sweep(params: SurrogateParams, batch, stats=True, absence=False) -> BatchSums:
     """Forward-backward over every sequence of ``batch``, summed.
 
     With ``stats`` false only the forward recursion runs and only the log
     likelihoods come back; ``absence`` adds the hierarchical prior's
-    absence sums.  ``pool`` (an executor) maps the slices; their sums are
-    reduced in slice order either way, so pooled and serial sweeps are
-    bit-identical.
+    absence sums.  The slices' sums are added up in slice order.
     """
-    slices = _slices(batch, params.vocab_size)
-
-    def work(piece):
-        _, tokens, n_at = piece
-        return _slice_sums(params, tokens, n_at, stats or absence, absence)
-
-    results = pool.map(work, slices) if pool is not None else map(work, slices)
     loglik = np.empty(len(batch))
     total = None
-    for (cols, _, _), (ll, sums) in zip(slices, results):
-        loglik[cols] = ll
+    for cols, tokens, n_at in _slices(batch, params.vocab_size):
+        loglik[cols], sums = _slice_sums(params, tokens, n_at, stats or absence, absence)
         total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
     return BatchSums(loglik, *total)

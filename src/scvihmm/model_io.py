@@ -121,7 +121,7 @@ def save_model(model: TrainedModel, path):
 def load_model(path) -> TrainedModel:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) >= 4 and blob[:4] != MAGIC:
+    if not MAGIC.startswith(blob[:4]):
         raise ModelFormatError("bad magic bytes: not a model checkpoint")
     if len(blob) < 12:
         raise TruncatedFileError("file ends inside the fixed-size prefix")

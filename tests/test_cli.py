@@ -226,6 +226,15 @@ class TestTrain:
             assert code == EXIT_CONFIG
             assert "--heldout-fraction" in capsys.readouterr().err
 
+    def test_threads_flag_is_an_argparse_error(self, tmp_path, capsys):
+        # a config file may still name threads; the flag is gone
+        corpus = tmp_path / "corpus.txt"
+        sample_corpus(corpus)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", str(corpus), "--passes", "0", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_numerical_error_exit_cites_step(self, tmp_path, capsys, monkeypatch):
         from scvihmm.engine import NumericalError
 
@@ -346,6 +355,8 @@ class TestEval:
 
         nonmodel = tmp_path / "nonmodel.bin"
         nonmodel.write_bytes(b"XYZW" + bytes(blob[4:]))
+        assert main(["eval", str(nonmodel), "x"]) == EXIT_FORMAT
+        nonmodel.write_bytes(b"XY")
         assert main(["eval", str(nonmodel), "x"]) == EXIT_FORMAT
         capsys.readouterr()
 

@@ -1,7 +1,7 @@
 """Checks for the stochastic training engine."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -239,47 +239,6 @@ class TestProcessMinibatch:
         )
         np.testing.assert_allclose(a.trans_counts, b.trans_counts, rtol=1e-9, atol=1e-12)
 
-    def test_thread_pool_matches_serial(self):
-        corpus, stats, prior = self._setup(seed=12)
-        batch = corpus.sequences[:8]
-        serial, _ = process_minibatch(
-            stats, batch, step_size(1, 0.6), FiniteMode(0.1), prior, len(corpus)
-        )
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded, _ = process_minibatch(
-                stats, batch, step_size(1, 0.6), FiniteMode(0.1), prior, len(corpus),
-                pool=pool,
-            )
-        np.testing.assert_array_equal(serial.trans_counts, threaded.trans_counts)
-        np.testing.assert_array_equal(
-            serial.token_stats, threaded.token_stats
-        )
-
-    @pytest.mark.parametrize("mode", [FiniteMode(0.1), HdpPosterior.initial(3)])
-    def test_thread_pool_matches_serial_across_slices(self, monkeypatch, mode):
-        # a small slice size spreads the batch over several slices; the pool
-        # must reduce them in the same order as the serial sweep
-        corpus, stats, prior = self._setup(seed=13)
-        batch = corpus.sequences[:10]
-        monkeypatch.setattr(messages, "SLICE_POSITIONS", 12)
-        assert len(messages._slices(batch, 5)) >= 3
-
-        def step(pool):
-            return process_minibatch(
-                stats, batch, step_size(1, 0.6), mode, prior, len(corpus), pool
-            )
-
-        serial, serial_sums = step(None)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded, threaded_sums = step(pool)
-        np.testing.assert_array_equal(serial.trans_counts, threaded.trans_counts)
-        np.testing.assert_array_equal(serial.token_stats, threaded.token_stats)
-        for name in ("loglik", "counts", "token_stats", "absence_pair", "absence_row"):
-            a, b = getattr(serial_sums, name), getattr(threaded_sums, name)
-            assert (a is None) == (b is None)
-            if a is not None:
-                np.testing.assert_array_equal(a, b)
-
     def test_empty_batch(self):
         _, stats, prior = self._setup()
         with pytest.raises(ValueError):
@@ -374,6 +333,40 @@ class TestTrainedModel:
             TrainedModel(RunConfig(num_states=7), stats, FiniteMode(0.1))
         with pytest.raises(ValueError, match="vocab"):
             TrainedModel(RunConfig(num_states=3), stats, FiniteMode(0.1), Vocabulary(["a"]))
+
+    @pytest.mark.parametrize("algo, mode", [
+        ("scvi-hmm", SviMode(0.1)),
+        ("scvi-hmm", HdpPosterior.initial(3)),
+        ("scvi-hmm", FiniteMode(5.0)),
+        ("scvi-hdphmm", FiniteMode(0.1)),
+        ("scvi-hdphmm", SviMode(0.1)),
+        ("scvi-hdphmm", HdpPosterior.initial(4)),
+        ("svi-hmm", FiniteMode(0.1)),
+        ("svi-hmm", HdpPosterior.initial(3)),
+        ("svi-hmm", SviMode(5.0)),
+    ], ids=[
+        "scvi-hmm-svi", "scvi-hmm-hdp", "scvi-hmm-other-prior",
+        "scvi-hdphmm-finite", "scvi-hdphmm-svi", "scvi-hdphmm-4-states",
+        "svi-hmm-finite", "svi-hmm-hdp", "svi-hmm-other-prior",
+    ])
+    def test_mode_contradicting_config_rejected(self, algo, mode):
+        # a checkpoint rebuilds the mode from the config, so these could not
+        # be read back as saved
+        stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="mode"):
+            TrainedModel(RunConfig(algorithm=algo, num_states=3), stats, mode)
+
+    @pytest.mark.parametrize("algo, mode", [
+        ("scvi-hmm", FiniteMode(0.1)),
+        ("scvi-hdphmm", HdpPosterior(
+            BetaParams(np.array([1.5, 2.0, 1.0]), np.array([3.0, 2.0, 1.0])),
+            GammaParams(2.0, 0.3), GammaParams(1.5, 0.2), np.array([0.4, 0.2, 0.1]),
+        )),
+        ("svi-hmm", SviMode(0.1)),
+    ], ids=["scvi-hmm", "scvi-hdphmm", "svi-hmm"])
+    def test_mode_implied_by_config_accepted(self, algo, mode):
+        stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
+        assert TrainedModel(RunConfig(algorithm=algo, num_states=3), stats, mode).mode is mode
 
 
 class TestTrain:
@@ -477,6 +470,38 @@ class TestTrain:
                 b.step, b.pass_index, b.heldout_ll, b.k_effective
             )
 
+    @pytest.mark.parametrize("algo", ["scvi-hmm", "scvi-hdphmm", "svi-hmm"])
+    def test_threads_field_has_no_effect(self, monkeypatch, algo):
+        # a small slice size spreads each minibatch over several slices
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 12)
+        sweep_threads, slice_threads = [], []
+
+        def spy(calls, func):
+            def wrapped(*args, **kwargs):
+                calls.append(threading.current_thread())
+                return func(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr("scvihmm.engine.sweep", spy(sweep_threads, sweep))
+        monkeypatch.setattr(messages, "_slice_sums", spy(slice_threads, messages._slice_sums))
+        corpus = tiny_corpus(np.random.default_rng(55), n_seqs=24)
+        runs = []
+        for threads in (1, 2):
+            config = RunConfig(
+                algorithm=algo, num_states=3, minibatch_size=8, large_batch_size=16,
+                passes=2, seed=6, threads=threads,
+            )
+            runs.append(train(corpus, config, heldout=corpus))
+        batch = [corpus.sequences[i] for i in next(batch_stream(corpus, config))]
+        assert len(messages._slices(batch, 5)) >= 3
+        (model_a, metrics_a), (model_b, metrics_b) = runs
+        np.testing.assert_array_equal(model_a.stats.trans_counts, model_b.stats.trans_counts)
+        np.testing.assert_array_equal(model_a.stats.token_stats, model_b.stats.token_stats)
+        assert mode_bytes(model_a.mode) == mode_bytes(model_b.mode)
+        assert [m.heldout_ll for m in metrics_a] == [m.heldout_ll for m in metrics_b]
+        for calls in (sweep_threads, slice_threads):
+            assert calls and all(t is threading.main_thread() for t in calls)
+
     def test_eval_is_pure_function_of_state(self):
         rng = np.random.default_rng(44)
         corpus = tiny_corpus(rng)
@@ -525,9 +550,9 @@ class TestTrain:
         # boundary right after it
         steps, tables_inputs = [], []
 
-        def stepping(stats, batch, rho, mode, prior, corpus_size, pool=None):
+        def stepping(stats, batch, rho, mode, prior, corpus_size):
             steps.append((stats, [np.array(seq) for seq in batch], mode, prior))
-            return process_minibatch(stats, batch, rho, mode, prior, corpus_size, pool)
+            return process_minibatch(stats, batch, rho, mode, prior, corpus_size)
 
         def tabling(counts, absence_pair, absence_row, corpus_size, post):
             tables_inputs.append((counts, absence_pair, absence_row, corpus_size, post))

@@ -133,6 +133,14 @@ class TestCorruption:
         with pytest.raises(TruncatedFileError):
             load_model(path)
 
+    def test_tiny_file_with_bad_magic(self, tmp_path):
+        # too short to hold the magic, and no prefix of it either
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"XY")
+        with pytest.raises(ModelFormatError, match="bad magic") as excinfo:
+            load_model(path)
+        assert type(excinfo.value) is ModelFormatError
+
     def test_version_mismatch(self, tmp_path):
         path = self._saved(tmp_path)
         blob = path.read_bytes()

@@ -5,7 +5,6 @@ parameters of every row are the prior plus those counts.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -94,10 +93,10 @@ def random_batch(rng, n_seqs, vocab_size, max_len=12):
     ]
 
 
-def svi_update(stats, batch, rho, corpus_size, pool=None):
+def svi_update(stats, batch, rho, corpus_size):
     vocab_size = stats.token_stats.shape[1]
     prior = EmissionPrior.symmetric(0.1, vocab_size)
-    return process_minibatch(stats, batch, rho, SviMode(0.1), prior, corpus_size, pool=pool)[0]
+    return process_minibatch(stats, batch, rho, SviMode(0.1), prior, corpus_size)[0]
 
 
 class TestStep:
@@ -130,18 +129,6 @@ class TestStep:
         np.testing.assert_array_equal(stats.token_stats, before[1])
         with pytest.raises(ValueError):
             svi_update(stats, [], step_size(4, 0.7), 5)
-
-    def test_thread_pool_matches_serial(self):
-        rng = np.random.default_rng(7)
-        stats = initialize_stats(3, 5, 80.0, seed=4)
-        batch = random_batch(rng, 6, 5)
-        serial = svi_update(stats, batch, step_size(1, 0.6), 12)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded = svi_update(stats, batch, step_size(1, 0.6), 12, pool=pool)
-        np.testing.assert_array_equal(serial.trans_counts, threaded.trans_counts)
-        np.testing.assert_array_equal(
-            serial.token_stats, threaded.token_stats
-        )
 
     def test_batch_vb_fixed_point(self):
         # full-batch steps with rho pinned to 1 must walk the same
