@@ -75,7 +75,12 @@ class Vocabulary:
 
 @dataclass
 class Corpus:
-    """Immutable token-index sequences over a shared vocabulary."""
+    """Immutable token-index sequences over a shared vocabulary.
+
+    Each sequence is a nonempty 1-d integer array and ``counts`` their total
+    length.  The checks run on blocks of ``CHECK_BLOCK`` concatenated
+    sequences.
+    """
 
     sequences: list
     vocab: Vocabulary
@@ -86,18 +91,28 @@ class Corpus:
         if any(len(s) == 0 for s in self.sequences):
             raise ValueError("corpus must not contain empty sequences")
         vocab_size = len(self.vocab)
+        tokens = 0
         for start in range(0, len(self.sequences), CHECK_BLOCK):
-            block = np.concatenate(self.sequences[start : start + CHECK_BLOCK])
+            chunk = self.sequences[start : start + CHECK_BLOCK]
+            block = np.concatenate(chunk)
+            # uint64 and signed sequences concatenate to float64, exact for in-range indices
+            integer = block.dtype.kind in "iu" or all(np.asarray(s).dtype.kind in "iu" for s in chunk)
+            if block.ndim != 1 or not integer:
+                raise ValueError("sequences must be 1-d arrays of integer token indices")
             if block.min() < 0 or block.max() >= vocab_size:
                 raise ValueError("sequence token index outside vocabulary")
+            tokens += block.size
+        if self.counts != tokens:
+            raise ValueError(f"counts {self.counts!r} differs from the {tokens} tokens of the sequences")
 
     def __len__(self):
         return len(self.sequences)
 
     @classmethod
     def from_sequences(cls, sequences, vocab) -> "Corpus":
-        seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
-        return cls(seqs, vocab, sum(int(s.size) for s in seqs))
+        """A corpus of integer sequences, kept in their own integer dtype."""
+        seqs = [np.asarray(s) for s in sequences]
+        return cls(seqs, vocab, sum(s.size for s in seqs))
 
 
 def load_corpus(path, vocab: Vocabulary = None, oov: str = "unk") -> Corpus:

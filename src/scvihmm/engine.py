@@ -6,14 +6,15 @@ frozen snapshot, and blends the corpus-scaled batch statistics into the
 running expectations with step size rho_n = (1+n)^(-kappa).  The step
 count n is the only schedule state: ``train`` keeps it and passes rho in.
 All three algorithms keep the same statistics and take the same step; they
-differ only in the mode the surrogate is built from (see
-``initial_mode``).  The step is pure: it returns the new statistics and the
-batch sums, which carry the absence sums exactly when the mode is an
-``HdpPosterior``.  In that hierarchical mode ``train`` sums the transition
-counts and absence sums over a large batch's sequences and refreshes the
-stick posterior once per large batch from the table-count estimates of
-their means, with the same schedule over the count of large batches; the
-other modes simply have no large-batch level.
+differ only in the mode (see ``initial_mode``) that ``build_surrogate``,
+the one place statistics become point parameters, reads.  The step is
+pure: it returns the new statistics and the batch sums, which carry the
+absence sums exactly when the mode is an ``HdpPosterior``.  In that
+hierarchical mode ``train`` sums the transition counts and absence sums
+over a large batch's sequences and refreshes the stick posterior once per
+large batch from the table-count estimates of their means, with the same
+schedule over the count of large batches; the other modes simply have no
+large-batch level.
 """
 
 import math
@@ -22,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import svi
 from .config import RunConfig
 from .corpus import Corpus, minibatches
-from .emissions import EmissionPrior, surrogate_emission_matrix
 from .hdp import HdpPosterior, tables_from_aggregates, update_hdp
 from .messages import SurrogateParams, sweep
-from .special import GammaParams
+from .special import GammaParams, dirichlet_geo_rows
 
 # a state counts as "used" if its incoming expected-transition mass
 # exceeds this fraction of the total
@@ -149,19 +148,33 @@ def initialize_stats(num_states: int, vocab_size: int, token_count: float, seed:
     return GlobalStats(trans, emit)
 
 
-def build_surrogate(stats: GlobalStats, mode, prior: EmissionPrior) -> SurrogateParams:
+def build_surrogate(stats: GlobalStats, mode, emit_prior: float) -> SurrogateParams:
     """Point transition/emission matrices from the current statistics.
 
-    In the collapsed modes each transition row k is proportional to
-    prior_term + counts, where the prior term is the flat count in finite
-    mode and the per-target geometric weight in hierarchical mode (the
-    start row included).  The uncollapsed mode takes the geometric rows of
-    prior + counts for transitions and emissions alike.
+    ``emit_prior`` is the symmetric Dirichlet pseudo-count c of every
+    emission row.  In the collapsed modes each transition row is
+    proportional to prior_term + counts, where the prior term is the flat
+    count in finite mode and the per-target geometric weight in
+    hierarchical mode (the start row included), and emission row k is the
+    zeroth-order mean of its expected counts n = ``token_stats[k]``:
+
+        row[w] = (c + n[w]) / (V c + sum(n)).
+
+    The rows are built once per minibatch from the running statistics; a
+    token's own count is not taken out first.  The uncollapsed mode reads
+    prior + counts as the Dirichlet variational parameters of every row
+    (Hoffman et al., "Stochastic Variational Inference", JMLR 2013) and
+    takes their geometric rows exp(psi(prior + n) - psi(row sum)),
+    renormalized (``dirichlet_geo_rows``), for transitions and emissions
+    alike.
     """
+    if not (math.isfinite(emit_prior) and emit_prior > 0):
+        raise ValueError(f"emit_prior must be finite and > 0, got {emit_prior!r}")
+    pseudo = np.full(stats.token_stats.shape[1], float(emit_prior))
     if isinstance(mode, SviMode):
-        return svi.svi_surrogate(
-            mode.prior_count + stats.trans_counts,
-            prior.pseudo_counts + stats.token_stats,
+        return SurrogateParams(
+            dirichlet_geo_rows(mode.prior_count + stats.trans_counts),
+            dirichlet_geo_rows(pseudo + stats.token_stats),
         )
     if isinstance(mode, FiniteMode):
         prior_term = np.full(stats.trans_counts.shape[1], mode.prior_count)
@@ -171,8 +184,10 @@ def build_surrogate(stats: GlobalStats, mode, prior: EmissionPrior) -> Surrogate
         raise TypeError(f"unknown model mode {type(mode).__name__}")
     unnorm = prior_term[None, :] + stats.trans_counts
     trans = unnorm / unnorm.sum(axis=1, keepdims=True)
-    emit = surrogate_emission_matrix(prior, stats.token_stats)
-    return SurrogateParams(trans, emit)
+    # the pairwise sum of V copies of c, which V * c differs from in the last bit
+    # for about half of all (c, V), e.g. 2.1000000000000005 against 2.1 at V = 21
+    denom = pseudo.sum() + stats.token_stats.sum(axis=1)
+    return SurrogateParams(trans, (pseudo + stats.token_stats) / denom[:, None])
 
 
 def process_minibatch(
@@ -180,7 +195,7 @@ def process_minibatch(
     batch,
     rho: float,
     mode,
-    prior: EmissionPrior,
+    emit_prior: float,
     corpus_size: int,
 ):
     """One stochastic update of the global statistics; modifies no argument.
@@ -191,7 +206,7 @@ def process_minibatch(
     ``GlobalStats`` and the batch's ``BatchSums``, whose absence sums are
     computed exactly when ``mode`` is an ``HdpPosterior``.
     """
-    params = build_surrogate(stats, mode, prior)
+    params = build_surrogate(stats, mode, emit_prior)
     sums = sweep(params, batch, absence=isinstance(mode, HdpPosterior))
     if not (np.all(np.isfinite(sums.counts)) and np.all(np.isfinite(sums.token_stats))):
         bad = np.flatnonzero(~np.isfinite(sums.loglik))
@@ -265,8 +280,7 @@ class TrainedModel:
         return self.stats.token_stats.shape[1]
 
     def surrogate(self) -> SurrogateParams:
-        prior = EmissionPrior.symmetric(self.config.emit_prior, self.vocab_size)
-        return build_surrogate(self.stats, self.mode, prior)
+        return build_surrogate(self.stats, self.mode, self.config.emit_prior)
 
 
 def k_effective(model: TrainedModel) -> int:
@@ -304,7 +318,6 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     config.validate()
     vocab_size = len(corpus.vocab)
     corpus_size = len(corpus)
-    emit_prior = EmissionPrior.symmetric(config.emit_prior, vocab_size)
     alpha_prior, gamma_prior = _concentration_priors(config)
 
     stats = initialize_stats(config.num_states, vocab_size, corpus.counts, config.seed + 1)
@@ -355,7 +368,7 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
         batch = [corpus.sequences[i] for i in next(stream)]
         rho = step_size(step, config.kappa)
         try:
-            stats, sums = process_minibatch(stats, batch, rho, mode, emit_prior, corpus_size)
+            stats, sums = process_minibatch(stats, batch, rho, mode, config.emit_prior, corpus_size)
         except NumericalError as exc:
             raise NumericalError(f"{exc} (step {step})") from None
         step += 1

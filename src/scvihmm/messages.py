@@ -172,13 +172,14 @@ def _slices(batch, vocab_size):
     start = 0
     while start < len(seqs):
         cols = order[start : start + max(1, SLICE_POSITIONS // lengths[order[start]])]
-        tokens = np.zeros((lengths[cols[0]], cols.size), dtype=np.intp)
-        for j, i in enumerate(cols):
-            tokens[: lengths[i], j] = seqs[i]
-        if tokens.min() < 0 or tokens.max() >= vocab_size:
+        # uint64 and signed sequences concatenate to float64, exact for in-range indices
+        flat = np.concatenate([seqs[i] for i in cols])
+        if flat.min() < 0 or flat.max() >= vocab_size:
             raise ValueError("sequence contains token indices outside the vocabulary")
-        n_at = (lengths[cols][None, :] > np.arange(tokens.shape[0])[:, None]).sum(axis=1)
-        slices.append((cols, tokens, n_at))
+        running = lengths[cols][None, :] > np.arange(lengths[cols[0]])[:, None]
+        tokens = np.zeros(running.shape, dtype=np.intp)
+        tokens.T[running.T] = flat  # the transposed mask walks the sequences in turn
+        slices.append((cols, tokens, running.sum(axis=1)))
         start += cols.size
     return slices
 

@@ -1,9 +1,11 @@
-"""Digamma and the Beta/Gamma expectations used by the variational updates.
+"""Digamma and the Beta/Gamma/Dirichlet expectations used by the variational updates.
 
 Everything here is dependency-free on purpose: digamma sits in the inner
 loop of the surrogate-parameter builds, and the expectations are thin
-wrappers around it.  All functions accept scalars or ndarrays and
-broadcast elementwise.
+wrappers around it.  Which expectation each mode's surrogate takes is
+stated in ``engine.build_surrogate``.  All functions but
+``dirichlet_geo_rows`` accept scalars or ndarrays and broadcast
+elementwise.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "beta_expect_logs",
     "gamma_expect",
     "gamma_geo_expect",
+    "dirichlet_geo_rows",
 ]
 
 # Recurrence threshold for the asymptotic series.  With the six Bernoulli
@@ -124,3 +127,14 @@ def gamma_geo_expect(p: GammaParams):
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def dirichlet_geo_rows(params: np.ndarray) -> np.ndarray:
+    """Geometric expectations exp(E[log x]) of Dirichlet rows, renormalized.
+
+    Each row of ``params`` holds the positive parameters of one Dirichlet;
+    its weights exp(psi(params) - psi(row sum)) sum to less than 1 and are
+    divided by their sum.
+    """
+    weights = np.exp(digamma(params) - digamma(params.sum(axis=1))[:, None])
+    return weights / weights.sum(axis=1, keepdims=True)

@@ -21,7 +21,6 @@ from scvihmm.corpus import (
     save_corpus,
     split,
 )
-from scvihmm.emissions import EmissionPrior, surrogate_emission_matrix
 from scvihmm.engine import (
     FiniteMode,
     GlobalStats,
@@ -124,12 +123,12 @@ def check_emission_smoothing_toward_uniform(n=100):
     rng = np.random.default_rng(21)
     for _ in range(n):
         v = int(rng.integers(2, 12))
-        prior = EmissionPrior.symmetric(rng.uniform(0.05, 2.0), v)
+        pseudo = np.full(v, rng.uniform(0.05, 2.0))
         base = rng.uniform(0.0, 30.0, size=(1, v))
         kls = []
         for c in (0.0, 1.0, 10.0, 100.0)[:4]:
             t = base + c
-            row = surrogate_emission_row(prior, t, 0)
+            row = surrogate_emission_row(pseudo, t, 0)
             assert np.all(row > 0) and abs(row.sum() - 1.0) < 1e-12
             kls.append(_kl_to_uniform(row))
         assert kls[0] >= kls[1] >= kls[2] >= kls[3]
@@ -140,10 +139,10 @@ def check_emission_large_count_limit(n=100):
     rng = np.random.default_rng(22)
     for _ in range(n):
         v = int(rng.integers(2, 12))
-        prior = EmissionPrior.symmetric(rng.uniform(0.05, 2.0), v)
+        pseudo = np.full(v, rng.uniform(0.05, 2.0))
         props = rng.dirichlet(np.ones(v))
         t = (1e6 * props)[None, :]
-        row = surrogate_emission_row(prior, t, 0)
+        row = surrogate_emission_row(pseudo, t, 0)
         assert np.max(np.abs(row - props)) < 1e-4
     return f"{n} rows at 1e6 scale"
 
@@ -152,12 +151,11 @@ def check_emission_row_independence(n=100):
     rng = np.random.default_rng(23)
     for _ in range(n):
         k, v = int(rng.integers(2, 5)), int(rng.integers(2, 8))
-        prior = EmissionPrior.symmetric(0.1, v)
         t = rng.uniform(0.0, 5.0, size=(k, v))
-        before = surrogate_emission_matrix(prior, t)
+        before = build_surrogate(GlobalStats(np.ones((k + 1, k)), t), FiniteMode(0.1), 0.1).emit
         t2 = t.copy()
         t2[0] += rng.uniform(1.0, 3.0, size=v)
-        after = surrogate_emission_matrix(prior, t2)
+        after = build_surrogate(GlobalStats(np.ones((k + 1, k)), t2), FiniteMode(0.1), 0.1).emit
         assert np.array_equal(before[1:], after[1:])
         assert not np.array_equal(before[0], after[0])
     return f"{n} perturbed-row matrices"
@@ -230,17 +228,16 @@ def _random_minibatch_setup(rng):
     seqs = [rng.integers(0, v, rng.integers(2, 10)) for _ in range(int(rng.integers(2, 9)))]
     corpus = Corpus.from_sequences(seqs, vocab)
     stats = initialize_stats(k, v, corpus.counts, int(rng.integers(1000)))
-    prior = EmissionPrior.symmetric(0.1, v)
     kappa = float(rng.uniform(0.5, 1.0))
-    return corpus, stats, prior, step_size(int(rng.integers(0, 20)), kappa)
+    return corpus, stats, step_size(int(rng.integers(0, 20)), kappa)
 
 
 def check_stats_nonnegative_finite(n=100):
     rng = np.random.default_rng(41)
     for _ in range(n):
-        corpus, stats, prior, rho = _random_minibatch_setup(rng)
+        corpus, stats, rho = _random_minibatch_setup(rng)
         out, _ = process_minibatch(stats, corpus.sequences, rho, FiniteMode(0.1),
-                                prior, len(corpus))
+                                0.1, len(corpus))
         assert np.all(out.trans_counts >= 0) and np.all(np.isfinite(out.trans_counts))
         assert np.all(out.token_stats >= 0)
         assert np.all(np.isfinite(out.token_stats))
@@ -250,10 +247,10 @@ def check_stats_nonnegative_finite(n=100):
 def check_convex_total_mass(n=100):
     rng = np.random.default_rng(42)
     for _ in range(n):
-        corpus, stats, prior, rho = _random_minibatch_setup(rng)
+        corpus, stats, rho = _random_minibatch_setup(rng)
         m = int(rng.integers(1, len(corpus) + 1))
         batch = corpus.sequences[:m]
-        out, _ = process_minibatch(stats, batch, rho, FiniteMode(0.1), prior, len(corpus))
+        out, _ = process_minibatch(stats, batch, rho, FiniteMode(0.1), 0.1, len(corpus))
         mean_tokens = sum(len(s) for s in batch) / m
         expected = (1 - rho) * stats.trans_counts.sum() + rho * len(corpus) * mean_tokens
         assert abs(out.trans_counts.sum() - expected) <= 1e-8 * max(expected, 1.0)
@@ -263,15 +260,15 @@ def check_convex_total_mass(n=100):
 def check_minibatch_order_invariance(n=100):
     rng = np.random.default_rng(43)
     for _ in range(n):
-        corpus, stats, prior, rho = _random_minibatch_setup(rng)
+        corpus, stats, rho = _random_minibatch_setup(rng)
         a, _ = process_minibatch(stats, corpus.sequences, rho,
-                              FiniteMode(0.1), prior, len(corpus))
+                              FiniteMode(0.1), 0.1, len(corpus))
         b, _ = process_minibatch(stats, corpus.sequences, rho,
-                              FiniteMode(0.1), prior, len(corpus))
+                              FiniteMode(0.1), 0.1, len(corpus))
         assert np.array_equal(a.trans_counts, b.trans_counts)
         assert np.array_equal(a.token_stats, b.token_stats)
         c, _ = process_minibatch(stats, corpus.sequences[::-1], rho,
-                              FiniteMode(0.1), prior, len(corpus))
+                              FiniteMode(0.1), 0.1, len(corpus))
         assert np.allclose(c.trans_counts, a.trans_counts, rtol=1e-9, atol=1e-12)
     return f"{n} repeat/reversed minibatches"
 
@@ -283,7 +280,7 @@ def check_flat_prior_term_structure(n=100):
         counts = rng.uniform(0.0, 10.0, size=(k + 1, k))
         emit = rng.uniform(0.01, 5.0, size=(k, v))
         stats = GlobalStats(counts, emit)
-        params = build_surrogate(stats, FiniteMode(0.1), EmissionPrior.symmetric(0.1, v))
+        params = build_surrogate(stats, FiniteMode(0.1), 0.1)
         unnorm = 0.1 + counts
         assert np.allclose(params.trans, unnorm / unnorm.sum(axis=1, keepdims=True),
                            atol=1e-12)
@@ -293,7 +290,7 @@ def check_flat_prior_term_structure(n=100):
 def check_predictive_pure_function(n=100):
     rng = np.random.default_rng(45)
     for _ in range(n):
-        corpus, stats, prior, _ = _random_minibatch_setup(rng)
+        corpus, stats, _ = _random_minibatch_setup(rng)
         k = stats.trans_counts.shape[1]
         model = TrainedModel(RunConfig(num_states=k), stats, FiniteMode(0.1))
         first = predictive_log_likelihood(model, corpus)
@@ -409,16 +406,15 @@ def check_rows_stay_above_prior(n=100):
     for _ in range(n):
         k, v = int(rng.integers(1, 4)), int(rng.integers(2, 7))
         stats = initialize_stats(k, v, 60.0, int(rng.integers(1000)))
-        prior = EmissionPrior.symmetric(0.1, v)
         seqs = [rng.integers(0, v, rng.integers(2, 9)) for _ in range(3)]
         # rho = 1 wipes the old counts, so a word absent from the batch sits
         # exactly on 0; every later step is a strict convex blend
-        first, _ = process_minibatch(stats, seqs, 1.0, SviMode(0.1), prior, 6)
+        first, _ = process_minibatch(stats, seqs, 1.0, SviMode(0.1), 0.1, 6)
         assert np.all(first.trans_counts >= 0.0)
         assert np.all(first.token_stats >= 0.0)
         kappa = float(rng.uniform(0.5, 1.0))
         rho = step_size(int(rng.integers(1, 10)), kappa)
-        stepped, _ = process_minibatch(stats, seqs, rho, SviMode(0.1), prior, 6)
+        stepped, _ = process_minibatch(stats, seqs, rho, SviMode(0.1), 0.1, 6)
         assert np.all(stepped.trans_counts > 0.0)
         assert np.all(stepped.token_stats > 0.0)
     return f"{n} natural-gradient steps"

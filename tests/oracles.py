@@ -33,14 +33,14 @@ def dirichlet_predictive_row(pseudo_counts, token_stats_row):
     return scores / scores.sum()
 
 
-def surrogate_emission_row(prior, token_stats, k):
+def surrogate_emission_row(pseudo_counts, token_stats, k):
     """Surrogate emission distribution of state ``k``, one row at a time.
 
-    The per-row reference for ``emissions.surrogate_emission_matrix``:
+    The per-row reference for the emission rows of ``engine.build_surrogate``:
     (pseudo + token_stats[k]) / (sum(pseudo) + sum(token_stats[k])), with
-    ``prior`` anything carrying a ``pseudo_counts`` vector.
+    ``pseudo_counts`` the Dirichlet pseudo-count vector.
     """
-    pseudo = np.asarray(prior.pseudo_counts, float)
+    pseudo = np.asarray(pseudo_counts, float)
     token_stats = np.asarray(token_stats, float)
     if not 0 <= k < token_stats.shape[0]:
         raise IndexError(f"state index {k} outside truncation {token_stats.shape[0]}")

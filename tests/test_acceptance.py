@@ -15,7 +15,6 @@ import invariants
 from oracles import batch_cvb0_hmm, crp_expected_tables_mc, log_forward_backward
 from scvihmm.config import RunConfig
 from scvihmm.corpus import SyntheticSpec, generate_synthetic
-from scvihmm.emissions import EmissionPrior
 from scvihmm.engine import (
     FiniteMode,
     initialize_stats,
@@ -107,10 +106,7 @@ def test_single_sequence_full_step_reaches_batch_fixed_point():
     current = stats
     for _ in range(60):
         # a blend weight of 1 replaces the statistics with the batch estimate
-        current, _ = process_minibatch(
-            current, [seq], 1.0, FiniteMode(0.1),
-            EmissionPrior.symmetric(0.1, vocab_size), 1,
-        )
+        current, _ = process_minibatch(current, [seq], 1.0, FiniteMode(0.1), 0.1, 1)
     ref_counts, ref_tokens = oracle[-1]
     dev = max(
         float(np.max(np.abs(current.trans_counts - ref_counts))),

@@ -123,6 +123,39 @@ class TestCorpusValidation:
         corpus = Corpus.from_sequences([], Vocabulary(["a"]))
         assert len(corpus) == 0 and corpus.counts == 0
 
+    def test_from_sequences_refuses_non_integer_tokens(self):
+        # once cast, [0.5, 2.9] became [0, 2]
+        with pytest.raises(ValueError, match="^sequences must be 1-d arrays of integer token indices$"):
+            Corpus.from_sequences([[1, 2], [0.5, 2.9]], Vocabulary(["a", "b"]))
+
+    def test_from_sequences_refuses_a_2d_sequence(self):
+        with pytest.raises(ValueError, match="^sequences must be 1-d arrays of integer token indices$"):
+            Corpus.from_sequences([[[1, 2]]], Vocabulary(["a", "b"]))
+
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_float_block_refused_in_any_block(self, where):
+        seqs = self._seqs(3 * corpus_mod.CHECK_BLOCK)
+        seqs[where * corpus_mod.CHECK_BLOCK + 5] = np.array([1.5, 2.0])
+        with pytest.raises(ValueError, match="^sequences must be 1-d arrays of integer token indices$"):
+            Corpus(seqs, Vocabulary(["a", "b"]), 3 * len(seqs) - 1)
+
+    @pytest.mark.parametrize("counts", [0, 5, 7])
+    def test_counts_must_equal_the_token_total(self, counts):
+        seqs = [np.array([1, 2, 1]), np.array([2, 2, 1])]
+        with pytest.raises(ValueError, match=f"^counts {counts} differs from the 6 tokens"):
+            Corpus(seqs, Vocabulary(["a", "b"]), counts)
+        assert Corpus(seqs, Vocabulary(["a", "b"]), 6).counts == 6
+
+    def test_integer_dtypes_kept(self):
+        # uint64 with signed sequences concatenates to float64 in the block check
+        seqs = [np.array([1, 2], dtype=np.uint8), np.array([2], dtype=np.int16), [1, 1],
+                np.array([2, 0], dtype=np.uint64)]
+        corpus = Corpus.from_sequences(seqs, Vocabulary(["a", "b"]))
+        assert [s.dtype for s in corpus.sequences] == [np.uint8, np.int16, np.int64, np.uint64]
+        assert corpus.counts == 7
+        with pytest.raises(ValueError, match="^sequence token index outside vocabulary$"):
+            Corpus.from_sequences(seqs + [np.array([3], dtype=np.uint64)], Vocabulary(["a", "b"]))
+
 
 class TestSplit:
     def _corpus(self, n):

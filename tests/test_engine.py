@@ -10,7 +10,6 @@ from oracles import batch_cvb0_hmm, batch_sums, log_forward_backward, log_space_
 from scvihmm import messages
 from scvihmm.config import ConfigError, RunConfig
 from scvihmm.corpus import Corpus, SyntheticSpec, Vocabulary, generate_synthetic, split
-from scvihmm.emissions import EmissionPrior
 from scvihmm.engine import (
     FiniteMode,
     GlobalStats,
@@ -101,27 +100,27 @@ class TestInitializeStats:
 class TestBuildSurrogate:
     def test_zero_stats_finite_uniform(self):
         stats = GlobalStats(np.zeros((5, 4)), np.zeros((4, 3)))
-        params = build_surrogate(stats, FiniteMode(0.1), EmissionPrior.symmetric(0.1, 3))
+        params = build_surrogate(stats, FiniteMode(0.1), 0.1)
         np.testing.assert_allclose(params.trans, 0.25, atol=1e-15)
 
     def test_zero_stats_hdp_startup_uniform(self):
         stats = GlobalStats(np.zeros((5, 4)), np.zeros((4, 3)))
         mode = HdpPosterior.initial(4)
-        params = build_surrogate(stats, mode, EmissionPrior.symmetric(0.1, 3))
+        params = build_surrogate(stats, mode, 0.1)
         np.testing.assert_allclose(params.trans, 0.25, atol=1e-15)
 
     def test_count_row_normalization(self):
         counts = np.zeros((3, 2))
         counts[1] = [8.0, 2.0]
         stats = GlobalStats(counts, np.zeros((2, 3)))
-        params = build_surrogate(stats, FiniteMode(0.1), EmissionPrior.symmetric(0.1, 3))
+        params = build_surrogate(stats, FiniteMode(0.1), 0.1)
         np.testing.assert_allclose(params.trans[1], np.array([8.1, 2.1]) / 10.2, atol=1e-12)
         np.testing.assert_allclose(params.trans[0], 0.5, atol=1e-12)
 
     def test_unknown_mode(self):
         stats = GlobalStats(np.zeros((3, 2)), np.zeros((2, 3)))
         with pytest.raises(TypeError):
-            build_surrogate(stats, object(), EmissionPrior.symmetric(0.1, 3))
+            build_surrogate(stats, object(), 0.1)
 
     def test_unknown_algorithm_has_no_mode(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -133,7 +132,7 @@ class TestProcessMinibatch:
         rng = np.random.default_rng(seed)
         corpus = tiny_corpus(rng, vocab_size=vocab_size)
         stats = initialize_stats(num_states, vocab_size, corpus.counts, seed)
-        prior = EmissionPrior.symmetric(0.1, vocab_size)
+        prior = 0.1
         return corpus, stats, prior
 
     def test_first_step_is_pure_batch_estimate(self):
@@ -262,7 +261,7 @@ class TestProcessMinibatch:
         corpus = Corpus.from_sequences([seq], vocab)
         num_states, vocab_size = 2, 4
         stats = initialize_stats(num_states, vocab_size, 20.0, seed=7)
-        prior = EmissionPrior.symmetric(0.1, vocab_size)
+        prior = 0.1
         oracle = batch_cvb0_hmm(
             seq, num_states, vocab_size, 0.1, 0.1,
             stats.trans_counts, stats.token_stats, 60,

@@ -13,7 +13,6 @@ import pytest
 
 from oracles import batch_hdp_scvi, crp_expected_tables_mc, log_forward_backward, zero_tables
 from scvihmm.corpus import Corpus, Vocabulary
-from scvihmm.emissions import EmissionPrior
 from scvihmm.engine import initialize_stats, process_minibatch
 from scvihmm.hdp import (
     HdpPosterior,
@@ -356,7 +355,6 @@ class TestBatchTrajectory:
         seqs = [rng.integers(0, V, rng.integers(8, 15)) for _ in range(5)]
         corpus = Corpus.from_sequences(seqs, vocab)
         stats = initialize_stats(K, V, corpus.counts, seed=17)
-        prior = EmissionPrior.symmetric(0.1, V)
         snaps = batch_hdp_scvi(
             seqs, K, V, 0.1,
             stats.trans_counts, stats.token_stats, 20,
@@ -364,7 +362,7 @@ class TestBatchTrajectory:
         post = HdpPosterior.initial(K)
         current = stats
         for i in range(20):
-            current, sums = process_minibatch(current, seqs, 1.0, post, prior, len(seqs))
+            current, sums = process_minibatch(current, seqs, 1.0, post, 0.1, len(seqs))
             parts = (sums.counts, sums.absence_pair, sums.absence_row)
             means = [total / len(seqs) for total in parts]
             post = update_hdp(post, tables_from_aggregates(*means, len(seqs), post), 1.0)

@@ -193,8 +193,11 @@ class TestForwardBackward:
         params = random_params(rng, 3, 5)
         batch = random_batch(rng, 5, 6, 19)
         ref = sweep(params, batch, absence=True)
-        for dtype in (np.uint8, np.int16, np.uint64):
-            got = sweep(params, [seq.astype(dtype) for seq in batch], absence=True)
+        # np.concatenate promotes a mix of uint64 and int64 to float64
+        mixed = [seq.astype(np.uint64) if i % 2 else seq for i, seq in enumerate(batch)]
+        for cast in (np.uint8, np.int16, np.uint64, None):
+            got = sweep(params, mixed if cast is None else [seq.astype(cast) for seq in batch],
+                        absence=True)
             for name in ("loglik", "counts", "token_stats", "absence_pair", "absence_row"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 

@@ -12,7 +12,6 @@ import pytest
 from oracles import batch_vb_hmm
 from scvihmm.config import RunConfig
 from scvihmm.corpus import Corpus, Vocabulary
-from scvihmm.emissions import EmissionPrior
 from scvihmm.engine import (
     GlobalStats,
     SviMode,
@@ -22,31 +21,36 @@ from scvihmm.engine import (
     step_size,
     train,
 )
-from scvihmm.svi import svi_surrogate
+from scvihmm.special import dirichlet_geo_rows
 
 
 class TestSurrogate:
+    """The geometric rows every ``svi-hmm`` surrogate is built from."""
+
     @pytest.mark.parametrize("c", [0.5, 1.0, 7.0])
     def test_symmetric_rows_are_uniform(self, c):
-        params = svi_surrogate(np.full((4, 3), c), np.full((3, 5), c))
-        np.testing.assert_allclose(params.trans, 1 / 3, atol=1e-12)
-        np.testing.assert_allclose(params.emit, 1 / 5, atol=1e-12)
+        np.testing.assert_allclose(dirichlet_geo_rows(np.full((4, 3), c)), 1 / 3, atol=1e-12)
+        np.testing.assert_allclose(dirichlet_geo_rows(np.full((3, 5), c)), 1 / 5, atol=1e-12)
 
     def test_two_to_one_row(self):
         # weights exp(psi(2)), exp(psi(1)) over common denominator
         # renormalize to e/(e+1), 1/(e+1)
-        params = svi_surrogate(np.ones((2, 1)), np.array([[2.0, 1.0]]))
+        rows = dirichlet_geo_rows(np.array([[2.0, 1.0]]))
         e = math.e
-        np.testing.assert_allclose(
-            params.emit[0], [e / (e + 1), 1 / (e + 1)], atol=1e-12
-        )
+        np.testing.assert_allclose(rows[0], [e / (e + 1), 1 / (e + 1)], atol=1e-12)
 
     def test_rows_positive_and_normalized(self):
         rng = np.random.default_rng(0)
-        params = svi_surrogate(rng.gamma(2.0, size=(5, 4)), rng.gamma(2.0, size=(4, 6)))
-        assert np.all(params.trans > 0) and np.all(params.emit > 0)
-        np.testing.assert_allclose(params.trans.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(params.emit.sum(axis=1), 1.0, atol=1e-12)
+        for shape in ((5, 4), (4, 6)):
+            rows = dirichlet_geo_rows(rng.gamma(2.0, size=shape))
+            assert np.all(rows > 0)
+            np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_build_surrogate_takes_geometric_rows(self):
+        stats = initialize_stats(3, 5, 40.0, seed=1)
+        params = build_surrogate(stats, SviMode(0.2), 0.3)
+        np.testing.assert_array_equal(params.trans, dirichlet_geo_rows(0.2 + stats.trans_counts))
+        np.testing.assert_array_equal(params.emit, dirichlet_geo_rows(0.3 + stats.token_stats))
 
 
 def untrained_svi_model(vocab_size, num_states, seed):
@@ -94,9 +98,7 @@ def random_batch(rng, n_seqs, vocab_size, max_len=12):
 
 
 def svi_update(stats, batch, rho, corpus_size):
-    vocab_size = stats.token_stats.shape[1]
-    prior = EmissionPrior.symmetric(0.1, vocab_size)
-    return process_minibatch(stats, batch, rho, SviMode(0.1), prior, corpus_size)[0]
+    return process_minibatch(stats, batch, rho, SviMode(0.1), 0.1, corpus_size)[0]
 
 
 class TestStep:
@@ -106,7 +108,7 @@ class TestStep:
         rng = np.random.default_rng(5)
         stats = initialize_stats(2, 4, 50.0, seed=2)
         batch = random_batch(rng, 3, 4)
-        params = build_surrogate(stats, SviMode(0.1), EmissionPrior.symmetric(0.1, 4))
+        params = build_surrogate(stats, SviMode(0.1), 0.1)
         sums = sweep(params, batch)
         scale = 9 / 3
         out = svi_update(stats, batch, 1.0, 9)
