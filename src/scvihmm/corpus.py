@@ -45,8 +45,9 @@ class Vocabulary:
             self._index[word] = idx
         return idx
 
-    def index(self, word: str):
-        return self._index.get(word)
+    def index(self, word: str) -> int:
+        """The word's index, or 0 (the unknown token) for a word not held."""
+        return self._index.get(word, 0)
 
     def word(self, idx: int) -> str:
         return self._words[idx]
@@ -77,15 +78,14 @@ class Vocabulary:
 class Corpus:
     """Immutable token-index sequences over a shared vocabulary.
 
-    Each sequence is a nonempty 1-d integer array and ``counts`` their total
-    length.  The checks run on blocks of ``CHECK_BLOCK`` concatenated
-    sequences.
+    Each sequence is a nonempty 1-d integer array.  ``counts``, their total
+    length, is derived: the checks run on blocks of ``CHECK_BLOCK``
+    concatenated sequences and sum the block sizes as they go.
     """
 
     sequences: list
     vocab: Vocabulary
-    counts: int
-    skipped_lines: int = 0
+    counts: int = field(init=False)
 
     def __post_init__(self):
         if any(len(s) == 0 for s in self.sequences):
@@ -102,8 +102,7 @@ class Corpus:
             if block.min() < 0 or block.max() >= vocab_size:
                 raise ValueError("sequence token index outside vocabulary")
             tokens += block.size
-        if self.counts != tokens:
-            raise ValueError(f"counts {self.counts!r} differs from the {tokens} tokens of the sequences")
+        self.counts = tokens
 
     def __len__(self):
         return len(self.sequences)
@@ -111,48 +110,29 @@ class Corpus:
     @classmethod
     def from_sequences(cls, sequences, vocab) -> "Corpus":
         """A corpus of integer sequences, kept in their own integer dtype."""
-        seqs = [np.asarray(s) for s in sequences]
-        return cls(seqs, vocab, sum(s.size for s in seqs))
+        return cls([np.asarray(s) for s in sequences], vocab)
 
 
-def load_corpus(path, vocab: Vocabulary = None, oov: str = "unk") -> Corpus:
+def load_corpus(path, vocab: Vocabulary = None) -> Corpus:
     """Parse a text corpus; build the vocabulary unless one is supplied.
 
-    With a frozen vocabulary, unknown words are mapped to index 0 when
-    ``oov="unk"`` and rejected (naming the line and token) when
-    ``oov="error"``.
+    Blank lines are skipped.  A supplied vocabulary is frozen: words it
+    does not hold map to index 0, the unknown token.
     """
-    if oov not in ("unk", "error"):
-        raise ValueError(f"unknown oov policy {oov!r}")
-    frozen = vocab is not None
-    if not frozen:
+    if vocab is None:
         vocab = Vocabulary()
-    sequences = []
-    skipped = 0
+        lookup = vocab.add
+    else:
+        lookup = vocab.index
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                skipped += 1
-                continue
-            seq = np.empty(len(tokens), dtype=np.int64)
-            for j, tok in enumerate(tokens):
-                if frozen:
-                    idx = vocab.index(tok)
-                    if idx is None:
-                        if oov == "error":
-                            raise ValueError(
-                                f"line {lineno}: token {tok!r} not in vocabulary"
-                            )
-                        idx = 0
-                else:
-                    idx = vocab.add(tok)
-                seq[j] = idx
-            sequences.append(seq)
+        sequences = [
+            np.array([lookup(tok) for tok in tokens], dtype=np.int64)
+            for tokens in map(str.split, fh)
+            if tokens
+        ]
     if not sequences:
         raise ValueError(f"no sequences in corpus file {path}")
-    counts = sum(int(s.size) for s in sequences)
-    return Corpus(sequences, vocab, counts, skipped_lines=skipped)
+    return Corpus(sequences, vocab)
 
 
 def save_corpus(corpus: Corpus, path):
@@ -293,7 +273,7 @@ def generate_synthetic(spec: SyntheticSpec):
     flat += 1
     sequences = np.split(flat, np.cumsum(lengths[:-1]))
     vocab = Vocabulary(f"w{i}" for i in range(spec.vocab_size))
-    corpus = Corpus(sequences, vocab, int(flat.size))
+    corpus = Corpus(sequences, vocab)
     return corpus, GroundTruth(spec.trans.copy(), spec.emit.copy())
 
 

@@ -31,9 +31,6 @@ _LOG_FLOOR = -650.0
 
 DEFAULT_CONCENTRATION_PRIOR = GammaParams(1.0, 0.1)
 
-# every state's geometric weight before the first update (see HdpPosterior)
-STARTUP_GEO_WEIGHT = 0.1
-
 __all__ = [
     "DEFAULT_CONCENTRATION_PRIOR",
     "HdpPosterior",
@@ -78,9 +75,10 @@ class HdpPosterior:
     ``sticks`` holds K Beta posteriors (vector-valued parameters),
     ``alpha`` and ``gamma`` the two Gamma concentration posteriors, and
     ``geo_alpha_pi`` caches the per-destination geometric weights.  The
-    cache is refreshed by every update; at initialization it is pinned to a
-    flat ``STARTUP_GEO_WEIGHT`` (0.1) so the first sweep starts from the
-    same transition prior counts as the flat-prior models.
+    cache is refreshed by every update; ``initial`` pins it to a flat start
+    weight, which ``engine.initial_mode`` takes from the config's
+    ``trans_prior``, so the first sweep starts from the same transition
+    prior counts as the flat-prior models.
     """
 
     sticks: BetaParams
@@ -104,13 +102,14 @@ class HdpPosterior:
     def initial(
         cls,
         num_states: int,
+        start_weight: float,
         alpha_prior: GammaParams = DEFAULT_CONCENTRATION_PRIOR,
         gamma_prior: GammaParams = DEFAULT_CONCENTRATION_PRIOR,
     ) -> "HdpPosterior":
         sticks = BetaParams(
             np.ones(num_states), np.full(num_states, gamma_expect(gamma_prior))
         )
-        return cls(sticks, alpha_prior, gamma_prior, np.full(num_states, STARTUP_GEO_WEIGHT))
+        return cls(sticks, alpha_prior, gamma_prior, np.full(num_states, start_weight))
 
 
 def compute_geo_alpha_pi(sticks: BetaParams, alpha: GammaParams) -> np.ndarray:
@@ -140,29 +139,33 @@ def tables_from_aggregates(
     expected count short-circuit to zero tables.
     """
     n = float(corpus_size)
-    tiny = np.finfo(float).tiny
     geo = post.geo_alpha_pi[None, :]
-
-    with np.errstate(over="ignore"):
-        q_pos = -np.expm1(n * mean_logq0_pair)
-    positive = mean_counts > 0.0
-    q_pos = np.where(positive, np.maximum(q_pos, tiny), 1.0)
-    e_plus = np.where(positive, n * mean_counts / q_pos, 1.0)
+    positive, q_pos, e_plus = _occupancy(mean_counts, mean_logq0_pair, n)
     es = np.where(
         positive, geo * q_pos * (digamma(geo + e_plus) - digamma(geo)), 0.0
     )
 
-    row_counts = mean_counts.sum(axis=1)
-    with np.errstate(over="ignore"):
-        q_row = -np.expm1(n * mean_logq0_row)
-    pos_row = row_counts > 0.0
-    q_row = np.where(pos_row, np.maximum(q_row, tiny), 1.0)
-    e_plus_row = np.where(pos_row, n * row_counts / q_row, 1.0)
+    pos_row, q_row, e_plus_row = _occupancy(mean_counts.sum(axis=1), mean_logq0_row, n)
     mean_alpha = gamma_expect(post.alpha)
     elogeta = np.where(
         pos_row, q_row * (digamma(mean_alpha) - digamma(mean_alpha + e_plus_row)), 0.0
     )
     return TableStats(np.maximum(es, 0.0), np.minimum(elogeta, 0.0))
+
+
+def _occupancy(mean_counts, mean_logq0, n):
+    """Per cell of the n-replicate corpus: occupied?, q and e+.
+
+    q = 1 - exp(n * mean_logq0) is the chance that some replicate uses the
+    cell, floored at the smallest normal float, and e+ = n * mean_counts / q
+    its expected count given that one does.  Cells with zero expected count
+    get q = e+ = 1 for the caller to mask out.
+    """
+    with np.errstate(over="ignore"):
+        q = -np.expm1(n * mean_logq0)
+    positive = mean_counts > 0.0
+    q = np.where(positive, np.maximum(q, np.finfo(float).tiny), 1.0)
+    return positive, q, np.where(positive, n * mean_counts / q, 1.0)
 
 
 def _solve_gamma_mean(c_v, c_b, u_new, a_gamma, rho):

@@ -373,7 +373,7 @@ def check_update_idempotent_at_full_step(n=100):
         tables = TableStats(
             rng.uniform(0.0, 4.0, size=(k + 1, k)), -rng.uniform(0.0, 1.0, k + 1)
         )
-        start = HdpPosterior.initial(k)
+        start = HdpPosterior.initial(k, 0.1)
         once = update_hdp(start, tables, 1.0)
         twice = update_hdp(once, tables, 1.0)
         assert np.array_equal(once.sticks.u, twice.sticks.u)
@@ -385,7 +385,7 @@ def check_update_idempotent_at_full_step(n=100):
 
 def check_geo_cache_coherent(n=100):
     rng = np.random.default_rng(55)
-    post = HdpPosterior.initial(4)
+    post = HdpPosterior.initial(4, 0.1)
     for _ in range(n):
         tables = TableStats(
             rng.uniform(0.0, 3.0, size=(5, 4)), -rng.uniform(0.0, 0.8, 5)

@@ -42,32 +42,35 @@ class TestLoadCorpus:
         p = tmp_path / "c.txt"
         p.write_text("a b\n\n   \nb\n")
         corpus = load_corpus(p)
-        assert len(corpus) == 2
-        assert corpus.skipped_lines == 2
-
-    def test_frozen_vocab_error_policy(self, tmp_path):
-        p = tmp_path / "c.txt"
-        p.write_text("a b\na c\n")
-        vocab = Vocabulary(["a", "b"])
-        with pytest.raises(ValueError, match=r"line 2.*'c'"):
-            load_corpus(p, vocab=vocab, oov="error")
+        assert len(corpus) == 2 and corpus.counts == 3
 
     def test_frozen_vocab_unk_policy(self, tmp_path):
         p = tmp_path / "c.txt"
-        p.write_text("a c b\n")
+        p.write_text("a c b\nzzz\n")
         vocab = Vocabulary(["a", "b"])
-        corpus = load_corpus(p, vocab=vocab, oov="unk")
-        np.testing.assert_array_equal(corpus.sequences[0], [1, 0, 2])
+        corpus = load_corpus(p, vocab=vocab)
+        assert [s.tolist() for s in corpus.sequences] == [[1, 0, 2], [0]]
+        assert corpus.vocab is vocab and len(vocab) == 3
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_corpus(tmp_path / "absent.txt")
 
-    def test_bad_policy(self, tmp_path):
+    def test_whitespace_and_line_endings_do_not_matter(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("a b c\nb a\nc\n")
+        messy = tmp_path / "messy.txt"
+        messy.write_bytes(b"a\tb   c\r\n\t b \ta\r\nc")
+        for vocab in (None, Vocabulary(["c", "a"])):
+            want, got = load_corpus(plain, vocab=vocab), load_corpus(messy, vocab=vocab)
+            assert got.vocab == want.vocab and got.counts == want.counts == 6
+            assert [s.tolist() for s in got.sequences] == [s.tolist() for s in want.sequences]
+            assert all(s.dtype == np.int64 for s in got.sequences)
+
+    def test_built_vocab_lists_words_in_first_seen_order(self, tmp_path):
         p = tmp_path / "c.txt"
-        p.write_text("a\n")
-        with pytest.raises(ValueError):
-            load_corpus(p, oov="ignore")
+        p.write_text("cat the\nsat the mat\ncat on\n")
+        assert load_corpus(p).vocab.words == ("cat", "the", "sat", "mat", "on")
 
 
 class TestRoundTrip:
@@ -77,7 +80,7 @@ class TestRoundTrip:
         corpus = load_corpus(p)
         q = tmp_path / "copy.txt"
         save_corpus(corpus, q)
-        reloaded = load_corpus(q, vocab=corpus.vocab, oov="error")
+        reloaded = load_corpus(q, vocab=corpus.vocab)
         assert len(reloaded) == len(corpus)
         for a, b in zip(corpus.sequences, reloaded.sequences):
             np.testing.assert_array_equal(a, b)
@@ -91,6 +94,10 @@ class TestRoundTrip:
         want = "".join(" ".join(vocab.word(int(i)) for i in seq) + "\n" for seq in corpus.sequences)
         assert got.read_bytes() == want.encode("utf-8")
         assert got.read_text(encoding="utf-8").splitlines()[1] == "<unk>"
+
+    def test_vocab_index_of_an_unknown_word_is_zero(self):
+        vocab = Vocabulary(["a"])
+        assert vocab.index("zzz") == 0 and vocab.index("a") == 1
 
     def test_vocab_round_trip(self, tmp_path):
         vocab = Vocabulary(["alpha", "beta", "gamma"])
@@ -111,7 +118,7 @@ class TestCorpusValidation:
             seqs = self._seqs(3 * corpus_mod.CHECK_BLOCK)
             seqs[pos] = bad
             with pytest.raises(ValueError, match="^sequence token index outside vocabulary$"):
-                Corpus(seqs, vocab, 0)
+                Corpus(seqs, vocab)
 
     def test_empty_sequence_past_the_first_block(self):
         seqs = self._seqs(2 * corpus_mod.CHECK_BLOCK)
@@ -137,14 +144,14 @@ class TestCorpusValidation:
         seqs = self._seqs(3 * corpus_mod.CHECK_BLOCK)
         seqs[where * corpus_mod.CHECK_BLOCK + 5] = np.array([1.5, 2.0])
         with pytest.raises(ValueError, match="^sequences must be 1-d arrays of integer token indices$"):
-            Corpus(seqs, Vocabulary(["a", "b"]), 3 * len(seqs) - 1)
+            Corpus(seqs, Vocabulary(["a", "b"]))
 
     @pytest.mark.parametrize("counts", [0, 5, 7])
     def test_counts_must_equal_the_token_total(self, counts):
         seqs = [np.array([1, 2, 1]), np.array([2, 2, 1])]
-        with pytest.raises(ValueError, match=f"^counts {counts} differs from the 6 tokens"):
-            Corpus(seqs, Vocabulary(["a", "b"]), counts)
-        assert Corpus(seqs, Vocabulary(["a", "b"]), 6).counts == 6
+        assert Corpus(seqs, Vocabulary(["a", "b"])).counts == 6
+        seqs = [np.array([1, 2])] * (counts // 2) + [np.array([2])] * (counts % 2)
+        assert Corpus(seqs, Vocabulary(["a", "b"])).counts == counts
 
     def test_integer_dtypes_kept(self):
         # uint64 with signed sequences concatenates to float64 in the block check

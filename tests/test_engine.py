@@ -105,9 +105,18 @@ class TestBuildSurrogate:
 
     def test_zero_stats_hdp_startup_uniform(self):
         stats = GlobalStats(np.zeros((5, 4)), np.zeros((4, 3)))
-        mode = HdpPosterior.initial(4)
+        mode = HdpPosterior.initial(4, 0.1)
         params = build_surrogate(stats, mode, 0.1)
         np.testing.assert_allclose(params.trans, 0.25, atol=1e-15)
+
+    @pytest.mark.parametrize("trans_prior", [0.1, 0.37, 5.0])
+    def test_hdp_start_matches_the_flat_prior(self, trans_prior):
+        # the hierarchical model's first sweep starts from the flat model's transition rows
+        stats = initialize_stats(6, 9, 500.0, seed=3)
+        configs = [RunConfig(algorithm=algo, num_states=6, trans_prior=trans_prior)
+                   for algo in ("scvi-hdphmm", "scvi-hmm")]
+        hdp, flat = (build_surrogate(stats, initial_mode(c), 0.1).trans for c in configs)
+        assert hdp.tobytes() == flat.tobytes()
 
     def test_count_row_normalization(self):
         counts = np.zeros((3, 2))
@@ -303,7 +312,7 @@ class TestPredictiveLogLikelihood:
     def test_empty_heldout(self):
         params = SurrogateParams(np.ones((2, 1)), np.full((1, 4), 0.25))
         vocab = Vocabulary(["a"])
-        corpus = Corpus([], vocab, 0)
+        corpus = Corpus([], vocab)
         with pytest.raises(ValueError):
             predictive_log_likelihood(params, corpus)
 
@@ -335,13 +344,13 @@ class TestTrainedModel:
 
     @pytest.mark.parametrize("algo, mode", [
         ("scvi-hmm", SviMode(0.1)),
-        ("scvi-hmm", HdpPosterior.initial(3)),
+        ("scvi-hmm", HdpPosterior.initial(3, 0.1)),
         ("scvi-hmm", FiniteMode(5.0)),
         ("scvi-hdphmm", FiniteMode(0.1)),
         ("scvi-hdphmm", SviMode(0.1)),
-        ("scvi-hdphmm", HdpPosterior.initial(4)),
+        ("scvi-hdphmm", HdpPosterior.initial(4, 0.1)),
         ("svi-hmm", FiniteMode(0.1)),
-        ("svi-hmm", HdpPosterior.initial(3)),
+        ("svi-hmm", HdpPosterior.initial(3, 0.1)),
         ("svi-hmm", SviMode(5.0)),
     ], ids=[
         "scvi-hmm-svi", "scvi-hmm-hdp", "scvi-hmm-other-prior",

@@ -88,8 +88,8 @@ class TestGeoWeights:
         assert np.all(geo > 0) and np.all(np.isfinite(geo))
 
     def test_startup_cache_is_pinned_flat(self):
-        post = HdpPosterior.initial(7)
-        np.testing.assert_array_equal(post.geo_alpha_pi, np.full(7, 0.1))
+        post = HdpPosterior.initial(7, 0.37)
+        np.testing.assert_array_equal(post.geo_alpha_pi, np.full(7, 0.37))
 
 
 class TestAbsenceLogProbs:
@@ -223,7 +223,7 @@ class TestValidation:
             HdpPosterior(sticks, GammaParams(1, 1), GammaParams(1, 1), np.ones(3))
 
     def test_update_rho_and_shape_domain(self):
-        post = HdpPosterior.initial(3)
+        post = HdpPosterior.initial(3, 0.1)
         tables = TableStats(*zero_tables(3))
         for rho in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
@@ -237,7 +237,7 @@ class TestUpdate:
         # with no observed tables the coupled solve has the exact solution
         # E[gamma] = 10: v = 10, b_gamma = (1 + K) / 10 * prior rate shape
         K = 5
-        post = update_hdp(HdpPosterior.initial(K), TableStats(*zero_tables(K)), 1.0)
+        post = update_hdp(HdpPosterior.initial(K, 0.1), TableStats(*zero_tables(K)), 1.0)
         np.testing.assert_array_equal(post.sticks.u, np.ones(K))
         np.testing.assert_allclose(post.sticks.v, np.full(K, 10.0), atol=1e-9)
         assert post.gamma.a == 1.0 + K
@@ -246,7 +246,7 @@ class TestUpdate:
         assert abs(post.alpha.b - 0.1) < 1e-15
 
     def test_cache_refreshed(self):
-        post = update_hdp(HdpPosterior.initial(4), TableStats(*zero_tables(4)), 1.0)
+        post = update_hdp(HdpPosterior.initial(4, 0.1), TableStats(*zero_tables(4)), 1.0)
         np.testing.assert_array_equal(
             post.geo_alpha_pi, compute_geo_alpha_pi(post.sticks, post.alpha)
         )
@@ -258,7 +258,7 @@ class TestUpdate:
         return TableStats(es, elogeta)
 
     def test_vanishing_step_changes_nothing(self):
-        post = update_hdp(HdpPosterior.initial(3), self._random_tables(1, 3), 1.0)
+        post = update_hdp(HdpPosterior.initial(3, 0.1), self._random_tables(1, 3), 1.0)
         after = update_hdp(post, self._random_tables(2, 3), 1e-12)
         np.testing.assert_allclose(after.sticks.u, post.sticks.u, rtol=1e-9)
         np.testing.assert_allclose(after.sticks.v, post.sticks.v, rtol=1e-9)
@@ -267,7 +267,7 @@ class TestUpdate:
 
     def test_full_step_idempotent(self):
         tables = self._random_tables(3, 4)
-        once = update_hdp(HdpPosterior.initial(4), tables, 1.0)
+        once = update_hdp(HdpPosterior.initial(4, 0.1), tables, 1.0)
         twice = update_hdp(once, tables, 1.0)
         np.testing.assert_array_equal(once.sticks.u, twice.sticks.u)
         np.testing.assert_array_equal(once.sticks.v, twice.sticks.v)
@@ -282,7 +282,7 @@ class TestUpdate:
         es[:, 0] = 5.0
         es[:, 1] = 0.5
         tables = TableStats(es, -0.1 * np.ones(K + 1))
-        post = update_hdp(HdpPosterior.initial(K), tables, 1.0)
+        post = update_hdp(HdpPosterior.initial(K, 0.1), tables, 1.0)
         means = np.asarray(post.sticks.u) / (
             np.asarray(post.sticks.u) + np.asarray(post.sticks.v)
         )
@@ -359,7 +359,7 @@ class TestBatchTrajectory:
             seqs, K, V, 0.1,
             stats.trans_counts, stats.token_stats, 20,
         )
-        post = HdpPosterior.initial(K)
+        post = HdpPosterior.initial(K, 0.1)
         current = stats
         for i in range(20):
             current, sums = process_minibatch(current, seqs, 1.0, post, 0.1, len(seqs))
