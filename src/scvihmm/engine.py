@@ -128,7 +128,9 @@ def initial_mode(config: RunConfig):
     if config.algorithm == "scvi-hmm":
         return FiniteMode(config.trans_prior)
     if config.algorithm == "scvi-hdphmm":
-        return HdpPosterior.initial(config.num_states, config.trans_prior, *_concentration_priors(config))
+        return HdpPosterior.initial(
+            config.num_states, config.trans_prior, *_concentration_priors(config)
+        )
     if config.algorithm == "svi-hmm":
         return SviMode(config.trans_prior)
     raise ValueError(f"unknown algorithm {config.algorithm!r}")

@@ -154,7 +154,7 @@ def tables_from_aggregates(
 
 
 def _occupancy(mean_counts, mean_logq0, n):
-    """Per cell of the n-replicate corpus: occupied?, q and e+.
+    """The occupied mask, q and e+ of each cell of the n-replicate corpus.
 
     q = 1 - exp(n * mean_logq0) is the chance that some replicate uses the
     cell, floored at the smallest normal float, and e+ = n * mean_counts / q
