@@ -2,8 +2,9 @@
 
 Text corpora are UTF-8, one sequence per line, whitespace-delimited.
 Index 0 of every vocabulary is reserved for the unknown token so held-out
-evaluation never fails on unseen words; vocabulary files list one real word
-per line (line number = index - 1).
+evaluation never fails on unseen words.  A vocabulary file lists one real
+word per line, and blank lines are skipped: the i-th listed word has index
+i.  Repeats, the unknown token and words with whitespace are refused.
 """
 
 from dataclasses import dataclass, field
@@ -70,8 +71,24 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """The words of a vocabulary file; ``ValueError`` names a refused line."""
+        vocab = cls()
         with open(path, encoding="utf-8") as fh:
-            return cls(line.rstrip("\n") for line in fh if line.strip())
+            for number, line in enumerate(fh, 1):
+                word = line.rstrip("\n")
+                if not word.strip():
+                    continue
+                if word.split() != [word]:
+                    problem = "holds whitespace, so no corpus token can match it"
+                elif word == UNK:
+                    problem = "is the unknown token, which every vocabulary holds at index 0"
+                elif word in vocab._index:
+                    problem = "repeats an earlier line"
+                else:
+                    vocab.add(word)
+                    continue
+                raise ValueError(f"vocabulary file {path}, line {number}: word {word!r} {problem}")
+        return vocab
 
 
 @dataclass

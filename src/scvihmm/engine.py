@@ -6,20 +6,22 @@ frozen snapshot, and blends the corpus-scaled batch statistics into the
 running expectations with step size rho_n = (1+n)^(-kappa).  The step
 count n is the only schedule state: ``train`` keeps it and passes rho in.
 All three algorithms keep the same statistics and take the same step; they
-differ only in the mode (see ``initial_mode``) that ``build_surrogate``,
-the one place statistics become point parameters, reads.  The step is
-pure: it returns the new statistics and the batch sums, which carry the
-absence sums exactly when the mode is an ``HdpPosterior``.  In that
-hierarchical mode ``train`` sums the transition counts and absence sums
-over a large batch's sequences and refreshes the stick posterior once per
-large batch from the table-count estimates of their means, with the same
-schedule over the count of large batches; the other modes simply have no
+differ only in how ``build_surrogate``, the one place statistics become
+point parameters, reads them.  A model's ``RunConfig`` is the one record of
+its algorithm and priors; the only other state a model holds is the
+hierarchical algorithm's stick posterior (``TrainedModel.hdp``).  The step
+is pure: it returns the new statistics and the batch sums, which carry the
+absence sums exactly when the model holds that posterior.  For such a
+model ``train`` sums the transition counts and absence sums over a large
+batch's sequences and refreshes the stick posterior once per large batch
+from the table-count estimates of their means, with the same schedule over
+the count of large batches; the other algorithms simply have no
 large-batch level.
 """
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,12 +38,9 @@ K_EFFECTIVE_THRESHOLD = 1e-3
 __all__ = [
     "NumericalError",
     "GlobalStats",
-    "FiniteMode",
-    "SviMode",
     "MetricRecord",
     "TrainedModel",
     "step_size",
-    "initial_mode",
     "initialize_stats",
     "build_surrogate",
     "process_minibatch",
@@ -62,8 +61,8 @@ class GlobalStats:
 
     ``trans_counts`` is (K+1) x K with row 0 holding start transitions;
     ``token_stats[k][w]`` is the expected count of token w emitted from
-    state k.  Every algorithm keeps this state; the mode decides how it
-    becomes a surrogate.
+    state k.  Every algorithm keeps this state; ``build_surrogate`` states
+    how each makes a surrogate of it.
     """
 
     trans_counts: np.ndarray
@@ -90,52 +89,6 @@ def step_size(step: int, kappa: float) -> float:
     return float((1.0 + step) ** -kappa)
 
 
-@dataclass(frozen=True)
-class FiniteMode:
-    """Flat symmetric prior over transition targets."""
-
-    prior_count: float
-
-    def __post_init__(self):
-        if not self.prior_count > 0:
-            raise ValueError("prior_count must be positive")
-
-
-@dataclass(frozen=True)
-class SviMode:
-    """Uncollapsed baseline: geometric rows of the Dirichlet parameters prior + counts."""
-
-    prior_count: float
-
-    def __post_init__(self):
-        if not self.prior_count > 0:
-            raise ValueError("prior_count must be positive")
-
-
-def _concentration_priors(config: RunConfig):
-    return (
-        GammaParams(config.alpha_prior_shape, config.alpha_prior_rate),
-        GammaParams(config.gamma_prior_shape, config.gamma_prior_rate),
-    )
-
-
-def initial_mode(config: RunConfig):
-    """The mode a run of ``config.algorithm`` starts from.
-
-    This is the one place that reads the algorithm name; training and
-    checkpoints dispatch on the type of the mode it returns.
-    """
-    if config.algorithm == "scvi-hmm":
-        return FiniteMode(config.trans_prior)
-    if config.algorithm == "scvi-hdphmm":
-        return HdpPosterior.initial(
-            config.num_states, config.trans_prior, *_concentration_priors(config)
-        )
-    if config.algorithm == "svi-hmm":
-        return SviMode(config.trans_prior)
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")
-
-
 def initialize_stats(num_states: int, vocab_size: int, token_count: float, seed: int) -> GlobalStats:
     """Exponential random statistics scaled to the corpus token mass.
 
@@ -150,40 +103,38 @@ def initialize_stats(num_states: int, vocab_size: int, token_count: float, seed:
     return GlobalStats(trans, emit)
 
 
-def build_surrogate(stats: GlobalStats, mode, emit_prior: float) -> SurrogateParams:
-    """Point transition/emission matrices from the current statistics.
+def build_surrogate(model) -> SurrogateParams:
+    """Point transition/emission matrices from a model's statistics.
 
-    ``emit_prior`` is the symmetric Dirichlet pseudo-count c of every
-    emission row.  In the collapsed modes each transition row is
+    The config's ``emit_prior`` is the symmetric Dirichlet pseudo-count c of
+    every emission row.  In the collapsed algorithms each transition row is
     proportional to prior_term + counts, where the prior term is the flat
-    count in finite mode and the per-target geometric weight in
-    hierarchical mode (the start row included), and emission row k is the
-    zeroth-order mean of its expected counts n = ``token_stats[k]``:
+    ``trans_prior`` count for ``scvi-hmm`` and, for ``scvi-hdphmm``, the
+    per-target geometric weight of ``model.hdp`` (the start row included),
+    and emission row k is the zeroth-order mean of its expected counts
+    n = ``token_stats[k]``:
 
         row[w] = (c + n[w]) / (V c + sum(n)).
 
     The rows are built once per minibatch from the running statistics; a
-    token's own count is not taken out first.  The uncollapsed mode reads
-    prior + counts as the Dirichlet variational parameters of every row
-    (Hoffman et al., "Stochastic Variational Inference", JMLR 2013) and
+    token's own count is not taken out first.  The uncollapsed ``svi-hmm``
+    reads prior + counts as the Dirichlet variational parameters of every
+    row (Hoffman et al., "Stochastic Variational Inference", JMLR 2013) and
     takes their geometric rows exp(psi(prior + n) - psi(row sum)),
     renormalized (``dirichlet_geo_rows``), for transitions and emissions
     alike.
     """
-    if not (math.isfinite(emit_prior) and emit_prior > 0):
-        raise ValueError(f"emit_prior must be finite and > 0, got {emit_prior!r}")
-    pseudo = np.full(stats.token_stats.shape[1], float(emit_prior))
-    if isinstance(mode, SviMode):
+    config, stats = model.config, model.stats
+    pseudo = np.full(stats.token_stats.shape[1], float(config.emit_prior))
+    if config.algorithm == "svi-hmm":
         return SurrogateParams(
-            dirichlet_geo_rows(mode.prior_count + stats.trans_counts),
+            dirichlet_geo_rows(config.trans_prior + stats.trans_counts),
             dirichlet_geo_rows(pseudo + stats.token_stats),
         )
-    if isinstance(mode, FiniteMode):
-        prior_term = np.full(stats.trans_counts.shape[1], mode.prior_count)
-    elif isinstance(mode, HdpPosterior):
-        prior_term = mode.geo_alpha_pi
+    if model.hdp is None:
+        prior_term = np.full(stats.trans_counts.shape[1], config.trans_prior)
     else:
-        raise TypeError(f"unknown model mode {type(mode).__name__}")
+        prior_term = model.hdp.geo_alpha_pi
     unnorm = prior_term[None, :] + stats.trans_counts
     trans = unnorm / unnorm.sum(axis=1, keepdims=True)
     # the pairwise sum of V copies of c, which V * c differs from in the last bit
@@ -192,28 +143,22 @@ def build_surrogate(stats: GlobalStats, mode, emit_prior: float) -> SurrogatePar
     return SurrogateParams(trans, (pseudo + stats.token_stats) / denom[:, None])
 
 
-def process_minibatch(
-    stats: GlobalStats,
-    batch,
-    rho: float,
-    mode,
-    emit_prior: float,
-    corpus_size: int,
-):
-    """One stochastic update of the global statistics; modifies no argument.
+def process_minibatch(model, batch, rho: float, corpus_size: int):
+    """One stochastic update of a model's statistics; modifies no argument.
 
     Freezes the surrogate, sweeps the batch, then blends
     (1-rho) * old + rho * (N/M) * batch sums, where N is the corpus
     sequence count and M the batch's actual size.  Returns the blend as new
     ``GlobalStats`` and the batch's ``BatchSums``, whose absence sums are
-    computed exactly when ``mode`` is an ``HdpPosterior``.
+    computed exactly when the model holds a stick posterior.
     """
-    params = build_surrogate(stats, mode, emit_prior)
-    sums = sweep(params, batch, absence=isinstance(mode, HdpPosterior))
+    params = build_surrogate(model)
+    sums = sweep(params, batch, absence=model.hdp is not None)
     if not (np.all(np.isfinite(sums.counts)) and np.all(np.isfinite(sums.token_stats))):
         bad = np.flatnonzero(~np.isfinite(sums.loglik))
         where = f"sequence at batch position {bad[0]}" if bad.size else "minibatch"
         raise NumericalError(f"non-finite local statistics for {where}")
+    stats = model.stats
     scale = corpus_size / len(batch)
     new_counts = (1.0 - rho) * stats.trans_counts + rho * scale * sums.counts
     new_tokens = (1.0 - rho) * stats.token_stats + rho * scale * sums.token_stats
@@ -241,31 +186,27 @@ class MetricRecord:
 class TrainedModel:
     """Everything needed to rebuild surrogates and evaluate.
 
-    ``config`` records the algorithm; the sizes are the shapes of ``stats``.
-    The mode must be one the config implies, as a checkpoint stores only
-    the config and the hierarchical posterior: it has the type of
-    ``initial_mode(config)``, equals it when flat or uncollapsed, and has
-    the config's state count when hierarchical.
+    ``config`` is the one record of the algorithm and the priors, and must
+    validate; the sizes are the shapes of ``stats``.  ``hdp`` is the stick
+    posterior, held exactly when the algorithm is ``scvi-hdphmm`` and with
+    the config's state count.
     """
 
     config: RunConfig
     stats: GlobalStats
-    mode: object
+    hdp: HdpPosterior = None
     vocab: object = None
 
     def __post_init__(self):
+        self.config.validate()
         if self.config.num_states != self.num_states:
             raise ValueError(f"config num_states {self.config.num_states!r}, stats {self.num_states}")
-        implied = initial_mode(self.config)
-        if type(self.mode) is not type(implied):
-            raise ValueError(
-                f"{self.algorithm} takes a {type(implied).__name__} mode, got {type(self.mode).__name__}"
-            )
-        if isinstance(implied, HdpPosterior):
-            if self.mode.num_states != self.num_states:
-                raise ValueError(f"mode has {self.mode.num_states} states, config {self.num_states}")
-        elif self.mode != implied:
-            raise ValueError(f"mode {self.mode!r} contradicts config, which implies {implied!r}")
+        hierarchical = self.algorithm == "scvi-hdphmm"
+        if hierarchical != (self.hdp is not None):
+            want = "an HdpPosterior" if hierarchical else "None"
+            raise ValueError(f"{self.algorithm} takes hdp {want}, got {type(self.hdp).__name__}")
+        if hierarchical and self.hdp.num_states != self.num_states:
+            raise ValueError(f"hdp has {self.hdp.num_states} states, config {self.num_states}")
         if self.vocab is not None and len(self.vocab) != self.vocab_size:
             raise ValueError(f"vocab of {len(self.vocab)} words, stats {self.vocab_size}")
 
@@ -282,7 +223,7 @@ class TrainedModel:
         return self.stats.token_stats.shape[1]
 
     def surrogate(self) -> SurrogateParams:
-        return build_surrogate(self.stats, self.mode, self.config.emit_prior)
+        return build_surrogate(self)
 
 
 def k_effective(model: TrainedModel) -> int:
@@ -318,12 +259,14 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     step takes rho_n, and the n-th large-batch HDP update takes rho_n too.
     """
     config.validate()
-    vocab_size = len(corpus.vocab)
     corpus_size = len(corpus)
-    alpha_prior, gamma_prior = _concentration_priors(config)
-
-    stats = initialize_stats(config.num_states, vocab_size, corpus.counts, config.seed + 1)
-    mode = initial_mode(config)
+    alpha_prior = GammaParams(config.alpha_prior_shape, config.alpha_prior_rate)
+    gamma_prior = GammaParams(config.gamma_prior_shape, config.gamma_prior_rate)
+    stats = initialize_stats(config.num_states, len(corpus.vocab), corpus.counts, config.seed + 1)
+    hdp = None
+    if config.algorithm == "scvi-hdphmm":
+        hdp = HdpPosterior.initial(config.num_states, config.trans_prior, alpha_prior, gamma_prior)
+    model = TrainedModel(config, stats, hdp, corpus.vocab)
     steps_per_large = math.ceil(config.large_batch_size / config.minibatch_size)
     # the large batch's summed (counts, absence_pair, absence_row) and its sequence count
     large_sums, large_seqs = (0.0, 0.0, 0.0), 0
@@ -338,13 +281,9 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     # seconds spent at evaluation points, and on held-out evaluation within them
     paused = eval_seconds = 0.0
 
-    def current_model():
-        return TrainedModel(config, stats, mode, corpus.vocab)
-
     def record():
         nonlocal paused, eval_seconds
         entered = time.perf_counter()
-        model = current_model()
         ll = float("nan")
         if heldout is not None:
             ll = predictive_log_likelihood(model, heldout)
@@ -370,19 +309,21 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
         batch = [corpus.sequences[i] for i in next(stream)]
         rho = step_size(step, config.kappa)
         try:
-            stats, sums = process_minibatch(stats, batch, rho, mode, config.emit_prior, corpus_size)
+            stats, sums = process_minibatch(model, batch, rho, corpus_size)
         except NumericalError as exc:
             raise NumericalError(f"{exc} (step {step})") from None
+        model = replace(model, stats=stats)
         step += 1
-        if isinstance(mode, HdpPosterior):
+        if model.hdp is not None:
             parts = (sums.counts, sums.absence_pair, sums.absence_row)
             large_sums = [total + part for total, part in zip(large_sums, parts)]
             large_seqs += len(batch)
             if step % steps_per_large == 0:
                 means = [total / large_seqs for total in large_sums]
-                tables = tables_from_aggregates(*means, corpus_size, mode)
+                tables = tables_from_aggregates(*means, corpus_size, model.hdp)
                 hdp_rho = step_size(step // steps_per_large - 1, config.kappa)
-                mode = update_hdp(mode, tables, hdp_rho, alpha_prior, gamma_prior)
+                hdp = update_hdp(model.hdp, tables, hdp_rho, alpha_prior, gamma_prior)
+                model = replace(model, hdp=hdp)
                 large_sums, large_seqs = (0.0, 0.0, 0.0), 0
         due_pass = step % batches_per_pass == 0
         due_interval = (
@@ -393,4 +334,4 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
             record()
     if metrics[-1].step != step:
         record()
-    return current_model(), metrics
+    return model, metrics

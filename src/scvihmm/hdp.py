@@ -9,7 +9,9 @@ representative sequence: per-position transition indicators are treated
 as overlapping but independent, which turns the absence probability of
 each transition into a sum of log terms and keeps the whole computation
 linear in sequence length.  ``messages.sweep`` returns those log terms
-summed over a batch; their batch means are the inputs here.
+summed over a batch; their batch means are the inputs here.  The Gamma
+priors of the two concentrations have no defaults in this module: the
+caller passes them, and ``engine.train`` passes the run config's.
 """
 
 from dataclasses import dataclass
@@ -29,10 +31,7 @@ from .special import (
 # strictly positive instead of underflowing to zero
 _LOG_FLOOR = -650.0
 
-DEFAULT_CONCENTRATION_PRIOR = GammaParams(1.0, 0.1)
-
 __all__ = [
-    "DEFAULT_CONCENTRATION_PRIOR",
     "HdpPosterior",
     "TableStats",
     "compute_geo_alpha_pi",
@@ -76,9 +75,9 @@ class HdpPosterior:
     ``alpha`` and ``gamma`` the two Gamma concentration posteriors, and
     ``geo_alpha_pi`` caches the per-destination geometric weights.  The
     cache is refreshed by every update; ``initial`` pins it to a flat start
-    weight, which ``engine.initial_mode`` takes from the config's
-    ``trans_prior``, so the first sweep starts from the same transition
-    prior counts as the flat-prior models.
+    weight, which ``engine.train`` takes from the config's ``trans_prior``,
+    so the first sweep starts from the same transition prior counts as the
+    flat-prior models.
     """
 
     sticks: BetaParams
@@ -103,8 +102,8 @@ class HdpPosterior:
         cls,
         num_states: int,
         start_weight: float,
-        alpha_prior: GammaParams = DEFAULT_CONCENTRATION_PRIOR,
-        gamma_prior: GammaParams = DEFAULT_CONCENTRATION_PRIOR,
+        alpha_prior: GammaParams,
+        gamma_prior: GammaParams,
     ) -> "HdpPosterior":
         sticks = BetaParams(
             np.ones(num_states), np.full(num_states, gamma_expect(gamma_prior))
@@ -218,8 +217,8 @@ def update_hdp(
     post: HdpPosterior,
     tables: TableStats,
     rho: float,
-    alpha_prior: GammaParams = DEFAULT_CONCENTRATION_PRIOR,
-    gamma_prior: GammaParams = DEFAULT_CONCENTRATION_PRIOR,
+    alpha_prior: GammaParams,
+    gamma_prior: GammaParams,
 ) -> HdpPosterior:
     """Weighted-average update of all six hierarchical-prior parameters.
 

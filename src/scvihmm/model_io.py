@@ -14,8 +14,9 @@ reading them as counts would be silently wrong: only format 2 is read.
 Error classification on load is structural first: the expected total size
 is derived from the header, so a short file reports truncation rather
 than the checksum mismatch it also implies; the digest is verified before
-the matrices are interpreted.  The stored config is the record of the
-algorithm and the state count: it must validate, and the header's own
+the matrices are interpreted.  The stored config is the one record of the
+algorithm, the priors and the state count: it must validate, it alone
+decides whether the stick arrays follow the counts, and the header's own
 ``algorithm`` and ``num_states`` must agree with it.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .config import RunConfig
 from .corpus import Vocabulary
-from .engine import GlobalStats, TrainedModel, initial_mode
+from .engine import GlobalStats, TrainedModel
 from .hdp import HdpPosterior
 from .special import BetaParams, GammaParams
 
@@ -80,8 +81,8 @@ def _gather_arrays(model: TrainedModel) -> dict:
         "trans_counts": model.stats.trans_counts,
         "token_stats": model.stats.token_stats,
     }
-    if isinstance(model.mode, HdpPosterior):
-        post = model.mode
+    if model.hdp is not None:
+        post = model.hdp
         arrays.update(
             stick_u=np.asarray(post.sticks.u, float),
             stick_v=np.asarray(post.sticks.v, float),
@@ -106,7 +107,7 @@ def save_model(model: TrainedModel, path):
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     parts.append(struct.pack("<I", len(header_bytes)))
     parts.append(header_bytes)
-    shapes = _matrix_shapes(model.num_states, model.vocab_size, isinstance(model.mode, HdpPosterior))
+    shapes = _matrix_shapes(model.num_states, model.vocab_size, model.hdp is not None)
     for name, shape in shapes:
         arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         if arr.shape != shape:
@@ -139,7 +140,6 @@ def load_model(path) -> TrainedModel:
         config = RunConfig.from_dict(header["config"]).validate()
         vocab_size = header["vocab_size"]
         vocab_words = header.get("vocab_words")
-        mode = initial_mode(config)
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelFormatError(f"unreadable header: {exc}") from None
     for name in ("algorithm", "num_states"):
@@ -152,7 +152,7 @@ def load_model(path) -> TrainedModel:
         isinstance(vocab_words, list) and all(isinstance(w, str) for w in vocab_words)
     ):
         raise ModelFormatError("header vocab_words is not a list of strings")
-    is_hdp = isinstance(mode, HdpPosterior)
+    is_hdp = config.algorithm == "scvi-hdphmm"
     shapes = _matrix_shapes(config.num_states, vocab_size, is_hdp)
     body_len = sum(8 * int(np.prod(shape)) for _, shape in shapes)
     expected = body_start + body_len + 32
@@ -180,14 +180,15 @@ def load_model(path) -> TrainedModel:
     try:
         vocab = Vocabulary(vocab_words) if vocab_words is not None else None
         stats = GlobalStats(arrays["trans_counts"], arrays["token_stats"])
+        hdp = None
         if is_hdp:
             a_al, b_al, a_ga, b_ga = arrays["concentrations"]
-            mode = HdpPosterior(
+            hdp = HdpPosterior(
                 BetaParams(arrays["stick_u"], arrays["stick_v"]),
                 GammaParams(float(a_al), float(b_al)),
                 GammaParams(float(a_ga), float(b_ga)),
                 arrays["geo_alpha_pi"],
             )
-        return TrainedModel(config, stats, mode, vocab)
+        return TrainedModel(config, stats, hdp, vocab)
     except ValueError as exc:
         raise ModelFormatError(f"invalid checkpoint contents: {exc}") from None

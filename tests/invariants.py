@@ -22,9 +22,7 @@ from scvihmm.corpus import (
     split,
 )
 from scvihmm.engine import (
-    FiniteMode,
     GlobalStats,
-    SviMode,
     TrainedModel,
     batch_stream,
     build_surrogate,
@@ -50,6 +48,16 @@ from scvihmm.special import (
     gamma_expect,
     gamma_geo_expect,
 )
+
+
+# the Gamma(1, 0.1) concentration priors RunConfig defaults to
+PRIOR = GammaParams(1.0, 0.1)
+
+
+def _model(stats, algorithm="scvi-hmm"):
+    """A model of ``stats`` under the default 0.1 priors of ``algorithm``."""
+    config = RunConfig(algorithm=algorithm, num_states=stats.trans_counts.shape[1])
+    return TrainedModel(config, stats)
 
 
 def _random_params(rng, num_states=None, vocab_size=None):
@@ -152,10 +160,10 @@ def check_emission_row_independence(n=100):
     for _ in range(n):
         k, v = int(rng.integers(2, 5)), int(rng.integers(2, 8))
         t = rng.uniform(0.0, 5.0, size=(k, v))
-        before = build_surrogate(GlobalStats(np.ones((k + 1, k)), t), FiniteMode(0.1), 0.1).emit
+        before = build_surrogate(_model(GlobalStats(np.ones((k + 1, k)), t))).emit
         t2 = t.copy()
         t2[0] += rng.uniform(1.0, 3.0, size=v)
-        after = build_surrogate(GlobalStats(np.ones((k + 1, k)), t2), FiniteMode(0.1), 0.1).emit
+        after = build_surrogate(_model(GlobalStats(np.ones((k + 1, k)), t2))).emit
         assert np.array_equal(before[1:], after[1:])
         assert not np.array_equal(before[0], after[0])
     return f"{n} perturbed-row matrices"
@@ -236,8 +244,7 @@ def check_stats_nonnegative_finite(n=100):
     rng = np.random.default_rng(41)
     for _ in range(n):
         corpus, stats, rho = _random_minibatch_setup(rng)
-        out, _ = process_minibatch(stats, corpus.sequences, rho, FiniteMode(0.1),
-                                0.1, len(corpus))
+        out, _ = process_minibatch(_model(stats), corpus.sequences, rho, len(corpus))
         assert np.all(out.trans_counts >= 0) and np.all(np.isfinite(out.trans_counts))
         assert np.all(out.token_stats >= 0)
         assert np.all(np.isfinite(out.token_stats))
@@ -250,7 +257,7 @@ def check_convex_total_mass(n=100):
         corpus, stats, rho = _random_minibatch_setup(rng)
         m = int(rng.integers(1, len(corpus) + 1))
         batch = corpus.sequences[:m]
-        out, _ = process_minibatch(stats, batch, rho, FiniteMode(0.1), 0.1, len(corpus))
+        out, _ = process_minibatch(_model(stats), batch, rho, len(corpus))
         mean_tokens = sum(len(s) for s in batch) / m
         expected = (1 - rho) * stats.trans_counts.sum() + rho * len(corpus) * mean_tokens
         assert abs(out.trans_counts.sum() - expected) <= 1e-8 * max(expected, 1.0)
@@ -261,14 +268,12 @@ def check_minibatch_order_invariance(n=100):
     rng = np.random.default_rng(43)
     for _ in range(n):
         corpus, stats, rho = _random_minibatch_setup(rng)
-        a, _ = process_minibatch(stats, corpus.sequences, rho,
-                              FiniteMode(0.1), 0.1, len(corpus))
-        b, _ = process_minibatch(stats, corpus.sequences, rho,
-                              FiniteMode(0.1), 0.1, len(corpus))
+        model = _model(stats)
+        a, _ = process_minibatch(model, corpus.sequences, rho, len(corpus))
+        b, _ = process_minibatch(model, corpus.sequences, rho, len(corpus))
         assert np.array_equal(a.trans_counts, b.trans_counts)
         assert np.array_equal(a.token_stats, b.token_stats)
-        c, _ = process_minibatch(stats, corpus.sequences[::-1], rho,
-                              FiniteMode(0.1), 0.1, len(corpus))
+        c, _ = process_minibatch(model, corpus.sequences[::-1], rho, len(corpus))
         assert np.allclose(c.trans_counts, a.trans_counts, rtol=1e-9, atol=1e-12)
     return f"{n} repeat/reversed minibatches"
 
@@ -280,7 +285,7 @@ def check_flat_prior_term_structure(n=100):
         counts = rng.uniform(0.0, 10.0, size=(k + 1, k))
         emit = rng.uniform(0.01, 5.0, size=(k, v))
         stats = GlobalStats(counts, emit)
-        params = build_surrogate(stats, FiniteMode(0.1), 0.1)
+        params = build_surrogate(_model(stats))
         unnorm = 0.1 + counts
         assert np.allclose(params.trans, unnorm / unnorm.sum(axis=1, keepdims=True),
                            atol=1e-12)
@@ -291,14 +296,9 @@ def check_predictive_pure_function(n=100):
     rng = np.random.default_rng(45)
     for _ in range(n):
         corpus, stats, _ = _random_minibatch_setup(rng)
-        k = stats.trans_counts.shape[1]
-        model = TrainedModel(RunConfig(num_states=k), stats, FiniteMode(0.1))
+        model = _model(stats)
         first = predictive_log_likelihood(model, corpus)
-        clone = TrainedModel(
-            RunConfig(num_states=k),
-            GlobalStats(stats.trans_counts.copy(), stats.token_stats.copy()),
-            FiniteMode(0.1),
-        )
+        clone = _model(GlobalStats(stats.trans_counts.copy(), stats.token_stats.copy()))
         assert predictive_log_likelihood(model, corpus) == first
         assert predictive_log_likelihood(clone, corpus) == first
     return f"{n} re-evaluations"
@@ -373,9 +373,9 @@ def check_update_idempotent_at_full_step(n=100):
         tables = TableStats(
             rng.uniform(0.0, 4.0, size=(k + 1, k)), -rng.uniform(0.0, 1.0, k + 1)
         )
-        start = HdpPosterior.initial(k, 0.1)
-        once = update_hdp(start, tables, 1.0)
-        twice = update_hdp(once, tables, 1.0)
+        start = HdpPosterior.initial(k, 0.1, PRIOR, PRIOR)
+        once = update_hdp(start, tables, 1.0, PRIOR, PRIOR)
+        twice = update_hdp(once, tables, 1.0, PRIOR, PRIOR)
         assert np.array_equal(once.sticks.u, twice.sticks.u)
         assert np.array_equal(once.sticks.v, twice.sticks.v)
         assert (once.alpha.a, once.alpha.b) == (twice.alpha.a, twice.alpha.b)
@@ -385,12 +385,12 @@ def check_update_idempotent_at_full_step(n=100):
 
 def check_geo_cache_coherent(n=100):
     rng = np.random.default_rng(55)
-    post = HdpPosterior.initial(4, 0.1)
+    post = HdpPosterior.initial(4, 0.1, PRIOR, PRIOR)
     for _ in range(n):
         tables = TableStats(
             rng.uniform(0.0, 3.0, size=(5, 4)), -rng.uniform(0.0, 0.8, 5)
         )
-        post = update_hdp(post, tables, float(rng.uniform(0.05, 1.0)))
+        post = update_hdp(post, tables, float(rng.uniform(0.05, 1.0)), PRIOR, PRIOR)
         recomputed = compute_geo_alpha_pi(post.sticks, post.alpha)
         assert np.max(np.abs(post.geo_alpha_pi - recomputed)) <= 1e-12
     return f"{n} sequential updates"
@@ -409,12 +409,13 @@ def check_rows_stay_above_prior(n=100):
         seqs = [rng.integers(0, v, rng.integers(2, 9)) for _ in range(3)]
         # rho = 1 wipes the old counts, so a word absent from the batch sits
         # exactly on 0; every later step is a strict convex blend
-        first, _ = process_minibatch(stats, seqs, 1.0, SviMode(0.1), 0.1, 6)
+        model = _model(stats, "svi-hmm")
+        first, _ = process_minibatch(model, seqs, 1.0, 6)
         assert np.all(first.trans_counts >= 0.0)
         assert np.all(first.token_stats >= 0.0)
         kappa = float(rng.uniform(0.5, 1.0))
         rho = step_size(int(rng.integers(1, 10)), kappa)
-        stepped, _ = process_minibatch(stats, seqs, rho, SviMode(0.1), 0.1, 6)
+        stepped, _ = process_minibatch(model, seqs, rho, 6)
         assert np.all(stepped.trans_counts > 0.0)
         assert np.all(stepped.token_stats > 0.0)
     return f"{n} natural-gradient steps"
@@ -528,21 +529,18 @@ def check_model_round_trip_persistence(n=100, tmp_dir=None):
         vocab = Vocabulary(f"w{j}" for j in range(v - 1))
         emit = rng.uniform(0.0, 5.0, (k, v))
         stats = GlobalStats(rng.uniform(0.0, 5.0, (k + 1, k)), emit)
+        hdp = None
         if algo == "scvi-hdphmm":
-            mode = HdpPosterior(
+            hdp = HdpPosterior(
                 BetaParams(rng.uniform(0.5, 3.0, k), rng.uniform(1.0, 12.0, k)),
                 GammaParams(1.0, 0.1), GammaParams(2.0, 0.3),
                 rng.uniform(0.01, 1.0, k),
             )
-        elif algo == "svi-hmm":
-            mode = SviMode(0.1)
-        else:
-            mode = FiniteMode(0.1)
-        model = TrainedModel(config, stats=stats, mode=mode, vocab=vocab)
+        model = TrainedModel(config, stats=stats, hdp=hdp, vocab=vocab)
         path = base / f"m{i}.bin"
         save_model(model, path)
         loaded = load_model(path)
-        assert type(loaded.mode) is type(model.mode)
+        assert type(loaded.hdp) is type(model.hdp)
         assert np.array_equal(loaded.stats.trans_counts, model.stats.trans_counts)
         assert np.array_equal(loaded.stats.token_stats, model.stats.token_stats)
         assert loaded.config == model.config and loaded.vocab == model.vocab

@@ -8,6 +8,7 @@ plus scaled-down relative comparisons between the algorithms.
 
 import functools
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from oracles import batch_cvb0_hmm, crp_expected_tables_mc, log_forward_backward
 from scvihmm.config import RunConfig
 from scvihmm.corpus import SyntheticSpec, generate_synthetic
 from scvihmm.engine import (
-    FiniteMode,
+    TrainedModel,
     initialize_stats,
     predictive_log_likelihood,
     process_minibatch,
@@ -103,10 +104,11 @@ def test_single_sequence_full_step_reaches_batch_fixed_point():
         seq, num_states, vocab_size, 0.1, 0.1,
         stats.trans_counts, stats.token_stats, 60,
     )
-    current = stats
+    model = TrainedModel(RunConfig(num_states=num_states), stats)
     for _ in range(60):
         # a blend weight of 1 replaces the statistics with the batch estimate
-        current, _ = process_minibatch(current, [seq], 1.0, FiniteMode(0.1), 0.1, 1)
+        current, _ = process_minibatch(model, [seq], 1.0, 1)
+        model = replace(model, stats=current)
     ref_counts, ref_tokens = oracle[-1]
     dev = max(
         float(np.max(np.abs(current.trans_counts - ref_counts))),

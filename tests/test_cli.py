@@ -25,7 +25,7 @@ from scvihmm.cli import (
 )
 from scvihmm.config import RunConfig
 from scvihmm.corpus import Vocabulary
-from scvihmm.engine import FiniteMode, GlobalStats, TrainedModel
+from scvihmm.engine import GlobalStats, TrainedModel
 from scvihmm.model_io import save_model
 from test_model_io import TAMPERED_HEADERS, resign_header
 
@@ -252,6 +252,20 @@ class TestTrain:
         code = main(["train", str(tmp_path / "nope.txt")])
         assert code == EXIT_DATA
 
+    def test_refused_vocab_file_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        sample_corpus(corpus)
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("w0\nw1\nw0\nw2\n", encoding="utf-8")
+        model_out = tmp_path / "model.bin"
+        code = main([
+            "train", str(corpus), "--vocab", str(vocab), "--passes", "0",
+            "--model-out", str(model_out),
+        ])
+        assert code == EXIT_DATA
+        assert "line 3: word 'w0' repeats" in capsys.readouterr().err
+        assert not model_out.exists()
+
 
 class TestEval:
     def _train_model(self, tmp_path, algo="scvi-hmm"):
@@ -281,7 +295,7 @@ class TestEval:
         model = TrainedModel(
             RunConfig(num_states=1),
             GlobalStats(np.zeros((2, 1)), np.zeros((1, 100))),
-            FiniteMode(0.1), vocab=vocab,
+            vocab=vocab,
         )
         model_out = tmp_path / "uniform.bin"
         save_model(model, model_out)

@@ -1,6 +1,7 @@
 """Checks for corpus loading, splitting, batching, and synthesis."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,22 @@ class TestRoundTrip:
         vp = tmp_path / "v.txt"
         vocab.save(vp)
         assert Vocabulary.load(vp) == vocab
+
+    @pytest.mark.parametrize("text, line, problem", [
+        ("a\nb\na\nc\n", 3, "repeats an earlier line"),
+        ("a\n<unk>\nb\n", 2, "is the unknown token"),
+        ("a\n\na b\n", 3, "holds whitespace"),
+        ("a\nb \n", 2, "holds whitespace"),
+    ], ids=["repeat", "unknown-token", "inner-space", "trailing-space"])
+    def test_vocab_file_refuses_words_that_would_not_get_their_index(
+        self, tmp_path, text, line, problem
+    ):
+        # the i-th listed word must get index i and be a possible corpus
+        # token; the line count includes blank lines
+        vp = tmp_path / "v.txt"
+        vp.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(vp))}, line {line}: word .* {problem}"):
+            Vocabulary.load(vp)
 
 
 class TestCorpusValidation:

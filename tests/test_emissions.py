@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dirichlet_predictive_row, surrogate_emission_row
-from scvihmm.engine import FiniteMode, GlobalStats, build_surrogate
+from scvihmm.config import ConfigError, RunConfig
+from scvihmm.engine import GlobalStats, TrainedModel, build_surrogate
 
 
 def emission_matrix(emit_prior, token_stats):
     """The emission rows ``build_surrogate`` builds for ``token_stats``."""
     k = token_stats.shape[0]
     stats = GlobalStats(np.ones((k + 1, k)), token_stats)
-    return build_surrogate(stats, FiniteMode(0.1), emit_prior).emit
+    config = RunConfig(num_states=k, emit_prior=emit_prior)
+    return build_surrogate(TrainedModel(config, stats)).emit
 
 
 class TestEmissionPrior:
@@ -21,7 +23,7 @@ class TestEmissionPrior:
         "pseudo", [0.0, -0.5, np.nan, np.inf], ids=[f"pseudo{i}" for i in range(4)]
     )
     def test_rejects_bad_pseudo_counts(self, pseudo):
-        with pytest.raises(ValueError, match="emit_prior must be finite and > 0"):
+        with pytest.raises(ConfigError, match="^emit_prior must be a positive number"):
             emission_matrix(pseudo, np.ones((2, 5)))
 
 

@@ -2,6 +2,7 @@
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +12,11 @@ from scvihmm import messages
 from scvihmm.config import ConfigError, RunConfig
 from scvihmm.corpus import Corpus, SyntheticSpec, Vocabulary, generate_synthetic, split
 from scvihmm.engine import (
-    FiniteMode,
     GlobalStats,
     NumericalError,
-    SviMode,
     TrainedModel,
     batch_stream,
     build_surrogate,
-    initial_mode,
     initialize_stats,
     k_effective,
     predictive_log_likelihood,
@@ -29,6 +27,9 @@ from scvihmm.engine import (
 from scvihmm.hdp import HdpPosterior, tables_from_aggregates, update_hdp
 from scvihmm.messages import SurrogateParams, sweep
 from scvihmm.special import BetaParams, GammaParams
+
+# RunConfig's Gamma(1, 0.1) concentration priors
+PRIOR = GammaParams(1.0, 0.1)
 
 
 def nan_sweep(position):
@@ -52,14 +53,18 @@ def tiny_corpus(rng, n_seqs=12, vocab_size=5, max_len=9):
     return Corpus.from_sequences(seqs, vocab)
 
 
-def mode_bytes(mode):
-    """The bytes of every array and number a mode holds."""
-    if isinstance(mode, HdpPosterior):
-        parts = (mode.sticks.u, mode.sticks.v, mode.geo_alpha_pi,
-                 [mode.alpha.a, mode.alpha.b, mode.gamma.a, mode.gamma.b])
-    else:
-        parts = ([mode.prior_count],)
+def hdp_bytes(hdp):
+    """The bytes of every array and number a stick posterior holds; none without one."""
+    if hdp is None:
+        return []
+    parts = (hdp.sticks.u, hdp.sticks.v, hdp.geo_alpha_pi,
+             [hdp.alpha.a, hdp.alpha.b, hdp.gamma.a, hdp.gamma.b])
     return [np.asarray(part, dtype=float).tobytes() for part in parts]
+
+
+def flat_model(stats):
+    """A ``scvi-hmm`` model of ``stats`` under the default priors."""
+    return TrainedModel(RunConfig(num_states=stats.trans_counts.shape[1]), stats)
 
 
 class TestSchedule:
@@ -100,40 +105,35 @@ class TestInitializeStats:
 class TestBuildSurrogate:
     def test_zero_stats_finite_uniform(self):
         stats = GlobalStats(np.zeros((5, 4)), np.zeros((4, 3)))
-        params = build_surrogate(stats, FiniteMode(0.1), 0.1)
+        params = build_surrogate(flat_model(stats))
         np.testing.assert_allclose(params.trans, 0.25, atol=1e-15)
 
     def test_zero_stats_hdp_startup_uniform(self):
         stats = GlobalStats(np.zeros((5, 4)), np.zeros((4, 3)))
-        mode = HdpPosterior.initial(4, 0.1)
-        params = build_surrogate(stats, mode, 0.1)
+        config = RunConfig(algorithm="scvi-hdphmm", num_states=4)
+        hdp = HdpPosterior.initial(4, 0.1, PRIOR, PRIOR)
+        params = build_surrogate(TrainedModel(config, stats, hdp))
         np.testing.assert_allclose(params.trans, 0.25, atol=1e-15)
 
     @pytest.mark.parametrize("trans_prior", [0.1, 0.37, 5.0])
     def test_hdp_start_matches_the_flat_prior(self, trans_prior):
         # the hierarchical model's first sweep starts from the flat model's transition rows
-        stats = initialize_stats(6, 9, 500.0, seed=3)
-        configs = [RunConfig(algorithm=algo, num_states=6, trans_prior=trans_prior)
-                   for algo in ("scvi-hdphmm", "scvi-hmm")]
-        hdp, flat = (build_surrogate(stats, initial_mode(c), 0.1).trans for c in configs)
+        corpus = tiny_corpus(np.random.default_rng(3), vocab_size=9)
+        models = [
+            train(corpus, RunConfig(algorithm=algo, num_states=6, minibatch_size=4,
+                                    large_batch_size=4, passes=0, trans_prior=trans_prior))[0]
+            for algo in ("scvi-hdphmm", "scvi-hmm")
+        ]
+        hdp, flat = (build_surrogate(model).trans for model in models)
         assert hdp.tobytes() == flat.tobytes()
 
     def test_count_row_normalization(self):
         counts = np.zeros((3, 2))
         counts[1] = [8.0, 2.0]
         stats = GlobalStats(counts, np.zeros((2, 3)))
-        params = build_surrogate(stats, FiniteMode(0.1), 0.1)
+        params = build_surrogate(flat_model(stats))
         np.testing.assert_allclose(params.trans[1], np.array([8.1, 2.1]) / 10.2, atol=1e-12)
         np.testing.assert_allclose(params.trans[0], 0.5, atol=1e-12)
-
-    def test_unknown_mode(self):
-        stats = GlobalStats(np.zeros((3, 2)), np.zeros((2, 3)))
-        with pytest.raises(TypeError):
-            build_surrogate(stats, object(), 0.1)
-
-    def test_unknown_algorithm_has_no_mode(self):
-        with pytest.raises(ValueError, match="bogus"):
-            initial_mode(RunConfig(algorithm="bogus"))
 
 
 class TestProcessMinibatch:
@@ -141,19 +141,19 @@ class TestProcessMinibatch:
         rng = np.random.default_rng(seed)
         corpus = tiny_corpus(rng, vocab_size=vocab_size)
         stats = initialize_stats(num_states, vocab_size, corpus.counts, seed)
-        prior = 0.1
-        return corpus, stats, prior
+        return corpus, flat_model(stats)
 
     def test_first_step_is_pure_batch_estimate(self):
-        corpus, stats, prior = self._setup()
+        corpus, model = self._setup()
+        stats = model.stats
         before = (stats.trans_counts.copy(), stats.token_stats.copy())
         batch = corpus.sequences[:4]
         # rho = 1 zeroes the old statistics in the blend; the result must be
         # exactly (N/M) * batch sums under the frozen surrogate
-        params = build_surrogate(stats, FiniteMode(0.1), prior)
+        params = build_surrogate(model)
         sums = sweep(params, batch)
         scale = len(corpus) / len(batch)
-        out, _ = process_minibatch(stats, batch, 1.0, FiniteMode(0.1), prior, len(corpus))
+        out, _ = process_minibatch(model, batch, 1.0, len(corpus))
         np.testing.assert_array_equal(out.trans_counts, scale * sums.counts)
         np.testing.assert_array_equal(out.token_stats, scale * sums.token_stats)
         # and those sums are the log-space posteriors' sums
@@ -164,27 +164,31 @@ class TestProcessMinibatch:
         np.testing.assert_array_equal(stats.trans_counts, before[0])
         np.testing.assert_array_equal(stats.token_stats, before[1])
 
+    # each mode is an algorithm and the stick posterior its model holds
     @pytest.mark.parametrize("mode", [
-        FiniteMode(0.1),
-        SviMode(0.1),
-        HdpPosterior(
+        ("scvi-hmm", None),
+        ("svi-hmm", None),
+        ("scvi-hdphmm", HdpPosterior(
             BetaParams(np.array([1.5, 2.0, 0.7]), np.array([3.0, 1.2, 4.0])),
             GammaParams(2.0, 0.3), GammaParams(1.5, 0.4), np.array([0.4, 0.2, 0.05]),
-        ),
+        )),
     ])
     def test_pure_step_returns_sweep_sums(self, mode):
-        corpus, stats, prior = self._setup(seed=14)
+        algorithm, hdp = mode
+        corpus, flat = self._setup(seed=14)
+        stats = flat.stats
+        model = TrainedModel(replace(flat.config, algorithm=algorithm), stats, hdp)
         batch = corpus.sequences[:6]
         stats_before = (stats.trans_counts.tobytes(), stats.token_stats.tobytes())
-        mode_before = mode_bytes(mode)
-        out, sums = process_minibatch(stats, batch, step_size(3, 0.6), mode, prior, len(corpus))
+        hdp_before = hdp_bytes(hdp)
+        out, sums = process_minibatch(model, batch, step_size(3, 0.6), len(corpus))
         # no argument is modified
         assert (stats.trans_counts.tobytes(), stats.token_stats.tobytes()) == stats_before
-        assert mode_bytes(mode) == mode_before
+        assert hdp_bytes(hdp) == hdp_before
         # the sums are the sweep's against the frozen surrogate, absence
         # sums included exactly in the hierarchical mode
-        hierarchical = isinstance(mode, HdpPosterior)
-        ref = sweep(build_surrogate(stats, mode, prior), batch, absence=hierarchical)
+        hierarchical = hdp is not None
+        ref = sweep(build_surrogate(model), batch, absence=hierarchical)
         for name in ("loglik", "counts", "token_stats"):
             np.testing.assert_array_equal(getattr(sums, name), getattr(ref, name))
         for name in ("absence_pair", "absence_row"):
@@ -198,67 +202,60 @@ class TestProcessMinibatch:
         )
 
     def test_vanishing_step_changes_nothing(self):
-        corpus, stats, prior = self._setup()
+        corpus, model = self._setup()
         rho = step_size(10**12, 1.0)
-        out, _ = process_minibatch(
-            stats, corpus.sequences[:4], rho, FiniteMode(0.1), prior, len(corpus)
-        )
-        np.testing.assert_allclose(out.trans_counts, stats.trans_counts, rtol=1e-9)
+        out, _ = process_minibatch(model, corpus.sequences[:4], rho, len(corpus))
+        np.testing.assert_allclose(out.trans_counts, model.stats.trans_counts, rtol=1e-9)
         np.testing.assert_allclose(
-            out.token_stats, stats.token_stats, rtol=1e-9
+            out.token_stats, model.stats.token_stats, rtol=1e-9
         )
 
     def test_total_mass_convex_combination(self):
-        corpus, stats, prior = self._setup(seed=8)
+        corpus, model = self._setup(seed=8)
         rho = step_size(4, 0.7)
         batch = corpus.sequences[:5]
-        out, _ = process_minibatch(stats, batch, rho, FiniteMode(0.1), prior, len(corpus))
+        out, _ = process_minibatch(model, batch, rho, len(corpus))
         batch_tokens = sum(len(s) for s in batch)
-        expected = (1 - rho) * stats.trans_counts.sum() + rho * (
+        expected = (1 - rho) * model.stats.trans_counts.sum() + rho * (
             len(corpus) / len(batch)
         ) * batch_tokens
         assert abs(out.trans_counts.sum() - expected) < 1e-8 * expected
         assert abs(out.token_stats.sum() - expected) < 1e-8 * expected
 
     def test_nonnegative_and_finite(self):
-        corpus, stats, prior = self._setup(seed=9)
-        out = stats
+        corpus, model = self._setup(seed=9)
         for step, start in enumerate(range(0, 12, 4)):
             out, _ = process_minibatch(
-                out, corpus.sequences[start : start + 4], step_size(step, 0.5),
-                FiniteMode(0.1), prior, len(corpus),
+                model, corpus.sequences[start : start + 4], step_size(step, 0.5), len(corpus),
             )
             assert np.all(out.trans_counts >= 0) and np.all(np.isfinite(out.trans_counts))
+            model = replace(model, stats=out)
 
     def test_repeat_call_bit_identical(self):
-        corpus, stats, prior = self._setup(seed=10)
+        corpus, model = self._setup(seed=10)
         batch = corpus.sequences[:6]
-        a, _ = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
-        b, _ = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
+        a, _ = process_minibatch(model, batch, step_size(2, 0.6), len(corpus))
+        b, _ = process_minibatch(model, batch, step_size(2, 0.6), len(corpus))
         np.testing.assert_array_equal(a.trans_counts, b.trans_counts)
         np.testing.assert_array_equal(a.token_stats, b.token_stats)
 
     def test_order_invariance_of_reduction(self):
-        corpus, stats, prior = self._setup(seed=11)
+        corpus, model = self._setup(seed=11)
         batch = corpus.sequences[:6]
-        a, _ = process_minibatch(stats, batch, step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus))
-        b, _ = process_minibatch(
-            stats, batch[::-1], step_size(2, 0.6), FiniteMode(0.1), prior, len(corpus)
-        )
+        a, _ = process_minibatch(model, batch, step_size(2, 0.6), len(corpus))
+        b, _ = process_minibatch(model, batch[::-1], step_size(2, 0.6), len(corpus))
         np.testing.assert_allclose(a.trans_counts, b.trans_counts, rtol=1e-9, atol=1e-12)
 
     def test_empty_batch(self):
-        _, stats, prior = self._setup()
+        _, model = self._setup()
         with pytest.raises(ValueError):
-            process_minibatch(stats, [], step_size(0, 0.6), FiniteMode(0.1), prior, 10)
+            process_minibatch(model, [], step_size(0, 0.6), 10)
 
     def test_nonfinite_stats_abort(self, monkeypatch):
-        corpus, stats, prior = self._setup()
+        corpus, model = self._setup()
         monkeypatch.setattr("scvihmm.engine.sweep", nan_sweep(position=0))
         with pytest.raises(NumericalError, match="batch position 0"):
-            process_minibatch(
-                stats, corpus.sequences[:2], step_size(0, 0.6), FiniteMode(0.1), prior, 12
-            )
+            process_minibatch(model, corpus.sequences[:2], step_size(0, 0.6), 12)
 
     def test_batch_cvb_fixed_point(self):
         # single sequence, rho pinned to 1 at every step: the
@@ -266,23 +263,19 @@ class TestProcessMinibatch:
         # batch collapsed-VB iteration from the same start
         rng = np.random.default_rng(20)
         seq = rng.integers(0, 4, 20)
-        vocab = Vocabulary(f"w{i}" for i in range(3))
-        corpus = Corpus.from_sequences([seq], vocab)
         num_states, vocab_size = 2, 4
         stats = initialize_stats(num_states, vocab_size, 20.0, seed=7)
-        prior = 0.1
         oracle = batch_cvb0_hmm(
             seq, num_states, vocab_size, 0.1, 0.1,
             stats.trans_counts, stats.token_stats, 60,
         )
-        current = stats
+        current = flat_model(stats)
         for i in range(60):
-            current, _ = process_minibatch(
-                current, [seq], step_size(0, 1.0), FiniteMode(0.1), prior, 1
-            )
+            out, _ = process_minibatch(current, [seq], step_size(0, 1.0), 1)
+            current = replace(current, stats=out)
         ref_counts, ref_tokens = oracle[-1]
-        np.testing.assert_allclose(current.trans_counts, ref_counts, atol=1e-6)
-        np.testing.assert_allclose(current.token_stats, ref_tokens, atol=1e-6)
+        np.testing.assert_allclose(current.stats.trans_counts, ref_counts, atol=1e-6)
+        np.testing.assert_allclose(current.stats.token_stats, ref_tokens, atol=1e-6)
 
 
 class TestPredictiveLogLikelihood:
@@ -324,57 +317,61 @@ class TestKEffective:
         counts[:, 1] = [1.0, 2.0, 1.0, 0.5]
         counts[0, 2] = 1e-5
         stats = GlobalStats(counts, np.zeros((3, 2)))
-        model = TrainedModel(RunConfig(num_states=3), stats, FiniteMode(0.1))
-        assert k_effective(model) == 2
+        assert k_effective(flat_model(stats)) == 2
 
 
 class TestTrainedModel:
     def test_sizes_and_algorithm_are_derived(self):
         stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
         config = RunConfig(algorithm="svi-hmm", num_states=3)
-        model = TrainedModel(config, stats, SviMode(0.1))
+        model = TrainedModel(config, stats)
         assert (model.algorithm, model.num_states, model.vocab_size) == ("svi-hmm", 3, 5)
 
     def test_contradicting_config_or_vocab_rejected(self):
         stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
         with pytest.raises(ValueError, match="num_states"):
-            TrainedModel(RunConfig(num_states=7), stats, FiniteMode(0.1))
+            TrainedModel(RunConfig(num_states=7), stats)
         with pytest.raises(ValueError, match="vocab"):
-            TrainedModel(RunConfig(num_states=3), stats, FiniteMode(0.1), Vocabulary(["a"]))
+            TrainedModel(RunConfig(num_states=3), stats, vocab=Vocabulary(["a"]))
 
-    @pytest.mark.parametrize("algo, mode", [
-        ("scvi-hmm", SviMode(0.1)),
-        ("scvi-hmm", HdpPosterior.initial(3, 0.1)),
-        ("scvi-hmm", FiniteMode(5.0)),
-        ("scvi-hdphmm", FiniteMode(0.1)),
-        ("scvi-hdphmm", SviMode(0.1)),
-        ("scvi-hdphmm", HdpPosterior.initial(4, 0.1)),
-        ("svi-hmm", FiniteMode(0.1)),
-        ("svi-hmm", HdpPosterior.initial(3, 0.1)),
-        ("svi-hmm", SviMode(5.0)),
+    @pytest.mark.parametrize("overrides, hdp, error, match", [
+        (dict(algorithm="scvi-hmm"), HdpPosterior.initial(3, 0.1, PRIOR, PRIOR),
+         ValueError, "scvi-hmm takes hdp None"),
+        (dict(algorithm="svi-hmm"), HdpPosterior.initial(3, 0.1, PRIOR, PRIOR),
+         ValueError, "svi-hmm takes hdp None"),
+        (dict(algorithm="scvi-hdphmm"), None, ValueError, "takes hdp an HdpPosterior"),
+        (dict(algorithm="scvi-hdphmm"), HdpPosterior.initial(4, 0.1, PRIOR, PRIOR),
+         ValueError, "hdp has 4 states"),
+        (dict(emit_prior=0.0), None, ConfigError, "^emit_prior must"),
+        (dict(emit_prior=float("nan")), None, ConfigError, "^emit_prior must"),
+        (dict(trans_prior=-1), None, ConfigError, "^trans_prior must"),
+        (dict(algorithm="bogus"), None, ConfigError, "^algorithm must"),
     ], ids=[
-        "scvi-hmm-svi", "scvi-hmm-hdp", "scvi-hmm-other-prior",
-        "scvi-hdphmm-finite", "scvi-hdphmm-svi", "scvi-hdphmm-4-states",
-        "svi-hmm-finite", "svi-hmm-hdp", "svi-hmm-other-prior",
+        "scvi-hmm-hdp", "svi-hmm-hdp", "scvi-hdphmm-finite", "scvi-hdphmm-4-states",
+        "emit-prior-zero", "emit-prior-nan", "negative-trans-prior", "unknown-algorithm",
     ])
-    def test_mode_contradicting_config_rejected(self, algo, mode):
-        # a checkpoint rebuilds the mode from the config, so these could not
-        # be read back as saved
+    def test_mode_contradicting_config_rejected(self, overrides, hdp, error, match):
+        # the config must hold on its own, and the stick posterior, the one
+        # state a model keeps beside its statistics, must be the one it
+        # implies: a checkpoint reads the posterior exactly for scvi-hdphmm
         stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
-        with pytest.raises(ValueError, match="mode"):
-            TrainedModel(RunConfig(algorithm=algo, num_states=3), stats, mode)
+        config = RunConfig(num_states=3, **overrides)
+        with pytest.raises(error, match=match) as raised:
+            TrainedModel(config, stats, hdp)
+        assert raised.type is error
 
-    @pytest.mark.parametrize("algo, mode", [
-        ("scvi-hmm", FiniteMode(0.1)),
+    @pytest.mark.parametrize("algo, hdp", [
+        ("scvi-hmm", None),
         ("scvi-hdphmm", HdpPosterior(
             BetaParams(np.array([1.5, 2.0, 1.0]), np.array([3.0, 2.0, 1.0])),
             GammaParams(2.0, 0.3), GammaParams(1.5, 0.2), np.array([0.4, 0.2, 0.1]),
         )),
-        ("svi-hmm", SviMode(0.1)),
+        ("svi-hmm", None),
     ], ids=["scvi-hmm", "scvi-hdphmm", "svi-hmm"])
-    def test_mode_implied_by_config_accepted(self, algo, mode):
+    def test_mode_implied_by_config_accepted(self, algo, hdp):
         stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
-        assert TrainedModel(RunConfig(algorithm=algo, num_states=3), stats, mode).mode is mode
+        model = TrainedModel(RunConfig(algorithm=algo, num_states=3), stats, hdp)
+        assert model.hdp is hdp and model.config.algorithm == algo
 
 
 class TestTrain:
@@ -505,7 +502,7 @@ class TestTrain:
         (model_a, metrics_a), (model_b, metrics_b) = runs
         np.testing.assert_array_equal(model_a.stats.trans_counts, model_b.stats.trans_counts)
         np.testing.assert_array_equal(model_a.stats.token_stats, model_b.stats.token_stats)
-        assert mode_bytes(model_a.mode) == mode_bytes(model_b.mode)
+        assert hdp_bytes(model_a.hdp) == hdp_bytes(model_b.hdp)
         assert [m.heldout_ll for m in metrics_a] == [m.heldout_ll for m in metrics_b]
         for calls in (sweep_threads, slice_threads):
             assert calls and all(t is threading.main_thread() for t in calls)
@@ -532,7 +529,7 @@ class TestTrain:
         model, metrics = train(corpus, config, heldout=corpus)
         # two minibatches per large batch, 4 per pass: the stick posterior
         # must have moved off its pinned startup cache
-        assert not np.allclose(model.mode.geo_alpha_pi, 0.1)
+        assert not np.allclose(model.hdp.geo_alpha_pi, 0.1)
         assert np.isfinite(metrics[-1].heldout_ll)
 
     def test_hdp_step_sizes_follow_large_batch_count(self, monkeypatch):
@@ -558,9 +555,9 @@ class TestTrain:
         # boundary right after it
         steps, tables_inputs = [], []
 
-        def stepping(stats, batch, rho, mode, prior, corpus_size):
-            steps.append((stats, [np.array(seq) for seq in batch], mode, prior))
-            return process_minibatch(stats, batch, rho, mode, prior, corpus_size)
+        def stepping(model, batch, rho, corpus_size):
+            steps.append((model, [np.array(seq) for seq in batch]))
+            return process_minibatch(model, batch, rho, corpus_size)
 
         def tabling(counts, absence_pair, absence_row, corpus_size, post):
             tables_inputs.append((counts, absence_pair, absence_row, corpus_size, post))
@@ -575,24 +572,24 @@ class TestTrain:
         )
         train(corpus, config)
         stream = batch_stream(corpus, config)
-        for _, batch, _, _ in steps:
+        for _, batch in steps:
             expected = [corpus.sequences[i] for i in next(stream)]
             assert len(batch) == len(expected)
             assert all(np.array_equal(a, b) for a, b in zip(batch, expected))
-        assert [len(batch) for _, batch, _, _ in steps] == [4, 4, 3, 4, 4, 3]
+        assert [len(batch) for _, batch in steps] == [4, 4, 3, 4, 4, 3]
         assert len(tables_inputs) == 3
         for large, got in enumerate(tables_inputs):
             pair = steps[2 * large : 2 * large + 2]
-            seqs = sum(len(batch) for _, batch, _, _ in pair)
+            seqs = sum(len(batch) for _, batch in pair)
             totals = None
-            for stats, batch, mode, prior in pair:
-                sums = sweep(build_surrogate(stats, mode, prior), batch, absence=True)
+            for model, batch in pair:
+                sums = sweep(build_surrogate(model), batch, absence=True)
                 parts = (sums.counts, sums.absence_pair, sums.absence_row)
                 totals = parts if totals is None else [a + b for a, b in zip(totals, parts)]
             for total, arg in zip(totals, got[:3]):
                 np.testing.assert_array_equal(arg, total / seqs)
             assert got[3] == len(corpus)
-            assert got[4] is pair[-1][2]
+            assert got[4] is pair[-1][0].hdp
 
     def test_nonfinite_stats_name_batch_position_and_step(self, monkeypatch):
         monkeypatch.setattr("scvihmm.engine.sweep", nan_sweep(position=0))
@@ -618,8 +615,8 @@ class TestTrain:
         position = int(np.flatnonzero(second == target)[0])
         calls = []
 
-        def poisoned(stats, mode, prior):
-            params = build_surrogate(stats, mode, prior)
+        def poisoned(model):
+            params = build_surrogate(model)
             calls.append(1)
             if len(calls) >= 2:
                 params.emit[:, 5] = np.nan
@@ -643,7 +640,7 @@ class TestTrain:
             large_batch_size=4, passes=2, seed=7,
         )
         model, metrics = train(corpus, config, heldout=corpus)
-        assert isinstance(model.mode, SviMode)
+        assert model.algorithm == "svi-hmm" and model.hdp is None
         assert np.isfinite(metrics[-1].heldout_ll)
 
     def test_shared_batch_stream_across_algorithms(self):

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from oracles import batch_hdp_scvi, crp_expected_tables_mc, log_forward_backward, zero_tables
+from scvihmm.config import RunConfig
 from scvihmm.corpus import Corpus, Vocabulary
-from scvihmm.engine import initialize_stats, process_minibatch
+from scvihmm.engine import TrainedModel, initialize_stats, process_minibatch
 from scvihmm.hdp import (
     HdpPosterior,
     TableStats,
@@ -24,6 +25,9 @@ from scvihmm.hdp import (
 )
 from scvihmm.messages import SurrogateParams, sweep
 from scvihmm.special import BetaParams, GammaParams, beta_expect_logs
+
+# the Gamma(1, 0.1) concentration priors RunConfig defaults to
+PRIOR = GammaParams(1.0, 0.1)
 
 
 def make_posterior(num_states, geo, alpha=(1.0, 0.1), gamma=(1.0, 0.1)):
@@ -88,7 +92,7 @@ class TestGeoWeights:
         assert np.all(geo > 0) and np.all(np.isfinite(geo))
 
     def test_startup_cache_is_pinned_flat(self):
-        post = HdpPosterior.initial(7, 0.37)
+        post = HdpPosterior.initial(7, 0.37, PRIOR, PRIOR)
         np.testing.assert_array_equal(post.geo_alpha_pi, np.full(7, 0.37))
 
 
@@ -223,13 +227,13 @@ class TestValidation:
             HdpPosterior(sticks, GammaParams(1, 1), GammaParams(1, 1), np.ones(3))
 
     def test_update_rho_and_shape_domain(self):
-        post = HdpPosterior.initial(3, 0.1)
+        post = HdpPosterior.initial(3, 0.1, PRIOR, PRIOR)
         tables = TableStats(*zero_tables(3))
         for rho in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                update_hdp(post, tables, rho)
+                update_hdp(post, tables, rho, PRIOR, PRIOR)
         with pytest.raises(ValueError):
-            update_hdp(post, TableStats(*zero_tables(4)), 1.0)
+            update_hdp(post, TableStats(*zero_tables(4)), 1.0, PRIOR, PRIOR)
 
 
 class TestUpdate:
@@ -237,7 +241,8 @@ class TestUpdate:
         # with no observed tables the coupled solve has the exact solution
         # E[gamma] = 10: v = 10, b_gamma = (1 + K) / 10 * prior rate shape
         K = 5
-        post = update_hdp(HdpPosterior.initial(K, 0.1), TableStats(*zero_tables(K)), 1.0)
+        start = HdpPosterior.initial(K, 0.1, PRIOR, PRIOR)
+        post = update_hdp(start, TableStats(*zero_tables(K)), 1.0, PRIOR, PRIOR)
         np.testing.assert_array_equal(post.sticks.u, np.ones(K))
         np.testing.assert_allclose(post.sticks.v, np.full(K, 10.0), atol=1e-9)
         assert post.gamma.a == 1.0 + K
@@ -246,7 +251,8 @@ class TestUpdate:
         assert abs(post.alpha.b - 0.1) < 1e-15
 
     def test_cache_refreshed(self):
-        post = update_hdp(HdpPosterior.initial(4, 0.1), TableStats(*zero_tables(4)), 1.0)
+        start = HdpPosterior.initial(4, 0.1, PRIOR, PRIOR)
+        post = update_hdp(start, TableStats(*zero_tables(4)), 1.0, PRIOR, PRIOR)
         np.testing.assert_array_equal(
             post.geo_alpha_pi, compute_geo_alpha_pi(post.sticks, post.alpha)
         )
@@ -258,8 +264,9 @@ class TestUpdate:
         return TableStats(es, elogeta)
 
     def test_vanishing_step_changes_nothing(self):
-        post = update_hdp(HdpPosterior.initial(3, 0.1), self._random_tables(1, 3), 1.0)
-        after = update_hdp(post, self._random_tables(2, 3), 1e-12)
+        start = HdpPosterior.initial(3, 0.1, PRIOR, PRIOR)
+        post = update_hdp(start, self._random_tables(1, 3), 1.0, PRIOR, PRIOR)
+        after = update_hdp(post, self._random_tables(2, 3), 1e-12, PRIOR, PRIOR)
         np.testing.assert_allclose(after.sticks.u, post.sticks.u, rtol=1e-9)
         np.testing.assert_allclose(after.sticks.v, post.sticks.v, rtol=1e-9)
         assert abs(after.alpha.a - post.alpha.a) < 1e-9
@@ -267,8 +274,8 @@ class TestUpdate:
 
     def test_full_step_idempotent(self):
         tables = self._random_tables(3, 4)
-        once = update_hdp(HdpPosterior.initial(4, 0.1), tables, 1.0)
-        twice = update_hdp(once, tables, 1.0)
+        once = update_hdp(HdpPosterior.initial(4, 0.1, PRIOR, PRIOR), tables, 1.0, PRIOR, PRIOR)
+        twice = update_hdp(once, tables, 1.0, PRIOR, PRIOR)
         np.testing.assert_array_equal(once.sticks.u, twice.sticks.u)
         np.testing.assert_array_equal(once.sticks.v, twice.sticks.v)
         assert (once.alpha.a, once.alpha.b) == (twice.alpha.a, twice.alpha.b)
@@ -282,7 +289,7 @@ class TestUpdate:
         es[:, 0] = 5.0
         es[:, 1] = 0.5
         tables = TableStats(es, -0.1 * np.ones(K + 1))
-        post = update_hdp(HdpPosterior.initial(K, 0.1), tables, 1.0)
+        post = update_hdp(HdpPosterior.initial(K, 0.1, PRIOR, PRIOR), tables, 1.0, PRIOR, PRIOR)
         means = np.asarray(post.sticks.u) / (
             np.asarray(post.sticks.u) + np.asarray(post.sticks.v)
         )
@@ -359,13 +366,16 @@ class TestBatchTrajectory:
             seqs, K, V, 0.1,
             stats.trans_counts, stats.token_stats, 20,
         )
-        post = HdpPosterior.initial(K, 0.1)
+        config = RunConfig(algorithm="scvi-hdphmm", num_states=K)
+        post = HdpPosterior.initial(K, 0.1, PRIOR, PRIOR)
         current = stats
         for i in range(20):
-            current, sums = process_minibatch(current, seqs, 1.0, post, 0.1, len(seqs))
+            model = TrainedModel(config, current, post)
+            current, sums = process_minibatch(model, seqs, 1.0, len(seqs))
             parts = (sums.counts, sums.absence_pair, sums.absence_row)
             means = [total / len(seqs) for total in parts]
-            post = update_hdp(post, tables_from_aggregates(*means, len(seqs), post), 1.0)
+            tables = tables_from_aggregates(*means, len(seqs), post)
+            post = update_hdp(post, tables, 1.0, PRIOR, PRIOR)
             ref = snaps[i]
             np.testing.assert_allclose(
                 current.trans_counts, ref["counts"], rtol=1e-8, atol=1e-10

@@ -75,13 +75,13 @@ class TestRoundTrip:
         assert loaded.vocab_size == model.vocab_size
         assert loaded.config == model.config
         assert loaded.vocab == model.vocab
-        assert type(loaded.mode) is type(model.mode)
+        assert type(loaded.hdp) is type(model.hdp)
         np.testing.assert_array_equal(loaded.stats.trans_counts, model.stats.trans_counts)
         np.testing.assert_array_equal(
             loaded.stats.token_stats, model.stats.token_stats
         )
         if algorithm == "scvi-hdphmm":
-            a, b = loaded.mode, model.mode
+            a, b = loaded.hdp, model.hdp
             np.testing.assert_array_equal(a.sticks.u, b.sticks.u)
             np.testing.assert_array_equal(a.sticks.v, b.sticks.v)
             assert (a.alpha.a, a.alpha.b) == (b.alpha.a, b.alpha.b)

@@ -14,7 +14,7 @@ from scvihmm.config import RunConfig
 from scvihmm.corpus import Corpus, Vocabulary
 from scvihmm.engine import (
     GlobalStats,
-    SviMode,
+    TrainedModel,
     build_surrogate,
     initialize_stats,
     process_minibatch,
@@ -48,7 +48,8 @@ class TestSurrogate:
 
     def test_build_surrogate_takes_geometric_rows(self):
         stats = initialize_stats(3, 5, 40.0, seed=1)
-        params = build_surrogate(stats, SviMode(0.2), 0.3)
+        config = RunConfig(algorithm="svi-hmm", num_states=3, trans_prior=0.2, emit_prior=0.3)
+        params = build_surrogate(TrainedModel(config, stats))
         np.testing.assert_array_equal(params.trans, dirichlet_geo_rows(0.2 + stats.trans_counts))
         np.testing.assert_array_equal(params.emit, dirichlet_geo_rows(0.3 + stats.token_stats))
 
@@ -68,7 +69,7 @@ class TestInitialize:
     def test_deterministic_and_above_prior(self):
         a, _ = untrained_svi_model(6, 3, seed=4)
         b, _ = untrained_svi_model(6, 3, seed=4)
-        assert isinstance(a.mode, SviMode) and a.mode.prior_count == 0.1
+        assert a.hdp is None and a.config.trans_prior == 0.1
         np.testing.assert_array_equal(a.stats.trans_counts, b.stats.trans_counts)
         # the Dirichlet parameters prior + counts sit strictly above the prior
         assert np.all(a.stats.trans_counts > 0)
@@ -87,7 +88,7 @@ class TestInitialize:
         with pytest.raises(ValueError):
             GlobalStats(np.ones((4, 3)), -np.ones((3, 4)))
         with pytest.raises(ValueError):
-            SviMode(0.0)
+            svi_model(GlobalStats(np.ones((3, 2)), np.ones((2, 4))), trans_prior=0.0)
 
 
 def random_batch(rng, n_seqs, vocab_size, max_len=12):
@@ -97,8 +98,13 @@ def random_batch(rng, n_seqs, vocab_size, max_len=12):
     ]
 
 
+def svi_model(stats, **priors):
+    config = RunConfig(algorithm="svi-hmm", num_states=stats.trans_counts.shape[1], **priors)
+    return TrainedModel(config, stats)
+
+
 def svi_update(stats, batch, rho, corpus_size):
-    return process_minibatch(stats, batch, rho, SviMode(0.1), 0.1, corpus_size)[0]
+    return process_minibatch(svi_model(stats), batch, rho, corpus_size)[0]
 
 
 class TestStep:
@@ -108,7 +114,7 @@ class TestStep:
         rng = np.random.default_rng(5)
         stats = initialize_stats(2, 4, 50.0, seed=2)
         batch = random_batch(rng, 3, 4)
-        params = build_surrogate(stats, SviMode(0.1), 0.1)
+        params = build_surrogate(svi_model(stats))
         sums = sweep(params, batch)
         scale = 9 / 3
         out = svi_update(stats, batch, 1.0, 9)
