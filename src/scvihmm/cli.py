@@ -181,6 +181,11 @@ def cmd_eval(args) -> int:
             f"model vocabulary size {model.vocab_size} does not match "
             f"corpus vocabulary size {len(corpus.vocab)}"
         )
+    if args.vocab and model.vocab is not None and vocab != model.vocab:
+        # read under another word's index, every token would score as a different word
+        raise ValueError(
+            f"vocabulary file {args.vocab} does not hold the checkpoint's words in its order"
+        )
     started = time.perf_counter()
     ll = predictive_log_likelihood(model, corpus)
     print(f"{ll:.6f}")

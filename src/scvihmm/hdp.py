@@ -182,9 +182,13 @@ def _solve_gamma_mean(c_v, c_b, u_new, a_gamma, rho):
     same bits as running all 200 steps, usually after 50-60 of them.
     """
 
+    K = u_new.size
+
     def b_gamma_of(g):
-        _, e_log1m = beta_expect_logs(BetaParams(u_new, c_v + rho * g))
-        return c_b - rho * e_log1m.sum()
+        # E[log(1 - stick)] = psi(v) - psi(u + v), both from one digamma call
+        v = c_v + rho * g
+        psi = digamma(np.concatenate((v, u_new + v)))
+        return c_b - rho * (psi[:K] - psi[K:]).sum()
 
     def f(g):
         return a_gamma / b_gamma_of(g) - g

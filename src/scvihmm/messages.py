@@ -54,29 +54,59 @@ recursion.  The first attempt runs with floating point warnings off.
 
 The hierarchical prior's pair absence sum, sum_t log(1 - p_tij) with pair
 posterior p_tij = alpha[t-1, i] * inner[i, j] * right[t, j], is a power
-series over matrix products in the same way.  Before it is taken, each
-forward row is divided by its sum S_t and right[t] multiplied by S_{t-1}.
-That leaves every p_tij as it is, makes alpha[t] the normalized forward
+series over matrix products in the same way.  It runs over the running
+positions ``SERIES_CHUNK_ROWS`` at a time.  Within a chunk each forward row
+alpha[t-1] is divided by its sum S_{t-1} and right[t] multiplied by S_{t-1}.
+That leaves every p_tij as it is, makes alpha[t-1] the normalized forward
 vector (at most 1, as the bounds below need), and gives right[t] the scale
 of the textbook recursion; without it right[t] would carry 1 / S_{t-1},
 up to about 1e22 after 8 positions, and push positions onto the dense path
 below.  Then
 
-    sum_t log(1 - p_tij) = -sum_m (inner_ij^m / m) * (sum_t alpha^m[t-1]^T right^m[t])_ij,
+    sum_t log(1 - p_tij) = -sum_m c_m inner_ij^m (sum_t alpha^m[t-1]^T right^m[t])_ij,
 
-with powers taken elementwise, one product per term, summed for m = 1 ..
-``SERIES_TERMS`` (M).  Cut there, the series is exact to within
-tau^M / ((M + 1)(1 - tau)) of |log(1 - p)| for p <= tau = ``SERIES_BOUND``;
-at M = 13 and tau = 1/16 that is 1.7e-17.  The pair posterior sums over j to
-the marginal of i at t-1 and over i to the marginal of j at t, so p_tij is
-at most the smaller of the two, and only cells where both marginals exceed
-tau can exceed it.  A marginal row sums to 1, so there are at most 15 such
-states on each side; those few cells get log(1 - p) exactly, in place of
-their share of the series, and a forced transition (p = 1) stays -inf.  The
-forward vectors are at most 1 but right[t] is not bounded, so a position
-whose right[t] exceeds ``SERIES_RIGHT_MAX`` (where right^M could overflow)
-is summed exactly over every cell instead.
+with powers taken elementwise, one product per term, summed for m = 1 .. 9
+with c_m = ``SERIES_COEFS``: the Chebyshev economization of the Taylor
+series of -log(1 - p) / p on [0, tau], tau = ``SERIES_BOUND`` = 1/16.  With
+the coefficients as rounded, the series is exact to within 2.9e-17 of
+|log(1 - p)| for p <= tau (the maximum over a fine grid, taken in exact
+rationals).  The pair posterior sums over j to the marginal of i at t-1 and
+over i to the marginal of j at t, so p_tij is at most the smaller of the
+two, and only cells where both marginals exceed tau can exceed it.  A
+marginal row sums to 1, so there are at most 15 such states on each side;
+those few cells get log(1 - p) exactly, in place of their share of the
+series, and a forced transition (p = 1) stays -inf.  Their p is the product
+of the unscaled rows, as the dense path below and the every-cell reference
+take it: near p = 1, log(1 - p) magnifies a rounding of p by 1 / (1 - p).
+The forward vectors are at most 1 but right[t] is not bounded, so a
+position whose scaled right[t] exceeds ``SERIES_RIGHT_MAX`` (where right^9
+could overflow) is summed exactly over every cell instead.  The row absence
+sum, of log(1 - unary) over positions, is taken in one call over all
+running positions.
+
+A sweep keeps its slice arrays in three buffers held per thread, which
+only grow, up to ``SLICE_POSITIONS`` x K doubles each (35 MB in all at
+K = 45).  A stats sweep holds a slice's ``right``, ``alpha`` and ``beta``
+(later ``unary``) there; ``right`` is filled by a gather of the emission
+columns and the other two with zeros.  The forward-only sweep of
+evaluation holds its block of ``RENORM_EVERY`` gathered positions and its
+two running rows there.  The gathers read a contiguous V x K copy of the
+emission columns, made once per sweep.  An array larger than the buffers
+may grow to (one sequence longer than ``SLICE_POSITIONS``) is allocated
+apart.  Nothing else is kept between calls, and nothing a sweep returns is
+a view of the buffers.
+
+The reason is the allocator, not the copying.  Fresh arrays would be 2.9
+MB each for a 40 x 200 slice at K = 45, under numpy's 4 MB huge-page cut.
+A process whose heap hands such blocks back to the kernel faults in about
+700 pages for each, at every sweep, and which process does so depends on
+its allocation history.  The absence sums still allocate, per slice, a
+gather of the running positions' unary rows for the row sum and the
+hot-cell index arrays; the gather, the largest, is freed before the others
+are made.
 """
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +115,19 @@ import numpy as np
 SLICE_POSITIONS = 2**15
 # positions per matrix product of the pair absence series
 SERIES_CHUNK_ROWS = 256
-# terms kept of log(1 - p) = -sum_m p^m / m
-SERIES_TERMS = 13
+# c_1 .. c_9 of log(1 - p) ~ -sum_m c_m p^m on [0, 1/16]: the Taylor series of
+# -log(1 - p) / p economized to degree 8 in exact rationals, rounded to doubles
+SERIES_COEFS = (
+    1.0,
+    0.4999999999999622,
+    0.3333333333493981,
+    0.24999999737535056,
+    0.20000021442239943,
+    0.16665685455646542,
+    0.14311959261132798,
+    0.1209490756002964,
+    0.14399613095271455,
+)
 # the largest pair posterior the series covers; larger cells are summed exactly
 SERIES_BOUND = 1.0 / 16.0
 # positions with a larger right factor are summed exactly, so right^m stays finite
@@ -160,12 +201,15 @@ class BatchSums:
 
 def _slices(batch, vocab_size):
     """(batch positions, T x B tokens, running count per time) per slice."""
-    seqs = [np.asarray(seq) for seq in batch]
+    seqs = list(map(np.asarray, batch))
     if not seqs:
         raise ValueError("batch must not be empty")
-    lengths = np.array([seq.size for seq in seqs])
-    shapes = {(seq.ndim, seq.dtype.kind) for seq in seqs}
-    if not shapes <= {(1, "i"), (1, "u")} or lengths.min() == 0:
+    # a few distinct (ndim, dtype) pairs stand for every sequence; then len is the length
+    shapes = {(seq.ndim, seq.dtype) for seq in seqs}
+    if any(ndim != 1 or dtype.kind not in "iu" for ndim, dtype in shapes):
+        raise ValueError("sequence must be a nonempty 1-d array of token indices")
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    if lengths.min() == 0:
         raise ValueError("sequence must be a nonempty 1-d array of token indices")
     order = np.argsort(-lengths, kind="stable")
     slices = []
@@ -184,29 +228,33 @@ def _slices(batch, vocab_size):
     return slices
 
 
-def _forward(params, tokens, n_at, every, alpha=None, obs=None):
+def _forward(params, columns, tokens, n_at, every, alpha=None, obs=None):
     """T x B factors f_t divided out of the forward rows of one slice.
 
     A running row is renormalized at each position t with t % every ==
     every - 1 and at its last position; every other factor is 1.  With
     ``alpha`` (T x B x K, zeros) the forward vectors are written into it and
     ``obs`` (T x B x K) holds the slice's gathered emissions.  Without, the
-    emissions are gathered one block of ``every`` positions at a time and the
-    recursion runs in two B x K buffers, so memory stays O(T x B).
+    emissions are gathered from ``columns`` one block of ``every`` positions
+    at a time and the recursion runs in two B x K rows, both in held
+    buffers, so memory stays O(T x B).
     """
     inner = params.trans[1:]
+    T, B = tokens.shape
+    K = params.num_states
     scales = np.ones(tokens.shape)
     sizes = n_at.tolist()
     # rows ends[t] .. n_at[t] - 1 have their last position at t
     ends = sizes[1:] + [0]
     if alpha is None:
-        buffers = np.empty((2, tokens.shape[1], params.num_states))
+        block, buffers = _held_arrays((min(every, T), B, K), (2, B, K))
     prev = None
     for t, n in enumerate(sizes):
         phase = t % every
         if alpha is None:
             if phase == 0:
-                block = params.emit.T[tokens[t : t + every]]
+                span = tokens[t : t + every]
+                np.take(columns, span, axis=0, mode="clip", out=block[: len(span)])
             cur, emit = buffers[t % 2], block[phase]
         else:
             cur, emit = alpha[t], obs[t]
@@ -226,10 +274,10 @@ def _forward(params, tokens, n_at, every, alpha=None, obs=None):
 
 
 def _series(p):
-    """-sum_{m=1..SERIES_TERMS} p^m / m, by Horner's rule."""
-    acc = np.full_like(p, 1.0 / SERIES_TERMS)
-    for m in range(SERIES_TERMS - 1, 0, -1):
-        acc = acc * p + 1.0 / m
+    """-sum_m SERIES_COEFS[m - 1] p^m, the series' log(1 - p), by Horner's rule."""
+    acc = np.full_like(p, SERIES_COEFS[-1])
+    for coef in SERIES_COEFS[-2::-1]:
+        acc = acc * p + coef
     return -p * acc
 
 
@@ -258,39 +306,58 @@ def _absence(inner, alpha, right, unary, running):
     # before[r] = alpha[t-1, b] and after[r] = right[t, b] meet in the pair term at t
     before = alpha[:-1].reshape(-1, K)
     after = right[1:].reshape(-1, K)
-    unary_before = unary[:-1].reshape(-1, K)
+    unary_after = unary[1:].reshape(-1, K)
     # flat (t-1) x B index of every running position t >= 1
     rows = np.flatnonzero(running[1:])
+    logs = unary[:-1].reshape(-1, K)[rows]
+    hot_before = logs > SERIES_BOUND
     with np.errstate(divide="ignore"):
         pair[0] = np.log1p(-np.minimum(unary[0], 1.0)).sum(axis=0)
         # every sequence leaves the start state at its first position
         row[0] = -np.inf
-        row[1:] = np.log1p(-np.minimum(unary_before[rows], 1.0)).sum(axis=0)
+        # log1p(-min(u, 1)) in place, summed over positions in one call
+        np.minimum(logs, 1.0, out=logs)
+        np.negative(logs, out=logs)
+        row[1:] = np.log1p(logs, out=logs).sum(axis=0)
+    # the largest temporary here; freed now, its memory serves the ones below
+    del logs
 
-    dense = after.max(axis=1) > SERIES_RIGHT_MAX
-    series_rows = rows[~dense[rows]]
-    powers = np.zeros((SERIES_TERMS, K, K))
-    for lo in range(0, series_rows.size, SERIES_CHUNK_ROWS):
-        idx = series_rows[lo : lo + SERIES_CHUNK_ROWS]
-        a, r = before[idx], after[idx]
+    powers = np.zeros((len(SERIES_COEFS), K, K))
+    hot_after = (unary_after > SERIES_BOUND)[rows]
+    # whether each running position is summed exactly over every cell
+    dense = np.zeros(rows.size, dtype=bool)
+    for lo in range(0, rows.size, SERIES_CHUNK_ROWS):
+        chunk = slice(lo, lo + SERIES_CHUNK_ROWS)
+        idx = rows[chunk]
+        a, r = before.take(idx, axis=0), after.take(idx, axis=0)
+        sums = a.sum(axis=1)[:, None]
+        a /= sums
+        r *= sums
+        if r.max() > SERIES_RIGHT_MAX:
+            np.greater(r.max(axis=1), SERIES_RIGHT_MAX, out=dense[chunk])
+            # zero rows add nothing to the series, and right^m of a dense row could overflow
+            a[dense[chunk]] = 0.0
+            r[dense[chunk]] = 0.0
         a_m, r_m = a.copy(), r.copy()
-        for m in range(SERIES_TERMS):
+        for m in range(len(SERIES_COEFS)):
             if m:
                 a_m *= a
                 r_m *= r
             powers[m] += a_m.T @ r_m
     inner_m = inner.copy()
-    for m in range(SERIES_TERMS):
+    for m, coef in enumerate(SERIES_COEFS):
         if m:
             inner_m *= inner
-        pair[1:] -= inner_m / (m + 1) * powers[m]
+        pair[1:] -= inner_m * coef * powers[m]
 
-    hot_after = (unary[1:].reshape(-1, K) > SERIES_BOUND) & ~dense[:, None]
-    at, i, j = _exact_cells(unary_before > SERIES_BOUND, hot_after)
+    hot_after[dense] = False
+    at, i, j = _exact_cells(hot_before, hot_after)
+    at = rows[at]
     p = before[at, i] * inner[i, j] * after[at, j]
     with np.errstate(divide="ignore"):
-        np.add.at(pair[1:], (i, j), np.log1p(-np.minimum(p, 1.0)) - _series(p))
-        dense_rows = np.flatnonzero(dense)
+        exact = np.log1p(-np.minimum(p, 1.0)) - _series(p)
+        pair[1:] += np.bincount(i * K + j, weights=exact, minlength=K * K).reshape(K, K)
+        dense_rows = rows[dense]
         # a block of pair posteriors as large as one series chunk
         step = max(1, SERIES_CHUNK_ROWS // K)
         for lo in range(0, dense_rows.size, step):
@@ -300,12 +367,35 @@ def _absence(inner, alpha, right, unary, running):
     return pair, row
 
 
+_held = threading.local()
+
+
+def _held_arrays(*shapes):
+    """Views of this thread's held buffers, one per shape (at most three, each ending in K).
+
+    The buffers only grow, up to SLICE_POSITIONS x K entries each; a larger
+    array (one sequence longer than SLICE_POSITIONS) is allocated apart.
+    """
+    if not hasattr(_held, "buffers"):
+        _held.buffers = [np.empty(0)] * 3
+    views = []
+    for k, shape in enumerate(shapes):
+        size = math.prod(shape)
+        buf = _held.buffers[k]
+        if buf.size < size:
+            buf = np.empty(size)
+            if size <= SLICE_POSITIONS * shape[-1]:
+                _held.buffers[k] = buf
+        views.append(buf[:size].reshape(shape))
+    return views
+
+
 def _in_range(x):
     """Whether every entry lies in [RENORM_FLOOR, 1 / RENORM_FLOOR]; NaN does not."""
     return bool(np.all((x >= RENORM_FLOOR) & (x <= 1.0 / RENORM_FLOOR)))
 
 
-def _recursion(params, tokens, n_at, stats, every):
+def _recursion(params, columns, tokens, n_at, stats, every):
     """(scales, posteriors, ok) of one slice, renormalizing every ``every`` positions.
 
     ``posteriors`` is None without ``stats``, else (alpha, right, unary,
@@ -314,16 +404,18 @@ def _recursion(params, tokens, n_at, stats, every):
     which a run with ``every`` = 1 does not check.
     """
     if not stats:
-        scales = _forward(params, tokens, n_at, every)
+        scales = _forward(params, columns, tokens, n_at, every)
         return scales, None, every == 1 or _in_range(scales)
     T, B = tokens.shape
     inner = params.trans[1:]
-    # the gathered emissions obs_t; the backward sweep makes each row r_t = obs_t * b_t
-    right = params.emit.T[tokens]
-    alpha = np.zeros(right.shape)
-    scales = _forward(params, tokens, n_at, every, alpha, right)
+    right, alpha, beta = _held_arrays(*[(T, B, params.num_states)] * 3)
+    # the gathered emissions obs_t; the backward sweep makes each row r_t = obs_t * b_t.
+    # _slices has checked the tokens; "clip" lets take write into out without a copy
+    np.take(columns, tokens, axis=0, mode="clip", out=right)
+    alpha.fill(0.0)
+    scales = _forward(params, columns, tokens, n_at, every, alpha, right)
     running = np.arange(B) < n_at[:, None]
-    beta = np.zeros(right.shape)
+    beta.fill(0.0)
     beta[running.sum(axis=0) - 1, np.arange(B)] = 1.0
     inner_t = inner.T
     for t, n in zip(range(T - 1, 0, -1), n_at[:0:-1].tolist()):
@@ -342,12 +434,12 @@ def _recursion(params, tokens, n_at, stats, every):
     return scales, (alpha, right, unary, running), ok
 
 
-def _slice_sums(params, tokens, n_at, stats, absence):
+def _slice_sums(params, columns, tokens, n_at, stats, absence):
     """Per-sequence log likelihoods of one slice and, if asked, its sums."""
     with np.errstate(all="ignore"):
-        scales, posteriors, ok = _recursion(params, tokens, n_at, stats, RENORM_EVERY)
+        scales, posteriors, ok = _recursion(params, columns, tokens, n_at, stats, RENORM_EVERY)
     if not ok:
-        scales, posteriors, _ = _recursion(params, tokens, n_at, stats, 1)
+        scales, posteriors, _ = _recursion(params, columns, tokens, n_at, stats, 1)
     loglik = np.log(scales).sum(axis=0)
     if not stats:
         return loglik, ()
@@ -367,12 +459,6 @@ def _slice_sums(params, tokens, n_at, stats, absence):
     ]
     sums = (counts, np.stack(by_token))
     if absence:
-        # forward rows summing to 1 keep the series in its range; right takes
-        # the factor so that every pair posterior stays as it is
-        row_sums = alpha.sum(axis=2)
-        row_sums[~running] = 1.0
-        alpha /= row_sums[..., None]
-        right[1:] *= row_sums[:-1, :, None]
         sums += _absence(inner, alpha, right, unary, running)
     return loglik, sums
 
@@ -386,7 +472,9 @@ def sweep(params: SurrogateParams, batch, stats=True, absence=False) -> BatchSum
     """
     loglik = np.empty(len(batch))
     total = None
+    # row v is the emission column of token v, contiguous for the gathers
+    columns = np.ascontiguousarray(params.emit.T)
     for cols, tokens, n_at in _slices(batch, params.vocab_size):
-        loglik[cols], sums = _slice_sums(params, tokens, n_at, stats or absence, absence)
+        loglik[cols], sums = _slice_sums(params, columns, tokens, n_at, stats or absence, absence)
         total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
     return BatchSums(loglik, *total)

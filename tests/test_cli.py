@@ -26,7 +26,7 @@ from scvihmm.cli import (
 from scvihmm.config import RunConfig
 from scvihmm.corpus import Vocabulary
 from scvihmm.engine import GlobalStats, TrainedModel
-from scvihmm.model_io import save_model
+from scvihmm.model_io import load_model, save_model
 from test_model_io import TAMPERED_HEADERS, resign_header
 
 
@@ -318,6 +318,21 @@ class TestEval:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "9" in err and "3" in err
+
+    def test_vocab_words_must_match_the_checkpoint(self, tmp_path, capsys):
+        corpus, model_out = self._train_model(tmp_path)
+        assert main(["eval", str(model_out), str(corpus)]) == 0
+        own_score = capsys.readouterr().out
+        words = list(load_model(model_out).vocab.words)
+        same, reversed_ = tmp_path / "same.txt", tmp_path / "reversed.txt"
+        same.write_text("".join(w + "\n" for w in words), encoding="utf-8")
+        reversed_.write_text("".join(w + "\n" for w in words[::-1]), encoding="utf-8")
+        assert main(["eval", str(model_out), str(corpus), "--vocab", str(same)]) == 0
+        assert capsys.readouterr().out == own_score
+        code = main(["eval", str(model_out), str(corpus), "--vocab", str(reversed_)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(reversed_) in captured.err
 
     def test_eval_metrics_row(self, tmp_path, capsys):
         corpus, model_out = self._train_model(tmp_path)

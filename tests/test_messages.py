@@ -1,8 +1,14 @@
 """Checks for the batched forward-backward sweep."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -304,7 +310,8 @@ class TestAbsenceSeries:
         series_absence = messages._absence
 
         def spy(*args):
-            seen.append(args)
+            # the arrays are views of the sweep's held buffers, which the next slice refills
+            seen.append(tuple(np.copy(arg) for arg in args))
             return series_absence(*args)
 
         monkeypatch.setattr(messages, "_absence", spy)
@@ -382,6 +389,45 @@ class TestAbsenceSeries:
             self._compare(monkeypatch, params, random_batch(rng, 5, int(rng.integers(1, 6)), 20))
 
 
+def economized_coefficients(terms, taylor_terms=40, bound=Fraction(1, 16)):
+    """c_1 .. c_terms of log(1 - p) ~ -sum_m c_m p^m, in exact rationals.
+
+    The Taylor series -log(1 - p) / p = sum_k p^k / (k + 1), cut at
+    ``taylor_terms``, loses its top degree to the shifted Chebyshev
+    polynomial T_n(2 p / bound - 1) of that degree, down to degree terms - 1.
+    """
+    x = [Fraction(-1), 2 / bound]
+    cheb = [[Fraction(1)], x]
+    while len(cheb) < taylor_terms:
+        nxt = [Fraction(0)] * (len(cheb[-1]) + 1)
+        for k, c in enumerate(cheb[-1]):
+            nxt[k] += 2 * x[0] * c
+            nxt[k + 1] += 2 * x[1] * c
+        for k, c in enumerate(cheb[-2]):
+            nxt[k] -= c
+        cheb.append(nxt)
+    poly = [Fraction(1, k + 1) for k in range(taylor_terms)]
+    for n in range(taylor_terms - 1, terms - 1, -1):
+        lead = poly[n] / cheb[n][n]
+        for k, c in enumerate(cheb[n]):
+            poly[k] -= lead * c
+    return poly[:terms]
+
+
+class TestSeriesCoefficients:
+    def test_literals_are_the_rounded_economization(self):
+        # a longer Taylor cut rounds to the same doubles
+        for taylor_terms in (40, 60):
+            coefs = economized_coefficients(len(messages.SERIES_COEFS), taylor_terms)
+            assert tuple(float(c) for c in coefs) == messages.SERIES_COEFS
+
+    def test_series_matches_log1p_on_its_range(self):
+        p = np.linspace(0.0, messages.SERIES_BOUND, 100_001)[1:]
+        want = np.log1p(-p)
+        rel = np.abs(messages._series(p) - want) / np.abs(want)
+        assert rel.max() <= 2 * np.finfo(float).eps
+
+
 class TestTokenStats:
     def test_bit_identical_to_scatter_add(self, monkeypatch):
         # by position, in the order np.add.at adds, over a padded multi-slice batch
@@ -393,7 +439,7 @@ class TestTokenStats:
         series_absence = messages._absence
 
         def spy(*args):
-            unaries.append(args[3])
+            unaries.append(args[3].copy())
             return series_absence(*args)
 
         monkeypatch.setattr(messages, "_absence", spy)
@@ -501,3 +547,67 @@ class TestLazyRenormalization:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+class TestSliceBuffers:
+    """A stats sweep's slice arrays are views of buffers each thread holds."""
+
+    FAULTS = """
+import resource
+import numpy as np
+from scvihmm.messages import SurrogateParams, sweep
+
+rng = np.random.default_rng(71)
+K, V = 45, 500
+params = SurrogateParams(rng.dirichlet(np.ones(K), K + 1), rng.dirichlet(np.ones(V), K))
+batch = [rng.integers(0, V, n) for n in rng.integers(10, 41, 200)]
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sweep(params, batch)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+
+    def test_steady_state_sweeps_fault_in_no_new_pages(self):
+        # one 40 x 200 x 45 slice array is 2.9 MB, about 700 pages; a sweep
+        # that allocated its three afresh would fault them in again each time
+        pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(messages.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", self.FAULTS], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        faults = json.loads(out.stdout)
+        assert max(faults[1:]) <= 200, faults
+
+    def test_threads_sweeping_at_once_match_serial_sweeps(self, monkeypatch):
+        # several slices per sweep and more threads than cores, switching often
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 90)
+        rng = np.random.default_rng(73)
+        params = random_params(rng, 5, 9)
+        batches = [random_batch(rng, 9, int(rng.integers(8, 20)), 30) for _ in range(4)]
+        serial = [sweep(params, batch, absence=True) for batch in batches]
+        results = [[] for _ in batches]
+
+        def work(k):
+            for _ in range(15):
+                results[k].append(sweep(params, batches[k], absence=True))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for ref, runs in zip(serial, results):
+            assert len(runs) == 15
+            for got in runs:
+                for field in ("loglik", "counts", "token_stats", "absence_pair", "absence_row"):
+                    np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
