@@ -171,21 +171,20 @@ def cmd_eval(args) -> int:
     if args.metrics_out:
         has_metrics_header(args.metrics_out)
     model = load_model(args.model)
-    if args.vocab:
-        vocab = Vocabulary.load(args.vocab)
-    else:
-        vocab = model.vocab
-    corpus = load_corpus(args.corpus, vocab=vocab)
-    if len(corpus.vocab) != model.vocab_size:
+    # a vocabulary built from the corpus would give each token another word's index
+    vocab = Vocabulary.load(args.vocab) if args.vocab else model.vocab
+    if vocab is None:
+        raise ValueError(f"checkpoint {args.model} holds no words; give its vocabulary with --vocab")
+    if len(vocab) != model.vocab_size:
         raise ValueError(
             f"model vocabulary size {model.vocab_size} does not match "
-            f"corpus vocabulary size {len(corpus.vocab)}"
+            f"vocabulary file {args.vocab} size {len(vocab)}"
         )
-    if args.vocab and model.vocab is not None and vocab != model.vocab:
-        # read under another word's index, every token would score as a different word
+    if model.vocab is not None and vocab != model.vocab:
         raise ValueError(
             f"vocabulary file {args.vocab} does not hold the checkpoint's words in its order"
         )
+    corpus = load_corpus(args.corpus, vocab=vocab)
     started = time.perf_counter()
     ll = predictive_log_likelihood(model, corpus)
     print(f"{ll:.6f}")
@@ -254,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="held-out per-time-step log likelihood")
     p_eval.add_argument("model", help="model checkpoint path")
     p_eval.add_argument("corpus", help="evaluation corpus")
-    p_eval.add_argument("--vocab", help="vocabulary file (defaults to the checkpoint's)")
+    p_eval.add_argument("--vocab", help="the checkpoint's words in order; needed only when it holds none")
     p_eval.add_argument("--metrics-out", dest="metrics_out")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -105,6 +105,8 @@ class Corpus:
     counts: int = field(init=False)
 
     def __post_init__(self):
+        if any(np.ndim(s) != 1 for s in self.sequences):
+            raise ValueError("sequences must be 1-d arrays of integer token indices")
         if any(len(s) == 0 for s in self.sequences):
             raise ValueError("corpus must not contain empty sequences")
         vocab_size = len(self.vocab)
@@ -114,7 +116,7 @@ class Corpus:
             block = np.concatenate(chunk)
             # uint64 and signed sequences concatenate to float64, exact for in-range indices
             integer = block.dtype.kind in "iu" or all(np.asarray(s).dtype.kind in "iu" for s in chunk)
-            if block.ndim != 1 or not integer:
+            if not integer:
                 raise ValueError("sequences must be 1-d arrays of integer token indices")
             if block.min() < 0 or block.max() >= vocab_size:
                 raise ValueError("sequence token index outside vocabulary")

@@ -90,7 +90,9 @@ K = 45).  A stats sweep holds a slice's ``right``, ``alpha`` and ``beta``
 (later ``unary``) there; ``right`` is filled by a gather of the emission
 columns and the other two with zeros.  The forward-only sweep of
 evaluation holds its block of ``RENORM_EVERY`` gathered positions and its
-two running rows there.  The gathers read a contiguous V x K copy of the
+two running rows there.  Both run the one forward loop, over the buffers
+they pass: a stats sweep's gather is the loop's one refill of a block as
+long as the slice.  The gathers read a contiguous V x K copy of the
 emission columns, made once per sweep.  An array larger than the buffers
 may grow to (one sequence longer than ``SLICE_POSITIONS``) is allocated
 apart.  Nothing else is kept between calls, and nothing a sweep returns is
@@ -228,43 +230,41 @@ def _slices(batch, vocab_size):
     return slices
 
 
-def _forward(params, columns, tokens, n_at, every, alpha=None, obs=None):
+def _forward(params, columns, tokens, n_at, every, rows, obs):
     """T x B factors f_t divided out of the forward rows of one slice.
 
     A running row is renormalized at each position t with t % every ==
-    every - 1 and at its last position; every other factor is 1.  With
-    ``alpha`` (T x B x K, zeros) the forward vectors are written into it and
-    ``obs`` (T x B x K) holds the slice's gathered emissions.  Without, the
-    emissions are gathered from ``columns`` one block of ``every`` positions
-    at a time and the recursion runs in two B x K rows, both in held
-    buffers, so memory stays O(T x B).
+    every - 1 and at its last position; every other factor is 1.  Position
+    t works in ``rows[t % len(rows)]`` (B x K each) and reads its emissions
+    from ``obs[t % len(obs)]``; at each t that is a multiple of
+    ``len(obs)``, ``obs`` is refilled with the emission columns of the next
+    ``len(obs)`` positions.  Training passes whole-slice ``rows`` and
+    ``obs`` (T x B x K, ``rows`` zeroed), so that one gather at t = 0 fills
+    ``obs`` and the forward vectors stay in ``rows``.  Evaluation passes a
+    block of ``RENORM_EVERY`` positions and two rows, so memory stays
+    O(T x B).  The block length does not follow the cadence: the
+    ``every`` = 1 retry keeps its block, and as the gathers only copy, no
+    bit depends on it.
     """
     inner = params.trans[1:]
-    T, B = tokens.shape
-    K = params.num_states
     scales = np.ones(tokens.shape)
     sizes = n_at.tolist()
     # rows ends[t] .. n_at[t] - 1 have their last position at t
     ends = sizes[1:] + [0]
-    if alpha is None:
-        block, buffers = _held_arrays((min(every, T), B, K), (2, B, K))
     prev = None
     for t, n in enumerate(sizes):
-        phase = t % every
-        if alpha is None:
-            if phase == 0:
-                span = tokens[t : t + every]
-                np.take(columns, span, axis=0, mode="clip", out=block[: len(span)])
-            cur, emit = buffers[t % 2], block[phase]
-        else:
-            cur, emit = alpha[t], obs[t]
+        if t % len(obs) == 0:
+            span = tokens[t : t + len(obs)]
+            # _slices has checked the tokens; "clip" lets take write into out without a copy
+            np.take(columns, span, axis=0, mode="clip", out=obs[: len(span)])
+        cur, emit = rows[t % len(rows)], obs[t % len(obs)]
         head = cur[:n]
         if t:
             np.dot(prev[:n], inner, out=head)
             head *= emit[:n]
         else:
             np.multiply(params.trans[0], emit[:n], out=head)
-        lo = 0 if phase == every - 1 else ends[t]
+        lo = 0 if t % every == every - 1 else ends[t]
         if lo < n:
             factor = cur[lo:n].sum(axis=1)
             cur[lo:n] /= factor[:, None]
@@ -403,16 +403,17 @@ def _recursion(params, columns, tokens, n_at, stats, every):
     factor or a running normalizer left [RENORM_FLOOR, 1 / RENORM_FLOOR],
     which a run with ``every`` = 1 does not check.
     """
-    if not stats:
-        scales = _forward(params, columns, tokens, n_at, every)
-        return scales, None, every == 1 or _in_range(scales)
     T, B = tokens.shape
+    K = params.num_states
+    if not stats:
+        block, rows = _held_arrays((min(RENORM_EVERY, T), B, K), (2, B, K))
+        scales = _forward(params, columns, tokens, n_at, every, rows, block)
+        return scales, None, every == 1 or _in_range(scales)
     inner = params.trans[1:]
-    right, alpha, beta = _held_arrays(*[(T, B, params.num_states)] * 3)
-    # the gathered emissions obs_t; the backward sweep makes each row r_t = obs_t * b_t.
-    # _slices has checked the tokens; "clip" lets take write into out without a copy
-    np.take(columns, tokens, axis=0, mode="clip", out=right)
+    right, alpha, beta = _held_arrays(*[(T, B, K)] * 3)
     alpha.fill(0.0)
+    # the forward sweep gathers the emissions obs_t into right; the backward
+    # sweep makes each row r_t = obs_t * b_t
     scales = _forward(params, columns, tokens, n_at, every, alpha, right)
     running = np.arange(B) < n_at[:, None]
     beta.fill(0.0)

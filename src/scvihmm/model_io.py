@@ -22,6 +22,7 @@ decides whether the stick arrays follow the counts, and the header's own
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -95,6 +96,12 @@ def _gather_arrays(model: TrainedModel) -> dict:
 
 
 def save_model(model: TrainedModel, path):
+    """Write ``model`` to ``path``, replacing any file there in one step.
+
+    The bytes go to a temporary file in the same directory, which is
+    synced and then renamed onto ``path``; an error or a crash before the
+    rename leaves the file already at ``path`` as it was.
+    """
     header = {
         "algorithm": model.algorithm,
         "num_states": model.num_states,
@@ -114,9 +121,19 @@ def save_model(model: TrainedModel, path):
             raise ValueError(f"matrix {name} has shape {arr.shape}, expected {shape}")
         parts.append(arr.tobytes())
     payload = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(hashlib.sha256(payload).digest())
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    # "x" creates it with mode 0o666 under the umask, as "w" would create path itself
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(payload)
+            fh.write(hashlib.sha256(payload).digest())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_model(path) -> TrainedModel:

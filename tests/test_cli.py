@@ -334,6 +334,25 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == "" and str(reversed_) in captured.err
 
+    def test_checkpoint_without_words_needs_vocab(self, tmp_path, capsys):
+        # a vocabulary built from the corpus would read "c" as word 1, which is "a"
+        vocab = Vocabulary(["a", "b", "c"])
+        stats = GlobalStats(np.array([[3.0, 1.0], [4.0, 1.0], [1.0, 5.0]]),
+                            np.array([[0.0, 6.0, 2.0, 0.0], [0.0, 0.0, 1.0, 7.0]]))
+        corpus = tmp_path / "eval.txt"
+        write_corpus(corpus, ["c b a a a", "a a b"])
+        vocab_file, with_words, wordless = tmp_path / "vocab.txt", tmp_path / "a.bin", tmp_path / "b.bin"
+        vocab.save(vocab_file)
+        save_model(TrainedModel(RunConfig(num_states=2), stats, vocab=vocab), with_words)
+        save_model(TrainedModel(RunConfig(num_states=2), stats), wordless)
+        assert main(["eval", str(with_words), str(corpus)]) == 0
+        own_score = capsys.readouterr().out
+        assert main(["eval", str(wordless), str(corpus)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--vocab" in captured.err
+        assert main(["eval", str(wordless), str(corpus), "--vocab", str(vocab_file)]) == 0
+        assert capsys.readouterr().out == own_score
+
     def test_eval_metrics_row(self, tmp_path, capsys):
         corpus, model_out = self._train_model(tmp_path)
         out = tmp_path / "eval.csv"

@@ -156,6 +156,15 @@ class TestCorpusValidation:
         with pytest.raises(ValueError, match="^sequences must be 1-d arrays of integer token indices$"):
             Corpus.from_sequences([[[1, 2]]], Vocabulary(["a", "b"]))
 
+    @pytest.mark.parametrize("seqs", [
+        [np.array([1, 2]), np.array([[1, 2]])],  # concatenate would name the dimensions
+        [np.array(2)],  # len() of a 0-d array raises TypeError
+        [[1, 2], 3],
+    ], ids=["2-d-among-1-d", "0-d", "0-d-among-1-d"])
+    def test_from_sequences_refuses_sequences_that_are_not_1d(self, seqs):
+        with pytest.raises(ValueError, match="^sequences must be 1-d arrays of integer token indices$"):
+            Corpus.from_sequences(seqs, Vocabulary(["a", "b"]))
+
     @pytest.mark.parametrize("where", [0, 2])
     def test_float_block_refused_in_any_block(self, where):
         seqs = self._seqs(3 * corpus_mod.CHECK_BLOCK)

@@ -496,6 +496,26 @@ class TestLazyRenormalization:
         full = sweep(params, batch, absence=True).loglik
         np.testing.assert_array_equal(sweep(params, batch, stats=False).loglik, full)
 
+    @pytest.mark.parametrize("every", [1, 3, 8])
+    def test_block_length_is_apart_from_the_cadence(self, monkeypatch, every):
+        # _forward refills its emission block every len(obs) positions, whatever the cadence
+        params, batch = self._case()
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 64)
+        columns = np.ascontiguousarray(params.emit.T)
+        K = params.num_states
+        slices = messages._slices(batch, params.vocab_size)
+        assert len(slices) >= 3
+        assert any(len(set(n_at.tolist())) > 2 for _, _, n_at in slices)
+        for _, tokens, n_at in slices:
+            T, B = tokens.shape
+            whole = np.zeros((T, B, K)), np.empty((T, B, K))
+            ref = messages._forward(params, columns, tokens, n_at, every, *whole)
+            for width in (1, 3, 8, T):
+                for depth in (2, T):
+                    rows, obs = np.zeros((depth, B, K)), np.empty((width, B, K))
+                    got = messages._forward(params, columns, tokens, n_at, every, rows, obs)
+                    np.testing.assert_array_equal(got, ref)
+
     def _rare_token_case(self):
         # token 0 has emission 1e-90 under every state, so 8 of them in a row
         # multiply to 1e-720, past the smallest double

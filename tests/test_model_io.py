@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import os
 import pathlib
 import struct
 
 import numpy as np
 import pytest
 
+from scvihmm import model_io
 from scvihmm.config import RunConfig
 from scvihmm.corpus import Corpus, Vocabulary
 from scvihmm.engine import predictive_log_likelihood, train
@@ -103,6 +105,36 @@ class TestRoundTrip:
         save_model(model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestAtomicSave:
+    def test_failed_write_leaves_the_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        save_model(trained("scvi-hmm", seed=4)[0], path)
+        old = path.read_bytes()
+        model, _ = trained("svi-hmm", seed=5)
+
+        def sha256(payload):
+            # the payload has gone to a temporary file beside the checkpoint
+            assert len(list(tmp_path.iterdir())) == 2
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model_io.hashlib, "sha256", sha256)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(model, path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_replaced_file_has_fresh_bytes_and_default_mode(self, tmp_path):
+        model, _ = trained("scvi-hdphmm", seed=3)
+        fresh, replaced, plain = tmp_path / "fresh.bin", tmp_path / "replaced.bin", tmp_path / "plain"
+        save_model(model, fresh)
+        replaced.write_bytes(b"an older, longer file" * 1000)
+        save_model(model, str(replaced))
+        plain.write_bytes(b"")
+        assert replaced.read_bytes() == fresh.read_bytes()
+        assert sorted(tmp_path.iterdir()) == [fresh, plain, replaced]
+        assert os.stat(fresh).st_mode == os.stat(plain).st_mode
 
 
 # Checkpoints in format version 2 of the golden-config models (tests/test_golden.py's
