@@ -212,7 +212,7 @@ class SyntheticSpec:
         if self.emit.shape != (self.num_states, self.vocab_size):
             raise ValueError("emit must be K x V")
         for name, mat in (("trans", self.trans), ("emit", self.emit)):
-            if np.any(mat < 0.0) or np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-10):
+            if not np.all(mat >= 0.0) or np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-10):
                 raise ValueError(f"{name} rows must be stochastic")
 
     @classmethod

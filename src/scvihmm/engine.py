@@ -233,9 +233,15 @@ def k_effective(model: TrainedModel) -> int:
 
 
 def predictive_log_likelihood(model, heldout: Corpus) -> float:
-    """Average per-time-step log likelihood over a held-out corpus."""
+    """Average per-time-step log likelihood over a held-out corpus.
+
+    A ``TrainedModel`` that holds words refuses a corpus indexed by another
+    vocabulary, since each token would be scored as another word.
+    """
     if len(heldout.sequences) == 0:
         raise ValueError("held-out corpus is empty")
+    if isinstance(model, TrainedModel) and model.vocab is not None and heldout.vocab != model.vocab:
+        raise ValueError("held-out corpus is indexed by another vocabulary than the model's")
     params = model.surrogate() if isinstance(model, TrainedModel) else model
     return float(sweep(params, heldout.sequences, stats=False).loglik.sum()) / heldout.counts
 

@@ -71,7 +71,7 @@ class TableStats:
 class HdpPosterior:
     """Variational state of the hierarchical prior.
 
-    ``sticks`` holds K Beta posteriors (vector-valued parameters),
+    ``sticks`` holds K Beta posteriors (two length-K arrays),
     ``alpha`` and ``gamma`` the two Gamma concentration posteriors, and
     ``geo_alpha_pi`` caches the per-destination geometric weights.  The
     cache is refreshed by every update; ``initial`` pins it to a flat start
@@ -95,7 +95,7 @@ class HdpPosterior:
 
     @property
     def num_states(self) -> int:
-        return np.asarray(self.sticks.u).size
+        return self.sticks.u.size
 
     @classmethod
     def initial(
@@ -236,24 +236,22 @@ def update_hdp(
     K = post.num_states
     if tables.es.shape != (K + 1, K):
         raise ValueError("table statistics do not match the truncation")
-    u_old = np.asarray(post.sticks.u, dtype=float)
-    v_old = np.asarray(post.sticks.v, dtype=float)
 
     col = tables.es.sum(axis=0)
     # tail[k'] = sum of column totals strictly beyond k'
     tail = np.concatenate((np.cumsum(col[::-1])[::-1][1:], [0.0]))
 
-    u_new = (1.0 - rho) * u_old + rho * (1.0 + col)
+    u_new = (1.0 - rho) * post.sticks.u + rho * (1.0 + col)
     a_alpha = (1.0 - rho) * post.alpha.a + rho * (alpha_prior.a + tables.es.sum())
     b_alpha = (1.0 - rho) * post.alpha.b + rho * (alpha_prior.b - tables.elogeta.sum())
     a_gamma = (1.0 - rho) * post.gamma.a + rho * (gamma_prior.a + K)
 
-    c_v = (1.0 - rho) * v_old + rho * tail
+    c_v = (1.0 - rho) * post.sticks.v + rho * tail
     c_b = (1.0 - rho) * post.gamma.b + rho * gamma_prior.b
     g, b_gamma = _solve_gamma_mean(c_v, c_b, u_new, a_gamma, rho)
     v_new = c_v + rho * g
 
     sticks = BetaParams(u_new, v_new)
-    alpha = GammaParams(float(a_alpha), float(b_alpha))
-    gamma = GammaParams(float(a_gamma), float(b_gamma))
+    alpha = GammaParams(a_alpha, b_alpha)
+    gamma = GammaParams(a_gamma, b_gamma)
     return HdpPosterior(sticks, alpha, gamma, compute_geo_alpha_pi(sticks, alpha))

@@ -77,21 +77,13 @@ def _matrix_shapes(num_states: int, vocab_size: int, hdp: bool):
     return shapes
 
 
-def _gather_arrays(model: TrainedModel) -> dict:
-    arrays = {
-        "trans_counts": model.stats.trans_counts,
-        "token_stats": model.stats.token_stats,
-    }
+def _gather_arrays(model: TrainedModel) -> list:
+    """The model's matrices in ``_matrix_shapes`` order."""
+    arrays = [model.stats.trans_counts, model.stats.token_stats]
     if model.hdp is not None:
         post = model.hdp
-        arrays.update(
-            stick_u=np.asarray(post.sticks.u, float),
-            stick_v=np.asarray(post.sticks.v, float),
-            concentrations=np.array(
-                [post.alpha.a, post.alpha.b, post.gamma.a, post.gamma.b]
-            ),
-            geo_alpha_pi=post.geo_alpha_pi,
-        )
+        concentrations = np.array([post.alpha.a, post.alpha.b, post.gamma.a, post.gamma.b])
+        arrays += [post.sticks.u, post.sticks.v, concentrations, post.geo_alpha_pi]
     return arrays
 
 
@@ -99,8 +91,9 @@ def save_model(model: TrainedModel, path):
     """Write ``model`` to ``path``, replacing any file there in one step.
 
     The bytes go to a temporary file in the same directory, which is
-    synced and then renamed onto ``path``; an error or a crash before the
-    rename leaves the file already at ``path`` as it was.
+    synced and then renamed onto ``path``, and the directory is synced
+    after the rename; an error or a crash before the rename leaves the
+    file already at ``path`` as it was.
     """
     header = {
         "algorithm": model.algorithm,
@@ -110,13 +103,12 @@ def save_model(model: TrainedModel, path):
         "vocab_words": list(model.vocab.words) if model.vocab is not None else None,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    arrays = _gather_arrays(model)
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     parts.append(struct.pack("<I", len(header_bytes)))
     parts.append(header_bytes)
     shapes = _matrix_shapes(model.num_states, model.vocab_size, model.hdp is not None)
-    for name, shape in shapes:
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+    for (name, shape), arr in zip(shapes, _gather_arrays(model), strict=True):
+        arr = np.ascontiguousarray(arr, dtype="<f8")
         if arr.shape != shape:
             raise ValueError(f"matrix {name} has shape {arr.shape}, expected {shape}")
         parts.append(arr.tobytes())
@@ -134,6 +126,12 @@ def save_model(model: TrainedModel, path):
     except BaseException:
         os.remove(tmp)
         raise
+    # the rename itself is durable only once the directory is synced
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_model(path) -> TrainedModel:
@@ -202,8 +200,8 @@ def load_model(path) -> TrainedModel:
             a_al, b_al, a_ga, b_ga = arrays["concentrations"]
             hdp = HdpPosterior(
                 BetaParams(arrays["stick_u"], arrays["stick_v"]),
-                GammaParams(float(a_al), float(b_al)),
-                GammaParams(float(a_ga), float(b_ga)),
+                GammaParams(a_al, b_al),
+                GammaParams(a_ga, b_ga),
                 arrays["geo_alpha_pi"],
             )
         return TrainedModel(config, stats, hdp, vocab)

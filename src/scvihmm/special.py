@@ -3,9 +3,11 @@
 Everything here is dependency-free on purpose: digamma sits in the inner
 loop of the surrogate-parameter builds, and the expectations are thin
 wrappers around it.  Which expectation each mode's surrogate takes is
-stated in ``engine.build_surrogate``.  All functions but
-``dirichlet_geo_rows`` accept scalars or ndarrays and broadcast
-elementwise.
+stated in ``engine.build_surrogate``.  ``BetaParams`` holds two float64
+arrays of one shape (0-d for a single Beta), and ``beta_expect_logs``
+works elementwise on them; ``GammaParams`` holds two floats.  Both records
+convert and check their values once, on construction.  ``digamma`` accepts
+scalars or ndarrays.
 """
 
 from __future__ import annotations
@@ -74,59 +76,58 @@ def digamma(x):
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Shape parameters of a Beta distribution; scalar or elementwise arrays."""
+    """Shape parameters of elementwise Beta distributions: float64 arrays of one shape."""
 
-    u: object
-    v: object
+    u: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64)
         v = np.asarray(self.v, dtype=np.float64)
+        if u.shape != v.shape:
+            raise ValueError(f"Beta parameters u {u.shape} and v {v.shape} differ in shape")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise ValueError("Beta parameters must be finite")
         if np.any(u <= 0.0) or np.any(v <= 0.0):
             raise ValueError("Beta parameters must be positive")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
 
 @dataclass(frozen=True)
 class GammaParams:
-    """Shape/rate parameters of a Gamma distribution; scalar or arrays."""
+    """Shape/rate parameters of one Gamma distribution, as floats."""
 
-    a: object
-    b: object
+    a: float
+    b: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        a, b = float(self.a), float(self.b)
+        if not (np.isfinite(a) and np.isfinite(b)):
             raise ValueError("Gamma parameters must be finite")
-        if np.any(a <= 0.0) or np.any(b <= 0.0):
+        if a <= 0.0 or b <= 0.0:
             raise ValueError("Gamma parameters must be positive")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def beta_expect_logs(p: BetaParams):
     """(E[log x], E[log(1-x)]) for x ~ Beta(u, v); both strictly negative."""
-    both = digamma(np.asarray(p.u, dtype=np.float64) + np.asarray(p.v, dtype=np.float64))
+    both = digamma(p.u + p.v)
     return digamma(p.u) - both, digamma(p.v) - both
 
 
-def gamma_expect(p: GammaParams):
+def gamma_expect(p: GammaParams) -> float:
     """E[x] = a/b for x ~ Gamma(a, b)."""
-    out = np.asarray(p.a, dtype=np.float64) / np.asarray(p.b, dtype=np.float64)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return p.a / p.b
 
 
-def gamma_geo_expect(p: GammaParams):
+def gamma_geo_expect(p: GammaParams) -> float:
     """Geometric expectation exp(E[log x]) = exp(psi(a))/b for x ~ Gamma(a, b).
 
     Always strictly below gamma_expect for the same parameters.
     """
-    out = np.exp(digamma(p.a)) / np.asarray(p.b, dtype=np.float64)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return float(np.exp(digamma(p.a)) / p.b)
 
 
 def dirichlet_geo_rows(params: np.ndarray) -> np.ndarray:

@@ -409,6 +409,13 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(1, 2, np.ones((2, 1)), np.array([[0.5, 0.5]]), 5, 4, 2)
 
+    @pytest.mark.parametrize("name", ["trans", "emit"])
+    def test_spec_refuses_nan_rows(self, name):
+        mats = {"trans": np.full((3, 2), 0.5), "emit": np.full((2, 4), 0.25)}
+        mats[name][1, 0] = np.nan
+        with pytest.raises(ValueError, match=f"{name} rows must be stochastic"):
+            SyntheticSpec(2, 4, mats["trans"], mats["emit"], 5, 3, 5)
+
 
 class TestMinibatches:
     def _corpus(self, n):

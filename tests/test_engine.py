@@ -6,8 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import batch_cvb0_hmm, batch_sums, log_forward_backward, log_space_loglik
+from oracles import (batch_cvb0_hmm, batch_sums, batch_vb_hmm, dirichlet_predictive_row,
+                     log_forward_backward, log_space_loglik, surrogate_emission_row)
 from scvihmm import messages
 from scvihmm.config import ConfigError, RunConfig
 from scvihmm.corpus import Corpus, SyntheticSpec, Vocabulary, generate_synthetic, split
@@ -26,7 +29,7 @@ from scvihmm.engine import (
 )
 from scvihmm.hdp import HdpPosterior, tables_from_aggregates, update_hdp
 from scvihmm.messages import SurrogateParams, sweep
-from scvihmm.special import BetaParams, GammaParams
+from scvihmm.special import BetaParams, GammaParams, dirichlet_geo_rows
 
 # RunConfig's Gamma(1, 0.1) concentration priors
 PRIOR = GammaParams(1.0, 0.1)
@@ -62,9 +65,17 @@ def hdp_bytes(hdp):
     return [np.asarray(part, dtype=float).tobytes() for part in parts]
 
 
-def flat_model(stats):
-    """A ``scvi-hmm`` model of ``stats`` under the default priors."""
-    return TrainedModel(RunConfig(num_states=stats.trans_counts.shape[1]), stats)
+def flat_model(stats, algorithm="scvi-hmm", **priors):
+    """A flat-prior model of ``stats``; the default priors unless ``priors`` are given."""
+    config = RunConfig(algorithm=algorithm, num_states=stats.trans_counts.shape[1], **priors)
+    return TrainedModel(config, stats)
+
+
+def emission_matrix(emit_prior, token_stats):
+    """The emission rows ``build_surrogate`` builds for ``token_stats``."""
+    k = token_stats.shape[0]
+    stats = GlobalStats(np.ones((k + 1, k)), token_stats)
+    return build_surrogate(flat_model(stats, emit_prior=emit_prior)).emit
 
 
 class TestSchedule:
@@ -134,6 +145,144 @@ class TestBuildSurrogate:
         params = build_surrogate(flat_model(stats))
         np.testing.assert_allclose(params.trans[1], np.array([8.1, 2.1]) / 10.2, atol=1e-12)
         np.testing.assert_allclose(params.trans[0], 0.5, atol=1e-12)
+
+    def test_build_surrogate_takes_geometric_rows(self):
+        stats = initialize_stats(3, 5, 40.0, seed=1)
+        config = RunConfig(algorithm="svi-hmm", num_states=3, trans_prior=0.2, emit_prior=0.3)
+        params = build_surrogate(TrainedModel(config, stats))
+        np.testing.assert_array_equal(params.trans, dirichlet_geo_rows(0.2 + stats.trans_counts))
+        np.testing.assert_array_equal(params.emit, dirichlet_geo_rows(0.3 + stats.token_stats))
+
+
+class TestEmissionPrior:
+    @pytest.mark.parametrize(
+        "pseudo", [0.0, -0.5, np.nan, np.inf], ids=[f"pseudo{i}" for i in range(4)]
+    )
+    def test_rejects_bad_pseudo_counts(self, pseudo):
+        with pytest.raises(ConfigError, match="^emit_prior must be a positive number"):
+            emission_matrix(pseudo, np.ones((2, 5)))
+
+
+class TestEmissionStats:
+    """The emission statistics are the ``token_stats`` array of GlobalStats."""
+
+    def test_rejects_negative_entries(self):
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="token_stats"):
+                GlobalStats(np.ones((2, 1)), np.array([[1.0, bad]]))
+
+
+class TestSurrogateRow:
+    def test_zero_stats_gives_uniform(self):
+        stats = np.zeros((2, 5))
+        row = surrogate_emission_row(np.full(5, 0.1), stats, 0)
+        np.testing.assert_allclose(row, np.full(5, 0.2), atol=1e-15)
+        np.testing.assert_array_equal(emission_matrix(0.1, stats)[0], row)
+
+    def test_single_count_example(self):
+        pseudo = np.full(5, 0.1)
+        stats = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
+        row = surrogate_emission_row(pseudo, stats, 0)
+        expected = np.array([1.1, 0.1, 0.1, 0.1, 0.1]) / 1.5
+        np.testing.assert_allclose(row, expected, atol=1e-15)
+        oracle = dirichlet_predictive_row(pseudo, stats[0])
+        np.testing.assert_allclose(row, oracle, atol=1e-12)
+
+    def test_two_token_example(self):
+        pseudo = np.full(2, 0.1)
+        stats = np.array([[3.0, 1.0]])
+        row = surrogate_emission_row(pseudo, stats, 0)
+        np.testing.assert_allclose(row, np.array([3.1, 1.1]) / 4.2, atol=1e-15)
+        oracle = dirichlet_predictive_row(pseudo, stats[0])
+        np.testing.assert_allclose(row, oracle, atol=1e-12)
+
+    def test_generic_form_agreement_on_random_stats(self):
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            vocab = int(rng.integers(2, 8))
+            pseudo = rng.uniform(0.05, 3.0, vocab)
+            stats = rng.uniform(0.0, 10.0, (1, vocab))
+            row = surrogate_emission_row(pseudo, stats, 0)
+            oracle = dirichlet_predictive_row(pseudo, stats[0])
+            np.testing.assert_allclose(row, oracle, atol=1e-12)
+
+    def test_rows_normalized_and_positive(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            stats = rng.uniform(0.0, 50.0, (4, 9))
+            mat = emission_matrix(0.1, stats)
+            assert np.all(mat > 0.0) and np.all(mat < 1.0)
+            np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_matrix_matches_rows(self):
+        # the oracle's denominator sums V copies of c; V * c differs in the last
+        # bit at (0.1, 21), 2.1 against 2.1000000000000005, which small
+        # counts do not round away
+        rng = np.random.default_rng(17)
+        for c, vocab, top in ((rng.uniform(0.1, 2.0), 6, 5.0), (0.1, 21, 0.1), (0.37, 500, 0.1)):
+            stats = rng.uniform(0.0, top, (3, vocab))
+            mat = emission_matrix(c, stats)
+            for k in range(3):
+                np.testing.assert_array_equal(mat[k], surrogate_emission_row(np.full(vocab, c), stats, k))
+
+    def test_state_index_out_of_range(self):
+        stats = np.zeros((2, 5))
+        with pytest.raises(IndexError):
+            surrogate_emission_row(np.full(5, 0.1), stats, 2)
+
+    def test_vocab_mismatch(self):
+        with pytest.raises(ValueError):
+            surrogate_emission_row(np.full(4, 0.1), np.zeros((2, 5)), 0)
+
+
+def kl_to_uniform(row):
+    v = row.size
+    return float(np.sum(row * (np.log(row) + np.log(v))))
+
+
+class TestSurrogateRowProperties:
+    def test_flattening_moves_toward_uniform(self):
+        # Adding a constant to every token stat (and V*c to the count) keeps
+        # the row valid and shrinks its KL divergence to uniform.
+        pseudo = np.full(5, 0.1)
+        base = np.array([[12.0, 3.0, 0.5, 0.0, 1.5]])
+        last_kl = kl_to_uniform(
+            surrogate_emission_row(pseudo, base, 0)
+        )
+        for c in (1.0, 10.0, 100.0):
+            stats = base + c
+            row = surrogate_emission_row(pseudo, stats, 0)
+            np.testing.assert_allclose(row.sum(), 1.0, atol=1e-12)
+            kl = kl_to_uniform(row)
+            assert kl < last_kl
+            last_kl = kl
+
+    def test_large_count_limit_recovers_proportions(self):
+        proportions = np.array([0.4, 0.3, 0.2, 0.1])
+        stats = 1e6 * proportions[None, :]
+        row = surrogate_emission_row(np.full(4, 0.1), stats, 0)
+        np.testing.assert_allclose(row, proportions, atol=1e-4)
+
+    def test_row_independence(self):
+        rng = np.random.default_rng(23)
+        t = rng.uniform(0.0, 10.0, (4, 6))
+        before = emission_matrix(0.1, t)
+        t2 = t.copy()
+        t2[2] += rng.uniform(1.0, 5.0, 6)
+        after = emission_matrix(0.1, t2)
+        for k in (0, 1, 3):
+            assert np.array_equal(before[k], after[k])
+        assert not np.array_equal(before[2], after[2])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_rows_valid(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab = int(rng.integers(2, 12))
+        stats = rng.uniform(0.0, 100.0, (2, vocab))
+        row = surrogate_emission_row(rng.uniform(0.01, 5.0, vocab), stats, 1)
+        assert np.all(row > 0.0)
+        assert abs(row.sum() - 1.0) < 1e-12
 
 
 class TestProcessMinibatch:
@@ -278,6 +427,103 @@ class TestProcessMinibatch:
         np.testing.assert_allclose(current.stats.token_stats, ref_tokens, atol=1e-6)
 
 
+def untrained_svi_model(vocab_size, num_states, seed):
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary(f"w{i}" for i in range(vocab_size - 1))
+    seqs = [rng.integers(1, vocab_size, rng.integers(3, 9)) for _ in range(10)]
+    corpus = Corpus.from_sequences(seqs, vocab)
+    config = RunConfig(algorithm="svi-hmm", num_states=num_states, minibatch_size=5,
+                       large_batch_size=5, passes=0, seed=seed)
+    model, _ = train(corpus, config)
+    return model, corpus
+
+
+class TestSviInitialize:
+    def test_deterministic_and_above_prior(self):
+        a, _ = untrained_svi_model(6, 3, seed=4)
+        b, _ = untrained_svi_model(6, 3, seed=4)
+        assert a.hdp is None and a.config.trans_prior == 0.1
+        np.testing.assert_array_equal(a.stats.trans_counts, b.stats.trans_counts)
+        # the Dirichlet parameters prior + counts sit strictly above the prior
+        assert np.all(a.stats.trans_counts > 0)
+        assert np.all(a.stats.token_stats > 0)
+
+    def test_noise_mass_scaled_to_tokens(self):
+        model, corpus = untrained_svi_model(9, 4, seed=1)
+        init = initialize_stats(4, 9, corpus.counts, seed=2)
+        np.testing.assert_array_equal(model.stats.trans_counts, init.trans_counts)
+        assert abs(model.stats.trans_counts.sum() - corpus.counts) < 1e-6
+        assert abs(model.stats.token_stats.sum() - corpus.counts) < 1e-6
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            GlobalStats(np.ones((3, 3)), np.ones((3, 4)))
+        with pytest.raises(ValueError):
+            GlobalStats(np.ones((4, 3)), -np.ones((3, 4)))
+        with pytest.raises(ValueError):
+            flat_model(GlobalStats(np.ones((3, 2)), np.ones((2, 4))), "svi-hmm", trans_prior=0.0)
+
+
+def random_batch(rng, n_seqs, vocab_size, max_len=12):
+    return [
+        rng.integers(0, vocab_size, rng.integers(3, max_len + 1))
+        for _ in range(n_seqs)
+    ]
+
+
+def svi_update(stats, batch, rho, corpus_size):
+    return process_minibatch(flat_model(stats, "svi-hmm"), batch, rho, corpus_size)[0]
+
+
+class TestSviStep:
+    def test_full_step_is_prior_plus_batch_estimate(self):
+        rng = np.random.default_rng(5)
+        stats = initialize_stats(2, 4, 50.0, seed=2)
+        batch = random_batch(rng, 3, 4)
+        params = build_surrogate(flat_model(stats, "svi-hmm"))
+        sums = sweep(params, batch)
+        scale = 9 / 3
+        out = svi_update(stats, batch, 1.0, 9)
+        np.testing.assert_array_equal(out.trans_counts, scale * sums.counts)
+        np.testing.assert_array_equal(out.token_stats, scale * sums.token_stats)
+
+    def test_vanishing_step_changes_nothing(self):
+        rng = np.random.default_rng(6)
+        stats = initialize_stats(2, 4, 50.0, seed=3)
+        batch = random_batch(rng, 3, 4)
+        out = svi_update(stats, batch, step_size(10**12, 1.0), 9)
+        np.testing.assert_allclose(out.trans_counts, stats.trans_counts, rtol=1e-9)
+
+    def test_counter_increment_and_empty_batch(self):
+        stats = initialize_stats(2, 4, 50.0, seed=3)
+        before = (stats.trans_counts.copy(), stats.token_stats.copy())
+        svi_update(stats, [np.array([1, 2, 0])], step_size(3, 0.7), 5)
+        # the schedule is the caller's step count; the step mutates nothing
+        np.testing.assert_array_equal(stats.trans_counts, before[0])
+        np.testing.assert_array_equal(stats.token_stats, before[1])
+        with pytest.raises(ValueError):
+            svi_update(stats, [], step_size(4, 0.7), 5)
+
+    def test_batch_vb_fixed_point(self):
+        # full-batch steps with rho pinned to 1 must walk the same
+        # trajectory as an independently coded batch VB iteration
+        rng = np.random.default_rng(8)
+        batch = random_batch(rng, 6, 5, max_len=15)
+        stats = initialize_stats(2, 5, 60.0, seed=5)
+        oracle = batch_vb_hmm(
+            batch, 2, 5, 0.1, 0.1,
+            0.1 + stats.trans_counts, 0.1 + stats.token_stats, 40,
+        )
+        current = stats
+        for _ in range(40):
+            current = svi_update(current, batch, 1.0, len(batch))
+        ref_trans, ref_emit = oracle[-1]
+        np.testing.assert_allclose(0.1 + current.trans_counts, ref_trans, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(
+            0.1 + current.token_stats, ref_emit, rtol=1e-6, atol=1e-9
+        )
+
+
 class TestPredictiveLogLikelihood:
     def test_uniform_single_state(self):
         vocab_size = 100
@@ -308,6 +554,18 @@ class TestPredictiveLogLikelihood:
         corpus = Corpus([], vocab)
         with pytest.raises(ValueError):
             predictive_log_likelihood(params, corpus)
+
+    def test_refuses_corpus_over_other_words(self):
+        corpus = tiny_corpus(np.random.default_rng(31))
+        model, _ = train(corpus, RunConfig(num_states=2, passes=1))
+        reordered = Corpus.from_sequences(corpus.sequences, Vocabulary(corpus.vocab.words[::-1]))
+        with pytest.raises(ValueError, match="another vocabulary"):
+            predictive_log_likelihood(model, reordered)
+        with pytest.raises(ValueError, match="another vocabulary"):
+            train(corpus, model.config, heldout=reordered)
+        # equal words in equal order pass, in another Vocabulary object
+        same = Corpus.from_sequences(corpus.sequences, Vocabulary(corpus.vocab.words))
+        assert predictive_log_likelihood(model, same) == predictive_log_likelihood(model, corpus)
 
 
 class TestKEffective:

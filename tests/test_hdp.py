@@ -290,9 +290,7 @@ class TestUpdate:
         es[:, 1] = 0.5
         tables = TableStats(es, -0.1 * np.ones(K + 1))
         post = update_hdp(HdpPosterior.initial(K, 0.1, PRIOR, PRIOR), tables, 1.0, PRIOR, PRIOR)
-        means = np.asarray(post.sticks.u) / (
-            np.asarray(post.sticks.u) + np.asarray(post.sticks.v)
-        )
+        means = post.sticks.u / (post.sticks.u + post.sticks.v)
         assert means[0] > means[1] > means[2]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import stat
 import struct
 
 import numpy as np
@@ -135,6 +136,19 @@ class TestAtomicSave:
         assert replaced.read_bytes() == fresh.read_bytes()
         assert sorted(tmp_path.iterdir()) == [fresh, plain, replaced]
         assert os.stat(fresh).st_mode == os.stat(plain).st_mode
+
+    def test_file_then_directory_synced(self, tmp_path, monkeypatch):
+        synced, fsync = [], os.fsync
+
+        def recording_fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            fsync(fd)
+
+        monkeypatch.setattr(model_io.os, "fsync", recording_fsync)
+        monkeypatch.chdir(tmp_path)
+        save_model(trained("scvi-hmm", seed=4)[0], "model.bin")
+        assert synced == [False, True]
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
 
 # Checkpoints in format version 2 of the golden-config models (tests/test_golden.py's

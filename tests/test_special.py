@@ -1,4 +1,4 @@
-"""Checks for digamma and the Beta/Gamma expectation helpers."""
+"""Checks for digamma, the Beta/Gamma expectation helpers and Dirichlet geometric rows."""
 
 import math
 
@@ -13,6 +13,7 @@ from scvihmm.special import (
     GammaParams,
     beta_expect_logs,
     digamma,
+    dirichlet_geo_rows,
     gamma_expect,
     gamma_geo_expect,
 )
@@ -125,10 +126,16 @@ class TestBetaExpectations:
         np.testing.assert_allclose(e_log, [-1.0, -0.5], atol=1e-12)
         np.testing.assert_allclose(e_log1m, [-1.0, -1.5], atol=1e-12)
 
-    @pytest.mark.parametrize("u,v", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize(
+        "u,v", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (np.ones(3), np.ones(4))]
+    )
     def test_invalid_params(self, u, v):
         with pytest.raises(ValueError):
             BetaParams(u, v)
+
+    def test_params_held_as_float64_arrays(self):
+        p = BetaParams([1, 2], (3, 4))
+        assert p.u.dtype == p.v.dtype == np.float64 and p.u.shape == p.v.shape == (2,)
 
 
 class TestGammaExpectations:
@@ -162,6 +169,10 @@ class TestGammaExpectations:
         with pytest.raises(ValueError):
             GammaParams(a, b)
 
+    def test_params_held_as_floats(self):
+        p = GammaParams(np.float64(2.0), 4)
+        assert (type(p.a), type(p.b)) == (float, float)
+
 
 class TestGeometricProductRule:
     def test_log_composition_matches_product(self):
@@ -177,3 +188,24 @@ class TestGeometricProductRule:
             via_product = geo_gamma * math.exp(e_log_x)
             via_logs = math.exp(math.log(geo_gamma) + e_log_x)
             assert abs(via_product - via_logs) <= 1e-12 * max(1.0, abs(via_product))
+
+
+class TestDirichletGeoRows:
+    @pytest.mark.parametrize("c", [0.5, 1.0, 7.0])
+    def test_symmetric_rows_are_uniform(self, c):
+        np.testing.assert_allclose(dirichlet_geo_rows(np.full((4, 3), c)), 1 / 3, atol=1e-12)
+        np.testing.assert_allclose(dirichlet_geo_rows(np.full((3, 5), c)), 1 / 5, atol=1e-12)
+
+    def test_two_to_one_row(self):
+        # weights exp(psi(2)), exp(psi(1)) over common denominator
+        # renormalize to e/(e+1), 1/(e+1)
+        rows = dirichlet_geo_rows(np.array([[2.0, 1.0]]))
+        e = math.e
+        np.testing.assert_allclose(rows[0], [e / (e + 1), 1 / (e + 1)], atol=1e-12)
+
+    def test_rows_positive_and_normalized(self):
+        rng = np.random.default_rng(0)
+        for shape in ((5, 4), (4, 6)):
+            rows = dirichlet_geo_rows(rng.gamma(2.0, size=shape))
+            assert np.all(rows > 0)
+            np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
