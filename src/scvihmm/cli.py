@@ -7,13 +7,12 @@ from a corrupted checkpoint.
 
 import argparse
 import csv
-import inspect
 import json
 import os
 import sys
 import time
 
-from .config import ALGORITHMS, ConfigError, RunConfig, _is_int, _is_real
+from .config import ALGORITHMS, ConfigError, RunConfig
 from .corpus import (
     SyntheticSpec,
     Vocabulary,
@@ -61,9 +60,6 @@ _EXIT_CODES = (
     (ValueError, EXIT_DATA),
 )
 
-# spec value checks by the annotation of its SyntheticSpec.random parameter
-_SPEC_TYPES = {int: (_is_int, "an integer"), float: (_is_real, "a finite number")}
-
 # (flag, config field, argparse keywords); flags override the --config file
 _CONFIG_FLAGS = [
     ("--algo", "algorithm", dict(choices=ALGORITHMS)),
@@ -91,16 +87,22 @@ def _add_config_flags(p):
         p.add_argument(flag, dest=field, **keywords)
 
 
+def _json_object(text, what) -> dict:
+    """The JSON object ``text`` holds; ``ConfigError`` names ``what`` otherwise."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must hold a JSON object")
+    return data
+
+
 def build_config(args) -> RunConfig:
     data = {}
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
+        with open(args.config, encoding="utf-8") as fh:
+            data = _json_object(fh.read(), "config file")
     for _, field, _ in _CONFIG_FLAGS:
         value = getattr(args, field)
         if value is not None:
@@ -108,11 +110,13 @@ def build_config(args) -> RunConfig:
     return RunConfig.from_dict(data).validate()
 
 
-def _train_fraction(args) -> float:
-    """The train share of a ``--heldout-fraction`` split."""
+def _split(corpus, args):
+    """(train, held-out) by ``--heldout-fraction`` and ``--split-seed``."""
     if not 0.0 < args.heldout_fraction < 1.0:
         raise ConfigError(f"--heldout-fraction must lie in (0, 1), got {args.heldout_fraction}")
-    return 1.0 - args.heldout_fraction
+    if args.split_seed < 0:
+        raise ConfigError(f"--split-seed must be >= 0, got {args.split_seed}")
+    return split(corpus, 1.0 - args.heldout_fraction, args.split_seed)
 
 
 def has_metrics_header(path) -> bool:
@@ -158,7 +162,7 @@ def cmd_train(args) -> int:
     if args.heldout:
         heldout = load_corpus(args.heldout, vocab=corpus.vocab)
     elif args.heldout_fraction is not None:
-        corpus, heldout = split(corpus, _train_fraction(args), args.split_seed)
+        corpus, heldout = _split(corpus, args)
     model, metrics = train(corpus, config, heldout)
     if args.model_out:
         save_model(model, args.model_out)
@@ -195,34 +199,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    text = args.spec
+    if not text.lstrip().startswith("{"):
+        with open(text, encoding="utf-8") as fh:
+            text = fh.read()
+    data = _json_object(text, "spec")
     try:
-        if args.spec.lstrip().startswith("{"):
-            data = json.loads(args.spec)
-        else:
-            with open(args.spec, encoding="utf-8") as fh:
-                data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"spec is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError("spec must hold a JSON object")
-    params = inspect.signature(SyntheticSpec.random).parameters
-    unknown = set(data) - set(params)
-    if unknown:
-        raise ConfigError(f"unknown spec fields: {sorted(unknown)}")
-    missing = {name for name, p in params.items() if p.default is p.empty} - set(data)
-    if missing:
-        raise ConfigError(f"spec missing fields: {sorted(missing)}")
-    for name, value in data.items():
-        ok, want = _SPEC_TYPES[params[name].annotation]
-        if not ok(value):
-            raise ConfigError(f"spec field {name} must be {want}, got {value!r}")
-    try:
+        # SyntheticSpec checks the values; Python's TypeError names an unknown or missing field
         spec = SyntheticSpec.random(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid spec: {exc}") from None
     corpus, _ = generate_synthetic(spec)
     if args.heldout_out:
-        train_c, test_c = split(corpus, _train_fraction(args), args.split_seed)
+        train_c, test_c = _split(corpus, args)
         save_corpus(train_c, args.out)
         save_corpus(test_c, args.heldout_out)
     else:

@@ -4,12 +4,18 @@ Text corpora are UTF-8, one sequence per line, whitespace-delimited.
 Index 0 of every vocabulary is reserved for the unknown token so held-out
 evaluation never fails on unseen words.  A vocabulary file lists one real
 word per line, and blank lines are skipped: the i-th listed word has index
-i.  Repeats, the unknown token and words with whitespace are refused.
+i.  Repeats, the unknown token and words with whitespace are refused, in a
+file and in ``Vocabulary(words)`` alike.
+
+The form of a token sequence is checked in one place, ``token_arrays``,
+which both ``Corpus`` and the sweep (``messages._slices``) call.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .config import _is_int, _is_real
 
 UNK = "<unk>"
 DRAW_BLOCK = 2**14  # uniform pairs per block of positions in generate_synthetic
@@ -35,8 +41,28 @@ class Vocabulary:
     def __init__(self, words=()):
         self._words = [UNK]
         self._index = {UNK: 0}
-        for w in words:
-            self.add(w)
+        for number, word in enumerate(words, 1):
+            # the i-th word is line i of the saved file
+            self._append(word, f"vocabulary line {number}")
+
+    def _append(self, word, where):
+        """Give ``word`` the next index, or name ``where`` and the rule it breaks.
+
+        The rule: a ``str`` without whitespace, not the unknown token, and
+        not held already.
+        """
+        if not isinstance(word, str):
+            problem = "is not a string"
+        elif word.split() != [word]:
+            problem = "is empty or holds whitespace, so no corpus token can match it"
+        elif word == UNK:
+            problem = "is the unknown token, which every vocabulary holds at index 0"
+        elif word in self._index:
+            problem = "repeats an earlier line"
+        else:
+            self.add(word)
+            return
+        raise ValueError(f"{where}: word {word!r} {problem}")
 
     def add(self, word: str) -> int:
         idx = self._index.get(word)
@@ -76,28 +102,37 @@ class Vocabulary:
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 word = line.rstrip("\n")
-                if not word.strip():
-                    continue
-                if word.split() != [word]:
-                    problem = "holds whitespace, so no corpus token can match it"
-                elif word == UNK:
-                    problem = "is the unknown token, which every vocabulary holds at index 0"
-                elif word in vocab._index:
-                    problem = "repeats an earlier line"
-                else:
-                    vocab.add(word)
-                    continue
-                raise ValueError(f"vocabulary file {path}, line {number}: word {word!r} {problem}")
+                if word.strip():
+                    vocab._append(word, f"vocabulary file {path}, line {number}")
         return vocab
+
+
+def token_arrays(sequences):
+    """``(arrays, lengths)`` of a list of token sequences: the one check of their form.
+
+    ``ValueError`` unless each is a nonempty 1-d integer array.  The token
+    range is left to the callers, which check it where they concatenate the
+    arrays anyway; uint64 and signed arrays concatenate to float64, exact
+    for in-range indices.
+    """
+    arrays = list(map(np.asarray, sequences))
+    # a few distinct (ndim, dtype) pairs stand for every array; then len is the length
+    forms = {(a.ndim, a.dtype) for a in arrays}
+    if all(ndim == 1 and dtype.kind in "iu" for ndim, dtype in forms):
+        lengths = np.fromiter(map(len, arrays), dtype=np.intp, count=len(arrays))
+        if lengths.all():
+            return arrays, lengths
+    raise ValueError("sequence must be a nonempty 1-d array of integer token indices")
 
 
 @dataclass
 class Corpus:
     """Immutable token-index sequences over a shared vocabulary.
 
-    Each sequence is a nonempty 1-d integer array.  ``counts``, their total
-    length, is derived: the checks run on blocks of ``CHECK_BLOCK``
-    concatenated sequences and sum the block sizes as they go.
+    The sequences are held as the arrays ``token_arrays`` checks, each in
+    its own integer dtype.  Their token range is checked on blocks of
+    ``CHECK_BLOCK`` concatenated sequences; ``counts``, their total length,
+    is derived.
     """
 
     sequences: list
@@ -105,23 +140,13 @@ class Corpus:
     counts: int = field(init=False)
 
     def __post_init__(self):
-        if any(np.ndim(s) != 1 for s in self.sequences):
-            raise ValueError("sequences must be 1-d arrays of integer token indices")
-        if any(len(s) == 0 for s in self.sequences):
-            raise ValueError("corpus must not contain empty sequences")
+        self.sequences, lengths = token_arrays(self.sequences)
         vocab_size = len(self.vocab)
-        tokens = 0
         for start in range(0, len(self.sequences), CHECK_BLOCK):
-            chunk = self.sequences[start : start + CHECK_BLOCK]
-            block = np.concatenate(chunk)
-            # uint64 and signed sequences concatenate to float64, exact for in-range indices
-            integer = block.dtype.kind in "iu" or all(np.asarray(s).dtype.kind in "iu" for s in chunk)
-            if not integer:
-                raise ValueError("sequences must be 1-d arrays of integer token indices")
+            block = np.concatenate(self.sequences[start : start + CHECK_BLOCK])
             if block.min() < 0 or block.max() >= vocab_size:
                 raise ValueError("sequence token index outside vocabulary")
-            tokens += block.size
-        self.counts = tokens
+        self.counts = int(lengths.sum())
 
     def __len__(self):
         return len(self.sequences)
@@ -129,7 +154,7 @@ class Corpus:
     @classmethod
     def from_sequences(cls, sequences, vocab) -> "Corpus":
         """A corpus of integer sequences, kept in their own integer dtype."""
-        return cls([np.asarray(s) for s in sequences], vocab)
+        return cls(list(sequences), vocab)
 
 
 def load_corpus(path, vocab: Vocabulary = None) -> Corpus:
@@ -199,14 +224,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_counts(self.num_states, self.vocab_size, self.seq_count,
+                      self.min_length, self.max_length, self.seed)
         self.trans = np.asarray(self.trans, dtype=float)
         self.emit = np.asarray(self.emit, dtype=float)
-        for name, low in (
-            ("num_states", 1), ("vocab_size", 1), ("seq_count", 1),
-            ("min_length", 1), ("max_length", self.min_length),
-        ):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.trans.shape != (self.num_states + 1, self.num_states):
             raise ValueError("trans must be (K+1) x K")
         if self.emit.shape != (self.num_states, self.vocab_size):
@@ -228,10 +249,9 @@ class SyntheticSpec:
     ) -> "SyntheticSpec":
         """Random Dirichlet rows; ``self_persistence`` adds extra mass on
         self-transitions to make states sticky."""
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        if not 0.0 <= self_persistence <= 1.0:
-            raise ValueError(f"self_persistence must lie in [0, 1], got {self_persistence}")
+        _check_counts(num_states, vocab_size, seq_count, min_length, max_length, seed)
+        if not (_is_real(self_persistence) and 0.0 <= self_persistence <= 1.0):
+            raise ValueError(f"self_persistence must be a number in [0, 1], got {self_persistence!r}")
         rng = np.random.default_rng(seed)
         trans = rng.dirichlet(np.ones(num_states), size=num_states + 1)
         if self_persistence > 0.0:
@@ -239,6 +259,17 @@ class SyntheticSpec:
             trans[1:] += self_persistence * np.eye(num_states)
         emit = rng.dirichlet(np.ones(vocab_size), size=num_states)
         return cls(num_states, vocab_size, trans, emit, seq_count, min_length, max_length, seed)
+
+
+def _check_counts(num_states, vocab_size, seq_count, min_length, max_length, seed):
+    """``ValueError`` unless each is an integer no smaller than its floor."""
+    for name, value, low in (
+        ("num_states", num_states, 1), ("vocab_size", vocab_size, 1),
+        ("seq_count", seq_count, 1), ("min_length", min_length, 1),
+        ("max_length", max_length, min_length), ("seed", seed, 0),
+    ):
+        if not (_is_int(value) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass

@@ -278,7 +278,7 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     large_sums, large_seqs = (0.0, 0.0, 0.0), 0
 
     stream = batch_stream(corpus, config)
-    batches_per_pass = max(1, math.ceil(corpus_size / config.minibatch_size))
+    batches_per_pass = math.ceil(corpus_size / config.minibatch_size)
     total_steps = None if config.budget_seconds is not None else config.passes * batches_per_pass
 
     metrics = []

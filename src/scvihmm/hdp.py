@@ -198,11 +198,8 @@ def _solve_gamma_mean(c_v, c_b, u_new, a_gamma, rho):
     while f(lo) <= 0.0 and attempts < 60:
         lo /= 8.0
         attempts += 1
+    # u > 0 gives psi(v) < psi(u + v), so b_gamma(g) >= c_b and f(hi) <= a_gamma / c_b - hi < 0
     hi = a_gamma / c_b + 1.0
-    attempts = 0
-    while f(hi) > 0.0 and attempts < 60:
-        hi *= 2.0
-        attempts += 1
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:

@@ -113,6 +113,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import token_arrays
+
 # padded positions (longest length x sequence count) of one slice
 SLICE_POSITIONS = 2**15
 # positions per matrix product of the pair absence series
@@ -203,25 +205,17 @@ class BatchSums:
 
 def _slices(batch, vocab_size):
     """(batch positions, T x B tokens, running count per time) per slice."""
-    seqs = list(map(np.asarray, batch))
+    seqs, lengths = token_arrays(batch)
     if not seqs:
         raise ValueError("batch must not be empty")
-    # a few distinct (ndim, dtype) pairs stand for every sequence; then len is the length
-    shapes = {(seq.ndim, seq.dtype) for seq in seqs}
-    if any(ndim != 1 or dtype.kind not in "iu" for ndim, dtype in shapes):
-        raise ValueError("sequence must be a nonempty 1-d array of token indices")
-    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
-    if lengths.min() == 0:
-        raise ValueError("sequence must be a nonempty 1-d array of token indices")
     order = np.argsort(-lengths, kind="stable")
     slices = []
     start = 0
     while start < len(seqs):
         cols = order[start : start + max(1, SLICE_POSITIONS // lengths[order[start]])]
-        # uint64 and signed sequences concatenate to float64, exact for in-range indices
         flat = np.concatenate([seqs[i] for i in cols])
         if flat.min() < 0 or flat.max() >= vocab_size:
-            raise ValueError("sequence contains token indices outside the vocabulary")
+            raise ValueError("sequence token index outside vocabulary")
         running = lengths[cols][None, :] > np.arange(lengths[cols[0]])[:, None]
         tokens = np.zeros(running.shape, dtype=np.intp)
         tokens.T[running.T] = flat  # the transposed mask walks the sequences in turn

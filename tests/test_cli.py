@@ -76,6 +76,18 @@ class TestConfigResolution:
         assert config.threads == 2
         assert config.minibatch_size == 1000
 
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "config file is not valid JSON"),
+        ("[1, 2]", "config file must hold a JSON object"),
+    ], ids=["invalid-json", "not-an-object"])
+    def test_config_file_must_hold_a_json_object(self, tmp_path, capsys, text, message):
+        corpus = tmp_path / "corpus.txt"
+        sample_corpus(corpus)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(text, encoding="utf-8")
+        assert main(["train", str(corpus), "--config", str(cfg_file)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_unknown_file_field_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"warp_factor": 9}))
@@ -196,6 +208,30 @@ class TestTrain:
         assert code == 0
         assert len(parse_metrics(out)) == 2
         assert out.read_text(encoding="utf-8").count("step,pass") == 1
+
+    def test_heldout_file_scores_like_eval(self, tmp_path, capsys):
+        corpus, heldout = tmp_path / "corpus.txt", tmp_path / "heldout.txt"
+        sample_corpus(corpus)
+        sample_corpus(heldout, n=10, seed=1)
+        model_out, metrics_out = tmp_path / "model.bin", tmp_path / "metrics.csv"
+        code = main([
+            "train", str(corpus), "--states", "3", "--minibatch", "5", "--large-batch", "5",
+            "--passes", "2", "--heldout", str(heldout),
+            "--model-out", str(model_out), "--metrics-out", str(metrics_out),
+        ])
+        assert code == 0
+        final_ll = parse_metrics(metrics_out)[-1][4]
+        capsys.readouterr()
+        assert main(["eval", str(model_out), str(heldout)]) == 0
+        assert capsys.readouterr().out == f"{final_ll:.6f}\n"
+
+    def test_negative_split_seed_is_config_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        sample_corpus(corpus)
+        code = main(["train", str(corpus), "--passes", "0", "--heldout-fraction", "0.2",
+                     "--split-seed", "-1"])
+        assert code == EXIT_CONFIG
+        assert "--split-seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_heldout_file_and_fraction_conflict(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
@@ -462,6 +498,26 @@ class TestGenerate:
                      "--heldout-out", str(held), "--heldout-fraction", "1.5"])
         assert code == EXIT_CONFIG
         assert "--heldout-fraction" in capsys.readouterr().err
+
+    def test_negative_split_seed_is_config_error(self, tmp_path, capsys):
+        out, held = tmp_path / "train.txt", tmp_path / "held.txt"
+        code = main(["generate", "--spec", str(self._spec(tmp_path)), "--out", str(out),
+                     "--heldout-out", str(held), "--split-seed", "-1"])
+        assert code == EXIT_CONFIG
+        assert "--split-seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inline, text, message", [
+        (True, '{"num_states": 3,', "spec is not valid JSON"),
+        (False, "{bad", "spec is not valid JSON"),
+        (False, "[3, 10]", "spec must hold a JSON object"),
+    ], ids=["inline-invalid-json", "file-invalid-json", "file-not-an-object"])
+    def test_spec_must_be_a_json_object(self, tmp_path, capsys, inline, text, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text, encoding="utf-8")
+        code = main(["generate", "--spec", text if inline else str(spec),
+                     "--out", str(tmp_path / "c.txt")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_unknown_spec_field(self, tmp_path, capsys):
         spec = self._spec(tmp_path, bogus=1)

@@ -122,6 +122,18 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=rf"{re.escape(str(vp))}, line {line}: word .* {problem}"):
             Vocabulary.load(vp)
 
+    @pytest.mark.parametrize("words, line, problem", [
+        (["a", "b", "a"], 3, "repeats an earlier line"),
+        (["a", "<unk>"], 2, "is the unknown token"),
+        (["a b", "c"], 1, "holds whitespace"),
+        (["a", ""], 2, "is empty or holds whitespace"),
+        (["a", 3], 2, "is not a string"),
+    ], ids=["repeat", "unknown-token", "inner-space", "empty", "not-a-string"])
+    def test_vocab_constructor_applies_the_file_rule(self, words, line, problem):
+        # a vocabulary saves only words that load back at their own index
+        with pytest.raises(ValueError, match=rf"^vocabulary line {line}: word .* {problem}"):
+            Vocabulary(words)
+
 
 class TestCorpusValidation:
     def _seqs(self, n):
@@ -140,7 +152,7 @@ class TestCorpusValidation:
     def test_empty_sequence_past_the_first_block(self):
         seqs = self._seqs(2 * corpus_mod.CHECK_BLOCK)
         seqs[-1] = np.array([], dtype=np.int64)
-        with pytest.raises(ValueError, match="^corpus must not contain empty sequences$"):
+        with pytest.raises(ValueError, match="^sequence must be a nonempty 1-d array of integer token indices$"):
             Corpus.from_sequences(seqs, Vocabulary(["a", "b"]))
 
     def test_empty_sequence_list_accepted(self):
@@ -149,11 +161,11 @@ class TestCorpusValidation:
 
     def test_from_sequences_refuses_non_integer_tokens(self):
         # once cast, [0.5, 2.9] became [0, 2]
-        with pytest.raises(ValueError, match="^sequences must be 1-d arrays of integer token indices$"):
+        with pytest.raises(ValueError, match="^sequence must be a nonempty 1-d array of integer token indices$"):
             Corpus.from_sequences([[1, 2], [0.5, 2.9]], Vocabulary(["a", "b"]))
 
     def test_from_sequences_refuses_a_2d_sequence(self):
-        with pytest.raises(ValueError, match="^sequences must be 1-d arrays of integer token indices$"):
+        with pytest.raises(ValueError, match="^sequence must be a nonempty 1-d array of integer token indices$"):
             Corpus.from_sequences([[[1, 2]]], Vocabulary(["a", "b"]))
 
     @pytest.mark.parametrize("seqs", [
@@ -162,14 +174,14 @@ class TestCorpusValidation:
         [[1, 2], 3],
     ], ids=["2-d-among-1-d", "0-d", "0-d-among-1-d"])
     def test_from_sequences_refuses_sequences_that_are_not_1d(self, seqs):
-        with pytest.raises(ValueError, match="^sequences must be 1-d arrays of integer token indices$"):
+        with pytest.raises(ValueError, match="^sequence must be a nonempty 1-d array of integer token indices$"):
             Corpus.from_sequences(seqs, Vocabulary(["a", "b"]))
 
     @pytest.mark.parametrize("where", [0, 2])
     def test_float_block_refused_in_any_block(self, where):
         seqs = self._seqs(3 * corpus_mod.CHECK_BLOCK)
         seqs[where * corpus_mod.CHECK_BLOCK + 5] = np.array([1.5, 2.0])
-        with pytest.raises(ValueError, match="^sequences must be 1-d arrays of integer token indices$"):
+        with pytest.raises(ValueError, match="^sequence must be a nonempty 1-d array of integer token indices$"):
             Corpus(seqs, Vocabulary(["a", "b"]))
 
     @pytest.mark.parametrize("counts", [0, 5, 7])
@@ -408,6 +420,37 @@ class TestGenerateSynthetic:
             SyntheticSpec(1, 2, np.ones((2, 1)), np.array([[0.5, 0.5]]), 0, 1, 1)
         with pytest.raises(ValueError):
             SyntheticSpec(1, 2, np.ones((2, 1)), np.array([[0.5, 0.5]]), 5, 4, 2)
+
+    @pytest.mark.parametrize("name, shape, message", [
+        ("trans", (2, 2), r"^trans must be \(K\+1\) x K$"),
+        ("emit", (2, 3), "^emit must be K x V$"),
+    ])
+    def test_spec_refuses_misshapen_rows(self, name, shape, message):
+        mats = {"trans": np.full((3, 2), 0.5), "emit": np.full((2, 4), 0.25)}
+        mats[name] = np.full(shape, 1.0 / shape[1])
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(2, 4, mats["trans"], mats["emit"], 5, 3, 5)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seq_count", 2.5, "^seq_count must be an integer >= 1, got 2.5$"),
+        ("seed", -1, "^seed must be an integer >= 0, got -1$"),
+        ("num_states", True, "^num_states must be an integer >= 1, got True$"),
+        ("max_length", 2, "^max_length must be an integer >= 3, got 2$"),
+    ])
+    def test_spec_refuses_counts_that_are_not_integers_above_their_floor(self, field, value, message):
+        counts = dict(num_states=1, vocab_size=4, seq_count=5, min_length=3, max_length=5, seed=0)
+        counts[field] = value
+        trans, emit = np.ones((2, 1)), np.full((1, 4), 0.25)
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(trans=trans, emit=emit, **counts)
+        # random checks the same fields before it draws anything
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec.random(**counts)
+
+    @pytest.mark.parametrize("value", ["0.5", float("nan"), -0.1, 1.5, None])
+    def test_random_refuses_self_persistence_outside_the_unit_interval(self, value):
+        with pytest.raises(ValueError, match="^self_persistence must be a number in \\[0, 1\\], got "):
+            SyntheticSpec.random(2, 4, 5, 3, 5, self_persistence=value)
 
     @pytest.mark.parametrize("name", ["trans", "emit"])
     def test_spec_refuses_nan_rows(self, name):

@@ -171,6 +171,14 @@ class TestEmissionStats:
             with pytest.raises(ValueError, match="token_stats"):
                 GlobalStats(np.ones((2, 1)), np.array([[1.0, bad]]))
 
+    @pytest.mark.parametrize("token_stats, message", [
+        (np.ones(4), "^token_stats must be K x V$"),
+        (np.ones((3, 4)), "^emission stats state count does not match trans_counts$"),
+    ], ids=["1-d", "state-count"])
+    def test_rejects_misshapen_stats(self, token_stats, message):
+        with pytest.raises(ValueError, match=message):
+            GlobalStats(np.ones((3, 2)), token_stats)
+
 
 class TestSurrogateRow:
     def test_zero_stats_gives_uniform(self):

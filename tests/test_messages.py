@@ -191,7 +191,7 @@ class TestForwardBackward:
         params = random_params(np.random.default_rng(3), 2, 3)
         good = [np.array([0, 1, 2]), np.array([2, 1], dtype=np.uint8)]
         for batch in ([bad] + good, good + [bad], good[:1] + [bad] + good[1:]):
-            with pytest.raises(ValueError, match="^sequence must be a nonempty 1-d array of token indices$"):
+            with pytest.raises(ValueError, match="^sequence must be a nonempty 1-d array of integer token indices$"):
                 sweep(params, batch)
 
     def test_unsigned_and_narrow_integer_tokens_sweep_like_int64(self):

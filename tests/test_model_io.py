@@ -63,6 +63,9 @@ TAMPERED_HEADERS = {
     "short-vocab-words": ("vocab", lambda h: h.update(vocab_words=h["vocab_words"][:-1])),
     "fractional-vocab-size": ("vocab_size", lambda h: h.update(vocab_size=h["vocab_size"] + 0.5)),
     "numeric-vocab-words": ("vocab_words", lambda h: h.update(vocab_words=[7] * h["vocab_size"])),
+    # the vocabulary rule refuses a repeated word; the count still matches vocab_size
+    "repeated-vocab-words": ("repeats an earlier line",
+                             lambda h: h.update(vocab_words=h["vocab_words"][:-1] + h["vocab_words"][:1])),
 }
 
 
@@ -206,6 +209,14 @@ class TestCorruption:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 37])
         with pytest.raises(TruncatedFileError):
+            load_model(path)
+
+    def test_file_ends_inside_the_header(self, tmp_path):
+        path = self._saved(tmp_path)
+        blob = path.read_bytes()
+        header_end = 12 + struct.unpack_from("<I", blob, 8)[0]
+        path.write_bytes(blob[: header_end - 1])
+        with pytest.raises(TruncatedFileError, match="^file ends inside the header$"):
             load_model(path)
 
     def test_tiny_file(self, tmp_path):

@@ -164,7 +164,7 @@ class TestGammaExpectations:
         p = GammaParams(a, b)
         assert gamma_geo_expect(p) < gamma_expect(p)
 
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-2.0, 1.0)])
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-2.0, 1.0), (np.nan, 1.0), (1.0, np.inf)])
     def test_invalid_params(self, a, b):
         with pytest.raises(ValueError):
             GammaParams(a, b)
