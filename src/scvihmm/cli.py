@@ -111,12 +111,16 @@ def build_config(args) -> RunConfig:
 
 
 def _split(corpus, args):
-    """(train, held-out) by ``--heldout-fraction`` and ``--split-seed``."""
+    """(train, held-out) by ``--heldout-fraction`` and ``--split-seed``.
+
+    ``split`` checks the seed; any ``ValueError`` of its is a config error.
+    """
     if not 0.0 < args.heldout_fraction < 1.0:
         raise ConfigError(f"--heldout-fraction must lie in (0, 1), got {args.heldout_fraction}")
-    if args.split_seed < 0:
-        raise ConfigError(f"--split-seed must be >= 0, got {args.split_seed}")
-    return split(corpus, 1.0 - args.heldout_fraction, args.split_seed)
+    try:
+        return split(corpus, 1.0 - args.heldout_fraction, args.split_seed)
+    except ValueError as exc:
+        raise ConfigError(f"cannot split the corpus: {exc}") from None
 
 
 def has_metrics_header(path) -> bool:
@@ -200,7 +204,8 @@ def cmd_eval(args) -> int:
 
 def cmd_generate(args) -> int:
     text = args.spec
-    if not text.lstrip().startswith("{"):
+    # inline JSON starts with an object or array bracket; anything else is a path
+    if not text.lstrip().startswith(("{", "[")):
         with open(text, encoding="utf-8") as fh:
             text = fh.read()
     data = _json_object(text, "spec")
@@ -248,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="sample a synthetic corpus")
     p_gen.add_argument("--spec", required=True,
-                       help="generator settings: inline JSON or a path to a JSON file")
+                       help="generator settings: an inline JSON object or a path to a JSON file")
     p_gen.add_argument("--out", required=True, help="corpus output path")
     p_gen.add_argument("--vocab-out", dest="vocab_out")
     p_gen.add_argument("--heldout-out", dest="heldout_out")

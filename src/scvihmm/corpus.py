@@ -188,6 +188,8 @@ def save_corpus(corpus: Corpus, path):
 
 def split(corpus: Corpus, train_fraction: float, seed: int):
     """Deterministic shuffled split into (train, test) sharing the vocabulary."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be strictly between 0 and 1")
     n = len(corpus)

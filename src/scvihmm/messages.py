@@ -10,8 +10,12 @@ and its outgoing row is used only for the first step of a sequence.
 
 The batch is sorted by length, longest first, and cut into slices whose
 padded size (longest length x sequence count) stays within
-``SLICE_POSITIONS``.  A slice is laid out time-major; at time t only its
-first n_t sequences are still running, so each step works on a row prefix.
+``SLICE_POSITIONS``.  At time t only a slice's first n_t sequences are
+still running.  A slice is laid out packed and time-major: it holds one row
+per running position, and the block of time t holds the n_t rows of the
+sequences running at t and starts at offset n_0 + ... + n_{t-1}.  Each step
+works on its block, and the step to t reads the first n_t rows of the block
+of t - 1.  No array of a sweep has a row for a padded position.
 
 Renormalization is lazy.  Write A for ``inner`` (the K x K block of
 ``trans`` below the start row), obs_t for the emission column of token x_t,
@@ -41,22 +45,25 @@ the unary posterior is a_t * b_t / U_t and the pair posterior is
 The pair term is proportional to a_{t-1,i} A_ij obs_tj b_tj, and its sum
 over i and j is sum_j ((a_{t-1} A) * obs_t)_j b_tj = f_t sum_j a_tj b_tj =
 f_t U_t, which is the normalizer.  So ``right`` is divided by f_t U_t in
-place, and the transition counts are inner * sum_t a[t-1]^T right[t], one
-matrix product; the pairwise posteriors are never stored.  U is inf at
-padded positions, which zeroes ``right`` and ``unary`` there.
+place, and the transition counts are inner * before^T after, one matrix
+product; the pairwise posteriors are never stored.  ``after`` is the rows
+of ``right`` at t >= 1, and ``before`` holds, row for row, the forward
+row a_{t-1} of the same sequence: the first n_t rows of the block of
+t - 1 of ``alpha`` for each t >= 1, moved to its front once per slice.
 
 A product of R factors can underflow where one factor would not: a token
 with emission 1e-90 under every state, repeated R = 8 times, is 1e-720, so
-its sum reads 0 and its renormalization NaN.  If any f_t or any running
-U_t is not within [``RENORM_FLOOR``, 1 / ``RENORM_FLOOR``] (a NaN is not),
+its sum reads 0 and its renormalization NaN.  If any f_t or any U_t is
+not within [``RENORM_FLOOR``, 1 / ``RENORM_FLOOR``] (a NaN is not),
 the slice is swept again by the same code with R = 1, the textbook
 recursion.  The first attempt runs with floating point warnings off.
 
 The hierarchical prior's pair absence sum, sum_t log(1 - p_tij) with pair
 posterior p_tij = alpha[t-1, i] * inner[i, j] * right[t, j], is a power
-series over matrix products in the same way.  It runs over the running
-positions ``SERIES_CHUNK_ROWS`` at a time.  Within a chunk each forward row
-alpha[t-1] is divided by its sum S_{t-1} and right[t] multiplied by S_{t-1}.
+series over matrix products in the same way.  It runs over the rows of
+``before`` and ``after`` ``SERIES_CHUNK_ROWS`` at a time.  Within a chunk
+each forward row alpha[t-1] is divided by its sum S_{t-1} and right[t]
+multiplied by S_{t-1}.
 That leaves every p_tij as it is, makes alpha[t-1] the normalized forward
 vector (at most 1, as the bounds below need), and gives right[t] the scale
 of the textbook recursion; without it right[t] would carry 1 / S_{t-1},
@@ -66,8 +73,11 @@ below.  Then
     sum_t log(1 - p_tij) = -sum_m c_m inner_ij^m (sum_t alpha^m[t-1]^T right^m[t])_ij,
 
 with powers taken elementwise, one product per term, summed for m = 1 .. 9
-with c_m = ``SERIES_COEFS``: the Chebyshev economization of the Taylor
-series of -log(1 - p) / p on [0, tau], tau = ``SERIES_BOUND`` = 1/16.  With
+with c_m = ``SERIES_COEFS``.  The m = 1 term needs no product of its own:
+the scaling cancels in it, so it is the counts product before^T after, less
+the share of the dense rows below.  The c_m are the Chebyshev economization
+of the Taylor series of -log(1 - p) / p on [0, tau], tau = ``SERIES_BOUND``
+= 1/16.  With
 the coefficients as rounded, the series is exact to within 2.9e-17 of
 |log(1 - p)| for p <= tau (the maximum over a fine grid, taken in exact
 rationals).  The pair posterior sums over j to the marginal of i at t-1 and
@@ -81,31 +91,34 @@ take it: near p = 1, log(1 - p) magnifies a rounding of p by 1 / (1 - p).
 The forward vectors are at most 1 but right[t] is not bounded, so a
 position whose scaled right[t] exceeds ``SERIES_RIGHT_MAX`` (where right^9
 could overflow) is summed exactly over every cell instead.  The row absence
-sum, of log(1 - unary) over positions, is taken in one call over all
-running positions.
+sum, of log(1 - unary) over the positions t - 1 that ``before`` holds, is
+taken in one call over them, after the same in-place move of ``unary``.
 
 A sweep keeps its slice arrays in three buffers held per thread, which
 only grow, up to ``SLICE_POSITIONS`` x K doubles each (35 MB in all at
-K = 45).  A stats sweep holds a slice's ``right``, ``alpha`` and ``beta``
-(later ``unary``) there; ``right`` is filled by a gather of the emission
-columns and the other two with zeros.  The forward-only sweep of
-evaluation holds its block of ``RENORM_EVERY`` gathered positions and its
-two running rows there.  Both run the one forward loop, over the buffers
-they pass: a stats sweep's gather is the loop's one refill of a block as
-long as the slice.  The gathers read a contiguous V x K copy of the
-emission columns, made once per sweep.  An array larger than the buffers
-may grow to (one sequence longer than ``SLICE_POSITIONS``) is allocated
-apart.  Nothing else is kept between calls, and nothing a sweep returns is
-a view of the buffers.
+K = 45); a slice needs one row of K doubles per running position in each.
+A stats sweep holds a slice's ``right``, ``alpha`` (later ``before``) and
+``beta`` (later ``unary``) there.  ``right`` is filled by a gather of the
+emission columns; every row of the other two is written before it is read,
+so nothing is zeroed.  The forward-only sweep of evaluation holds the
+blocks of ``RENORM_EVERY`` times of gathered emissions and those of two
+times of running rows there.  Both run the one forward loop, over the
+buffers they pass: a stats sweep's gather is the loop's one refill of a
+block as long as the slice.  The gathers read a contiguous V x K copy of
+the emission columns, made once per sweep.  An array larger than the
+buffers may grow to (one sequence longer than ``SLICE_POSITIONS``) is
+allocated apart.  Nothing else is kept between calls, and nothing a sweep
+returns is a view of the buffers.
 
-The reason is the allocator, not the copying.  Fresh arrays would be 2.9
-MB each for a 40 x 200 slice at K = 45, under numpy's 4 MB huge-page cut.
-A process whose heap hands such blocks back to the kernel faults in about
-700 pages for each, at every sweep, and which process does so depends on
-its allocation history.  The absence sums still allocate, per slice, a
-gather of the running positions' unary rows for the row sum and the
-hot-cell index arrays; the gather, the largest, is freed before the others
-are made.
+The reason is the allocator, not the copying.  Fresh arrays would be 1.8
+MB each for a slice of 200 sequences and 5000 tokens at K = 45, under
+numpy's 4 MB huge-page cut.  A process whose heap hands such blocks
+back to the kernel faults in their pages again at every sweep, and which
+process does so depends on its allocation history.  So no step makes a
+temporary of a slice's size: ``before`` and the row sum's ``unary`` rows
+are moved in place, ``GATHER_ROWS`` rows per step.  The absence sums still
+allocate, per slice, two boolean masks of a slice's positions and the
+hot-cell index arrays.
 """
 import math
 import threading
@@ -119,6 +132,8 @@ from .corpus import token_arrays
 SLICE_POSITIONS = 2**15
 # positions per matrix product of the pair absence series
 SERIES_CHUNK_ROWS = 256
+# rows per step of the in-place gathers that line a slice's t - 1 rows up with its t rows
+GATHER_ROWS = 256
 # c_1 .. c_9 of log(1 - p) ~ -sum_m c_m p^m on [0, 1/16]: the Taylor series of
 # -log(1 - p) / p economized to degree 8 in exact rationals, rounded to doubles
 SERIES_COEFS = (
@@ -204,7 +219,11 @@ class BatchSums:
 
 
 def _slices(batch, vocab_size):
-    """(batch positions, T x B tokens, running count per time) per slice."""
+    """(batch positions, packed tokens, running count per time) per slice.
+
+    The tokens are packed time-major: the block of time t holds the tokens
+    at t of the slice's first n_t sequences and starts at n_0 + ... + n_{t-1}.
+    """
     seqs, lengths = token_arrays(batch)
     if not seqs:
         raise ValueError("batch must not be empty")
@@ -216,55 +235,69 @@ def _slices(batch, vocab_size):
         flat = np.concatenate([seqs[i] for i in cols])
         if flat.min() < 0 or flat.max() >= vocab_size:
             raise ValueError("sequence token index outside vocabulary")
-        running = lengths[cols][None, :] > np.arange(lengths[cols[0]])[:, None]
-        tokens = np.zeros(running.shape, dtype=np.intp)
-        tokens.T[running.T] = flat  # the transposed mask walks the sequences in turn
-        slices.append((cols, tokens, running.sum(axis=1)))
+        lens = lengths[cols]
+        # n_at[t] sequences are longer than t
+        n_at = cols.size - np.cumsum(np.bincount(lens))[: lens[0]]
+        # packed position p holds time t of sequence b = p - offset[t], flat index start[b] + t
+        time = np.repeat(np.arange(n_at.size), n_at)
+        col = np.arange(flat.size) - np.repeat(np.cumsum(n_at) - n_at, n_at)
+        tokens = flat[(np.cumsum(lens) - lens)[col] + time].astype(np.intp, copy=False)
+        slices.append((cols, tokens, n_at))
         start += cols.size
     return slices
 
 
-def _forward(params, columns, tokens, n_at, every, rows, obs):
-    """T x B factors f_t divided out of the forward rows of one slice.
+def _forward(params, columns, tokens, n_at, every, rows, obs, steps=None):
+    """(factors f_t, per-sequence log likelihoods) of the forward rows of one slice.
 
     A running row is renormalized at each position t with t % every ==
-    every - 1 and at its last position; every other factor is 1.  Position
-    t works in ``rows[t % len(rows)]`` (B x K each) and reads its emissions
-    from ``obs[t % len(obs)]``; at each t that is a multiple of
-    ``len(obs)``, ``obs`` is refilled with the emission columns of the next
-    ``len(obs)`` positions.  Training passes whole-slice ``rows`` and
-    ``obs`` (T x B x K, ``rows`` zeroed), so that one gather at t = 0 fills
-    ``obs`` and the forward vectors stay in ``rows``.  Evaluation passes a
-    block of ``RENORM_EVERY`` positions and two rows, so memory stays
-    O(T x B).  The block length does not follow the cadence: the
-    ``every`` = 1 retry keeps its block, and as the gathers only copy, no
-    bit depends on it.
+    every - 1 and at its last position; every other factor is 1.  The
+    factors come back packed like ``tokens``, and the log likelihoods sum
+    their logs in time order.  ``rows`` and ``obs`` hold the packed blocks
+    of a run of times: with ``steps`` None the whole slice, so that one
+    gather at t = 0 fills ``obs`` with every emission column and the forward
+    vectors stay in ``rows``.  Evaluation passes ``steps`` = ``RENORM_EVERY``:
+    ``obs`` then holds the blocks of ``steps`` times, refilled at each
+    multiple of ``steps``, and ``rows`` those of two times in turn, so memory
+    stays O(T x B).  A buffer that holds s times keeps the block of time t at
+    offset[t] - offset[t - t % s].  The block length does not follow the
+    cadence: the ``every`` = 1 retry keeps its block, and as the gathers only
+    copy, no bit depends on it.
     """
     inner = params.trans[1:]
-    scales = np.ones(tokens.shape)
     sizes = n_at.tolist()
+    T = len(sizes)
+    offsets = [0, *np.cumsum(n_at).tolist()]
+    depth, width = (T, T) if steps is None else (2, steps)
+    scales = np.ones(tokens.size)
+    loglik = np.zeros(sizes[0])
     # rows ends[t] .. n_at[t] - 1 have their last position at t
     ends = sizes[1:] + [0]
     prev = None
     for t, n in enumerate(sizes):
-        if t % len(obs) == 0:
-            span = tokens[t : t + len(obs)]
+        at = offsets[t]
+        if t % width == 0:
+            span = tokens[at : offsets[min(t + width, T)]]
             # _slices has checked the tokens; "clip" lets take write into out without a copy
-            np.take(columns, span, axis=0, mode="clip", out=obs[: len(span)])
-        cur, emit = rows[t % len(rows)], obs[t % len(obs)]
-        head = cur[:n]
+            np.take(columns, span, axis=0, mode="clip", out=obs[: span.size])
+        in_rows, in_obs = at - offsets[t - t % depth], at - offsets[t - t % width]
+        head = rows[in_rows : in_rows + n]
         if t:
             np.dot(prev[:n], inner, out=head)
-            head *= emit[:n]
+            head *= obs[in_obs : in_obs + n]
         else:
-            np.multiply(params.trans[0], emit[:n], out=head)
+            np.multiply(params.trans[0], obs[:n], out=head)
         lo = 0 if t % every == every - 1 else ends[t]
         if lo < n:
-            factor = cur[lo:n].sum(axis=1)
-            cur[lo:n] /= factor[:, None]
-            scales[t, lo:n] = factor
-        prev = cur
-    return scales
+            factor = head[lo:].sum(axis=1)
+            head[lo:] /= factor[:, None]
+            scales[at + lo : at + n] = factor
+            loglik[lo:n] += np.log(factor)
+        prev = head
+    if sizes[0] == 1:
+        # numpy sums a T x 1 array over T pairwise, not in turn
+        loglik = np.log(scales).sum(keepdims=True)
+    return scales, loglik
 
 
 def _series(p):
@@ -292,52 +325,68 @@ def _exact_cells(hot_before, hot_after):
     )
 
 
-def _absence(inner, alpha, right, unary, running):
-    """Pair and row absence sums of one slice; see the module docstring."""
+def _leading_rows(x, n_at):
+    """Rows (t - 1, b < n_t) of packed ``x`` for t >= 1, in time order, moved in place to its front.
+
+    These are the rows of each time whose sequence runs on to the next; the
+    view of them that comes back is all of ``x`` that still holds its rows.
+    """
+    # row k comes from row k + shift[k], and shift never falls, so a step
+    # reads only rows that no earlier step has written
+    shift = np.repeat(n_at[0] - n_at[:-1], n_at[1:])
+    for lo in range(np.searchsorted(shift, 0, side="right"), shift.size, GATHER_ROWS):
+        src = np.arange(lo, min(lo + GATHER_ROWS, shift.size))
+        x[lo : lo + src.size] = x[src + shift[lo : lo + src.size]]
+    return x[: shift.size]
+
+
+def _absence(inner, before, after, unary, n_at, product):
+    """Pair and row absence sums of one slice; see the module docstring.
+
+    ``before`` and ``after`` hold alpha[t - 1] and right[t] of each
+    sequence running at t >= 1, row for row, and ``product`` is
+    before^T after.  ``unary`` is packed and is overwritten.
+    """
     K = inner.shape[0]
     pair = np.zeros((K + 1, K))
     row = np.empty(K + 1)
-    # before[r] = alpha[t-1, b] and after[r] = right[t, b] meet in the pair term at t
-    before = alpha[:-1].reshape(-1, K)
-    after = right[1:].reshape(-1, K)
-    unary_after = unary[1:].reshape(-1, K)
-    # flat (t-1) x B index of every running position t >= 1
-    rows = np.flatnonzero(running[1:])
-    logs = unary[:-1].reshape(-1, K)[rows]
-    hot_before = logs > SERIES_BOUND
+    first = int(n_at[0])
+    hot_after = unary[first:] > SERIES_BOUND
     with np.errstate(divide="ignore"):
-        pair[0] = np.log1p(-np.minimum(unary[0], 1.0)).sum(axis=0)
+        pair[0] = np.log1p(-np.minimum(unary[:first], 1.0)).sum(axis=0)
         # every sequence leaves the start state at its first position
         row[0] = -np.inf
+        logs = _leading_rows(unary, n_at)
+        hot_before = logs > SERIES_BOUND
         # log1p(-min(u, 1)) in place, summed over positions in one call
         np.minimum(logs, 1.0, out=logs)
         np.negative(logs, out=logs)
         row[1:] = np.log1p(logs, out=logs).sum(axis=0)
-    # the largest temporary here; freed now, its memory serves the ones below
-    del logs
 
     powers = np.zeros((len(SERIES_COEFS), K, K))
-    hot_after = (unary_after > SERIES_BOUND)[rows]
-    # whether each running position is summed exactly over every cell
-    dense = np.zeros(rows.size, dtype=bool)
-    for lo in range(0, rows.size, SERIES_CHUNK_ROWS):
+    # the m = 1 term is the counts product, less the dense rows below
+    powers[0] = product
+    # whether each row is summed exactly over every cell
+    dense = np.zeros(len(before), dtype=bool)
+    for lo in range(0, len(before), SERIES_CHUNK_ROWS):
         chunk = slice(lo, lo + SERIES_CHUNK_ROWS)
-        idx = rows[chunk]
-        a, r = before.take(idx, axis=0), after.take(idx, axis=0)
-        sums = a.sum(axis=1)[:, None]
-        a /= sums
-        r *= sums
+        sums = before[chunk].sum(axis=1)[:, None]
+        a = before[chunk] / sums
+        r = after[chunk] * sums
         if r.max() > SERIES_RIGHT_MAX:
             np.greater(r.max(axis=1), SERIES_RIGHT_MAX, out=dense[chunk])
             # zero rows add nothing to the series, and right^m of a dense row could overflow
             a[dense[chunk]] = 0.0
             r[dense[chunk]] = 0.0
-        a_m, r_m = a.copy(), r.copy()
-        for m in range(len(SERIES_COEFS)):
-            if m:
+        a_m, r_m = a * a, r * r
+        for m in range(1, len(SERIES_COEFS)):
+            if m > 1:
                 a_m *= a
                 r_m *= r
             powers[m] += a_m.T @ r_m
+    dense_rows = np.flatnonzero(dense)
+    if dense_rows.size:
+        powers[0] -= before[dense_rows].T @ after[dense_rows]
     inner_m = inner.copy()
     for m, coef in enumerate(SERIES_COEFS):
         if m:
@@ -346,12 +395,10 @@ def _absence(inner, alpha, right, unary, running):
 
     hot_after[dense] = False
     at, i, j = _exact_cells(hot_before, hot_after)
-    at = rows[at]
     p = before[at, i] * inner[i, j] * after[at, j]
     with np.errstate(divide="ignore"):
         exact = np.log1p(-np.minimum(p, 1.0)) - _series(p)
         pair[1:] += np.bincount(i * K + j, weights=exact, minlength=K * K).reshape(K, K)
-        dense_rows = rows[dense]
         # a block of pair posteriors as large as one series chunk
         step = max(1, SERIES_CHUNK_ROWS // K)
         for lo in range(0, dense_rows.size, step):
@@ -390,71 +437,71 @@ def _in_range(x):
 
 
 def _recursion(params, columns, tokens, n_at, stats, every):
-    """(scales, posteriors, ok) of one slice, renormalizing every ``every`` positions.
+    """(log likelihoods, posteriors, ok) of one slice, renormalizing every ``every`` positions.
 
-    ``posteriors`` is None without ``stats``, else (alpha, right, unary,
-    running) as the module docstring defines them.  ``ok`` is false when a
-    factor or a running normalizer left [RENORM_FLOOR, 1 / RENORM_FLOOR],
-    which a run with ``every`` = 1 does not check.
+    ``posteriors`` is None without ``stats``, else the packed (alpha,
+    right, unary) the module docstring defines.  ``ok`` is false when a
+    factor or a normalizer left [RENORM_FLOOR, 1 / RENORM_FLOOR], which a
+    run with ``every`` = 1 does not check.
     """
-    T, B = tokens.shape
     K = params.num_states
     if not stats:
-        block, rows = _held_arrays((min(RENORM_EVERY, T), B, K), (2, B, K))
-        scales = _forward(params, columns, tokens, n_at, every, rows, block)
-        return scales, None, every == 1 or _in_range(scales)
-    inner = params.trans[1:]
-    right, alpha, beta = _held_arrays(*[(T, B, K)] * 3)
-    alpha.fill(0.0)
+        steps = RENORM_EVERY
+        obs, rows = _held_arrays((n_at[:steps].sum(), K), (n_at[:2].sum(), K))
+        scales, loglik = _forward(params, columns, tokens, n_at, every, rows, obs, steps)
+        return loglik, None, every == 1 or _in_range(scales)
+    right, alpha, beta = _held_arrays(*[(tokens.size, K)] * 3)
     # the forward sweep gathers the emissions obs_t into right; the backward
     # sweep makes each row r_t = obs_t * b_t
-    scales = _forward(params, columns, tokens, n_at, every, alpha, right)
-    running = np.arange(B) < n_at[:, None]
-    beta.fill(0.0)
-    beta[running.sum(axis=0) - 1, np.arange(B)] = 1.0
-    inner_t = inner.T
-    for t, n in zip(range(T - 1, 0, -1), n_at[:0:-1].tolist()):
-        below = beta[t - 1, :n]
-        np.dot(right[t, :n], inner_t, out=below)
+    scales, loglik = _forward(params, columns, tokens, n_at, every, alpha, right)
+    sizes = n_at.tolist()
+    offsets = [0, *np.cumsum(n_at).tolist()]
+    inner_t = params.trans[1:].T
+    # every sequence running at the last time ends there
+    beta[offsets[-2] :] = 1.0
+    for t in range(len(sizes) - 1, 0, -1):
+        n, lo, hi = sizes[t], offsets[t - 1], offsets[t]
+        below = beta[lo : lo + n]
+        np.dot(right[hi : hi + n], inner_t, out=below)
         if (t - 1) % every == every - 1:
             below /= below.sum(axis=1)[:, None]
-        right[t - 1, :n] *= below
+        if lo + n < hi:
+            # the sequences whose last position is t - 1
+            beta[lo + n : hi] = 1.0
+        right[lo : lo + n] *= below
     unary = np.multiply(alpha, beta, out=beta)
-    norm = unary.sum(axis=2)
-    ok = every == 1 or (_in_range(scales) and _in_range(norm[running]))
-    # a padded position divides by inf, which zeroes its unary and right rows
-    norm[~running] = np.inf
-    unary /= norm[..., None]
-    right /= (scales * norm)[..., None]
-    return scales, (alpha, right, unary, running), ok
+    norm = unary.sum(axis=1)
+    ok = every == 1 or (_in_range(scales) and _in_range(norm))
+    unary /= norm[:, None]
+    norm *= scales
+    right /= norm[:, None]
+    return loglik, (alpha, right, unary), ok
 
 
 def _slice_sums(params, columns, tokens, n_at, stats, absence):
     """Per-sequence log likelihoods of one slice and, if asked, its sums."""
     with np.errstate(all="ignore"):
-        scales, posteriors, ok = _recursion(params, columns, tokens, n_at, stats, RENORM_EVERY)
+        loglik, posteriors, ok = _recursion(params, columns, tokens, n_at, stats, RENORM_EVERY)
     if not ok:
-        scales, posteriors, _ = _recursion(params, columns, tokens, n_at, stats, 1)
-    loglik = np.log(scales).sum(axis=0)
+        loglik, posteriors, _ = _recursion(params, columns, tokens, n_at, stats, 1)
     if not stats:
         return loglik, ()
-    alpha, right, unary, running = posteriors
+    alpha, right, unary = posteriors
     K = params.num_states
     inner = params.trans[1:]
+    first = int(n_at[0])
+    # the pair term at t >= 1 meets alpha[t - 1] and right[t] of each sequence running at t
+    before, after = _leading_rows(alpha, n_at), right[first:]
+    product = before.T @ after
     counts = np.empty((K + 1, K))
-    counts[0] = unary[0].sum(axis=0)
-    counts[1:] = inner * (alpha[:-1].reshape(-1, K).T @ right[1:].reshape(-1, K))
-    # padded weights are +0.0, so leaving them out of the sums changes no bit
-    on = np.flatnonzero(running)
-    on_tokens = tokens.ravel()[on]
-    weights = unary.reshape(-1, K)
+    counts[0] = unary[:first].sum(axis=0)
+    counts[1:] = inner * product
     by_token = [
-        np.bincount(on_tokens, weights=weights[:, k].take(on), minlength=params.vocab_size)
-        for k in range(K)
+        np.bincount(tokens, weights=unary[:, k], minlength=params.vocab_size) for k in range(K)
     ]
     sums = (counts, np.stack(by_token))
     if absence:
-        sums += _absence(inner, alpha, right, unary, running)
+        sums += _absence(inner, before, after, unary, n_at, product)
     return loglik, sums
 
 

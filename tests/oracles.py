@@ -120,28 +120,31 @@ def log_forward_backward(trans, emit, seq):
     return unary, pairwise, loglik
 
 
-def dense_absence(inner, alpha, right, unary, running):
+def dense_absence(inner, before, after, unary, n_at, product):
     """Pair and row absence sums of one sweep slice, every cell exact.
 
-    The reference for ``messages._absence``, taking the same arguments:
-    the pair term sums log(1 - min(p, 1)) over every running position and
-    every (i, j) cell, p = alpha[t-1, i] * inner[i, j] * right[t, j],
-    building the pair posteriors 64 positions at a time.
+    The reference for ``messages._absence``, taking the same arguments
+    (``product`` unused): the pair term sums log(1 - min(p, 1)) over every
+    row r and every (i, j) cell, p = before[r, i] * inner[i, j] * after[r, j],
+    building the pair posteriors 64 rows at a time.  ``unary`` is packed:
+    n_at[t] rows for each time t.
     """
     K = inner.shape[0]
     pair = np.zeros((K + 1, K))
     row = np.empty(K + 1)
-    rows = np.flatnonzero(running[1:])
-    before = alpha[:-1].reshape(-1, K)
-    after = right[1:].reshape(-1, K)
+    starts = np.cumsum(n_at) - n_at
+    # the rows of each time that the next time continues, in time order
+    lead = np.concatenate(
+        [np.empty((0, K))]
+        + [unary[starts[t - 1] : starts[t - 1] + n_at[t]] for t in range(1, len(n_at))]
+    )
     with np.errstate(divide="ignore"):
-        pair[0] = np.log1p(-np.minimum(unary[0], 1.0)).sum(axis=0)
-        for lo in range(0, rows.size, 64):
-            idx = rows[lo : lo + 64]
-            p = before[idx, :, None] * inner * after[idx, None, :]
+        pair[0] = np.log1p(-np.minimum(unary[: n_at[0]], 1.0)).sum(axis=0)
+        for lo in range(0, len(before), 64):
+            p = before[lo : lo + 64, :, None] * inner * after[lo : lo + 64, None, :]
             pair[1:] += np.log1p(-np.minimum(p, 1.0)).sum(axis=0)
         row[0] = -np.inf
-        row[1:] = np.log1p(-np.minimum(unary[:-1][running[1:]], 1.0)).sum(axis=0)
+        row[1:] = np.log1p(-np.minimum(lead, 1.0)).sum(axis=0)
     return pair, row
 
 

@@ -231,7 +231,7 @@ class TestTrain:
         code = main(["train", str(corpus), "--passes", "0", "--heldout-fraction", "0.2",
                      "--split-seed", "-1"])
         assert code == EXIT_CONFIG
-        assert "--split-seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
     def test_heldout_file_and_fraction_conflict(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
@@ -504,13 +504,14 @@ class TestGenerate:
         code = main(["generate", "--spec", str(self._spec(tmp_path)), "--out", str(out),
                      "--heldout-out", str(held), "--split-seed", "-1"])
         assert code == EXIT_CONFIG
-        assert "--split-seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("inline, text, message", [
         (True, '{"num_states": 3,', "spec is not valid JSON"),
         (False, "{bad", "spec is not valid JSON"),
         (False, "[3, 10]", "spec must hold a JSON object"),
-    ], ids=["inline-invalid-json", "file-invalid-json", "file-not-an-object"])
+        (True, " [3, 10]", "spec must hold a JSON object"),
+    ], ids=["inline-invalid-json", "file-invalid-json", "file-not-an-object", "inline-not-an-object"])
     def test_spec_must_be_a_json_object(self, tmp_path, capsys, inline, text, message):
         spec = tmp_path / "spec.json"
         spec.write_text(text, encoding="utf-8")

@@ -246,6 +246,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(self._corpus(10), fraction, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            split(self._corpus(4), 0.5, seed=seed)
+
 
 class TestGenerateSynthetic:
     def test_single_state_unigram_concentration(self):

@@ -259,7 +259,9 @@ class TestSlices:
         lengths = [batch[i].size for i in cols]
         assert lengths == sorted(lengths, reverse=True)
         for c, tokens, n_at in slices:
-            assert tokens.size <= 20 or c.size == 1
+            # the padded size bounds a slice; its tokens are the running positions only
+            assert n_at.size * c.size <= 20 or c.size == 1
+            assert tokens.size == n_at.sum() == sum(batch[i].size for i in c)
 
     @pytest.mark.parametrize("absence", [False, True])
     def test_order_and_slicing_move_sums_by_rounding_only(self, monkeypatch, absence):
@@ -337,8 +339,8 @@ class TestAbsenceSeries:
             params = random_params(rng, K, 6)
             batch = random_batch(rng, 6, int(rng.integers(2, 9)), 30)
             seen, got = self._compare(monkeypatch, params, batch)
-            # more running positions than one chunk holds
-            assert sum(np.count_nonzero(args[4][1:]) for args in seen) > 5
+            # more rows of the pair term than one chunk holds
+            assert sum(len(before) for _, before, *_ in seen) > 5
             # with one state, the only transition is forced at every position
             forced += np.count_nonzero(np.isneginf(got.absence_pair[1:]))
         assert forced > 0
@@ -358,8 +360,8 @@ class TestAbsenceSeries:
         batch = chain_batch(rng, trans, emit, 12, 40)
         seen, _ = self._compare(monkeypatch, params, batch)
         pair_max = max(
-            (alpha[:-1, :, :, None] * inner * right[1:, :, None, :]).max()
-            for inner, alpha, right, _, _ in seen
+            (before[:, :, None] * inner * after[:, None, :]).max()
+            for inner, before, after, *_ in seen
         )
         assert pair_max > messages.SERIES_BOUND
 
@@ -430,7 +432,7 @@ class TestSeriesCoefficients:
 
 class TestTokenStats:
     def test_bit_identical_to_scatter_add(self, monkeypatch):
-        # by position, in the order np.add.at adds, over a padded multi-slice batch
+        # by position, in the order np.add.at adds, over a multi-slice batch of mixed lengths
         rng = np.random.default_rng(53)
         params = random_params(rng, 5, 9)
         batch = random_batch(rng, 9, 14, 30)
@@ -446,11 +448,11 @@ class TestTokenStats:
         got = sweep(params, batch, absence=True).token_stats
         slices = messages._slices(batch, params.vocab_size)
         assert len(slices) > 2
-        assert any(n_at.min() < tokens.shape[1] for _, tokens, n_at in slices)
+        assert any(n_at[-1] < n_at[0] for _, _, n_at in slices)
         ref = None
         for (_, tokens, _), unary in zip(slices, unaries):
             by_token = np.zeros((params.vocab_size, params.num_states))
-            np.add.at(by_token, tokens.ravel(), unary.reshape(-1, params.num_states))
+            np.add.at(by_token, tokens, unary)
             ref = by_token.T if ref is None else ref + by_token.T
         np.testing.assert_array_equal(got, ref)
 
@@ -498,7 +500,7 @@ class TestLazyRenormalization:
 
     @pytest.mark.parametrize("every", [1, 3, 8])
     def test_block_length_is_apart_from_the_cadence(self, monkeypatch, every):
-        # _forward refills its emission block every len(obs) positions, whatever the cadence
+        # _forward refills its emission block every `steps` times, whatever the cadence
         params, batch = self._case()
         monkeypatch.setattr(messages, "SLICE_POSITIONS", 64)
         columns = np.ascontiguousarray(params.emit.T)
@@ -507,14 +509,13 @@ class TestLazyRenormalization:
         assert len(slices) >= 3
         assert any(len(set(n_at.tolist())) > 2 for _, _, n_at in slices)
         for _, tokens, n_at in slices:
-            T, B = tokens.shape
-            whole = np.zeros((T, B, K)), np.empty((T, B, K))
+            whole = np.empty((tokens.size, K)), np.empty((tokens.size, K))
             ref = messages._forward(params, columns, tokens, n_at, every, *whole)
-            for width in (1, 3, 8, T):
-                for depth in (2, T):
-                    rows, obs = np.zeros((depth, B, K)), np.empty((width, B, K))
-                    got = messages._forward(params, columns, tokens, n_at, every, rows, obs)
-                    np.testing.assert_array_equal(got, ref)
+            for steps in (1, 3, 8, n_at.size):
+                rows, obs = np.empty((n_at[:2].sum(), K)), np.empty((n_at[:steps].sum(), K))
+                got = messages._forward(params, columns, tokens, n_at, every, rows, obs, steps)
+                for a, b in zip(got, ref):
+                    np.testing.assert_array_equal(a, b)
 
     def _rare_token_case(self):
         # token 0 has emission 1e-90 under every state, so 8 of them in a row
@@ -571,6 +572,47 @@ class TestLazyRenormalization:
 
 class TestSliceBuffers:
     """A stats sweep's slice arrays are views of buffers each thread holds."""
+
+    def _chains(self):
+        # 4 chains x 6000 tokens at K = 45: one array of K doubles per position is 8.6 MB
+        rng = np.random.default_rng(67)
+        K, V = 45, 500
+        params = SurrogateParams(rng.dirichlet(np.ones(K), K + 1), rng.dirichlet(np.ones(V), K))
+        return params, [rng.integers(0, V, 6000) for _ in range(4)]
+
+    @pytest.mark.parametrize("absence, limit", [(False, 2 * 2**20), (True, 16 * 2**20)])
+    def test_steady_state_sweep_makes_no_slice_sized_temporary(self, absence, limit):
+        params, batch = self._chains()
+        # the first sweep grows the held buffers
+        sweep(params, batch, absence=absence)
+        tracemalloc.start()
+        try:
+            sweep(params, batch, absence=absence)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, peak
+
+    def test_slice_arrays_hold_one_row_per_running_position(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        params = random_params(rng, 4, 7)
+        batch = random_batch(rng, 7, 20, 25)
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 60)
+        slices = messages._slices(batch, params.vocab_size)
+        assert len(slices) > 2
+        assert any(n_at[-1] < n_at[0] for _, _, n_at in slices)
+        shapes = []
+        held_arrays = messages._held_arrays
+
+        def spy(*args):
+            shapes.append(args)
+            return held_arrays(*args)
+
+        monkeypatch.setattr(messages, "_held_arrays", spy)
+        sweep(params, batch, absence=True)
+        K = params.num_states
+        assert shapes == [((n_at.sum(), K),) * 3 for _, _, n_at in slices]
+        assert sum(args[0][0] for args in shapes) == sum(seq.size for seq in batch)
 
     FAULTS = """
 import resource
