@@ -8,14 +8,24 @@ sequence's log likelihood is the sum of the log factors divided out.  State
 0 is the start state; it emits nothing, nothing transitions back into it,
 and its outgoing row is used only for the first step of a sequence.
 
-The batch is sorted by length, longest first, and cut into slices whose
-padded size (longest length x sequence count) stays within
-``SLICE_POSITIONS``.  At time t only a slice's first n_t sequences are
-still running.  A slice is laid out packed and time-major: it holds one row
-per running position, and the block of time t holds the n_t rows of the
-sequences running at t and starts at offset n_0 + ... + n_{t-1}.  Each step
-works on its block, and the step to t reads the first n_t rows of the block
-of t - 1.  No array of a sweep has a row for a padded position.
+The batch is sorted by length, longest first, and cut into slices.  A
+slice that yields sums keeps its padded size (longest length x sequence
+count) within ``SLICE_POSITIONS``, as its arrays hold every position.  A
+forward-only slice holds the rows of ``RENORM_EVERY`` times at once, so it
+takes at most ``SLICE_POSITIONS`` // ``RENORM_EVERY`` sequences and
+``RENORM_EVERY`` x ``SLICE_POSITIONS`` padded positions: its blocks fit the
+held buffers below, and its per-token arrays (tokens, factors and the
+slicing's index arrays, about 40 bytes per position) stay near 10 MB.
+Long held-out chains thus sweep together, one step per time for all of
+them, where the first rule would cut them into several slices.  A
+sequence longer than a cap gets a slice of its own.
+
+At time t only a slice's first n_t sequences are still running.  A slice
+is laid out packed and time-major: it holds one row per running position,
+and the block of time t holds the n_t rows of the sequences running at t
+and starts at offset n_0 + ... + n_{t-1}.  Each step works on its block,
+and the step to t reads the first n_t rows of the block of t - 1.  No
+array of a sweep has a row for a padded position.
 
 Renormalization is lazy.  Write A for ``inner`` (the K x K block of
 ``trans`` below the start row), obs_t for the emission column of token x_t,
@@ -102,7 +112,8 @@ A stats sweep holds a slice's ``right``, ``alpha`` (later ``before``) and
 emission columns; every row of the other two is written before it is read,
 so nothing is zeroed.  The forward-only sweep of evaluation holds the
 blocks of ``RENORM_EVERY`` times of gathered emissions and those of two
-times of running rows there.  Both run the one forward loop, over the
+times of running rows there, which its cap on sequences keeps within
+``SLICE_POSITIONS`` rows.  Both run the one forward loop, over the
 buffers they pass: a stats sweep's gather is the loop's one refill of a
 block as long as the slice.  The gathers read a contiguous V x K copy of
 the emission columns, made once per sweep.  An array larger than the
@@ -118,7 +129,8 @@ process does so depends on its allocation history.  So no step makes a
 temporary of a slice's size: ``before`` and the row sum's ``unary`` rows
 are moved in place, ``GATHER_ROWS`` rows per step.  The absence sums still
 allocate, per slice, two boolean masks of a slice's positions and the
-hot-cell index arrays.
+codes and corrections of its hot cells, 16 bytes a cell; the arrays that
+list the cells are made in runs of about ``SLICE_POSITIONS`` cells.
 """
 import math
 import threading
@@ -218,11 +230,16 @@ class BatchSums:
     absence_row: np.ndarray = None
 
 
-def _slices(batch, vocab_size):
+def _slices(batch, vocab_size, stats=True):
     """(batch positions, packed tokens, running count per time) per slice.
 
     The tokens are packed time-major: the block of time t holds the tokens
     at t of the slice's first n_t sequences and starts at n_0 + ... + n_{t-1}.
+    A slice for ``stats`` holds SLICE_POSITIONS // longest sequences.  A
+    forward-only slice holds at most SLICE_POSITIONS // RENORM_EVERY, so its
+    block of RENORM_EVERY times fits a held buffer, and at most RENORM_EVERY
+    x SLICE_POSITIONS padded positions, so its per-token arrays stay near 10
+    MB.  Every slice takes at least one sequence, however long.
     """
     seqs, lengths = token_arrays(batch)
     if not seqs:
@@ -231,7 +248,12 @@ def _slices(batch, vocab_size):
     slices = []
     start = 0
     while start < len(seqs):
-        cols = order[start : start + max(1, SLICE_POSITIONS // lengths[order[start]])]
+        longest = lengths[order[start]]
+        if stats:
+            count = SLICE_POSITIONS // longest
+        else:
+            count = min(SLICE_POSITIONS // RENORM_EVERY, RENORM_EVERY * SLICE_POSITIONS // longest)
+        cols = order[start : start + max(1, count)]
         flat = np.concatenate([seqs[i] for i in cols])
         if flat.min() < 0 or flat.max() >= vocab_size:
             raise ValueError("sequence token index outside vocabulary")
@@ -309,7 +331,11 @@ def _series(p):
 
 
 def _exact_cells(hot_before, hot_after):
-    """(row, i, j) of every cell with hot_before[row, i] and hot_after[row, j]."""
+    """(row, i, j) of every cell with hot_before[row, i] and hot_after[row, j], in runs.
+
+    The cells come in (row, i, j) order, cut into runs of about
+    SLICE_POSITIONS cells, so that the arrays that list them stay that long.
+    """
     K = hot_before.shape[1]
     rows_i, cols_i = np.divmod(np.flatnonzero(hot_before), K)
     rows_j, cols_j = np.divmod(np.flatnonzero(hot_after), K)
@@ -317,12 +343,18 @@ def _exact_cells(hot_before, hot_after):
     per_row = np.bincount(rows_j, minlength=hot_before.shape[0])
     first_j = np.cumsum(per_row) - per_row
     reps = per_row[rows_i]
-    offsets = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-    return (
-        np.repeat(rows_i, reps),
-        np.repeat(cols_i, reps),
-        cols_j[np.repeat(first_j[rows_i], reps) + offsets],
-    )
+    cuts = np.searchsorted(np.cumsum(reps), np.arange(SLICE_POSITIONS, reps.sum(), SLICE_POSITIONS))
+    bounds = [0, *cuts.tolist(), reps.size]
+    # a generator keeps its locals until it ends; drop those the runs do not read
+    del rows_j, per_row
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = reps[lo:hi]
+        offsets = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run, run)
+        yield (
+            np.repeat(rows_i[lo:hi], run),
+            np.repeat(cols_i[lo:hi], run),
+            cols_j[np.repeat(first_j[rows_i[lo:hi]], run) + offsets],
+        )
 
 
 def _leading_rows(x, n_at):
@@ -394,11 +426,19 @@ def _absence(inner, before, after, unary, n_at, product):
         pair[1:] -= inner_m * coef * powers[m]
 
     hot_after[dense] = False
-    at, i, j = _exact_cells(hot_before, hot_after)
-    p = before[at, i] * inner[i, j] * after[at, j]
+    # the hot cells' codes i * K + j and corrections, run by run in position order
+    cells, exact = [], []
+    for at, i, j in _exact_cells(hot_before, hot_after):
+        p = before[at, i] * inner[i, j] * after[at, j]
+        with np.errstate(divide="ignore"):
+            exact.append(np.log1p(-np.minimum(p, 1.0)) - _series(p))
+        cells.append(i * K + j)
+    # one sum over every run's cells, in the order of one pass over the slice; the
+    # runs' codes go before the corrections are joined, so two copies never meet
+    codes = np.concatenate(cells)
+    cells.clear()
+    pair[1:] += np.bincount(codes, weights=np.concatenate(exact), minlength=K * K).reshape(K, K)
     with np.errstate(divide="ignore"):
-        exact = np.log1p(-np.minimum(p, 1.0)) - _series(p)
-        pair[1:] += np.bincount(i * K + j, weights=exact, minlength=K * K).reshape(K, K)
         # a block of pair posteriors as large as one series chunk
         step = max(1, SERIES_CHUNK_ROWS // K)
         for lo in range(0, dense_rows.size, step):
@@ -516,7 +556,8 @@ def sweep(params: SurrogateParams, batch, stats=True, absence=False) -> BatchSum
     total = None
     # row v is the emission column of token v, contiguous for the gathers
     columns = np.ascontiguousarray(params.emit.T)
-    for cols, tokens, n_at in _slices(batch, params.vocab_size):
-        loglik[cols], sums = _slice_sums(params, columns, tokens, n_at, stats or absence, absence)
+    stats = stats or absence
+    for cols, tokens, n_at in _slices(batch, params.vocab_size, stats):
+        loglik[cols], sums = _slice_sums(params, columns, tokens, n_at, stats, absence)
         total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
     return BatchSums(loglik, *total)

@@ -378,6 +378,32 @@ class TestAbsenceSeries:
         right_max = max(args[2].max() for args in seen)
         assert right_max > messages.SERIES_RIGHT_MAX
 
+    def test_hot_cells_found_in_runs_sum_as_one(self, monkeypatch):
+        # the hot cells are listed in runs but their corrections summed by one
+        # bincount in position order, so the run length moves no bit
+        rng = np.random.default_rng(59)
+        params = random_params(rng, 4, 6)
+        seen = []
+        series_absence = messages._absence
+        monkeypatch.setattr(messages, "_absence", lambda *args: seen.append([np.copy(arg) for arg in args]) or series_absence(*args))
+        sweep(params, random_batch(rng, 6, 12, 40), absence=True)
+        (args,) = seen
+        whole = series_absence(*[np.copy(arg) for arg in args])
+        runs = []
+        exact_cells = messages._exact_cells
+
+        def spy(*masks):
+            for run in exact_cells(*masks):
+                runs.append(run)
+                yield run
+
+        monkeypatch.setattr(messages, "_exact_cells", spy)
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 7)
+        got = series_absence(*[np.copy(arg) for arg in args])
+        assert len(runs) > 3
+        for a, b in zip(got, whole):
+            np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("constant", ["SERIES_BOUND", "SERIES_RIGHT_MAX"])
     def test_every_cell_exact(self, monkeypatch, constant):
         # SERIES_BOUND = 0 sends every cell to the exact correction,
@@ -570,28 +596,84 @@ class TestLazyRenormalization:
         assert peak < 3 * 2**20
 
 
+class TestForwardOnlySlices:
+    """A forward-only slice is cut by what it holds, blocks of ``RENORM_EVERY`` times."""
+
+    def test_both_caps_bind_and_a_long_sequence_sweeps_alone(self, monkeypatch):
+        # at most 64 // 8 = 8 sequences and 8 * 64 = 512 padded positions per slice
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 64)
+        rng = np.random.default_rng(83)
+        lengths = [600, 100, 90, 60, 60, 50] + [3] * 20 + [1] * 10
+        batch = [rng.integers(0, 7, n) for n in lengths]
+        slices = messages._slices(batch, 7, stats=False)
+        # 600 is past the padded cap, 5 x 100 meets it, and the short ones meet the count cap
+        assert [c.size for c, _, _ in slices] == [1, 5, 8, 8, 8, 6]
+        assert sorted(np.concatenate([c for c, _, _ in slices])) == list(range(len(batch)))
+        for c, tokens, n_at in slices:
+            assert c.size * n_at.size <= 512 or c.size == 1
+            # the emission block of RENORM_EVERY times fits a held buffer
+            assert n_at[: messages.RENORM_EVERY].sum() <= 64
+            assert tokens.size == sum(batch[i].size for i in c)
+        # stats slices keep the training cap
+        assert [c.size for c, _, _ in messages._slices(batch, 7)][:6] == [1] * 6
+
+    def _chains(self, lengths):
+        rng = np.random.default_rng(89)
+        return random_params(rng, 45, 500), [rng.integers(0, 500, n) for n in lengths]
+
+    def test_long_chains_make_one_slice_within_a_bound(self):
+        # 8 chains x 6000 tokens at K = 45: the training cap would cut 5 and 3
+        params, batch = self._chains([6000] * 8)
+        assert len(messages._slices(batch, params.vocab_size, stats=False)) == 1
+        assert len(messages._slices(batch, params.vocab_size)) == 2
+        tracemalloc.start()
+        try:
+            sweep(params, batch, stats=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
+
+    def test_log_likelihoods_bit_equal_to_the_stats_sweep(self):
+        params, batch = self._chains(np.random.default_rng(97).integers(4000, 6001, 8))
+        forward_only = [c.tolist() for c, _, _ in messages._slices(batch, params.vocab_size, stats=False)]
+        with_stats = [c.tolist() for c, _, _ in messages._slices(batch, params.vocab_size)]
+        assert forward_only != with_stats
+        np.testing.assert_array_equal(sweep(params, batch, stats=False).loglik, sweep(params, batch).loglik)
+
+
 class TestSliceBuffers:
     """A stats sweep's slice arrays are views of buffers each thread holds."""
 
-    def _chains(self):
+    def _chains(self, concentration=1.0):
         # 4 chains x 6000 tokens at K = 45: one array of K doubles per position is 8.6 MB
         rng = np.random.default_rng(67)
         K, V = 45, 500
-        params = SurrogateParams(rng.dirichlet(np.ones(K), K + 1), rng.dirichlet(np.ones(V), K))
+        params = SurrogateParams(
+            rng.dirichlet(np.full(K, concentration), K + 1), rng.dirichlet(np.full(V, concentration), K)
+        )
         return params, [rng.integers(0, V, 6000) for _ in range(4)]
 
-    @pytest.mark.parametrize("absence, limit", [(False, 2 * 2**20), (True, 16 * 2**20)])
-    def test_steady_state_sweep_makes_no_slice_sized_temporary(self, absence, limit):
-        params, batch = self._chains()
+    def _steady_state_peak(self, params, batch, absence):
         # the first sweep grows the held buffers
         sweep(params, batch, absence=absence)
         tracemalloc.start()
         try:
             sweep(params, batch, absence=absence)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("absence, limit", [(False, 2 * 2**20), (True, 16 * 2**20)])
+    def test_steady_state_sweep_makes_no_slice_sized_temporary(self, absence, limit):
+        peak = self._steady_state_peak(*self._chains(), absence)
         assert peak < limit, peak
+
+    def test_hot_cell_corrections_stay_within_the_absence_limit(self):
+        # Dirichlet(0.8) parameters put about 11.7 hot cells on each position,
+        # 281k in the slice; taken whole, their corrections peaked at 18.3 MB
+        peak = self._steady_state_peak(*self._chains(0.8), absence=True)
+        assert peak < 16 * 2**20, peak
 
     def test_slice_arrays_hold_one_row_per_running_position(self, monkeypatch):
         rng = np.random.default_rng(79)
