@@ -7,11 +7,16 @@ word per line, and blank lines are skipped: the i-th listed word has index
 i.  Repeats, the unknown token and words with whitespace are refused, in a
 file and in ``Vocabulary(words)`` alike.
 
-The form of a token sequence is checked in one place, ``token_arrays``,
-which both ``Corpus`` and the sweep (``messages._slices``) call.
+A corpus holds its tokens in one flat array, and the sweep reads a batch
+as (start, length) windows into it (``Windows``).  The form of a token
+sequence from outside is checked in one place, ``token_arrays``; ``Corpus``
+applies it to a list of sequences once, and the sweep converts a plain list
+to windows by the same rule.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -19,12 +24,14 @@ from .config import _is_int, _is_real
 
 UNK = "<unk>"
 DRAW_BLOCK = 2**14  # uniform pairs per block of positions in generate_synthetic
-CHECK_BLOCK = 1024  # sequences per concatenated block in the Corpus range check
+RANGE_ERROR = "sequence token index outside vocabulary"
 
 __all__ = [
     "UNK",
     "Vocabulary",
     "Corpus",
+    "Windows",
+    "as_windows",
     "SyntheticSpec",
     "GroundTruth",
     "load_corpus",
@@ -111,9 +118,7 @@ def token_arrays(sequences):
     """``(arrays, lengths)`` of a list of token sequences: the one check of their form.
 
     ``ValueError`` unless each is a nonempty 1-d integer array.  The token
-    range is left to the callers, which check it where they concatenate the
-    arrays anyway; uint64 and signed arrays concatenate to float64, exact
-    for in-range indices.
+    range is checked once ``_flatten`` has copied the arrays into one.
     """
     arrays = list(map(np.asarray, sequences))
     # a few distinct (ndim, dtype) pairs stand for every array; then len is the length
@@ -125,36 +130,135 @@ def token_arrays(sequences):
     raise ValueError("sequence must be a nonempty 1-d array of integer token indices")
 
 
-@dataclass
-class Corpus:
-    """Immutable token-index sequences over a shared vocabulary.
+def _offsets(lengths):
+    """Where each sequence starts in a flat array of sequences of ``lengths``, and the total last."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
 
-    The sequences are held as the arrays ``token_arrays`` checks, each in
-    its own integer dtype.  Their token range is checked on blocks of
-    ``CHECK_BLOCK`` concatenated sequences; ``counts``, their total length,
-    is derived.
+
+def _flatten(sequences):
+    """``(tokens, offsets)`` of a list of token sequences, copied into one ``intp`` array.
+
+    ``token_arrays`` checks their form.  A uint64 token past the ``intp``
+    range turns negative in the copy, so ``_top`` refuses it.
+    """
+    arrays, lengths = token_arrays(sequences)
+    offsets = _offsets(lengths)
+    tokens = np.empty(offsets[-1], dtype=np.intp)
+    if arrays:
+        np.concatenate(arrays, out=tokens, casting="unsafe")
+    return tokens, offsets
+
+
+def _top(tokens):
+    """The largest of ``tokens``, -1 for none; ``ValueError`` for a negative one."""
+    if not tokens.size:
+        return -1
+    if tokens.min() < 0:
+        raise ValueError(RANGE_ERROR)
+    return int(tokens.max())
+
+
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Sequences as (start, length) windows into one flat ``intp`` token array.
+
+    Window i is ``tokens[starts[i] : starts[i] + lengths[i]]``.  ``top``, the
+    largest token of the array (-1 for none), bounds every window's tokens.
     """
 
-    sequences: list
-    vocab: Vocabulary
-    counts: int = field(init=False)
-
-    def __post_init__(self):
-        self.sequences, lengths = token_arrays(self.sequences)
-        vocab_size = len(self.vocab)
-        for start in range(0, len(self.sequences), CHECK_BLOCK):
-            block = np.concatenate(self.sequences[start : start + CHECK_BLOCK])
-            if block.min() < 0 or block.max() >= vocab_size:
-                raise ValueError("sequence token index outside vocabulary")
-        self.counts = int(lengths.sum())
+    tokens: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    top: int
 
     def __len__(self):
-        return len(self.sequences)
+        return len(self.lengths)
+
+    def __iter__(self):
+        """Views of the windows' tokens, in order."""
+        for start, length in zip(self.starts.tolist(), self.lengths.tolist()):
+            yield self.tokens[start : start + length]
+
+
+class Corpus:
+    """Read-only token-index sequences over a shared vocabulary.
+
+    A corpus holds its sequences as a CSR matrix holds its rows: ``tokens``
+    is one read-only ``intp`` array of every sequence in turn, and sequence
+    i is ``tokens[offsets[i] : offsets[i + 1]]``, of length ``lengths[i]``.
+    ``counts`` is their total length.  ``Corpus(sequences, vocab)`` takes a
+    list of token sequences: ``token_arrays`` checks their form, and their
+    tokens are copied into ``tokens`` and range-checked once, so a later
+    change to the list's arrays leaves the corpus as it was.
+    ``load_corpus``, ``generate_synthetic`` and ``split`` build the arrays
+    directly.  ``sequences`` lists read-only views of the sequences, made
+    on first access; the sweep reads ``windows`` instead.
+    """
+
+    def __init__(self, sequences, vocab):
+        self._hold(*_flatten(sequences), vocab)
+
+    @classmethod
+    def _of(cls, tokens, offsets, vocab) -> "Corpus":
+        """A corpus that holds the ``intp`` arrays ``tokens`` and ``offsets`` themselves."""
+        corpus = cls.__new__(cls)
+        corpus._hold(tokens, offsets, vocab)
+        return corpus
+
+    def _hold(self, tokens, offsets, vocab):
+        self._top = _top(tokens)
+        if self._top >= len(vocab):
+            raise ValueError(RANGE_ERROR)
+        self.tokens, self.offsets, self.lengths = tokens, offsets, np.diff(offsets)
+        for array in (tokens, offsets, self.lengths):
+            array.flags.writeable = False
+        self.vocab = vocab
+        self.counts = int(offsets[-1])
+
+    def __len__(self):
+        return len(self.lengths)
+
+    @cached_property
+    def sequences(self) -> list:
+        """Read-only views of the sequences, in order."""
+        bounds = self.offsets.tolist()
+        return [self.tokens[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def windows(self, index=None) -> Windows:
+        """The sequences at ``index``, in its order (every one by default), as windows."""
+        starts, lengths = self.offsets[:-1], self.lengths
+        if index is not None:
+            starts, lengths = starts[index], lengths[index]
+        return Windows(self.tokens, starts, lengths, self._top)
+
+    def _take(self, index) -> "Corpus":
+        """A corpus of the sequences at ``index``, in its order, gathered into new arrays."""
+        lengths = self.lengths[index]
+        offsets = _offsets(lengths)
+        # position p of the flat result holds token p - offsets[j] of sequence j
+        shift = np.repeat(self.offsets[index] - offsets[:-1], lengths)
+        return Corpus._of(self.tokens[shift + np.arange(offsets[-1])], offsets, self.vocab)
 
     @classmethod
     def from_sequences(cls, sequences, vocab) -> "Corpus":
-        """A corpus of integer sequences, kept in their own integer dtype."""
+        """A corpus of any iterable of integer sequences."""
         return cls(list(sequences), vocab)
+
+
+def as_windows(batch) -> Windows:
+    """``batch`` as windows: a ``Windows`` as it is, every sequence of a ``Corpus``.
+
+    Anything else is a list of token sequences, copied into one array by
+    the rule ``Corpus`` applies, so every sweep reads one layout.
+    """
+    if isinstance(batch, Windows):
+        return batch
+    if isinstance(batch, Corpus):
+        return batch.windows()
+    tokens, offsets = _flatten(batch)
+    return Windows(tokens, offsets[:-1], np.diff(offsets), _top(tokens))
 
 
 def load_corpus(path, vocab: Vocabulary = None) -> Corpus:
@@ -163,27 +267,29 @@ def load_corpus(path, vocab: Vocabulary = None) -> Corpus:
     Blank lines are skipped.  A supplied vocabulary is frozen: words it
     does not hold map to index 0, the unknown token.
     """
-    if vocab is None:
+    build = vocab is None
+    if build:
         vocab = Vocabulary()
-        lookup = vocab.add
-    else:
-        lookup = vocab.index
+    # Vocabulary.index as the dict's own get, so no Python frame runs per token
+    held = vocab._index.get
+    ids, lengths = [], []
     with open(path, encoding="utf-8") as fh:
-        sequences = [
-            np.array([lookup(tok) for tok in tokens], dtype=np.int64)
-            for tokens in map(str.split, fh)
-            if tokens
-        ]
-    if not sequences:
+        for tokens in map(str.split, fh):
+            if tokens:
+                ids += map(vocab.add, tokens) if build else map(held, tokens, repeat(0))
+                lengths.append(len(tokens))
+    if not lengths:
         raise ValueError(f"no sequences in corpus file {path}")
-    return Corpus(sequences, vocab)
+    return Corpus._of(np.array(ids, dtype=np.intp), _offsets(lengths), vocab)
 
 
 def save_corpus(corpus: Corpus, path):
     words = (UNK,) + corpus.vocab.words
+    line_words = [words[i] for i in corpus.tokens.tolist()]
+    bounds = corpus.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for seq in corpus.sequences:
-            fh.write(" ".join([words[i] for i in seq.tolist()]) + "\n")
+        for a, b in zip(bounds, bounds[1:]):
+            fh.write(" ".join(line_words[a:b]) + "\n")
 
 
 def split(corpus: Corpus, train_fraction: float, seed: int):
@@ -199,12 +305,7 @@ def split(corpus: Corpus, train_fraction: float, seed: int):
             f"train_fraction {train_fraction} leaves an empty side for {n} sequences"
         )
     order = np.random.default_rng(seed).permutation(n)
-    train = [corpus.sequences[i] for i in order[:n_train]]
-    test = [corpus.sequences[i] for i in order[n_train:]]
-    return (
-        Corpus.from_sequences(train, corpus.vocab),
-        Corpus.from_sequences(test, corpus.vocab),
-    )
+    return corpus._take(order[:n_train]), corpus._take(order[n_train:])
 
 
 @dataclass
@@ -323,9 +424,8 @@ def generate_synthetic(spec: SyntheticSpec):
     flat = tokens.T[lengths[:, None] > np.arange(tokens.shape[0])]
     del tokens  # the padded array need not outlive the gather
     flat += 1
-    sequences = np.split(flat, np.cumsum(lengths[:-1]))
     vocab = Vocabulary(f"w{i}" for i in range(spec.vocab_size))
-    corpus = Corpus(sequences, vocab)
+    corpus = Corpus._of(flat, _offsets(lengths), vocab)
     return corpus, GroundTruth(spec.trans.copy(), spec.emit.copy())
 
 
@@ -336,7 +436,7 @@ def _draw_tokens(rng, lengths, cum_trans, cum_emit):
     """
     n, t_max = lengths.size, int(lengths.max())
     block = max(1, DRAW_BLOCK // n)
-    tokens = np.empty((t_max, n), dtype=np.int64)
+    tokens = np.empty((t_max, n), dtype=np.intp)
     states = np.empty((block, n), dtype=np.int64)
     prev = np.full(n, -1, dtype=np.int64)  # a state's trans row is prev + 1; row 0 starts a sequence
     for start in range(0, t_max, block):

@@ -19,9 +19,10 @@ the count of large batches; the other algorithms simply have no
 large-batch level.
 """
 
+import copy
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,7 +147,9 @@ def build_surrogate(model) -> SurrogateParams:
 def process_minibatch(model, batch, rho: float, corpus_size: int):
     """One stochastic update of a model's statistics; modifies no argument.
 
-    Freezes the surrogate, sweeps the batch, then blends
+    ``batch`` is anything ``sweep`` takes: a corpus's ``windows``, as
+    ``train`` passes, or a list of token sequences.  Freezes the surrogate,
+    sweeps the batch, then blends
     (1-rho) * old + rho * (N/M) * batch sums, where N is the corpus
     sequence count and M the batch's actual size.  Returns the blend as new
     ``GlobalStats`` and the batch's ``BatchSums``, whose absence sums are
@@ -187,7 +190,9 @@ class TrainedModel:
     """Everything needed to rebuild surrogates and evaluate.
 
     ``config`` is the one record of the algorithm and the priors, and must
-    validate; the sizes are the shapes of ``stats``.  ``hdp`` is the stick
+    validate; the sizes are the shapes of ``stats``.  The checks run when a
+    model is made; ``train`` swaps each step's statistics and stick posterior
+    into a copy without running them again.  ``hdp`` is the stick
     posterior, held exactly when the algorithm is ``scvi-hdphmm`` and with
     the config's state count.
     """
@@ -226,6 +231,17 @@ class TrainedModel:
         return build_surrogate(self)
 
 
+def _updated(model: TrainedModel, **changes) -> TrainedModel:
+    """``replace(model, **changes)`` without re-running ``__post_init__``'s checks.
+
+    For a step's new statistics or stick posterior, whose shapes the step
+    keeps, so that the checks run once per ``train`` run and not per step.
+    """
+    new = copy.copy(model)
+    vars(new).update(changes)
+    return new
+
+
 def k_effective(model: TrainedModel) -> int:
     """States whose incoming expected-transition mass is non-negligible."""
     column_mass = model.stats.trans_counts.sum(axis=0)
@@ -238,12 +254,12 @@ def predictive_log_likelihood(model, heldout: Corpus) -> float:
     A ``TrainedModel`` that holds words refuses a corpus indexed by another
     vocabulary, since each token would be scored as another word.
     """
-    if len(heldout.sequences) == 0:
+    if len(heldout) == 0:
         raise ValueError("held-out corpus is empty")
     if isinstance(model, TrainedModel) and model.vocab is not None and heldout.vocab != model.vocab:
         raise ValueError("held-out corpus is indexed by another vocabulary than the model's")
     params = model.surrogate() if isinstance(model, TrainedModel) else model
-    return float(sweep(params, heldout.sequences, stats=False).loglik.sum()) / heldout.counts
+    return float(sweep(params, heldout, stats=False).loglik.sum()) / heldout.counts
 
 
 def batch_stream(corpus: Corpus, config: RunConfig):
@@ -263,6 +279,8 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     length is ``passes`` sweeps, or ``budget_seconds`` of wall clock when
     set.  The step count is the only schedule state: the n-th minibatch
     step takes rho_n, and the n-th large-batch HDP update takes rho_n too.
+    Each step sweeps its minibatch as windows into the corpus's one token
+    array (``Corpus.windows`` of the drawn index array).
     """
     config.validate()
     corpus_size = len(corpus)
@@ -312,13 +330,13 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
             break
         if config.budget_seconds is not None and time.perf_counter() - start >= config.budget_seconds:
             break
-        batch = [corpus.sequences[i] for i in next(stream)]
+        batch = corpus.windows(next(stream))
         rho = step_size(step, config.kappa)
         try:
             stats, sums = process_minibatch(model, batch, rho, corpus_size)
         except NumericalError as exc:
             raise NumericalError(f"{exc} (step {step})") from None
-        model = replace(model, stats=stats)
+        model = _updated(model, stats=stats)
         step += 1
         if model.hdp is not None:
             parts = (sums.counts, sums.absence_pair, sums.absence_row)
@@ -329,7 +347,7 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
                 tables = tables_from_aggregates(*means, corpus_size, model.hdp)
                 hdp_rho = step_size(step // steps_per_large - 1, config.kappa)
                 hdp = update_hdp(model.hdp, tables, hdp_rho, alpha_prior, gamma_prior)
-                model = replace(model, hdp=hdp)
+                model = _updated(model, hdp=hdp)
                 large_sums, large_seqs = (0.0, 0.0, 0.0), 0
         due_pass = step % batches_per_pass == 0
         due_interval = (

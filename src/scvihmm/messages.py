@@ -8,17 +8,22 @@ sequence's log likelihood is the sum of the log factors divided out.  State
 0 is the start state; it emits nothing, nothing transitions back into it,
 and its outgoing row is used only for the first step of a sequence.
 
-The batch is sorted by length, longest first, and cut into slices.  A
-slice that yields sums keeps its padded size (longest length x sequence
-count) within ``SLICE_POSITIONS``, as its arrays hold every position.  A
-forward-only slice holds the rows of ``RENORM_EVERY`` times at once, so it
-takes at most ``SLICE_POSITIONS`` // ``RENORM_EVERY`` sequences and
-``RENORM_EVERY`` x ``SLICE_POSITIONS`` padded positions: its blocks fit the
-held buffers below, and its per-token arrays (tokens, factors and the
-slicing's index arrays, about 40 bytes per position) stay near 10 MB.
-Long held-out chains thus sweep together, one step per time for all of
-them, where the first rule would cut them into several slices.  A
-sequence longer than a cap gets a slice of its own.
+The batch is read as (start, length) windows into one token array: a
+``Corpus``'s own array, or a plain list of sequences copied into one first
+(``corpus.as_windows``).  The array's tokens were range-checked where it
+was made, so the sweep only compares its largest token with the
+vocabulary size, once.  The windows are sorted by length, longest first,
+and cut into slices, and each slice's packed tokens are one gather from
+the array.  A slice that yields sums keeps its padded size (longest length
+x sequence count) within ``SLICE_POSITIONS``, as its arrays hold every
+position.  A forward-only slice holds the rows of ``RENORM_EVERY`` times
+at once, so it takes at most ``SLICE_POSITIONS`` // ``RENORM_EVERY``
+sequences and ``RENORM_EVERY`` x ``SLICE_POSITIONS`` padded positions: its
+blocks fit the held buffers below, and its per-token arrays (tokens,
+factors and the slicing's index arrays, about 40 bytes per position) stay
+near 10 MB.  Long held-out chains thus sweep together, one step per time
+for all of them, where the first rule would cut them into several slices.
+A sequence longer than a cap gets a slice of its own.
 
 At time t only a slice's first n_t sequences are still running.  A slice
 is laid out packed and time-major: it holds one row per running position,
@@ -138,7 +143,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import token_arrays
+from .corpus import RANGE_ERROR, as_windows
 
 # padded positions (longest length x sequence count) of one slice
 SLICE_POSITIONS = 2**15
@@ -233,38 +238,40 @@ class BatchSums:
 def _slices(batch, vocab_size, stats=True):
     """(batch positions, packed tokens, running count per time) per slice.
 
-    The tokens are packed time-major: the block of time t holds the tokens
-    at t of the slice's first n_t sequences and starts at n_0 + ... + n_{t-1}.
-    A slice for ``stats`` holds SLICE_POSITIONS // longest sequences.  A
-    forward-only slice holds at most SLICE_POSITIONS // RENORM_EVERY, so its
-    block of RENORM_EVERY times fits a held buffer, and at most RENORM_EVERY
-    x SLICE_POSITIONS padded positions, so its per-token arrays stay near 10
-    MB.  Every slice takes at least one sequence, however long.
+    ``batch`` is read as windows into one token array (``as_windows``), whose
+    ``top`` is checked against ``vocab_size`` once; each slice's tokens are
+    then one gather from that array.  They are packed time-major: the block
+    of time t holds the tokens at t of the slice's first n_t sequences and
+    starts at n_0 + ... + n_{t-1}.  A slice for ``stats`` holds
+    SLICE_POSITIONS // longest sequences.  A forward-only slice holds at
+    most SLICE_POSITIONS // RENORM_EVERY, so its block of RENORM_EVERY times
+    fits a held buffer, and at most RENORM_EVERY x SLICE_POSITIONS padded
+    positions, so its per-token arrays stay near 10 MB.  Every slice takes
+    at least one sequence, however long.
     """
-    seqs, lengths = token_arrays(batch)
-    if not seqs:
+    batch = as_windows(batch)
+    if not len(batch):
         raise ValueError("batch must not be empty")
+    if batch.top >= vocab_size:
+        raise ValueError(RANGE_ERROR)
+    lengths = batch.lengths
     order = np.argsort(-lengths, kind="stable")
     slices = []
     start = 0
-    while start < len(seqs):
+    while start < len(batch):
         longest = lengths[order[start]]
         if stats:
             count = SLICE_POSITIONS // longest
         else:
             count = min(SLICE_POSITIONS // RENORM_EVERY, RENORM_EVERY * SLICE_POSITIONS // longest)
         cols = order[start : start + max(1, count)]
-        flat = np.concatenate([seqs[i] for i in cols])
-        if flat.min() < 0 or flat.max() >= vocab_size:
-            raise ValueError("sequence token index outside vocabulary")
         lens = lengths[cols]
         # n_at[t] sequences are longer than t
         n_at = cols.size - np.cumsum(np.bincount(lens))[: lens[0]]
-        # packed position p holds time t of sequence b = p - offset[t], flat index start[b] + t
+        # packed position p holds time t of sequence b = p - offset[t], token starts[b] + t
         time = np.repeat(np.arange(n_at.size), n_at)
-        col = np.arange(flat.size) - np.repeat(np.cumsum(n_at) - n_at, n_at)
-        tokens = flat[(np.cumsum(lens) - lens)[col] + time].astype(np.intp, copy=False)
-        slices.append((cols, tokens, n_at))
+        col = np.arange(time.size) - np.repeat(np.cumsum(n_at) - n_at, n_at)
+        slices.append((cols, batch.tokens[batch.starts[cols][col] + time], n_at))
         start += cols.size
     return slices
 
@@ -548,10 +555,13 @@ def _slice_sums(params, columns, tokens, n_at, stats, absence):
 def sweep(params: SurrogateParams, batch, stats=True, absence=False) -> BatchSums:
     """Forward-backward over every sequence of ``batch``, summed.
 
-    With ``stats`` false only the forward recursion runs and only the log
-    likelihoods come back; ``absence`` adds the hierarchical prior's
-    absence sums.  The slices' sums are added up in slice order.
+    ``batch`` is a ``Corpus``, its ``windows``, or a list of token sequences,
+    which is copied into the same layout first.  With ``stats`` false only
+    the forward recursion runs and only the log likelihoods come back;
+    ``absence`` adds the hierarchical prior's absence sums.  The slices'
+    sums are added up in slice order.
     """
+    batch = as_windows(batch)
     loglik = np.empty(len(batch))
     total = None
     # row v is the emission column of token v, contiguous for the gathers

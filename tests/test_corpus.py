@@ -136,21 +136,24 @@ class TestRoundTrip:
 
 
 class TestCorpusValidation:
+    # sequences per block of a long list; a fault is placed in the first, second or third
+    BLOCK = 1024
+
     def _seqs(self, n):
         return [np.array([1, 2, 1])] * n
 
     @pytest.mark.parametrize("where", [0, 1, 2])
     def test_range_error_in_any_block(self, where):
         vocab = Vocabulary(["a", "b"])
-        pos = where * corpus_mod.CHECK_BLOCK + 5
+        pos = where * self.BLOCK + 5
         for bad in (np.array([1, 3]), np.array([-1, 2])):
-            seqs = self._seqs(3 * corpus_mod.CHECK_BLOCK)
+            seqs = self._seqs(3 * self.BLOCK)
             seqs[pos] = bad
             with pytest.raises(ValueError, match="^sequence token index outside vocabulary$"):
                 Corpus(seqs, vocab)
 
     def test_empty_sequence_past_the_first_block(self):
-        seqs = self._seqs(2 * corpus_mod.CHECK_BLOCK)
+        seqs = self._seqs(2 * self.BLOCK)
         seqs[-1] = np.array([], dtype=np.int64)
         with pytest.raises(ValueError, match="^sequence must be a nonempty 1-d array of integer token indices$"):
             Corpus.from_sequences(seqs, Vocabulary(["a", "b"]))
@@ -179,8 +182,8 @@ class TestCorpusValidation:
 
     @pytest.mark.parametrize("where", [0, 2])
     def test_float_block_refused_in_any_block(self, where):
-        seqs = self._seqs(3 * corpus_mod.CHECK_BLOCK)
-        seqs[where * corpus_mod.CHECK_BLOCK + 5] = np.array([1.5, 2.0])
+        seqs = self._seqs(3 * self.BLOCK)
+        seqs[where * self.BLOCK + 5] = np.array([1.5, 2.0])
         with pytest.raises(ValueError, match="^sequence must be a nonempty 1-d array of integer token indices$"):
             Corpus(seqs, Vocabulary(["a", "b"]))
 
@@ -192,14 +195,81 @@ class TestCorpusValidation:
         assert Corpus(seqs, Vocabulary(["a", "b"])).counts == counts
 
     def test_integer_dtypes_kept(self):
-        # uint64 with signed sequences concatenates to float64 in the block check
+        # every integer dtype is taken, its values copied into the one intp array
         seqs = [np.array([1, 2], dtype=np.uint8), np.array([2], dtype=np.int16), [1, 1],
                 np.array([2, 0], dtype=np.uint64)]
         corpus = Corpus.from_sequences(seqs, Vocabulary(["a", "b"]))
-        assert [s.dtype for s in corpus.sequences] == [np.uint8, np.int16, np.int64, np.uint64]
-        assert corpus.counts == 7
-        with pytest.raises(ValueError, match="^sequence token index outside vocabulary$"):
-            Corpus.from_sequences(seqs + [np.array([3], dtype=np.uint64)], Vocabulary(["a", "b"]))
+        assert [s.tolist() for s in corpus.sequences] == [[1, 2], [2], [1, 1], [2, 0]]
+        assert corpus.tokens.dtype == np.intp and corpus.counts == 7
+        for top in (3, 2**63, 2**64 - 1):
+            # past the intp range, a uint64 token would turn negative in the copy
+            with pytest.raises(ValueError, match="^sequence token index outside vocabulary$"):
+                Corpus.from_sequences(seqs + [np.array([top], dtype=np.uint64)], Vocabulary(["a", "b"]))
+
+
+class TestFlatLayout:
+    """A corpus holds one read-only token array and its offsets, as a CSR matrix holds its rows."""
+
+    def test_mutating_the_input_leaves_the_corpus_unchanged(self):
+        a = np.array([1, 2, 3])
+        corpus = Corpus([a], Vocabulary(["x", "y", "z"]))
+        a[0] = 2
+        assert corpus.sequences[0].tolist() == [1, 2, 3]
+        assert corpus.tokens.tolist() == [1, 2, 3]
+
+    def test_the_corpus_arrays_are_read_only(self):
+        corpus = Corpus([np.array([1, 2]), np.array([2])], Vocabulary(["x", "y"]))
+        for array in (corpus.sequences[1], corpus.tokens, corpus.offsets, corpus.lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert corpus.tokens.tolist() == [1, 2, 2]
+
+    def test_list_file_and_generator_give_the_same_flat_arrays(self, tmp_path):
+        generated, _ = generate_synthetic(SyntheticSpec.random(3, 12, 40, 1, 9, seed=8))
+        listed = Corpus(list(generated.sequences), generated.vocab)
+        path = tmp_path / "c.txt"
+        save_corpus(generated, path)
+        for corpus in (listed, load_corpus(path, vocab=generated.vocab)):
+            assert corpus.tokens.dtype == generated.tokens.dtype == np.intp
+            np.testing.assert_array_equal(corpus.tokens, generated.tokens)
+            np.testing.assert_array_equal(corpus.offsets, generated.offsets)
+            np.testing.assert_array_equal(corpus.lengths, np.diff(generated.offsets))
+            assert corpus.counts == generated.counts == generated.offsets[-1]
+        # a built vocabulary indexes words by first sight, so only the lengths agree
+        built = load_corpus(path)
+        np.testing.assert_array_equal(built.offsets, generated.offsets)
+
+    def test_sequences_are_views_of_the_flat_array_in_order(self):
+        corpus = Corpus([[1], [2, 1, 1], [2, 2]], Vocabulary(["x", "y"]))
+        assert [s.tolist() for s in corpus.sequences] == [[1], [2, 1, 1], [2, 2]]
+        assert all(s.base is corpus.tokens for s in corpus.sequences)
+        assert corpus.offsets.tolist() == [0, 1, 4, 6]
+
+    def test_windows_pick_sequences_in_index_order(self):
+        corpus = Corpus([[1], [2, 1, 1], [2, 2], [1, 2]], Vocabulary(["x", "y"]))
+        windows = corpus.windows(np.array([2, 0, 2]))
+        assert len(windows) == 3 and windows.tokens is corpus.tokens and windows.top == 2
+        assert [w.tolist() for w in windows] == [[2, 2], [1], [2, 2]]
+        assert [w.tolist() for w in corpus.windows()] == [s.tolist() for s in corpus.sequences]
+
+    def test_split_matches_its_pinned_order(self):
+        # the digest of split's sequences, side by side, as the per-sequence split gave them
+        corpus, _ = generate_synthetic(SyntheticSpec.random(4, 30, 257, 1, 40, seed=5))
+        digest = hashlib.sha256()
+        for side in split(corpus, 0.7, seed=13):
+            for seq in side.sequences:
+                digest.update(np.asarray(seq, dtype="<i8").tobytes() + b"|")
+            digest.update(b"#")
+        assert digest.hexdigest() == "dd11573ab4bab2c133d8d2bc11e5432d7ed0ea1d17872ebb9f1292002edf78cf"
+
+    def test_split_gathers_the_permuted_sequences(self):
+        corpus, _ = generate_synthetic(SyntheticSpec.random(2, 9, 31, 1, 12, seed=6))
+        train, test = split(corpus, 0.6, seed=4)
+        order = np.random.default_rng(4).permutation(len(corpus))
+        want = [corpus.sequences[i].tolist() for i in order]
+        assert [s.tolist() for s in train.sequences + test.sequences] == want
+        assert train.counts + test.counts == corpus.counts
+        assert not (train.tokens.flags.writeable or test.tokens.flags.writeable)
 
 
 class TestSplit:

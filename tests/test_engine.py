@@ -798,6 +798,31 @@ class TestTrain:
         assert not np.allclose(model.hdp.geo_alpha_pi, 0.1)
         assert np.isfinite(metrics[-1].heldout_ll)
 
+    @pytest.mark.parametrize("algorithm", ["scvi-hmm", "scvi-hdphmm", "svi-hmm"])
+    def test_config_is_validated_once_per_run_not_per_step(self, monkeypatch, algorithm):
+        calls = []
+        validate = RunConfig.validate
+
+        def counting(config):
+            calls.append(config.algorithm)
+            return validate(config)
+
+        monkeypatch.setattr(RunConfig, "validate", counting)
+        corpus = tiny_corpus(np.random.default_rng(55), n_seqs=12)
+        counts, models = [], []
+        for passes in (1, 5):
+            config = RunConfig(algorithm=algorithm, num_states=3, minibatch_size=2,
+                               large_batch_size=4, passes=passes, seed=4)
+            calls.clear()
+            model, metrics = train(corpus, config)
+            assert metrics[-1].step == 6 * passes
+            counts.append(len(calls))
+            models.append(model)
+        assert counts[0] == counts[1] >= 1
+        # the checks still guard a model made outside train
+        with pytest.raises(ConfigError, match="^kappa must"):
+            TrainedModel(replace(models[0].config, kappa=0.2), models[0].stats, models[0].hdp)
+
     def test_hdp_step_sizes_follow_large_batch_count(self, monkeypatch):
         rhos = []
 

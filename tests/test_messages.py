@@ -23,6 +23,7 @@ from oracles import (
     log_space_loglik,
 )
 from scvihmm import messages
+from scvihmm.corpus import Corpus, Vocabulary
 from scvihmm.messages import SurrogateParams, sweep
 
 
@@ -289,6 +290,81 @@ class TestSlices:
         np.testing.assert_allclose(sums.counts, counts, atol=1e-10)
         np.testing.assert_allclose(sums.token_stats, tokens, atol=1e-10)
         np.testing.assert_allclose(sums.loglik, loglik, rtol=1e-10)
+
+
+class TestWindows:
+    """The sweep reads a batch as windows into one token array, whatever it was given."""
+
+    @staticmethod
+    def _packed(seqs, cols):
+        # the old per-slice layout, position by position: at each time the tokens
+        # of the slice's sequences still running, in slice order
+        longest = max(len(seqs[b]) for b in cols)
+        return [int(seqs[b][t]) for t in range(longest) for b in cols if len(seqs[b]) > t]
+
+    @staticmethod
+    def _seqs(rng, n_seqs):
+        return [rng.integers(0, 7, int(n)) for n in rng.integers(1, 30, n_seqs)]
+
+    VOCAB = Vocabulary(f"w{i}" for i in range(6))
+
+    @pytest.mark.parametrize("stats", [True, False])
+    def test_window_slices_match_the_list_and_the_packed_layout(self, monkeypatch, stats):
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 24)
+        rng = np.random.default_rng(101)
+        # the last sequence, 200 tokens, is past both slicings' padded caps, so it sweeps alone
+        seqs = self._seqs(rng, 40) + [rng.integers(0, 7, 200)]
+        corpus = Corpus(seqs, self.VOCAB)
+        spanned = False
+        for _ in range(12):
+            index = rng.choice(len(seqs), size=int(rng.integers(1, 30)), replace=bool(rng.integers(2)))
+            if rng.integers(2):
+                index[0] = len(seqs) - 1
+            batch = [seqs[i] for i in index]
+            from_list = messages._slices(batch, 7, stats)
+            from_windows = messages._slices(corpus.windows(index), 7, stats)
+            assert len(from_list) == len(from_windows) >= 1
+            for (c1, t1, n1), (c2, t2, n2) in zip(from_list, from_windows):
+                np.testing.assert_array_equal(c1, c2)
+                np.testing.assert_array_equal(n1, n2)
+                assert t1.dtype == t2.dtype == np.intp
+                np.testing.assert_array_equal(t1, t2)
+                assert t2.tolist() == self._packed(batch, c2)
+            spanned |= len(from_list) > 1
+        assert spanned
+
+    @pytest.mark.parametrize("absence", [False, True])
+    def test_sweep_of_a_list_and_of_the_same_windows_are_bit_equal(self, monkeypatch, absence):
+        monkeypatch.setattr(messages, "SLICE_POSITIONS", 40)
+        rng = np.random.default_rng(103)
+        params = random_params(rng, 4, 7)
+        seqs = self._seqs(rng, 25)
+        corpus = Corpus(seqs, self.VOCAB)
+        index = rng.permutation(len(seqs))[:17]
+        got = sweep(params, corpus.windows(index), absence=absence)
+        ref = sweep(params, [seqs[i] for i in index], absence=absence)
+        for name in ("loglik", "counts", "token_stats", "absence_pair", "absence_row"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        whole = sweep(params, corpus, stats=False).loglik
+        np.testing.assert_array_equal(whole, sweep(params, seqs, stats=False).loglik)
+
+    def test_out_of_range_tokens_raise_the_range_message(self):
+        params = random_params(np.random.default_rng(107), 2, 3)
+        good = [np.array([0, 1, 2]), np.array([2, 1], dtype=np.uint8)]
+        for bad in (np.array([3]), np.array([-1, 0]), np.array([2**63], dtype=np.uint64)):
+            for batch in ([bad] + good, good + [bad]):
+                with pytest.raises(ValueError, match="^sequence token index outside vocabulary$"):
+                    sweep(params, batch)
+        with pytest.raises(ValueError, match="^batch must not be empty$"):
+            sweep(params, [])
+        # a corpus over a larger vocabulary sweeps while its tokens stay in range
+        corpus = Corpus(good + [np.array([1, 2])], Vocabulary(f"w{i}" for i in range(5)))
+        sweep(params, corpus)
+        sweep(params, corpus.windows([0, 1]))
+        wider = Corpus(good + [np.array([4])], corpus.vocab)
+        for batch in (wider, wider.windows([2])):
+            with pytest.raises(ValueError, match="^sequence token index outside vocabulary$"):
+                sweep(params, batch)
 
 
 def chain_batch(rng, trans, emit, n_seqs, max_len):
