@@ -50,10 +50,10 @@ class Vocabulary:
         self._index = {UNK: 0}
         for number, word in enumerate(words, 1):
             # the i-th word is line i of the saved file
-            self._append(word, f"vocabulary line {number}")
+            self._append(word, "vocabulary", number)
 
-    def _append(self, word, where):
-        """Give ``word`` the next index, or name ``where`` and the rule it breaks.
+    def _append(self, word, source, number):
+        """Give ``word`` the next index, or name line ``number`` of ``source`` and the rule it breaks.
 
         The rule: a ``str`` without whitespace, not the unknown token, and
         not held already.
@@ -62,14 +62,17 @@ class Vocabulary:
             problem = "is not a string"
         elif word.split() != [word]:
             problem = "is empty or holds whitespace, so no corpus token can match it"
-        elif word == UNK:
-            problem = "is the unknown token, which every vocabulary holds at index 0"
         elif word in self._index:
-            problem = "repeats an earlier line"
+            if word == UNK:
+                problem = "is the unknown token, which every vocabulary holds at index 0"
+            else:
+                problem = "repeats an earlier line"
         else:
-            self.add(word)
+            self._index[word] = len(self._words)
+            self._words.append(word)
             return
-        raise ValueError(f"{where}: word {word!r} {problem}")
+        # formatted on refusal only, not once per word
+        raise ValueError(f"{source} line {number}: word {word!r} {problem}")
 
     def add(self, word: str) -> int:
         idx = self._index.get(word)
@@ -106,11 +109,12 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """The words of a vocabulary file; ``ValueError`` names a refused line."""
         vocab = cls()
+        source = f"vocabulary file {path},"
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 word = line.rstrip("\n")
                 if word.strip():
-                    vocab._append(word, f"vocabulary file {path}, line {number}")
+                    vocab._append(word, source, number)
         return vocab
 
 

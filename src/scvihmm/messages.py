@@ -17,13 +17,13 @@ and cut into slices, and each slice's packed tokens are one gather from
 the array.  A slice that yields sums keeps its padded size (longest length
 x sequence count) within ``SLICE_POSITIONS``, as its arrays hold every
 position.  A forward-only slice holds the rows of ``RENORM_EVERY`` times
-at once, so it takes at most ``SLICE_POSITIONS`` // ``RENORM_EVERY``
-sequences and ``RENORM_EVERY`` x ``SLICE_POSITIONS`` padded positions: its
-blocks fit the held buffers below, and its per-token arrays (tokens,
-factors and the slicing's index arrays, about 40 bytes per position) stay
-near 10 MB.  Long held-out chains thus sweep together, one step per time
-for all of them, where the first rule would cut them into several slices.
-A sequence longer than a cap gets a slice of its own.
+at once.  It takes at most ``RENORM_EVERY`` x ``SLICE_POSITIONS`` padded
+positions, so its per-token arrays (about 40 bytes per position) stay near
+10 MB, and at most ``SLICE_SEQUENCES`` sequences: OpenBLAS multiplies by a
+K x K matrix about 1.4 times slower per row above about 400 rows, and a
+block of 8 x 256 rows fits the L2 cache.  Long held-out chains thus sweep
+together, where the first rule would cut them into several slices.  A
+sequence longer than a cap gets a slice of its own.
 
 At time t only a slice's first n_t sequences are still running.  A slice
 is laid out packed and time-major: it holds one row per running position,
@@ -147,6 +147,8 @@ from .corpus import RANGE_ERROR, as_windows
 
 # padded positions (longest length x sequence count) of one slice
 SLICE_POSITIONS = 2**15
+# sequences of one forward-only slice, so a forward step multiplies at most this many rows
+SLICE_SEQUENCES = 256
 # positions per matrix product of the pair absence series
 SERIES_CHUNK_ROWS = 256
 # rows per step of the in-place gathers that line a slice's t - 1 rows up with its t rows
@@ -243,11 +245,9 @@ def _slices(batch, vocab_size, stats=True):
     then one gather from that array.  They are packed time-major: the block
     of time t holds the tokens at t of the slice's first n_t sequences and
     starts at n_0 + ... + n_{t-1}.  A slice for ``stats`` holds
-    SLICE_POSITIONS // longest sequences.  A forward-only slice holds at
-    most SLICE_POSITIONS // RENORM_EVERY, so its block of RENORM_EVERY times
-    fits a held buffer, and at most RENORM_EVERY x SLICE_POSITIONS padded
-    positions, so its per-token arrays stay near 10 MB.  Every slice takes
-    at least one sequence, however long.
+    SLICE_POSITIONS // longest sequences, a forward-only slice at most
+    SLICE_SEQUENCES and RENORM_EVERY x SLICE_POSITIONS padded positions.
+    Every slice takes at least one sequence, however long.
     """
     batch = as_windows(batch)
     if not len(batch):
@@ -263,7 +263,7 @@ def _slices(batch, vocab_size, stats=True):
         if stats:
             count = SLICE_POSITIONS // longest
         else:
-            count = min(SLICE_POSITIONS // RENORM_EVERY, RENORM_EVERY * SLICE_POSITIONS // longest)
+            count = min(SLICE_SEQUENCES, RENORM_EVERY * SLICE_POSITIONS // longest)
         cols = order[start : start + max(1, count)]
         lens = lengths[cols]
         # n_at[t] sequences are longer than t
@@ -299,7 +299,6 @@ def _forward(params, columns, tokens, n_at, every, rows, obs, steps=None):
     offsets = [0, *np.cumsum(n_at).tolist()]
     depth, width = (T, T) if steps is None else (2, steps)
     scales = np.ones(tokens.size)
-    loglik = np.zeros(sizes[0])
     # rows ends[t] .. n_at[t] - 1 have their last position at t
     ends = sizes[1:] + [0]
     prev = None
@@ -318,15 +317,16 @@ def _forward(params, columns, tokens, n_at, every, rows, obs, steps=None):
             np.multiply(params.trans[0], obs[:n], out=head)
         lo = 0 if t % every == every - 1 else ends[t]
         if lo < n:
-            factor = head[lo:].sum(axis=1)
+            factor = head[lo:].sum(axis=1, out=scales[at + lo : at + n])
             head[lo:] /= factor[:, None]
-            scales[at + lo : at + n] = factor
-            loglik[lo:n] += np.log(factor)
         prev = head
     if sizes[0] == 1:
         # numpy sums a T x 1 array over T pairwise, not in turn
-        loglik = np.log(scales).sum(keepdims=True)
-    return scales, loglik
+        return scales, np.log(scales).sum(keepdims=True)
+    # packed position p holds sequence p - offset[t]; bincount adds in time order
+    seq = np.arange(tokens.size)
+    seq -= np.repeat(offsets[:-1], n_at)
+    return scales, np.bincount(seq, weights=np.log(scales))
 
 
 def _series(p):

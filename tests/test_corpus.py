@@ -106,32 +106,39 @@ class TestRoundTrip:
         vocab.save(vp)
         assert Vocabulary.load(vp) == vocab
 
-    @pytest.mark.parametrize("text, line, problem", [
-        ("a\nb\na\nc\n", 3, "repeats an earlier line"),
-        ("a\n<unk>\nb\n", 2, "is the unknown token"),
-        ("a\n\na b\n", 3, "holds whitespace"),
-        ("a\nb \n", 2, "holds whitespace"),
+    REPEAT = "repeats an earlier line"
+    UNKNOWN = "is the unknown token, which every vocabulary holds at index 0"
+    SPACE = "is empty or holds whitespace, so no corpus token can match it"
+
+    @pytest.mark.parametrize("text, line, word, problem", [
+        ("a\nb\na\nc\n", 3, "a", REPEAT),
+        ("a\n<unk>\nb\n", 2, "<unk>", UNKNOWN),
+        ("a\n\na b\n", 3, "a b", SPACE),
+        ("a\nb \n", 2, "b ", SPACE),
     ], ids=["repeat", "unknown-token", "inner-space", "trailing-space"])
     def test_vocab_file_refuses_words_that_would_not_get_their_index(
-        self, tmp_path, text, line, problem
+        self, tmp_path, text, line, word, problem
     ):
         # the i-th listed word must get index i and be a possible corpus
         # token; the line count includes blank lines
         vp = tmp_path / "v.txt"
         vp.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"{re.escape(str(vp))}, line {line}: word .* {problem}"):
+        message = f"vocabulary file {vp}, line {line}: word {word!r} {problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Vocabulary.load(vp)
 
     @pytest.mark.parametrize("words, line, problem", [
-        (["a", "b", "a"], 3, "repeats an earlier line"),
-        (["a", "<unk>"], 2, "is the unknown token"),
-        (["a b", "c"], 1, "holds whitespace"),
-        (["a", ""], 2, "is empty or holds whitespace"),
+        (["a", "b", "a"], 3, REPEAT),
+        (["a", "<unk>"], 2, UNKNOWN),
+        (["a b", "c"], 1, SPACE),
+        (["a", ""], 2, SPACE),
         (["a", 3], 2, "is not a string"),
     ], ids=["repeat", "unknown-token", "inner-space", "empty", "not-a-string"])
     def test_vocab_constructor_applies_the_file_rule(self, words, line, problem):
-        # a vocabulary saves only words that load back at their own index
-        with pytest.raises(ValueError, match=rf"^vocabulary line {line}: word .* {problem}"):
+        # a vocabulary saves only words that load back at their own index; the
+        # message names the refused word's line, word for word
+        message = f"vocabulary line {line}: word {words[line - 1]!r} {problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Vocabulary(words)
 
 

@@ -651,6 +651,48 @@ class TestLazyRenormalization:
             np.testing.assert_allclose(got.counts, counts, rtol=1e-12, atol=0)
             np.testing.assert_allclose(got.token_stats, tokens, rtol=1e-12, atol=0)
 
+    @staticmethod
+    def _accumulated(scales, n_at, every):
+        # each running row adds log f_t as it is renormalized, time by time
+        sizes = n_at.tolist()
+        ends = sizes[1:] + [0]
+        loglik, at = np.zeros(sizes[0]), 0
+        for t, n in enumerate(sizes):
+            lo = 0 if t % every == every - 1 else ends[t]
+            loglik[lo:n] += np.log(scales[at + lo : at + n])
+            at += n
+        return loglik
+
+    @pytest.mark.parametrize("case", ["ragged", "one-sequence", "rare-token"])
+    def test_log_likelihoods_add_the_factors_in_time_order(self, monkeypatch, case):
+        # _forward sums the logs of all factors once, after its loop
+        every = messages.RENORM_EVERY
+        if case == "ragged":
+            params, batch = self._case()
+            monkeypatch.setattr(messages, "SLICE_POSITIONS", 64)
+            assert any(len(set(n_at.tolist())) > 2 for _, _, n_at in messages._slices(batch, params.vocab_size))
+        elif case == "one-sequence":
+            rng = np.random.default_rng(103)
+            params = random_params(rng, 4, 7)
+            batch = [rng.integers(0, 7, 500)]
+        else:
+            # the R = 1 retry, which the sweep then reports
+            params, batch = self._rare_token_case()
+            every = 1
+        columns = np.ascontiguousarray(params.emit.T)
+        K = params.num_states
+        logliks = np.empty(len(batch))
+        for cols, tokens, n_at in messages._slices(batch, params.vocab_size):
+            whole = np.empty((tokens.size, K)), np.empty((tokens.size, K))
+            scales, logliks[cols] = messages._forward(params, columns, tokens, n_at, every, *whole)
+            if cols.size == 1:
+                # one sequence takes numpy's pairwise sum
+                ref = np.log(scales).sum(keepdims=True)
+            else:
+                ref = self._accumulated(scales, n_at, every)
+            np.testing.assert_array_equal(logliks[cols], ref)
+        np.testing.assert_array_equal(sweep(params, batch, stats=False).loglik, logliks)
+
     def test_nan_fails_the_range_check(self):
         assert not messages._in_range(np.array([1.0, np.nan]))
         assert not messages._in_range(np.array([0.0, 1.0]))
@@ -676,8 +718,9 @@ class TestForwardOnlySlices:
     """A forward-only slice is cut by what it holds, blocks of ``RENORM_EVERY`` times."""
 
     def test_both_caps_bind_and_a_long_sequence_sweeps_alone(self, monkeypatch):
-        # at most 64 // 8 = 8 sequences and 8 * 64 = 512 padded positions per slice
+        # at most 8 sequences and 8 * 64 = 512 padded positions per slice
         monkeypatch.setattr(messages, "SLICE_POSITIONS", 64)
+        monkeypatch.setattr(messages, "SLICE_SEQUENCES", 8)
         rng = np.random.default_rng(83)
         lengths = [600, 100, 90, 60, 60, 50] + [3] * 20 + [1] * 10
         batch = [rng.integers(0, 7, n) for n in lengths]
@@ -715,6 +758,15 @@ class TestForwardOnlySlices:
         forward_only = [c.tolist() for c, _, _ in messages._slices(batch, params.vocab_size, stats=False)]
         with_stats = [c.tolist() for c, _, _ in messages._slices(batch, params.vocab_size)]
         assert forward_only != with_stats
+        np.testing.assert_array_equal(sweep(params, batch, stats=False).loglik, sweep(params, batch).loglik)
+
+    def test_short_sequences_sweep_in_slices_of_the_cap(self):
+        # 1,600 sequences of 10-40 tokens: a forward step multiplies at most 256 rows
+        rng = np.random.default_rng(101)
+        params = random_params(rng, 45, 500)
+        batch = [rng.integers(0, 500, n) for n in rng.integers(10, 41, 1600)]
+        slices = messages._slices(batch, params.vocab_size, stats=False)
+        assert [c.size for c, _, _ in slices] == [256] * 6 + [64]
         np.testing.assert_array_equal(sweep(params, batch, stats=False).loglik, sweep(params, batch).loglik)
 
 
