@@ -473,8 +473,10 @@ def minibatches(corpus: Corpus, batch_size: int, seed: int, mode: str = "shuffle
     short); ``iid`` draws ``batch_size`` uniform indices with replacement.
     The arguments are checked by this call, before any batch is drawn.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    if not (_is_int(batch_size) and batch_size >= 1):
+        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if mode not in ("shuffle", "iid"):
         raise ValueError(f"unknown batch mode {mode!r}")
     n = len(corpus)

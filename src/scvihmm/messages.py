@@ -14,16 +14,14 @@ The batch is read as (start, length) windows into one token array: a
 was made, so the sweep only compares its largest token with the
 vocabulary size, once.  The windows are sorted by length, longest first,
 and cut into slices, and each slice's packed tokens are one gather from
-the array.  A slice that yields sums keeps its padded size (longest length
-x sequence count) within ``SLICE_POSITIONS``, as its arrays hold every
-position.  A forward-only slice holds the rows of ``RENORM_EVERY`` times
-at once.  It takes at most ``RENORM_EVERY`` x ``SLICE_POSITIONS`` padded
-positions, so its per-token arrays (about 40 bytes per position) stay near
-10 MB, and at most ``SLICE_SEQUENCES`` sequences: OpenBLAS multiplies by a
-K x K matrix about 1.4 times slower per row above about 400 rows, and a
-block of 8 x 256 rows fits the L2 cache.  Long held-out chains thus sweep
-together, where the first rule would cut them into several slices.  A
-sequence longer than a cap gets a slice of its own.
+the array.  Every slice takes at most ``SLICE_SEQUENCES`` sequences, as
+OpenBLAS multiplies by a K x K matrix about 1.4 times slower per row above
+about 400 rows.  A slice that yields sums holds every position, so its
+padded size (longest length x sequence count) stays within
+``SLICE_POSITIONS``.  A forward-only slice holds the rows of
+``RENORM_EVERY`` times at once and takes ``RENORM_EVERY`` times as many
+padded positions, so long held-out chains sweep together.  A sequence
+longer than a cap gets a slice of its own.
 
 At time t only a slice's first n_t sequences are still running.  A slice
 is laid out packed and time-major: it holds one row per running position,
@@ -147,7 +145,7 @@ from .corpus import RANGE_ERROR, as_windows
 
 # padded positions (longest length x sequence count) of one slice
 SLICE_POSITIONS = 2**15
-# sequences of one forward-only slice, so a forward step multiplies at most this many rows
+# sequences of one slice, so a step multiplies at most this many rows
 SLICE_SEQUENCES = 256
 # positions per matrix product of the pair absence series
 SERIES_CHUNK_ROWS = 256
@@ -244,10 +242,9 @@ def _slices(batch, vocab_size, stats=True):
     ``top`` is checked against ``vocab_size`` once; each slice's tokens are
     then one gather from that array.  They are packed time-major: the block
     of time t holds the tokens at t of the slice's first n_t sequences and
-    starts at n_0 + ... + n_{t-1}.  A slice for ``stats`` holds
-    SLICE_POSITIONS // longest sequences, a forward-only slice at most
-    SLICE_SEQUENCES and RENORM_EVERY x SLICE_POSITIONS padded positions.
-    Every slice takes at least one sequence, however long.
+    starts at n_0 + ... + n_{t-1}.  A slice takes at most SLICE_SEQUENCES
+    sequences and SLICE_POSITIONS padded positions, RENORM_EVERY times as
+    many without ``stats``, and at least one sequence, however long.
     """
     batch = as_windows(batch)
     if not len(batch):
@@ -256,14 +253,11 @@ def _slices(batch, vocab_size, stats=True):
         raise ValueError(RANGE_ERROR)
     lengths = batch.lengths
     order = np.argsort(-lengths, kind="stable")
+    budget = SLICE_POSITIONS if stats else RENORM_EVERY * SLICE_POSITIONS
     slices = []
     start = 0
     while start < len(batch):
-        longest = lengths[order[start]]
-        if stats:
-            count = SLICE_POSITIONS // longest
-        else:
-            count = min(SLICE_SEQUENCES, RENORM_EVERY * SLICE_POSITIONS // longest)
+        count = min(SLICE_SEQUENCES, budget // lengths[order[start]])
         cols = order[start : start + max(1, count)]
         lens = lengths[cols]
         # n_at[t] sequences are longer than t
@@ -320,12 +314,9 @@ def _forward(params, columns, tokens, n_at, every, rows, obs, steps=None):
             factor = head[lo:].sum(axis=1, out=scales[at + lo : at + n])
             head[lo:] /= factor[:, None]
         prev = head
-    if sizes[0] == 1:
-        # numpy sums a T x 1 array over T pairwise, not in turn
-        return scales, np.log(scales).sum(keepdims=True)
     # packed position p holds sequence p - offset[t]; bincount adds in time order
     seq = np.arange(tokens.size)
-    seq -= np.repeat(offsets[:-1], n_at)
+    seq -= np.repeat(np.cumsum(n_at) - n_at, n_at)
     return scales, np.bincount(seq, weights=np.log(scales))
 
 

@@ -583,3 +583,13 @@ class TestMinibatches:
             minibatches(self._corpus(0), 2, seed=0)
         with pytest.raises(ValueError, match="batch_size"):
             minibatches(self._corpus(3), 0, seed=0)
+
+    @pytest.mark.parametrize("batch_size", [2.5, 2.0, True, -1, "2", None])
+    def test_batch_size_must_be_a_positive_integer(self, batch_size):
+        with pytest.raises(ValueError, match=r"^batch_size must be an integer >= 1, got "):
+            minibatches(self._corpus(3), batch_size, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            minibatches(self._corpus(3), 2, seed=seed)

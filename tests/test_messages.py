@@ -282,6 +282,22 @@ class TestSlices:
                 np.testing.assert_allclose(got.absence_pair, ref.absence_pair, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(got.absence_row, ref.absence_row, rtol=1e-12, atol=0)
 
+    def test_training_slices_take_at_most_the_sequence_cap(self, monkeypatch):
+        # 1,000 sequences of 10-40 tokens: a stats sweep multiplies at most 256 rows a step
+        rng = np.random.default_rng(107)
+        params = random_params(rng, 45, 500)
+        batch = [rng.integers(0, 500, n) for n in rng.integers(10, 41, 1000)]
+        assert max(seq.size for seq in batch) == 40
+        assert [c.size for c, _, _ in messages._slices(batch, params.vocab_size)] == [256] * 3 + [232]
+        got = sweep(params, batch, absence=True)
+        # the padded-position cap alone cuts 819 + 181
+        monkeypatch.setattr(messages, "SLICE_SEQUENCES", 4096)
+        assert [c.size for c, _, _ in messages._slices(batch, params.vocab_size)] == [819, 181]
+        ref = sweep(params, batch, absence=True)
+        np.testing.assert_array_equal(got.loglik, ref.loglik)
+        for field in ("counts", "token_stats", "absence_pair", "absence_row"):
+            np.testing.assert_allclose(getattr(got, field), getattr(ref, field), rtol=1e-12, atol=0)
+
     def test_multi_slice_sums_match_log_space_oracle(self, monkeypatch):
         params, batch = self._case(seed=8, n_seqs=9)
         monkeypatch.setattr(messages, "SLICE_POSITIONS", 20)
@@ -685,12 +701,7 @@ class TestLazyRenormalization:
         for cols, tokens, n_at in messages._slices(batch, params.vocab_size):
             whole = np.empty((tokens.size, K)), np.empty((tokens.size, K))
             scales, logliks[cols] = messages._forward(params, columns, tokens, n_at, every, *whole)
-            if cols.size == 1:
-                # one sequence takes numpy's pairwise sum
-                ref = np.log(scales).sum(keepdims=True)
-            else:
-                ref = self._accumulated(scales, n_at, every)
-            np.testing.assert_array_equal(logliks[cols], ref)
+            np.testing.assert_array_equal(logliks[cols], self._accumulated(scales, n_at, every))
         np.testing.assert_array_equal(sweep(params, batch, stats=False).loglik, logliks)
 
     def test_nan_fails_the_range_check(self):
