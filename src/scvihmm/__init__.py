@@ -18,7 +18,6 @@ from .corpus import (
     split,
 )
 from .engine import (
-    GlobalStats,
     MetricRecord,
     NumericalError,
     TrainedModel,
@@ -51,7 +50,6 @@ __all__ = [
     "minibatches",
     "save_corpus",
     "split",
-    "GlobalStats",
     "MetricRecord",
     "NumericalError",
     "TrainedModel",

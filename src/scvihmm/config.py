@@ -53,6 +53,11 @@ class RunConfig:
     eval_every_steps: int = None
     threads: int = 1
 
+    @property
+    def hierarchical(self) -> bool:
+        """Whether the algorithm keeps a stick posterior, as ``scvi-hdphmm`` does."""
+        return self.algorithm == "scvi-hdphmm"
+
     def validate(self):
         def require(name, ok, want):
             value = getattr(self, name)

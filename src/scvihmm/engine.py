@@ -7,16 +7,16 @@ running expectations with step size rho_n = (1+n)^(-kappa).  The step
 count n is the only schedule state: ``train`` keeps it and passes rho in.
 All three algorithms keep the same statistics and take the same step; they
 differ only in how ``build_surrogate``, the one place statistics become
-point parameters, reads them.  A model's ``RunConfig`` is the one record of
-its algorithm and priors; the only other state a model holds is the
-hierarchical algorithm's stick posterior (``TrainedModel.hdp``).  The step
-is pure: it returns the new statistics and the batch sums, which carry the
-absence sums exactly when the model holds that posterior.  For such a
-model ``train`` sums the transition counts and absence sums over a large
-batch's sequences and refreshes the stick posterior once per large batch
-from the table-count estimates of their means, with the same schedule over
-the count of large batches; the other algorithms simply have no
-large-batch level.
+point parameters, reads them.  A ``TrainedModel`` holds the statistics, its
+``RunConfig`` (the one record of its algorithm and priors) and the
+hierarchical algorithm's stick posterior, and checks them where they enter.
+The step is pure: it maps a model to the next model, without re-checking
+it, and returns the batch sums, which carry the absence sums exactly when
+the model holds a stick posterior.  For such a model ``train`` sums the
+transition counts and absence sums over a large batch's sequences and
+refreshes the stick posterior once per large batch from the table-count
+estimates of their means, with the same schedule over the count of large
+batches; the other algorithms simply have no large-batch level.
 """
 
 import copy
@@ -38,14 +38,12 @@ K_EFFECTIVE_THRESHOLD = 1e-3
 
 __all__ = [
     "NumericalError",
-    "GlobalStats",
     "MetricRecord",
     "TrainedModel",
     "step_size",
     "initialize_stats",
     "build_surrogate",
     "process_minibatch",
-    "batch_stream",
     "train",
     "predictive_log_likelihood",
     "k_effective",
@@ -57,17 +55,25 @@ class NumericalError(RuntimeError):
 
 
 @dataclass
-class GlobalStats:
-    """Running expected transition counts and emission statistics.
+class TrainedModel:
+    """A model's expected statistics and everything needed to read them.
 
     ``trans_counts`` is (K+1) x K with row 0 holding start transitions;
     ``token_stats[k][w]`` is the expected count of token w emitted from
-    state k.  Every algorithm keeps this state; ``build_surrogate`` states
-    how each makes a surrogate of it.
+    state k.  ``config`` is the one record of the algorithm and the priors,
+    and must validate; the sizes are the shapes of the statistics.  ``hdp``
+    is the stick posterior, held exactly when the config is hierarchical and
+    with its state count.  The checks run where values enter: ``train``'s
+    initial model, ``load_model`` or a caller's constructor call;
+    ``process_minibatch`` and ``train`` make each next model with
+    ``_updated``, unchecked.
     """
 
+    config: RunConfig
     trans_counts: np.ndarray
     token_stats: np.ndarray
+    hdp: HdpPosterior = None
+    vocab: object = None
 
     def __post_init__(self):
         c = np.asarray(self.trans_counts, dtype=float)
@@ -81,8 +87,44 @@ class GlobalStats:
                 raise ValueError(f"{name} entries must be finite and >= 0")
         if t.shape[0] != c.shape[1]:
             raise ValueError("emission stats state count does not match trans_counts")
-        self.trans_counts = c
-        self.token_stats = t
+        self.trans_counts, self.token_stats = c, t
+        self.config.validate()
+        if self.config.num_states != self.num_states:
+            raise ValueError(f"config num_states {self.config.num_states!r}, stats {self.num_states}")
+        hierarchical = self.config.hierarchical
+        if hierarchical != (self.hdp is not None):
+            want = "an HdpPosterior" if hierarchical else "None"
+            raise ValueError(f"{self.algorithm} takes hdp {want}, got {type(self.hdp).__name__}")
+        if hierarchical and self.hdp.num_states != self.num_states:
+            raise ValueError(f"hdp has {self.hdp.num_states} states, config {self.num_states}")
+        if self.vocab is not None and len(self.vocab) != self.vocab_size:
+            raise ValueError(f"vocab of {len(self.vocab)} words, stats {self.vocab_size}")
+
+    @property
+    def algorithm(self) -> str:
+        return self.config.algorithm
+
+    @property
+    def num_states(self) -> int:
+        return self.trans_counts.shape[1]
+
+    @property
+    def vocab_size(self) -> int:
+        return self.token_stats.shape[1]
+
+    def surrogate(self) -> SurrogateParams:
+        return build_surrogate(self)
+
+
+def _updated(model: TrainedModel, **changes) -> TrainedModel:
+    """``replace(model, **changes)`` without re-running ``__post_init__``'s checks.
+
+    For a step's new statistics or stick posterior, whose shapes the step
+    keeps, so that the checks run once per ``train`` run and not per step.
+    """
+    new = copy.copy(model)
+    vars(new).update(changes)
+    return new
 
 
 def step_size(step: int, kappa: float) -> float:
@@ -90,8 +132,8 @@ def step_size(step: int, kappa: float) -> float:
     return float((1.0 + step) ** -kappa)
 
 
-def initialize_stats(num_states: int, vocab_size: int, token_count: float, seed: int) -> GlobalStats:
-    """Exponential random statistics scaled to the corpus token mass.
+def initialize_stats(num_states: int, vocab_size: int, token_count: float, seed: int):
+    """Exponential random ``(trans_counts, token_stats)`` scaled to the corpus token mass.
 
     Scaling both totals to the token count makes the first sub-unity step
     sizes blend comparably sized quantities.
@@ -101,7 +143,7 @@ def initialize_stats(num_states: int, vocab_size: int, token_count: float, seed:
     trans *= token_count / trans.sum()
     emit = rng.exponential(1.0, size=(num_states, vocab_size))
     emit *= token_count / emit.sum()
-    return GlobalStats(trans, emit)
+    return trans, emit
 
 
 def build_surrogate(model) -> SurrogateParams:
@@ -125,47 +167,52 @@ def build_surrogate(model) -> SurrogateParams:
     renormalized (``dirichlet_geo_rows``), for transitions and emissions
     alike.
     """
-    config, stats = model.config, model.stats
-    pseudo = np.full(stats.token_stats.shape[1], float(config.emit_prior))
+    config = model.config
+    pseudo = np.full(model.token_stats.shape[1], float(config.emit_prior))
     if config.algorithm == "svi-hmm":
         return SurrogateParams(
-            dirichlet_geo_rows(config.trans_prior + stats.trans_counts),
-            dirichlet_geo_rows(pseudo + stats.token_stats),
+            dirichlet_geo_rows(config.trans_prior + model.trans_counts),
+            dirichlet_geo_rows(pseudo + model.token_stats),
         )
     if model.hdp is None:
-        prior_term = np.full(stats.trans_counts.shape[1], config.trans_prior)
+        prior_term = np.full(model.trans_counts.shape[1], config.trans_prior)
     else:
         prior_term = model.hdp.geo_alpha_pi
-    unnorm = prior_term[None, :] + stats.trans_counts
+    unnorm = prior_term[None, :] + model.trans_counts
     trans = unnorm / unnorm.sum(axis=1, keepdims=True)
     # the pairwise sum of V copies of c, which V * c differs from in the last bit
     # for about half of all (c, V), e.g. 2.1000000000000005 against 2.1 at V = 21
-    denom = pseudo.sum() + stats.token_stats.sum(axis=1)
-    return SurrogateParams(trans, (pseudo + stats.token_stats) / denom[:, None])
+    denom = pseudo.sum() + model.token_stats.sum(axis=1)
+    return SurrogateParams(trans, (pseudo + model.token_stats) / denom[:, None])
 
 
 def process_minibatch(model, batch, rho: float, corpus_size: int):
-    """One stochastic update of a model's statistics; modifies no argument.
+    """One stochastic step from a model to the next; modifies no argument.
 
     ``batch`` is anything ``sweep`` takes: a corpus's ``windows``, as
     ``train`` passes, or a list of token sequences.  Freezes the surrogate,
     sweeps the batch, then blends
     (1-rho) * old + rho * (N/M) * batch sums, where N is the corpus
-    sequence count and M the batch's actual size.  Returns the blend as new
-    ``GlobalStats`` and the batch's ``BatchSums``, whose absence sums are
-    computed exactly when the model holds a stick posterior.
+    sequence count and M the batch's actual size.  Returns the model that
+    holds the blend and the batch's ``BatchSums``, whose absence sums are
+    computed exactly when the model holds a stick posterior.  A blend of
+    nonnegative values with rho in (0, 1] stays nonnegative, so the next
+    model is tested only for finiteness and not checked again.
     """
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must be in (0, 1], got {rho!r}")
+    if not corpus_size > 0:
+        raise ValueError(f"corpus_size must be positive, got {corpus_size!r}")
     params = build_surrogate(model)
     sums = sweep(params, batch, absence=model.hdp is not None)
-    if not (np.all(np.isfinite(sums.counts)) and np.all(np.isfinite(sums.token_stats))):
+    scale = corpus_size / len(batch)
+    new_counts = (1.0 - rho) * model.trans_counts + rho * scale * sums.counts
+    new_tokens = (1.0 - rho) * model.token_stats + rho * scale * sums.token_stats
+    if not (np.all(np.isfinite(new_counts)) and np.all(np.isfinite(new_tokens))):
         bad = np.flatnonzero(~np.isfinite(sums.loglik))
         where = f"sequence at batch position {bad[0]}" if bad.size else "minibatch"
         raise NumericalError(f"non-finite local statistics for {where}")
-    stats = model.stats
-    scale = corpus_size / len(batch)
-    new_counts = (1.0 - rho) * stats.trans_counts + rho * scale * sums.counts
-    new_tokens = (1.0 - rho) * stats.token_stats + rho * scale * sums.token_stats
-    return GlobalStats(new_counts, new_tokens), sums
+    return _updated(model, trans_counts=new_counts, token_stats=new_tokens), sums
 
 
 @dataclass
@@ -185,66 +232,9 @@ class MetricRecord:
     k_effective: int
 
 
-@dataclass
-class TrainedModel:
-    """Everything needed to rebuild surrogates and evaluate.
-
-    ``config`` is the one record of the algorithm and the priors, and must
-    validate; the sizes are the shapes of ``stats``.  The checks run when a
-    model is made; ``train`` swaps each step's statistics and stick posterior
-    into a copy without running them again.  ``hdp`` is the stick
-    posterior, held exactly when the algorithm is ``scvi-hdphmm`` and with
-    the config's state count.
-    """
-
-    config: RunConfig
-    stats: GlobalStats
-    hdp: HdpPosterior = None
-    vocab: object = None
-
-    def __post_init__(self):
-        self.config.validate()
-        if self.config.num_states != self.num_states:
-            raise ValueError(f"config num_states {self.config.num_states!r}, stats {self.num_states}")
-        hierarchical = self.algorithm == "scvi-hdphmm"
-        if hierarchical != (self.hdp is not None):
-            want = "an HdpPosterior" if hierarchical else "None"
-            raise ValueError(f"{self.algorithm} takes hdp {want}, got {type(self.hdp).__name__}")
-        if hierarchical and self.hdp.num_states != self.num_states:
-            raise ValueError(f"hdp has {self.hdp.num_states} states, config {self.num_states}")
-        if self.vocab is not None and len(self.vocab) != self.vocab_size:
-            raise ValueError(f"vocab of {len(self.vocab)} words, stats {self.vocab_size}")
-
-    @property
-    def algorithm(self) -> str:
-        return self.config.algorithm
-
-    @property
-    def num_states(self) -> int:
-        return self.stats.trans_counts.shape[1]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.stats.token_stats.shape[1]
-
-    def surrogate(self) -> SurrogateParams:
-        return build_surrogate(self)
-
-
-def _updated(model: TrainedModel, **changes) -> TrainedModel:
-    """``replace(model, **changes)`` without re-running ``__post_init__``'s checks.
-
-    For a step's new statistics or stick posterior, whose shapes the step
-    keeps, so that the checks run once per ``train`` run and not per step.
-    """
-    new = copy.copy(model)
-    vars(new).update(changes)
-    return new
-
-
 def k_effective(model: TrainedModel) -> int:
     """States whose incoming expected-transition mass is non-negligible."""
-    column_mass = model.stats.trans_counts.sum(axis=0)
+    column_mass = model.trans_counts.sum(axis=0)
     return int(np.sum(column_mass > K_EFFECTIVE_THRESHOLD * column_mass.sum()))
 
 
@@ -262,15 +252,6 @@ def predictive_log_likelihood(model, heldout: Corpus) -> float:
     return float(sweep(params, heldout, stats=False).loglik.sum()) / heldout.counts
 
 
-def batch_stream(corpus: Corpus, config: RunConfig):
-    """The minibatch index stream a training run will consume.
-
-    All algorithms draw from this same stream construction, so runs with
-    identical seed, batch size, and mode see identical data order.
-    """
-    return minibatches(corpus, config.minibatch_size, config.seed, config.batch_mode)
-
-
 def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     """Run the training loop; returns (model, metric records).
 
@@ -286,16 +267,16 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     corpus_size = len(corpus)
     alpha_prior = GammaParams(config.alpha_prior_shape, config.alpha_prior_rate)
     gamma_prior = GammaParams(config.gamma_prior_shape, config.gamma_prior_rate)
-    stats = initialize_stats(config.num_states, len(corpus.vocab), corpus.counts, config.seed + 1)
+    counts, tokens = initialize_stats(config.num_states, len(corpus.vocab), corpus.counts, config.seed + 1)
     hdp = None
-    if config.algorithm == "scvi-hdphmm":
+    if config.hierarchical:
         hdp = HdpPosterior.initial(config.num_states, config.trans_prior, alpha_prior, gamma_prior)
-    model = TrainedModel(config, stats, hdp, corpus.vocab)
+    model = TrainedModel(config, counts, tokens, hdp, corpus.vocab)
     steps_per_large = math.ceil(config.large_batch_size / config.minibatch_size)
     # the large batch's summed (counts, absence_pair, absence_row) and its sequence count
     large_sums, large_seqs = (0.0, 0.0, 0.0), 0
 
-    stream = batch_stream(corpus, config)
+    stream = minibatches(corpus, config.minibatch_size, config.seed, config.batch_mode)
     batches_per_pass = math.ceil(corpus_size / config.minibatch_size)
     total_steps = None if config.budget_seconds is not None else config.passes * batches_per_pass
 
@@ -333,10 +314,9 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
         batch = corpus.windows(next(stream))
         rho = step_size(step, config.kappa)
         try:
-            stats, sums = process_minibatch(model, batch, rho, corpus_size)
+            model, sums = process_minibatch(model, batch, rho, corpus_size)
         except NumericalError as exc:
             raise NumericalError(f"{exc} (step {step})") from None
-        model = _updated(model, stats=stats)
         step += 1
         if model.hdp is not None:
             parts = (sums.counts, sums.absence_pair, sums.absence_row)

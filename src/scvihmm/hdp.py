@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import (
+    _LOG_FLOOR,
     BetaParams,
     GammaParams,
     beta_expect_logs,
@@ -26,10 +27,6 @@ from .special import (
     gamma_expect,
     gamma_geo_expect,
 )
-
-# geometric weights are floored here (log scale) so deep truncations stay
-# strictly positive instead of underflowing to zero
-_LOG_FLOOR = -650.0
 
 __all__ = [
     "HdpPosterior",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import RunConfig
 from .corpus import Vocabulary
-from .engine import GlobalStats, TrainedModel
+from .engine import TrainedModel
 from .hdp import HdpPosterior
 from .special import BetaParams, GammaParams
 
@@ -79,7 +79,7 @@ def _matrix_shapes(num_states: int, vocab_size: int, hdp: bool):
 
 def _gather_arrays(model: TrainedModel) -> list:
     """The model's matrices in ``_matrix_shapes`` order."""
-    arrays = [model.stats.trans_counts, model.stats.token_stats]
+    arrays = [model.trans_counts, model.token_stats]
     if model.hdp is not None:
         post = model.hdp
         concentrations = np.array([post.alpha.a, post.alpha.b, post.gamma.a, post.gamma.b])
@@ -167,8 +167,7 @@ def load_model(path) -> TrainedModel:
         isinstance(vocab_words, list) and all(isinstance(w, str) for w in vocab_words)
     ):
         raise ModelFormatError("header vocab_words is not a list of strings")
-    is_hdp = config.algorithm == "scvi-hdphmm"
-    shapes = _matrix_shapes(config.num_states, vocab_size, is_hdp)
+    shapes = _matrix_shapes(config.num_states, vocab_size, config.hierarchical)
     body_len = sum(8 * int(np.prod(shape)) for _, shape in shapes)
     expected = body_start + body_len + 32
     if len(blob) < expected:
@@ -194,9 +193,8 @@ def load_model(path) -> TrainedModel:
 
     try:
         vocab = Vocabulary(vocab_words) if vocab_words is not None else None
-        stats = GlobalStats(arrays["trans_counts"], arrays["token_stats"])
         hdp = None
-        if is_hdp:
+        if config.hierarchical:
             a_al, b_al, a_ga, b_ga = arrays["concentrations"]
             hdp = HdpPosterior(
                 BetaParams(arrays["stick_u"], arrays["stick_v"]),
@@ -204,6 +202,6 @@ def load_model(path) -> TrainedModel:
                 GammaParams(a_ga, b_ga),
                 arrays["geo_alpha_pi"],
             )
-        return TrainedModel(config, stats, hdp, vocab)
+        return TrainedModel(config, arrays["trans_counts"], arrays["token_stats"], hdp, vocab)
     except ValueError as exc:
         raise ModelFormatError(f"invalid checkpoint contents: {exc}") from None

@@ -31,6 +31,10 @@ __all__ = [
 # over the accuracy budget; shifting to x>=7 brings it under 1.3e-13.
 _ASYMPTOTIC_MIN = 7.0
 
+# geometric weights are floored here (log scale) so deep truncations and tiny
+# Dirichlet parameters stay strictly positive instead of underflowing to zero
+_LOG_FLOOR = -650.0
+
 # B_2k/(2k) coefficients of the asymptotic expansion, highest order last.
 _BERNOULLI_TERMS = (
     1.0 / 12.0,
@@ -134,8 +138,9 @@ def dirichlet_geo_rows(params: np.ndarray) -> np.ndarray:
     """Geometric expectations exp(E[log x]) of Dirichlet rows, renormalized.
 
     Each row of ``params`` holds the positive parameters of one Dirichlet;
-    its weights exp(psi(params) - psi(row sum)) sum to less than 1 and are
-    divided by their sum.
+    its weights exp(psi(params) - psi(row sum)), with logs floored at
+    ``_LOG_FLOOR``, sum to less than 1 and are divided by their sum.
     """
-    weights = np.exp(digamma(params) - digamma(params.sum(axis=1))[:, None])
+    logs = digamma(params) - digamma(params.sum(axis=1))[:, None]
+    weights = np.exp(np.maximum(logs, _LOG_FLOOR, out=logs))
     return weights / weights.sum(axis=1, keepdims=True)

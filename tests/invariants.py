@@ -18,13 +18,12 @@ from scvihmm.corpus import (
     Vocabulary,
     generate_synthetic,
     load_corpus,
+    minibatches,
     save_corpus,
     split,
 )
 from scvihmm.engine import (
-    GlobalStats,
     TrainedModel,
-    batch_stream,
     build_surrogate,
     initialize_stats,
     predictive_log_likelihood,
@@ -54,10 +53,10 @@ from scvihmm.special import (
 PRIOR = GammaParams(1.0, 0.1)
 
 
-def _model(stats, algorithm="scvi-hmm"):
-    """A model of ``stats`` under the default 0.1 priors of ``algorithm``."""
-    config = RunConfig(algorithm=algorithm, num_states=stats.trans_counts.shape[1])
-    return TrainedModel(config, stats)
+def _model(trans_counts, token_stats, algorithm="scvi-hmm"):
+    """A model of these statistics under the default 0.1 priors of ``algorithm``."""
+    config = RunConfig(algorithm=algorithm, num_states=trans_counts.shape[1])
+    return TrainedModel(config, trans_counts, token_stats)
 
 
 def _random_params(rng, num_states=None, vocab_size=None):
@@ -160,10 +159,10 @@ def check_emission_row_independence(n=100):
     for _ in range(n):
         k, v = int(rng.integers(2, 5)), int(rng.integers(2, 8))
         t = rng.uniform(0.0, 5.0, size=(k, v))
-        before = build_surrogate(_model(GlobalStats(np.ones((k + 1, k)), t))).emit
+        before = build_surrogate(_model(np.ones((k + 1, k)), t)).emit
         t2 = t.copy()
         t2[0] += rng.uniform(1.0, 3.0, size=v)
-        after = build_surrogate(_model(GlobalStats(np.ones((k + 1, k)), t2))).emit
+        after = build_surrogate(_model(np.ones((k + 1, k)), t2)).emit
         assert np.array_equal(before[1:], after[1:])
         assert not np.array_equal(before[0], after[0])
     return f"{n} perturbed-row matrices"
@@ -235,16 +234,16 @@ def _random_minibatch_setup(rng):
     vocab = Vocabulary(f"w{i}" for i in range(v - 1))
     seqs = [rng.integers(0, v, rng.integers(2, 10)) for _ in range(int(rng.integers(2, 9)))]
     corpus = Corpus.from_sequences(seqs, vocab)
-    stats = initialize_stats(k, v, corpus.counts, int(rng.integers(1000)))
+    model = _model(*initialize_stats(k, v, corpus.counts, int(rng.integers(1000))))
     kappa = float(rng.uniform(0.5, 1.0))
-    return corpus, stats, step_size(int(rng.integers(0, 20)), kappa)
+    return corpus, model, step_size(int(rng.integers(0, 20)), kappa)
 
 
 def check_stats_nonnegative_finite(n=100):
     rng = np.random.default_rng(41)
     for _ in range(n):
-        corpus, stats, rho = _random_minibatch_setup(rng)
-        out, _ = process_minibatch(_model(stats), corpus.sequences, rho, len(corpus))
+        corpus, model, rho = _random_minibatch_setup(rng)
+        out, _ = process_minibatch(model, corpus.sequences, rho, len(corpus))
         assert np.all(out.trans_counts >= 0) and np.all(np.isfinite(out.trans_counts))
         assert np.all(out.token_stats >= 0)
         assert np.all(np.isfinite(out.token_stats))
@@ -254,12 +253,12 @@ def check_stats_nonnegative_finite(n=100):
 def check_convex_total_mass(n=100):
     rng = np.random.default_rng(42)
     for _ in range(n):
-        corpus, stats, rho = _random_minibatch_setup(rng)
+        corpus, model, rho = _random_minibatch_setup(rng)
         m = int(rng.integers(1, len(corpus) + 1))
         batch = corpus.sequences[:m]
-        out, _ = process_minibatch(_model(stats), batch, rho, len(corpus))
+        out, _ = process_minibatch(model, batch, rho, len(corpus))
         mean_tokens = sum(len(s) for s in batch) / m
-        expected = (1 - rho) * stats.trans_counts.sum() + rho * len(corpus) * mean_tokens
+        expected = (1 - rho) * model.trans_counts.sum() + rho * len(corpus) * mean_tokens
         assert abs(out.trans_counts.sum() - expected) <= 1e-8 * max(expected, 1.0)
     return f"{n} convex-combination totals"
 
@@ -267,8 +266,7 @@ def check_convex_total_mass(n=100):
 def check_minibatch_order_invariance(n=100):
     rng = np.random.default_rng(43)
     for _ in range(n):
-        corpus, stats, rho = _random_minibatch_setup(rng)
-        model = _model(stats)
+        corpus, model, rho = _random_minibatch_setup(rng)
         a, _ = process_minibatch(model, corpus.sequences, rho, len(corpus))
         b, _ = process_minibatch(model, corpus.sequences, rho, len(corpus))
         assert np.array_equal(a.trans_counts, b.trans_counts)
@@ -284,8 +282,7 @@ def check_flat_prior_term_structure(n=100):
         k, v = int(rng.integers(1, 8)), int(rng.integers(2, 6))
         counts = rng.uniform(0.0, 10.0, size=(k + 1, k))
         emit = rng.uniform(0.01, 5.0, size=(k, v))
-        stats = GlobalStats(counts, emit)
-        params = build_surrogate(_model(stats))
+        params = build_surrogate(_model(counts, emit))
         unnorm = 0.1 + counts
         assert np.allclose(params.trans, unnorm / unnorm.sum(axis=1, keepdims=True),
                            atol=1e-12)
@@ -295,10 +292,9 @@ def check_flat_prior_term_structure(n=100):
 def check_predictive_pure_function(n=100):
     rng = np.random.default_rng(45)
     for _ in range(n):
-        corpus, stats, _ = _random_minibatch_setup(rng)
-        model = _model(stats)
+        corpus, model, _ = _random_minibatch_setup(rng)
         first = predictive_log_likelihood(model, corpus)
-        clone = _model(GlobalStats(stats.trans_counts.copy(), stats.token_stats.copy()))
+        clone = _model(model.trans_counts.copy(), model.token_stats.copy())
         assert predictive_log_likelihood(model, corpus) == first
         assert predictive_log_likelihood(clone, corpus) == first
     return f"{n} re-evaluations"
@@ -409,7 +405,7 @@ def check_rows_stay_above_prior(n=100):
         seqs = [rng.integers(0, v, rng.integers(2, 9)) for _ in range(3)]
         # rho = 1 wipes the old counts, so a word absent from the batch sits
         # exactly on 0; every later step is a strict convex blend
-        model = _model(stats, "svi-hmm")
+        model = _model(*stats, "svi-hmm")
         first, _ = process_minibatch(model, seqs, 1.0, 6)
         assert np.all(first.trans_counts >= 0.0)
         assert np.all(first.token_stats >= 0.0)
@@ -430,12 +426,8 @@ def check_shared_data_streams(n=100):
         seed = int(rng.integers(10000))
         mode = "shuffle" if rng.random() < 0.5 else "iid"
         m = int(rng.integers(1, 9))
-        streams = [
-            batch_stream(corpus, RunConfig(algorithm=a, minibatch_size=m,
-                                           large_batch_size=m, seed=seed,
-                                           batch_mode=mode))
-            for a in ("scvi-hmm", "scvi-hdphmm", "svi-hmm")
-        ]
+        # train draws from this stream whatever the algorithm, so one stream per algorithm
+        streams = [minibatches(corpus, m, seed, mode) for _ in range(3)]
         for _ in range(4):
             ref = next(streams[0])
             for s in streams[1:]:
@@ -528,7 +520,7 @@ def check_model_round_trip_persistence(n=100, tmp_dir=None):
         config = RunConfig(algorithm=algo, num_states=k)
         vocab = Vocabulary(f"w{j}" for j in range(v - 1))
         emit = rng.uniform(0.0, 5.0, (k, v))
-        stats = GlobalStats(rng.uniform(0.0, 5.0, (k + 1, k)), emit)
+        counts = rng.uniform(0.0, 5.0, (k + 1, k))
         hdp = None
         if algo == "scvi-hdphmm":
             hdp = HdpPosterior(
@@ -536,13 +528,13 @@ def check_model_round_trip_persistence(n=100, tmp_dir=None):
                 GammaParams(1.0, 0.1), GammaParams(2.0, 0.3),
                 rng.uniform(0.01, 1.0, k),
             )
-        model = TrainedModel(config, stats=stats, hdp=hdp, vocab=vocab)
+        model = TrainedModel(config, counts, emit, hdp=hdp, vocab=vocab)
         path = base / f"m{i}.bin"
         save_model(model, path)
         loaded = load_model(path)
         assert type(loaded.hdp) is type(model.hdp)
-        assert np.array_equal(loaded.stats.trans_counts, model.stats.trans_counts)
-        assert np.array_equal(loaded.stats.token_stats, model.stats.token_stats)
+        assert np.array_equal(loaded.trans_counts, model.trans_counts)
+        assert np.array_equal(loaded.token_stats, model.token_stats)
         assert loaded.config == model.config and loaded.vocab == model.vocab
     return f"{n} checkpoint cycles"
 

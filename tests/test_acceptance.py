@@ -8,7 +8,6 @@ plus scaled-down relative comparisons between the algorithms.
 
 import functools
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -99,20 +98,19 @@ def test_single_sequence_full_step_reaches_batch_fixed_point():
     rng = np.random.default_rng(2)
     seq = rng.integers(0, 4, 20)
     num_states, vocab_size = 2, 4
-    stats = initialize_stats(num_states, vocab_size, 20.0, seed=7)
+    trans_counts, token_stats = initialize_stats(num_states, vocab_size, 20.0, seed=7)
     oracle = batch_cvb0_hmm(
         seq, num_states, vocab_size, 0.1, 0.1,
-        stats.trans_counts, stats.token_stats, 60,
+        trans_counts, token_stats, 60,
     )
-    model = TrainedModel(RunConfig(num_states=num_states), stats)
+    model = TrainedModel(RunConfig(num_states=num_states), trans_counts, token_stats)
     for _ in range(60):
         # a blend weight of 1 replaces the statistics with the batch estimate
-        current, _ = process_minibatch(model, [seq], 1.0, 1)
-        model = replace(model, stats=current)
+        model, _ = process_minibatch(model, [seq], 1.0, 1)
     ref_counts, ref_tokens = oracle[-1]
     dev = max(
-        float(np.max(np.abs(current.trans_counts - ref_counts))),
-        float(np.max(np.abs(current.token_stats - ref_tokens))),
+        float(np.max(np.abs(model.trans_counts - ref_counts))),
+        float(np.max(np.abs(model.token_stats - ref_tokens))),
     )
     elapsed = time.perf_counter() - t0
     assert dev <= 1e-6, f"stats deviate by {dev:.2e}"

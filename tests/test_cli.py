@@ -25,9 +25,9 @@ from scvihmm.cli import (
 )
 from scvihmm.config import RunConfig
 from scvihmm.corpus import Vocabulary
-from scvihmm.engine import GlobalStats, TrainedModel
+from scvihmm.engine import TrainedModel
 from scvihmm.model_io import load_model, save_model
-from test_model_io import TAMPERED_HEADERS, resign_header
+from test_model_io import TAMPERED_HEADERS, resign_first_count, resign_header
 
 
 def write_corpus(path, lines):
@@ -328,11 +328,7 @@ class TestEval:
 
     def test_uniform_single_state_closed_form(self, tmp_path, capsys):
         vocab = Vocabulary(f"w{i}" for i in range(99))
-        model = TrainedModel(
-            RunConfig(num_states=1),
-            GlobalStats(np.zeros((2, 1)), np.zeros((1, 100))),
-            vocab=vocab,
-        )
+        model = TrainedModel(RunConfig(num_states=1), np.zeros((2, 1)), np.zeros((1, 100)), vocab=vocab)
         model_out = tmp_path / "uniform.bin"
         save_model(model, model_out)
         corpus = tmp_path / "eval.txt"
@@ -373,14 +369,14 @@ class TestEval:
     def test_checkpoint_without_words_needs_vocab(self, tmp_path, capsys):
         # a vocabulary built from the corpus would read "c" as word 1, which is "a"
         vocab = Vocabulary(["a", "b", "c"])
-        stats = GlobalStats(np.array([[3.0, 1.0], [4.0, 1.0], [1.0, 5.0]]),
-                            np.array([[0.0, 6.0, 2.0, 0.0], [0.0, 0.0, 1.0, 7.0]]))
+        stats = (np.array([[3.0, 1.0], [4.0, 1.0], [1.0, 5.0]]),
+                 np.array([[0.0, 6.0, 2.0, 0.0], [0.0, 0.0, 1.0, 7.0]]))
         corpus = tmp_path / "eval.txt"
         write_corpus(corpus, ["c b a a a", "a a b"])
         vocab_file, with_words, wordless = tmp_path / "vocab.txt", tmp_path / "a.bin", tmp_path / "b.bin"
         vocab.save(vocab_file)
-        save_model(TrainedModel(RunConfig(num_states=2), stats, vocab=vocab), with_words)
-        save_model(TrainedModel(RunConfig(num_states=2), stats), wordless)
+        save_model(TrainedModel(RunConfig(num_states=2), *stats, vocab=vocab), with_words)
+        save_model(TrainedModel(RunConfig(num_states=2), *stats), wordless)
         assert main(["eval", str(with_words), str(corpus)]) == 0
         own_score = capsys.readouterr().out
         assert main(["eval", str(wordless), str(corpus)]) == EXIT_DATA
@@ -416,6 +412,27 @@ class TestEval:
         resign_header(model_out, edit)
         assert main(["eval", str(model_out), str(corpus)]) == EXIT_FORMAT
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_bad_counts_exit_code(self, tmp_path, capsys, value):
+        corpus, model_out = self._train_model(tmp_path)
+        resign_first_count(model_out, value)
+        assert main(["eval", str(model_out), str(corpus)]) == EXIT_FORMAT
+        assert "trans_counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prior", ["0.001", "0.0001"])
+    def test_svi_model_at_tiny_priors_scores_finite(self, tmp_path, capsys, prior):
+        corpus = tmp_path / "corpus.txt"
+        sample_corpus(corpus, seed=5)
+        model_out = tmp_path / "model.bin"
+        code = main([
+            "train", str(corpus), "--algo", "svi-hmm", "--states", "3", "--minibatch", "6",
+            "--passes", "2", "--trans-prior", prior, "--emit-prior", prior,
+            "--model-out", str(model_out),
+        ])
+        assert code == 0
+        assert main(["eval", str(model_out), str(corpus)]) == 0
+        assert math.isfinite(float(capsys.readouterr().out))
 
     def test_corrupted_model_exit_codes(self, tmp_path, capsys):
         _, model_out = self._train_model(tmp_path)

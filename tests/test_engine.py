@@ -13,12 +13,10 @@ from oracles import (batch_cvb0_hmm, batch_sums, batch_vb_hmm, dirichlet_predict
                      log_forward_backward, log_space_loglik, surrogate_emission_row)
 from scvihmm import messages
 from scvihmm.config import ConfigError, RunConfig
-from scvihmm.corpus import Corpus, SyntheticSpec, Vocabulary, generate_synthetic, split
+from scvihmm.corpus import Corpus, SyntheticSpec, Vocabulary, generate_synthetic, minibatches, split
 from scvihmm.engine import (
-    GlobalStats,
     NumericalError,
     TrainedModel,
-    batch_stream,
     build_surrogate,
     initialize_stats,
     k_effective,
@@ -65,17 +63,16 @@ def hdp_bytes(hdp):
     return [np.asarray(part, dtype=float).tobytes() for part in parts]
 
 
-def flat_model(stats, algorithm="scvi-hmm", **priors):
-    """A flat-prior model of ``stats``; the default priors unless ``priors`` are given."""
-    config = RunConfig(algorithm=algorithm, num_states=stats.trans_counts.shape[1], **priors)
-    return TrainedModel(config, stats)
+def flat_model(trans_counts, token_stats, algorithm="scvi-hmm", **priors):
+    """A flat-prior model of these statistics; the default priors unless ``priors`` are given."""
+    config = RunConfig(algorithm=algorithm, num_states=trans_counts.shape[1], **priors)
+    return TrainedModel(config, trans_counts, token_stats)
 
 
 def emission_matrix(emit_prior, token_stats):
     """The emission rows ``build_surrogate`` builds for ``token_stats``."""
     k = token_stats.shape[0]
-    stats = GlobalStats(np.ones((k + 1, k)), token_stats)
-    return build_surrogate(flat_model(stats, emit_prior=emit_prior)).emit
+    return build_surrogate(flat_model(np.ones((k + 1, k)), token_stats, emit_prior=emit_prior)).emit
 
 
 class TestSchedule:
@@ -99,31 +96,29 @@ class TestInitializeStats:
     def test_deterministic(self):
         a = initialize_stats(3, 7, 1000.0, seed=5)
         b = initialize_stats(3, 7, 1000.0, seed=5)
-        np.testing.assert_array_equal(a.trans_counts, b.trans_counts)
-        np.testing.assert_array_equal(a.token_stats, b.token_stats)
+        for x, y in zip(a, b, strict=True):
+            np.testing.assert_array_equal(x, y)
 
     def test_positive_entries(self):
-        stats = initialize_stats(4, 6, 500.0, seed=1)
-        assert np.all(stats.trans_counts > 0)
-        assert np.all(stats.token_stats > 0)
+        trans_counts, token_stats = initialize_stats(4, 6, 500.0, seed=1)
+        assert np.all(trans_counts > 0)
+        assert np.all(token_stats > 0)
 
     def test_mass_scaled_to_token_count(self):
-        stats = initialize_stats(5, 11, 1234.5, seed=2)
-        assert abs(stats.trans_counts.sum() - 1234.5) < 1e-6
-        assert abs(stats.token_stats.sum() - 1234.5) < 1e-6
+        trans_counts, token_stats = initialize_stats(5, 11, 1234.5, seed=2)
+        assert abs(trans_counts.sum() - 1234.5) < 1e-6
+        assert abs(token_stats.sum() - 1234.5) < 1e-6
 
 
 class TestBuildSurrogate:
     def test_zero_stats_finite_uniform(self):
-        stats = GlobalStats(np.zeros((5, 4)), np.zeros((4, 3)))
-        params = build_surrogate(flat_model(stats))
+        params = build_surrogate(flat_model(np.zeros((5, 4)), np.zeros((4, 3))))
         np.testing.assert_allclose(params.trans, 0.25, atol=1e-15)
 
     def test_zero_stats_hdp_startup_uniform(self):
-        stats = GlobalStats(np.zeros((5, 4)), np.zeros((4, 3)))
         config = RunConfig(algorithm="scvi-hdphmm", num_states=4)
         hdp = HdpPosterior.initial(4, 0.1, PRIOR, PRIOR)
-        params = build_surrogate(TrainedModel(config, stats, hdp))
+        params = build_surrogate(TrainedModel(config, np.zeros((5, 4)), np.zeros((4, 3)), hdp))
         np.testing.assert_allclose(params.trans, 0.25, atol=1e-15)
 
     @pytest.mark.parametrize("trans_prior", [0.1, 0.37, 5.0])
@@ -141,17 +136,16 @@ class TestBuildSurrogate:
     def test_count_row_normalization(self):
         counts = np.zeros((3, 2))
         counts[1] = [8.0, 2.0]
-        stats = GlobalStats(counts, np.zeros((2, 3)))
-        params = build_surrogate(flat_model(stats))
+        params = build_surrogate(flat_model(counts, np.zeros((2, 3))))
         np.testing.assert_allclose(params.trans[1], np.array([8.1, 2.1]) / 10.2, atol=1e-12)
         np.testing.assert_allclose(params.trans[0], 0.5, atol=1e-12)
 
     def test_build_surrogate_takes_geometric_rows(self):
-        stats = initialize_stats(3, 5, 40.0, seed=1)
+        trans_counts, token_stats = initialize_stats(3, 5, 40.0, seed=1)
         config = RunConfig(algorithm="svi-hmm", num_states=3, trans_prior=0.2, emit_prior=0.3)
-        params = build_surrogate(TrainedModel(config, stats))
-        np.testing.assert_array_equal(params.trans, dirichlet_geo_rows(0.2 + stats.trans_counts))
-        np.testing.assert_array_equal(params.emit, dirichlet_geo_rows(0.3 + stats.token_stats))
+        params = build_surrogate(TrainedModel(config, trans_counts, token_stats))
+        np.testing.assert_array_equal(params.trans, dirichlet_geo_rows(0.2 + trans_counts))
+        np.testing.assert_array_equal(params.emit, dirichlet_geo_rows(0.3 + token_stats))
 
 
 class TestEmissionPrior:
@@ -164,12 +158,12 @@ class TestEmissionPrior:
 
 
 class TestEmissionStats:
-    """The emission statistics are the ``token_stats`` array of GlobalStats."""
+    """The emission statistics are the ``token_stats`` array of a TrainedModel."""
 
     def test_rejects_negative_entries(self):
         for bad in (-1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="token_stats"):
-                GlobalStats(np.ones((2, 1)), np.array([[1.0, bad]]))
+            with pytest.raises(ValueError, match="^token_stats entries must be finite and >= 0$"):
+                TrainedModel(RunConfig(num_states=1), np.ones((2, 1)), np.array([[1.0, bad]]))
 
     @pytest.mark.parametrize("token_stats, message", [
         (np.ones(4), "^token_stats must be K x V$"),
@@ -177,7 +171,7 @@ class TestEmissionStats:
     ], ids=["1-d", "state-count"])
     def test_rejects_misshapen_stats(self, token_stats, message):
         with pytest.raises(ValueError, match=message):
-            GlobalStats(np.ones((3, 2)), token_stats)
+            TrainedModel(RunConfig(num_states=2), np.ones((3, 2)), token_stats)
 
 
 class TestSurrogateRow:
@@ -297,13 +291,11 @@ class TestProcessMinibatch:
     def _setup(self, seed=3, num_states=3, vocab_size=5):
         rng = np.random.default_rng(seed)
         corpus = tiny_corpus(rng, vocab_size=vocab_size)
-        stats = initialize_stats(num_states, vocab_size, corpus.counts, seed)
-        return corpus, flat_model(stats)
+        return corpus, flat_model(*initialize_stats(num_states, vocab_size, corpus.counts, seed))
 
     def test_first_step_is_pure_batch_estimate(self):
         corpus, model = self._setup()
-        stats = model.stats
-        before = (stats.trans_counts.copy(), stats.token_stats.copy())
+        before = (model.trans_counts.copy(), model.token_stats.copy())
         batch = corpus.sequences[:4]
         # rho = 1 zeroes the old statistics in the blend; the result must be
         # exactly (N/M) * batch sums under the frozen surrogate
@@ -317,9 +309,9 @@ class TestProcessMinibatch:
         counts, tokens, _ = batch_sums(log_forward_backward, params.trans, params.emit, batch)
         np.testing.assert_allclose(sums.counts, counts, atol=1e-10)
         np.testing.assert_allclose(sums.token_stats, tokens, atol=1e-10)
-        # the step returns new statistics and leaves its input as it was
-        np.testing.assert_array_equal(stats.trans_counts, before[0])
-        np.testing.assert_array_equal(stats.token_stats, before[1])
+        # the step returns a new model and leaves its input as it was
+        np.testing.assert_array_equal(model.trans_counts, before[0])
+        np.testing.assert_array_equal(model.token_stats, before[1])
 
     # each mode is an algorithm and the stick posterior its model holds
     @pytest.mark.parametrize("mode", [
@@ -333,15 +325,16 @@ class TestProcessMinibatch:
     def test_pure_step_returns_sweep_sums(self, mode):
         algorithm, hdp = mode
         corpus, flat = self._setup(seed=14)
-        stats = flat.stats
-        model = TrainedModel(replace(flat.config, algorithm=algorithm), stats, hdp)
+        model = TrainedModel(replace(flat.config, algorithm=algorithm), flat.trans_counts,
+                             flat.token_stats, hdp, corpus.vocab)
         batch = corpus.sequences[:6]
-        stats_before = (stats.trans_counts.tobytes(), stats.token_stats.tobytes())
+        stats_before = (model.trans_counts.tobytes(), model.token_stats.tobytes())
         hdp_before = hdp_bytes(hdp)
         out, sums = process_minibatch(model, batch, step_size(3, 0.6), len(corpus))
-        # no argument is modified
-        assert (stats.trans_counts.tobytes(), stats.token_stats.tobytes()) == stats_before
+        # no argument is modified, and the next model keeps all but the statistics
+        assert (model.trans_counts.tobytes(), model.token_stats.tobytes()) == stats_before
         assert hdp_bytes(hdp) == hdp_before
+        assert out.config is model.config and out.hdp is hdp and out.vocab is corpus.vocab
         # the sums are the sweep's against the frozen surrogate, absence
         # sums included exactly in the hierarchical mode
         hierarchical = hdp is not None
@@ -355,17 +348,15 @@ class TestProcessMinibatch:
         scale = len(corpus) / len(batch)
         rho = step_size(3, 0.6)
         np.testing.assert_array_equal(
-            out.trans_counts, (1.0 - rho) * stats.trans_counts + rho * scale * ref.counts
+            out.trans_counts, (1.0 - rho) * model.trans_counts + rho * scale * ref.counts
         )
 
     def test_vanishing_step_changes_nothing(self):
         corpus, model = self._setup()
         rho = step_size(10**12, 1.0)
         out, _ = process_minibatch(model, corpus.sequences[:4], rho, len(corpus))
-        np.testing.assert_allclose(out.trans_counts, model.stats.trans_counts, rtol=1e-9)
-        np.testing.assert_allclose(
-            out.token_stats, model.stats.token_stats, rtol=1e-9
-        )
+        np.testing.assert_allclose(out.trans_counts, model.trans_counts, rtol=1e-9)
+        np.testing.assert_allclose(out.token_stats, model.token_stats, rtol=1e-9)
 
     def test_total_mass_convex_combination(self):
         corpus, model = self._setup(seed=8)
@@ -373,7 +364,7 @@ class TestProcessMinibatch:
         batch = corpus.sequences[:5]
         out, _ = process_minibatch(model, batch, rho, len(corpus))
         batch_tokens = sum(len(s) for s in batch)
-        expected = (1 - rho) * model.stats.trans_counts.sum() + rho * (
+        expected = (1 - rho) * model.trans_counts.sum() + rho * (
             len(corpus) / len(batch)
         ) * batch_tokens
         assert abs(out.trans_counts.sum() - expected) < 1e-8 * expected
@@ -386,7 +377,7 @@ class TestProcessMinibatch:
                 model, corpus.sequences[start : start + 4], step_size(step, 0.5), len(corpus),
             )
             assert np.all(out.trans_counts >= 0) and np.all(np.isfinite(out.trans_counts))
-            model = replace(model, stats=out)
+            model = out
 
     def test_repeat_call_bit_identical(self):
         corpus, model = self._setup(seed=10)
@@ -408,11 +399,31 @@ class TestProcessMinibatch:
         with pytest.raises(ValueError):
             process_minibatch(model, [], step_size(0, 0.6), 10)
 
+    @pytest.mark.parametrize("rho, corpus_size, message", [
+        (0.0, 12, r"^rho must be in \(0, 1\], got 0.0$"),
+        (-0.1, 12, r"^rho must be in \(0, 1\], got -0.1$"),
+        (1.5, 12, r"^rho must be in \(0, 1\], got 1.5$"),
+        (float("nan"), 12, r"^rho must be in \(0, 1\], got nan$"),
+        (0.5, 0, "^corpus_size must be positive, got 0$"),
+        (0.5, -3, "^corpus_size must be positive, got -3$"),
+    ])
+    def test_refuses_step_size_and_corpus_size_out_of_range(self, rho, corpus_size, message):
+        corpus, model = self._setup()
+        with pytest.raises(ValueError, match=message):
+            process_minibatch(model, corpus.sequences[:2], rho, corpus_size)
+
     def test_nonfinite_stats_abort(self, monkeypatch):
         corpus, model = self._setup()
         monkeypatch.setattr("scvihmm.engine.sweep", nan_sweep(position=0))
         with pytest.raises(NumericalError, match="batch position 0"):
             process_minibatch(model, corpus.sequences[:2], step_size(0, 0.6), 12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_blend_aborts(self):
+        # finite sums scaled by a huge corpus overflow in the blend, not the sweep
+        corpus, model = self._setup()
+        with pytest.raises(NumericalError, match="^non-finite local statistics for minibatch$"):
+            process_minibatch(model, corpus.sequences[:1], 0.5, 1e308)
 
     def test_batch_cvb_fixed_point(self):
         # single sequence, rho pinned to 1 at every step: the
@@ -421,18 +432,17 @@ class TestProcessMinibatch:
         rng = np.random.default_rng(20)
         seq = rng.integers(0, 4, 20)
         num_states, vocab_size = 2, 4
-        stats = initialize_stats(num_states, vocab_size, 20.0, seed=7)
+        trans_counts, token_stats = initialize_stats(num_states, vocab_size, 20.0, seed=7)
         oracle = batch_cvb0_hmm(
             seq, num_states, vocab_size, 0.1, 0.1,
-            stats.trans_counts, stats.token_stats, 60,
+            trans_counts, token_stats, 60,
         )
-        current = flat_model(stats)
+        current = flat_model(trans_counts, token_stats)
         for i in range(60):
-            out, _ = process_minibatch(current, [seq], step_size(0, 1.0), 1)
-            current = replace(current, stats=out)
+            current, _ = process_minibatch(current, [seq], step_size(0, 1.0), 1)
         ref_counts, ref_tokens = oracle[-1]
-        np.testing.assert_allclose(current.stats.trans_counts, ref_counts, atol=1e-6)
-        np.testing.assert_allclose(current.stats.token_stats, ref_tokens, atol=1e-6)
+        np.testing.assert_allclose(current.trans_counts, ref_counts, atol=1e-6)
+        np.testing.assert_allclose(current.token_stats, ref_tokens, atol=1e-6)
 
 
 def untrained_svi_model(vocab_size, num_states, seed):
@@ -451,25 +461,25 @@ class TestSviInitialize:
         a, _ = untrained_svi_model(6, 3, seed=4)
         b, _ = untrained_svi_model(6, 3, seed=4)
         assert a.hdp is None and a.config.trans_prior == 0.1
-        np.testing.assert_array_equal(a.stats.trans_counts, b.stats.trans_counts)
+        np.testing.assert_array_equal(a.trans_counts, b.trans_counts)
         # the Dirichlet parameters prior + counts sit strictly above the prior
-        assert np.all(a.stats.trans_counts > 0)
-        assert np.all(a.stats.token_stats > 0)
+        assert np.all(a.trans_counts > 0)
+        assert np.all(a.token_stats > 0)
 
     def test_noise_mass_scaled_to_tokens(self):
         model, corpus = untrained_svi_model(9, 4, seed=1)
-        init = initialize_stats(4, 9, corpus.counts, seed=2)
-        np.testing.assert_array_equal(model.stats.trans_counts, init.trans_counts)
-        assert abs(model.stats.trans_counts.sum() - corpus.counts) < 1e-6
-        assert abs(model.stats.token_stats.sum() - corpus.counts) < 1e-6
+        init_counts, _ = initialize_stats(4, 9, corpus.counts, seed=2)
+        np.testing.assert_array_equal(model.trans_counts, init_counts)
+        assert abs(model.trans_counts.sum() - corpus.counts) < 1e-6
+        assert abs(model.token_stats.sum() - corpus.counts) < 1e-6
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            GlobalStats(np.ones((3, 3)), np.ones((3, 4)))
-        with pytest.raises(ValueError):
-            GlobalStats(np.ones((4, 3)), -np.ones((3, 4)))
-        with pytest.raises(ValueError):
-            flat_model(GlobalStats(np.ones((3, 2)), np.ones((2, 4))), "svi-hmm", trans_prior=0.0)
+        with pytest.raises(ValueError, match=r"^trans_counts must be \(K\+1\) x K$"):
+            flat_model(np.ones((3, 3)), np.ones((3, 4)), "svi-hmm")
+        with pytest.raises(ValueError, match="^token_stats entries must be finite and >= 0$"):
+            flat_model(np.ones((4, 3)), -np.ones((3, 4)), "svi-hmm")
+        with pytest.raises(ConfigError, match="^trans_prior must"):
+            flat_model(np.ones((3, 2)), np.ones((2, 4)), "svi-hmm", trans_prior=0.0)
 
 
 def random_batch(rng, n_seqs, vocab_size, max_len=12):
@@ -479,50 +489,53 @@ def random_batch(rng, n_seqs, vocab_size, max_len=12):
     ]
 
 
-def svi_update(stats, batch, rho, corpus_size):
-    return process_minibatch(flat_model(stats, "svi-hmm"), batch, rho, corpus_size)[0]
+def svi_model(num_states, vocab_size, token_count, seed):
+    return flat_model(*initialize_stats(num_states, vocab_size, token_count, seed), "svi-hmm")
+
+
+def svi_update(model, batch, rho, corpus_size):
+    return process_minibatch(model, batch, rho, corpus_size)[0]
 
 
 class TestSviStep:
     def test_full_step_is_prior_plus_batch_estimate(self):
         rng = np.random.default_rng(5)
-        stats = initialize_stats(2, 4, 50.0, seed=2)
+        model = svi_model(2, 4, 50.0, seed=2)
         batch = random_batch(rng, 3, 4)
-        params = build_surrogate(flat_model(stats, "svi-hmm"))
+        params = build_surrogate(model)
         sums = sweep(params, batch)
         scale = 9 / 3
-        out = svi_update(stats, batch, 1.0, 9)
+        out = svi_update(model, batch, 1.0, 9)
         np.testing.assert_array_equal(out.trans_counts, scale * sums.counts)
         np.testing.assert_array_equal(out.token_stats, scale * sums.token_stats)
 
     def test_vanishing_step_changes_nothing(self):
         rng = np.random.default_rng(6)
-        stats = initialize_stats(2, 4, 50.0, seed=3)
+        model = svi_model(2, 4, 50.0, seed=3)
         batch = random_batch(rng, 3, 4)
-        out = svi_update(stats, batch, step_size(10**12, 1.0), 9)
-        np.testing.assert_allclose(out.trans_counts, stats.trans_counts, rtol=1e-9)
+        out = svi_update(model, batch, step_size(10**12, 1.0), 9)
+        np.testing.assert_allclose(out.trans_counts, model.trans_counts, rtol=1e-9)
 
     def test_counter_increment_and_empty_batch(self):
-        stats = initialize_stats(2, 4, 50.0, seed=3)
-        before = (stats.trans_counts.copy(), stats.token_stats.copy())
-        svi_update(stats, [np.array([1, 2, 0])], step_size(3, 0.7), 5)
+        model = svi_model(2, 4, 50.0, seed=3)
+        before = (model.trans_counts.copy(), model.token_stats.copy())
+        svi_update(model, [np.array([1, 2, 0])], step_size(3, 0.7), 5)
         # the schedule is the caller's step count; the step mutates nothing
-        np.testing.assert_array_equal(stats.trans_counts, before[0])
-        np.testing.assert_array_equal(stats.token_stats, before[1])
+        np.testing.assert_array_equal(model.trans_counts, before[0])
+        np.testing.assert_array_equal(model.token_stats, before[1])
         with pytest.raises(ValueError):
-            svi_update(stats, [], step_size(4, 0.7), 5)
+            svi_update(model, [], step_size(4, 0.7), 5)
 
     def test_batch_vb_fixed_point(self):
         # full-batch steps with rho pinned to 1 must walk the same
         # trajectory as an independently coded batch VB iteration
         rng = np.random.default_rng(8)
         batch = random_batch(rng, 6, 5, max_len=15)
-        stats = initialize_stats(2, 5, 60.0, seed=5)
+        current = svi_model(2, 5, 60.0, seed=5)
         oracle = batch_vb_hmm(
             batch, 2, 5, 0.1, 0.1,
-            0.1 + stats.trans_counts, 0.1 + stats.token_stats, 40,
+            0.1 + current.trans_counts, 0.1 + current.token_stats, 40,
         )
-        current = stats
         for _ in range(40):
             current = svi_update(current, batch, 1.0, len(batch))
         ref_trans, ref_emit = oracle[-1]
@@ -582,23 +595,38 @@ class TestKEffective:
         counts[:, 0] = [5.0, 100.0, 200.0, 50.0]
         counts[:, 1] = [1.0, 2.0, 1.0, 0.5]
         counts[0, 2] = 1e-5
-        stats = GlobalStats(counts, np.zeros((3, 2)))
-        assert k_effective(flat_model(stats)) == 2
+        assert k_effective(flat_model(counts, np.zeros((3, 2)))) == 2
 
 
 class TestTrainedModel:
     def test_sizes_and_algorithm_are_derived(self):
-        stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
         config = RunConfig(algorithm="svi-hmm", num_states=3)
-        model = TrainedModel(config, stats)
+        model = TrainedModel(config, np.zeros((4, 3)), np.zeros((3, 5)))
         assert (model.algorithm, model.num_states, model.vocab_size) == ("svi-hmm", 3, 5)
 
     def test_contradicting_config_or_vocab_rejected(self):
-        stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
+        stats = (np.zeros((4, 3)), np.zeros((3, 5)))
         with pytest.raises(ValueError, match="num_states"):
-            TrainedModel(RunConfig(num_states=7), stats)
+            TrainedModel(RunConfig(num_states=7), *stats)
         with pytest.raises(ValueError, match="vocab"):
-            TrainedModel(RunConfig(num_states=3), stats, vocab=Vocabulary(["a"]))
+            TrainedModel(RunConfig(num_states=3), *stats, vocab=Vocabulary(["a"]))
+
+    @pytest.mark.parametrize("trans_counts, token_stats, message", [
+        (np.ones(4), np.ones((3, 5)), r"^trans_counts must be \(K\+1\) x K$"),
+        (np.ones((3, 3)), np.ones((3, 5)), r"^trans_counts must be \(K\+1\) x K$"),
+        (np.full((4, 3), np.nan), np.ones((3, 5)), "^trans_counts entries must be finite and >= 0$"),
+        (-np.ones((4, 3)), np.ones((3, 5)), "^trans_counts entries must be finite and >= 0$"),
+        (np.full((4, 3), np.inf), np.ones((3, 5)), "^trans_counts entries must be finite and >= 0$"),
+    ], ids=["1-d", "square", "nan", "negative", "inf"])
+    def test_rejects_bad_trans_counts(self, trans_counts, token_stats, message):
+        # the statistics are checked before the config, whose state count they fix
+        with pytest.raises(ValueError, match=message):
+            TrainedModel(RunConfig(num_states=3), trans_counts, token_stats)
+
+    def test_statistics_are_stored_as_float_arrays(self):
+        model = TrainedModel(RunConfig(num_states=1), [[1], [2]], [[3, 4]])
+        for arr in (model.trans_counts, model.token_stats):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
 
     @pytest.mark.parametrize("overrides, hdp, error, match", [
         (dict(algorithm="scvi-hmm"), HdpPosterior.initial(3, 0.1, PRIOR, PRIOR),
@@ -620,10 +648,9 @@ class TestTrainedModel:
         # the config must hold on its own, and the stick posterior, the one
         # state a model keeps beside its statistics, must be the one it
         # implies: a checkpoint reads the posterior exactly for scvi-hdphmm
-        stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
         config = RunConfig(num_states=3, **overrides)
         with pytest.raises(error, match=match) as raised:
-            TrainedModel(config, stats, hdp)
+            TrainedModel(config, np.zeros((4, 3)), np.zeros((3, 5)), hdp)
         assert raised.type is error
 
     @pytest.mark.parametrize("algo, hdp", [
@@ -635,8 +662,8 @@ class TestTrainedModel:
         ("svi-hmm", None),
     ], ids=["scvi-hmm", "scvi-hdphmm", "svi-hmm"])
     def test_mode_implied_by_config_accepted(self, algo, hdp):
-        stats = GlobalStats(np.zeros((4, 3)), np.zeros((3, 5)))
-        model = TrainedModel(RunConfig(algorithm=algo, num_states=3), stats, hdp)
+        model = TrainedModel(RunConfig(algorithm=algo, num_states=3), np.zeros((4, 3)),
+                             np.zeros((3, 5)), hdp)
         assert model.hdp is hdp and model.config.algorithm == algo
 
 
@@ -672,8 +699,8 @@ class TestTrain:
         model, metrics = train(corpus, config, heldout=corpus)
         assert len(metrics) == 1
         assert metrics[0].step == 0
-        init = initialize_stats(3, len(corpus.vocab), corpus.counts, config.seed + 1)
-        np.testing.assert_array_equal(model.stats.trans_counts, init.trans_counts)
+        init_counts, _ = initialize_stats(3, len(corpus.vocab), corpus.counts, config.seed + 1)
+        np.testing.assert_array_equal(model.trans_counts, init_counts)
 
     def test_training_beats_initialization(self):
         spec = SyntheticSpec.random(3, 10, 400, 5, 15, seed=3, self_persistence=0.5)
@@ -735,7 +762,7 @@ class TestTrain:
         )
         model_a, metrics_a = train(corpus, config, heldout=corpus)
         model_b, metrics_b = train(corpus, config, heldout=corpus)
-        np.testing.assert_array_equal(model_a.stats.trans_counts, model_b.stats.trans_counts)
+        np.testing.assert_array_equal(model_a.trans_counts, model_b.trans_counts)
         for a, b in zip(metrics_a, metrics_b):
             assert (a.step, a.pass_index, a.heldout_ll, a.k_effective) == (
                 b.step, b.pass_index, b.heldout_ll, b.k_effective
@@ -763,11 +790,12 @@ class TestTrain:
                 passes=2, seed=6, threads=threads,
             )
             runs.append(train(corpus, config, heldout=corpus))
-        batch = [corpus.sequences[i] for i in next(batch_stream(corpus, config))]
+        stream = minibatches(corpus, config.minibatch_size, config.seed, config.batch_mode)
+        batch = [corpus.sequences[i] for i in next(stream)]
         assert len(messages._slices(batch, 5)) >= 3
         (model_a, metrics_a), (model_b, metrics_b) = runs
-        np.testing.assert_array_equal(model_a.stats.trans_counts, model_b.stats.trans_counts)
-        np.testing.assert_array_equal(model_a.stats.token_stats, model_b.stats.token_stats)
+        np.testing.assert_array_equal(model_a.trans_counts, model_b.trans_counts)
+        np.testing.assert_array_equal(model_a.token_stats, model_b.token_stats)
         assert hdp_bytes(model_a.hdp) == hdp_bytes(model_b.hdp)
         assert [m.heldout_ll for m in metrics_a] == [m.heldout_ll for m in metrics_b]
         for calls in (sweep_threads, slice_threads):
@@ -820,8 +848,31 @@ class TestTrain:
             models.append(model)
         assert counts[0] == counts[1] >= 1
         # the checks still guard a model made outside train
+        model = models[0]
         with pytest.raises(ConfigError, match="^kappa must"):
-            TrainedModel(replace(models[0].config, kappa=0.2), models[0].stats, models[0].hdp)
+            TrainedModel(replace(model.config, kappa=0.2), model.trans_counts, model.token_stats,
+                         model.hdp)
+
+    @pytest.mark.parametrize("algorithm", ["scvi-hmm", "scvi-hdphmm", "svi-hmm"])
+    def test_statistics_are_checked_once_per_run_not_per_step(self, monkeypatch, algorithm):
+        checks = []
+        post_init = TrainedModel.__post_init__
+
+        def counting(model):
+            checks.append(model.config.algorithm)
+            return post_init(model)
+
+        monkeypatch.setattr(TrainedModel, "__post_init__", counting)
+        corpus = tiny_corpus(np.random.default_rng(55), n_seqs=12)
+        counts = []
+        for passes in (1, 5):
+            config = RunConfig(algorithm=algorithm, num_states=3, minibatch_size=2,
+                               large_batch_size=4, passes=passes, seed=4)
+            checks.clear()
+            _, metrics = train(corpus, config)
+            assert metrics[-1].step == 6 * passes
+            counts.append(len(checks))
+        assert counts[0] == counts[1] >= 1
 
     def test_hdp_step_sizes_follow_large_batch_count(self, monkeypatch):
         rhos = []
@@ -862,7 +913,7 @@ class TestTrain:
             large_batch_size=8, passes=2, seed=2,
         )
         train(corpus, config)
-        stream = batch_stream(corpus, config)
+        stream = minibatches(corpus, config.minibatch_size, config.seed, config.batch_mode)
         for _, batch in steps:
             expected = [corpus.sequences[i] for i in next(stream)]
             assert len(batch) == len(expected)
@@ -899,7 +950,7 @@ class TestTrain:
         corpus = Corpus.from_sequences(seqs, Vocabulary(f"w{i}" for i in range(5)))
         config = RunConfig(num_states=2, minibatch_size=11, large_batch_size=11, passes=2, seed=4)
         monkeypatch.setattr(messages, "SLICE_POSITIONS", 10)
-        stream = batch_stream(corpus, config)
+        stream = minibatches(corpus, config.minibatch_size, config.seed, config.batch_mode)
         next(stream)
         second = next(stream)
         assert len(messages._slices([corpus.sequences[i] for i in second], 6)) >= 3
@@ -934,18 +985,38 @@ class TestTrain:
         assert model.algorithm == "svi-hmm" and model.hdp is None
         assert np.isfinite(metrics[-1].heldout_ll)
 
-    def test_shared_batch_stream_across_algorithms(self):
+    @pytest.mark.parametrize("prior", [1e-3, 1e-4])
+    def test_svi_mode_runs_at_tiny_priors(self, prior):
+        # psi(prior) is about -1/prior, so an unused cell's geometric weight
+        # would underflow to 0 without the floor on its log
+        corpus = tiny_corpus(np.random.default_rng(46), n_seqs=16)
+        config = RunConfig(
+            algorithm="svi-hmm", num_states=3, minibatch_size=4, large_batch_size=4,
+            passes=2, seed=7, trans_prior=prior, emit_prior=prior,
+        )
+        model, metrics = train(corpus, config, heldout=corpus)
+        assert all(np.isfinite(m.heldout_ll) for m in metrics)
+        params = model.surrogate()
+        assert np.all(params.trans > 0.0) and np.all(params.emit > 0.0)
+
+    def test_shared_batch_stream_across_algorithms(self, monkeypatch):
+        batches = {}
+
+        def recording(model, batch, rho, corpus_size):
+            batches.setdefault(model.algorithm, []).append(np.array(batch.starts))
+            return process_minibatch(model, batch, rho, corpus_size)
+
+        monkeypatch.setattr("scvihmm.engine.process_minibatch", recording)
         rng = np.random.default_rng(47)
         corpus = tiny_corpus(rng, n_seqs=14)
-        base = dict(num_states=3, minibatch_size=4, large_batch_size=4, passes=1, seed=13)
-        streams = [
-            batch_stream(corpus, RunConfig(algorithm=a, **base))
-            for a in ("scvi-hmm", "scvi-hdphmm", "svi-hmm")
-        ]
-        for _ in range(8):
-            first = next(streams[0])
-            for s in streams[1:]:
-                np.testing.assert_array_equal(first, next(s))
+        base = dict(num_states=3, minibatch_size=4, large_batch_size=4, passes=2, seed=13)
+        for algorithm in ("scvi-hmm", "scvi-hdphmm", "svi-hmm"):
+            train(corpus, RunConfig(algorithm=algorithm, **base))
+        first, *others = batches.values()
+        assert len(batches) == 3 and len(first) == 8
+        for other in others:
+            for a, b in zip(first, other, strict=True):
+                np.testing.assert_array_equal(a, b)
 
     def test_invalid_config_rejected(self):
         rng = np.random.default_rng(48)

@@ -359,17 +359,17 @@ class TestBatchTrajectory:
         vocab = Vocabulary(f"w{i}" for i in range(V - 1))
         seqs = [rng.integers(0, V, rng.integers(8, 15)) for _ in range(5)]
         corpus = Corpus.from_sequences(seqs, vocab)
-        stats = initialize_stats(K, V, corpus.counts, seed=17)
+        trans_counts, token_stats = initialize_stats(K, V, corpus.counts, seed=17)
         snaps = batch_hdp_scvi(
             seqs, K, V, 0.1,
-            stats.trans_counts, stats.token_stats, 20,
+            trans_counts, token_stats, 20,
         )
         config = RunConfig(algorithm="scvi-hdphmm", num_states=K)
         post = HdpPosterior.initial(K, 0.1, PRIOR, PRIOR)
-        current = stats
         for i in range(20):
-            model = TrainedModel(config, current, post)
+            model = TrainedModel(config, trans_counts, token_stats, post)
             current, sums = process_minibatch(model, seqs, 1.0, len(seqs))
+            trans_counts, token_stats = current.trans_counts, current.token_stats
             parts = (sums.counts, sums.absence_pair, sums.absence_row)
             means = [total / len(seqs) for total in parts]
             tables = tables_from_aggregates(*means, len(seqs), post)

@@ -54,6 +54,14 @@ def resign_header(path, edit):
     path.write_bytes(payload + hashlib.sha256(payload).digest())
 
 
+def resign_first_count(path, value):
+    """Set a checkpoint's first ``trans_counts`` entry to ``value`` and sign the file again."""
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, 12 + struct.unpack_from("<I", blob, 8)[0], value)
+    payload = bytes(blob[:-32])
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
 # header edits of an svi-hmm checkpoint: (field the error must name, edit)
 TAMPERED_HEADERS = {
     "unknown-algorithm": ("algorithm", lambda h: h["config"].update(algorithm="bogus")),
@@ -82,10 +90,8 @@ class TestRoundTrip:
         assert loaded.config == model.config
         assert loaded.vocab == model.vocab
         assert type(loaded.hdp) is type(model.hdp)
-        np.testing.assert_array_equal(loaded.stats.trans_counts, model.stats.trans_counts)
-        np.testing.assert_array_equal(
-            loaded.stats.token_stats, model.stats.token_stats
-        )
+        np.testing.assert_array_equal(loaded.trans_counts, model.trans_counts)
+        np.testing.assert_array_equal(loaded.token_stats, model.token_stats)
         if algorithm == "scvi-hdphmm":
             a, b = loaded.hdp, model.hdp
             np.testing.assert_array_equal(a.sticks.u, b.sticks.u)
@@ -274,6 +280,14 @@ class TestCorruption:
         assert not isinstance(
             excinfo.value, (VersionMismatchError, TruncatedFileError, ChecksumError)
         )
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_counts_not_finite_and_nonnegative(self, tmp_path, value):
+        path = self._saved(tmp_path)
+        resign_first_count(path, value)
+        with pytest.raises(ModelFormatError, match="trans_counts entries must be finite and >= 0") as excinfo:
+            load_model(path)
+        assert type(excinfo.value) is ModelFormatError
 
     def test_error_types_are_distinct(self):
         kinds = {VersionMismatchError, TruncatedFileError, ChecksumError}

@@ -209,3 +209,11 @@ class TestDirichletGeoRows:
             rows = dirichlet_geo_rows(rng.gamma(2.0, size=shape))
             assert np.all(rows > 0)
             np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("tiny", [1e-3, 1e-5])
+    def test_tiny_parameter_floored_not_underflowed(self, tiny):
+        # psi(tiny) is about -1/tiny, far below the log floor of -650; unfloored,
+        # the weight underflows to 0
+        rows = dirichlet_geo_rows(np.array([[tiny, 50.0]]))
+        assert 0.0 < rows[0, 0] <= math.exp(-640)
+        assert rows[0, 1] == 1.0
