@@ -24,10 +24,13 @@ class RunConfig:
 
     Defaults follow the reference experimental setup: symmetric 0.1
     transition and emission priors, Gamma(1, 0.1) concentration priors,
-    kappa 0.5 with minibatches of 1000, a large batch of 10000 for the
-    hierarchical updates, and truncation 45.  The step-size theory wants
-    kappa strictly above 0.5; 0.5 itself is the boundary value used in
-    practice and is accepted.
+    kappa 0.5 with minibatches of 1000, a large batch of 10000, and
+    truncation 45.  ``large_batch_size`` sets how often the hierarchical
+    prior updates, once per ceil(large_batch_size / minibatch_size) steps;
+    each update reads the table-count estimates of the minibatch that ends
+    its large batch, 1000 sequences at the defaults.  The step-size theory
+    wants kappa strictly above 0.5; 0.5 itself is the boundary value used
+    in practice and is accepted.
 
     ``threads`` is validated and recorded, as saved config files and format
     2 checkpoints hold it, but it has no effect: every sweep runs serially

@@ -11,12 +11,12 @@ point parameters, reads them.  A ``TrainedModel`` holds the statistics, its
 ``RunConfig`` (the one record of its algorithm and priors) and the
 hierarchical algorithm's stick posterior, and checks them where they enter.
 The step is pure: it maps a model to the next model, without re-checking
-it, and returns the batch sums, which carry the absence sums exactly when
-the model holds a stick posterior.  For such a model ``train`` sums the
-transition counts and absence sums over a large batch's sequences and
-refreshes the stick posterior once per large batch from the table-count
-estimates of their means, with the same schedule over the count of large
-batches; the other algorithms simply have no large-batch level.
+it, and returns the batch sums, which carry the absence sums when asked.
+For a model that holds a stick posterior ``train`` asks for them only on
+the minibatch that ends each large batch, and refreshes the stick
+posterior from the table-count estimates of that minibatch's means, with
+the same schedule over the count of large batches; the other algorithms
+simply have no large-batch level.
 """
 
 import copy
@@ -127,6 +127,18 @@ def _updated(model: TrainedModel, **changes) -> TrainedModel:
     return new
 
 
+def _unchecked_surrogate(trans, emit) -> SurrogateParams:
+    """``SurrogateParams(trans, emit)`` without ``__post_init__``'s checks.
+
+    For ``build_surrogate``'s rows, which are positive and normalized by
+    construction, so that a caller's own parameters are checked where they
+    enter and a step's are not re-checked.
+    """
+    params = object.__new__(SurrogateParams)
+    vars(params).update(trans=trans, emit=emit)
+    return params
+
+
 def step_size(step: int, kappa: float) -> float:
     """rho_n = (1+n)^(-kappa) for step count n."""
     return float((1.0 + step) ** -kappa)
@@ -165,12 +177,13 @@ def build_surrogate(model) -> SurrogateParams:
     row (Hoffman et al., "Stochastic Variational Inference", JMLR 2013) and
     takes their geometric rows exp(psi(prior + n) - psi(row sum)),
     renormalized (``dirichlet_geo_rows``), for transitions and emissions
-    alike.
+    alike.  The rows are not checked again: a checked model's counts are
+    finite and nonnegative and its priors positive.
     """
     config = model.config
     pseudo = np.full(model.token_stats.shape[1], float(config.emit_prior))
     if config.algorithm == "svi-hmm":
-        return SurrogateParams(
+        return _unchecked_surrogate(
             dirichlet_geo_rows(config.trans_prior + model.trans_counts),
             dirichlet_geo_rows(pseudo + model.token_stats),
         )
@@ -183,10 +196,10 @@ def build_surrogate(model) -> SurrogateParams:
     # the pairwise sum of V copies of c, which V * c differs from in the last bit
     # for about half of all (c, V), e.g. 2.1000000000000005 against 2.1 at V = 21
     denom = pseudo.sum() + model.token_stats.sum(axis=1)
-    return SurrogateParams(trans, (pseudo + model.token_stats) / denom[:, None])
+    return _unchecked_surrogate(trans, (pseudo + model.token_stats) / denom[:, None])
 
 
-def process_minibatch(model, batch, rho: float, corpus_size: int):
+def process_minibatch(model, batch, rho: float, corpus_size: int, absence=None):
     """One stochastic step from a model to the next; modifies no argument.
 
     ``batch`` is anything ``sweep`` takes: a corpus's ``windows``, as
@@ -194,17 +207,20 @@ def process_minibatch(model, batch, rho: float, corpus_size: int):
     sweeps the batch, then blends
     (1-rho) * old + rho * (N/M) * batch sums, where N is the corpus
     sequence count and M the batch's actual size.  Returns the model that
-    holds the blend and the batch's ``BatchSums``, whose absence sums are
-    computed exactly when the model holds a stick posterior.  A blend of
-    nonnegative values with rho in (0, 1] stays nonnegative, so the next
-    model is tested only for finiteness and not checked again.
+    holds the blend and the batch's ``BatchSums``, which carry the absence
+    sums if ``absence`` is true; by default, exactly when the model holds a
+    stick posterior.  ``train`` asks for them only where it reads them.  A
+    blend of nonnegative values with rho in (0, 1] stays nonnegative, so
+    the next model is tested only for finiteness and not checked again.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho!r}")
     if not corpus_size > 0:
         raise ValueError(f"corpus_size must be positive, got {corpus_size!r}")
     params = build_surrogate(model)
-    sums = sweep(params, batch, absence=model.hdp is not None)
+    if absence is None:
+        absence = model.hdp is not None
+    sums = sweep(params, batch, absence=absence)
     scale = corpus_size / len(batch)
     new_counts = (1.0 - rho) * model.trans_counts + rho * scale * sums.counts
     new_tokens = (1.0 - rho) * model.token_stats + rho * scale * sums.token_stats
@@ -260,6 +276,12 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
     length is ``passes`` sweeps, or ``budget_seconds`` of wall clock when
     set.  The step count is the only schedule state: the n-th minibatch
     step takes rho_n, and the n-th large-batch HDP update takes rho_n too.
+    ``large_batch_size`` sets how often the stick posterior updates: once
+    every ceil(large_batch_size / minibatch_size) steps, counted across
+    passes.  Only the step that ends a large batch computes absence sums,
+    and its update reads the table-count estimates of that minibatch alone:
+    its sums divided by its size.  A run's unfinished last large batch
+    computes none.
     Each step sweeps its minibatch as windows into the corpus's one token
     array (``Corpus.windows`` of the drawn index array).
     """
@@ -273,8 +295,6 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
         hdp = HdpPosterior.initial(config.num_states, config.trans_prior, alpha_prior, gamma_prior)
     model = TrainedModel(config, counts, tokens, hdp, corpus.vocab)
     steps_per_large = math.ceil(config.large_batch_size / config.minibatch_size)
-    # the large batch's summed (counts, absence_pair, absence_row) and its sequence count
-    large_sums, large_seqs = (0.0, 0.0, 0.0), 0
 
     stream = minibatches(corpus, config.minibatch_size, config.seed, config.batch_mode)
     batches_per_pass = math.ceil(corpus_size / config.minibatch_size)
@@ -313,22 +333,18 @@ def train(corpus: Corpus, config: RunConfig, heldout: Corpus = None):
             break
         batch = corpus.windows(next(stream))
         rho = step_size(step, config.kappa)
+        update = model.hdp is not None and (step + 1) % steps_per_large == 0
         try:
-            model, sums = process_minibatch(model, batch, rho, corpus_size)
+            model, sums = process_minibatch(model, batch, rho, corpus_size, absence=update)
         except NumericalError as exc:
             raise NumericalError(f"{exc} (step {step})") from None
         step += 1
-        if model.hdp is not None:
-            parts = (sums.counts, sums.absence_pair, sums.absence_row)
-            large_sums = [total + part for total, part in zip(large_sums, parts)]
-            large_seqs += len(batch)
-            if step % steps_per_large == 0:
-                means = [total / large_seqs for total in large_sums]
-                tables = tables_from_aggregates(*means, corpus_size, model.hdp)
-                hdp_rho = step_size(step // steps_per_large - 1, config.kappa)
-                hdp = update_hdp(model.hdp, tables, hdp_rho, alpha_prior, gamma_prior)
-                model = _updated(model, hdp=hdp)
-                large_sums, large_seqs = (0.0, 0.0, 0.0), 0
+        if update:
+            means = [part / len(batch) for part in (sums.counts, sums.absence_pair, sums.absence_row)]
+            tables = tables_from_aggregates(*means, corpus_size, model.hdp)
+            hdp_rho = step_size(step // steps_per_large - 1, config.kappa)
+            hdp = update_hdp(model.hdp, tables, hdp_rho, alpha_prior, gamma_prior)
+            model = _updated(model, hdp=hdp)
         due_pass = step % batches_per_pass == 0
         due_interval = (
             config.eval_every_steps is not None

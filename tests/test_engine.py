@@ -874,6 +874,30 @@ class TestTrain:
             counts.append(len(checks))
         assert counts[0] == counts[1] >= 1
 
+    @pytest.mark.parametrize("algorithm", ["scvi-hmm", "scvi-hdphmm", "svi-hmm"])
+    def test_surrogate_is_checked_where_it_enters_not_per_step(self, monkeypatch, algorithm):
+        checks = []
+        post_init = SurrogateParams.__post_init__
+
+        def counting(params):
+            checks.append(1)
+            return post_init(params)
+
+        monkeypatch.setattr(SurrogateParams, "__post_init__", counting)
+        corpus = tiny_corpus(np.random.default_rng(57), n_seqs=12)
+        config = RunConfig(algorithm=algorithm, num_states=3, minibatch_size=2,
+                           large_batch_size=4, passes=2, seed=4)
+        model, metrics = train(corpus, config, heldout=corpus)
+        assert metrics[-1].step == 12 and np.isfinite(metrics[-1].heldout_ll)
+        assert checks == []
+        # a caller's own matrices are still checked, and a bad one still fails
+        params = model.surrogate()
+        SurrogateParams(params.trans, params.emit)
+        assert checks == [1]
+        with pytest.raises(ValueError, match="^trans rows must sum to 1 within 1e-10$"):
+            SurrogateParams(2.0 * params.trans, params.emit)
+        assert checks == [1, 1]
+
     def test_hdp_step_sizes_follow_large_batch_count(self, monkeypatch):
         rhos = []
 
@@ -893,13 +917,14 @@ class TestTrain:
 
     def test_large_batch_sums_feed_table_estimates(self, monkeypatch):
         # 11 sequences in minibatches of 4: each pass ends on a short batch of
-        # 3, and the second large batch (steps 3 and 4) crosses the pass
-        # boundary right after it
+        # 3.  The second large batch (steps 2 and 3) crosses the pass boundary
+        # after the first, and the third (steps 4 and 5) ends on the second,
+        # so its estimate reads 3 sequences
         steps, tables_inputs = [], []
 
-        def stepping(model, batch, rho, corpus_size):
+        def stepping(model, batch, rho, corpus_size, **kwargs):
             steps.append((model, [np.array(seq) for seq in batch]))
-            return process_minibatch(model, batch, rho, corpus_size)
+            return process_minibatch(model, batch, rho, corpus_size, **kwargs)
 
         def tabling(counts, absence_pair, absence_row, corpus_size, post):
             tables_inputs.append((counts, absence_pair, absence_row, corpus_size, post))
@@ -921,17 +946,43 @@ class TestTrain:
         assert [len(batch) for _, batch in steps] == [4, 4, 3, 4, 4, 3]
         assert len(tables_inputs) == 3
         for large, got in enumerate(tables_inputs):
-            pair = steps[2 * large : 2 * large + 2]
-            seqs = sum(len(batch) for _, batch in pair)
-            totals = None
-            for model, batch in pair:
-                sums = sweep(build_surrogate(model), batch, absence=True)
-                parts = (sums.counts, sums.absence_pair, sums.absence_row)
-                totals = parts if totals is None else [a + b for a, b in zip(totals, parts)]
-            for total, arg in zip(totals, got[:3]):
-                np.testing.assert_array_equal(arg, total / seqs)
+            # only the large batch's last minibatch, swept by its own model
+            model, batch = steps[2 * large + 1]
+            sums = sweep(build_surrogate(model), batch, absence=True)
+            for part, arg in zip((sums.counts, sums.absence_pair, sums.absence_row), got[:3]):
+                np.testing.assert_array_equal(arg, part / len(batch))
             assert got[3] == len(corpus)
-            assert got[4] is pair[-1][0].hdp
+            assert got[4] is model.hdp
+
+    def test_absence_sums_only_where_a_large_batch_ends(self, monkeypatch):
+        # 11 sequences in minibatches of 4 and large batches of 4 steps: over
+        # 3 passes (9 steps) the sticks update after the 4th and 8th steps,
+        # and the 9th starts a large batch the run never finishes
+        asked, updates = [], []
+
+        def spying(params, batch, stats=True, absence=False):
+            asked.append(absence)
+            return sweep(params, batch, stats, absence)
+
+        def recording(post, *args):
+            updates.append(len(asked))
+            return update_hdp(post, *args)
+
+        monkeypatch.setattr("scvihmm.engine.sweep", spying)
+        monkeypatch.setattr("scvihmm.engine.update_hdp", recording)
+        corpus = tiny_corpus(np.random.default_rng(56), n_seqs=11)
+        config = RunConfig(
+            algorithm="scvi-hdphmm", num_states=3, minibatch_size=4,
+            large_batch_size=16, passes=3, seed=2,
+        )
+        train(corpus, config)
+        assert asked == [False, False, False, True, False, False, False, True, False]
+        assert updates == [4, 8]
+        # the other algorithms never ask for them
+        for algorithm in ("scvi-hmm", "svi-hmm"):
+            asked.clear()
+            train(corpus, replace(config, algorithm=algorithm))
+            assert asked == [False] * 9
 
     def test_nonfinite_stats_name_batch_position_and_step(self, monkeypatch):
         monkeypatch.setattr("scvihmm.engine.sweep", nan_sweep(position=0))
@@ -1002,9 +1053,9 @@ class TestTrain:
     def test_shared_batch_stream_across_algorithms(self, monkeypatch):
         batches = {}
 
-        def recording(model, batch, rho, corpus_size):
+        def recording(model, batch, rho, corpus_size, **kwargs):
             batches.setdefault(model.algorithm, []).append(np.array(batch.starts))
-            return process_minibatch(model, batch, rho, corpus_size)
+            return process_minibatch(model, batch, rho, corpus_size, **kwargs)
 
         monkeypatch.setattr("scvihmm.engine.process_minibatch", recording)
         rng = np.random.default_rng(47)
