@@ -60,7 +60,8 @@ class TrainedModel:
 
     ``trans_counts`` is (K+1) x K with row 0 holding start transitions;
     ``token_stats[k][w]`` is the expected count of token w emitted from
-    state k.  ``config`` is the one record of the algorithm and the priors,
+    state k.  Both hold finite, nonnegative entries whose row sums are
+    finite.  ``config`` is the one record of the algorithm and the priors,
     and must validate; the sizes are the shapes of the statistics.  ``hdp``
     is the stick posterior, held exactly when the config is hierarchical and
     with its state count.  The checks run where values enter: ``train``'s
@@ -85,6 +86,8 @@ class TrainedModel:
         for name, arr in (("trans_counts", c), ("token_stats", t)):
             if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
                 raise ValueError(f"{name} entries must be finite and >= 0")
+            if not _finite_row_sums(arr):
+                raise ValueError(f"{name} row sums must be finite")
         if t.shape[0] != c.shape[1]:
             raise ValueError("emission stats state count does not match trans_counts")
         self.trans_counts, self.token_stats = c, t
@@ -114,6 +117,17 @@ class TrainedModel:
 
     def surrogate(self) -> SurrogateParams:
         return build_surrogate(self)
+
+
+def _finite_row_sums(arr) -> bool:
+    """Whether every row of ``arr`` sums to a finite value, without overflow warnings.
+
+    Also false where an entry is not finite.  Entries near the largest float
+    can be finite while their row sum overflows, and the surrogate's rows
+    divide by those sums.
+    """
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(arr.sum(axis=1)).all())
 
 
 def _updated(model: TrainedModel, **changes) -> TrainedModel:
@@ -211,7 +225,8 @@ def process_minibatch(model, batch, rho: float, corpus_size: int, absence=None):
     sums if ``absence`` is true; by default, exactly when the model holds a
     stick posterior.  ``train`` asks for them only where it reads them.  A
     blend of nonnegative values with rho in (0, 1] stays nonnegative, so
-    the next model is tested only for finiteness and not checked again.
+    the next model is tested only for finite row sums, which its entries
+    then share, and not checked again.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho!r}")
@@ -224,7 +239,7 @@ def process_minibatch(model, batch, rho: float, corpus_size: int, absence=None):
     scale = corpus_size / len(batch)
     new_counts = (1.0 - rho) * model.trans_counts + rho * scale * sums.counts
     new_tokens = (1.0 - rho) * model.token_stats + rho * scale * sums.token_stats
-    if not (np.all(np.isfinite(new_counts)) and np.all(np.isfinite(new_tokens))):
+    if not (_finite_row_sums(new_counts) and _finite_row_sums(new_tokens)):
         bad = np.flatnonzero(~np.isfinite(sums.loglik))
         where = f"sequence at batch position {bad[0]}" if bad.size else "minibatch"
         raise NumericalError(f"non-finite local statistics for {where}")

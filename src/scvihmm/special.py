@@ -7,7 +7,9 @@ stated in ``engine.build_surrogate``.  ``BetaParams`` holds two float64
 arrays of one shape (0-d for a single Beta), and ``beta_expect_logs``
 works elementwise on them; ``GammaParams`` holds two floats.  Both records
 convert and check their values once, on construction.  ``digamma`` accepts
-scalars or ndarrays.
+scalars or ndarrays, and gives every element the same fixed shift by 7
+before an asymptotic series, in whole-array passes without masks: one
+expression is accurate from 1e-300 to the largest float.
 """
 
 from __future__ import annotations
@@ -26,10 +28,15 @@ __all__ = [
     "dirichlet_geo_rows",
 ]
 
-# Recurrence threshold for the asymptotic series.  With the six Bernoulli
-# correction terms below, the first omitted term at x=6 is ~1.1e-12, just
-# over the accuracy budget; shifting to x>=7 brings it under 1.3e-13.
-_ASYMPTOTIC_MIN = 7.0
+# Every argument is shifted by 7 before the asymptotic series.  With the six
+# Bernoulli correction terms below, the first omitted term at x=6 is ~1.1e-12,
+# just over the accuracy budget; at x+7 >= 7 it is under 1.3e-13.
+_SHIFT = 7.0
+
+# The shift's sum is formed from x capped here, so that x(x+6) and 2x+6 stay
+# finite.  Above the cap the sum, under 7e-100, is far below half an ulp of
+# psi(x) > 230, so the cap changes no result.
+_SHIFT_CAP = 1e100
 
 # geometric weights are floored here (log scale) so deep truncations and tiny
 # Dirichlet parameters stay strictly positive instead of underflowing to zero
@@ -47,35 +54,59 @@ _BERNOULLI_TERMS = (
 
 
 def digamma(x):
-    """psi(x) for positive x, elementwise.
+    """psi(x) for positive x, elementwise; a float for a scalar or 0-d input.
 
-    Upward recurrence psi(x) = psi(x+1) - 1/x until x >= 7, then the
-    asymptotic series in 1/x^2.  Raises ValueError on non-positive or
-    non-finite input.
+    Every element takes the same fixed shift,
+    psi(x) = psi(x+7) - sum_{k<7} 1/(x+k), then the asymptotic series in
+    1/(x+7)^2.  The shift's sum is taken in three pairs that share one
+    numerator: with y = x(x+6) and t = 2x+6,
+    1/(x+k) + 1/(x+6-k) = t/(y + k(6-k)) for k = 0, 1, 2, and
+    1/(x+3) = 2/t.  The ends of the float range are safe.  At tiny x all
+    terms are positive and none cancels, so 1/x, which dominates, keeps its
+    relative accuracy (y = 6x stays normal down to 1e-300).  At huge x,
+    y and t would overflow, so the sum is taken from x capped at
+    ``_SHIFT_CAP``, which changes no result.  All arithmetic runs in place
+    in four buffers of the input's size.  Raises ValueError on non-positive
+    or non-finite input.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    # NaN fails both comparisons
+    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):
         raise ValueError("digamma requires finite x > 0")
+    flat = arr.reshape(-1)
+    out = np.empty(flat.size)
+    a, b, t = np.empty((3, flat.size))
 
-    shifted = arr.copy()
-    acc = np.zeros_like(shifted)
-    # At most ceil(_ASYMPTOTIC_MIN) shifts are ever needed.
-    for _ in range(int(_ASYMPTOTIC_MIN)):
-        small = shifted < _ASYMPTOTIC_MIN
-        if not small.any():
-            break
-        acc -= np.where(small, 1.0 / shifted, 0.0)
-        shifted += small
+    np.minimum(flat, _SHIFT_CAP, out=a)
+    np.add(a, 6.0, out=b)
+    np.add(a, b, out=t)
+    a *= b  # y
+    np.add(a, 8.0, out=b)
+    np.divide(1.0, b, out=b)
+    np.add(a, 5.0, out=out)
+    np.divide(1.0, out, out=out)
+    b += out
+    np.divide(1.0, a, out=a)
+    a += b
+    a *= t
+    np.divide(2.0, t, out=t)
+    a += t  # sum_{k<7} 1/(x+k)
 
-    inv = 1.0 / shifted
-    inv2 = inv * inv
-    tail = np.zeros_like(shifted)
-    for coef in reversed(_BERNOULLI_TERMS):
-        tail = (tail + coef) * inv2
-    result = acc + np.log(shifted) - 0.5 * inv - tail
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(result)
-    return result
+    np.add(flat, _SHIFT, out=b)
+    np.log(b, out=out)
+    out -= a
+    np.divide(1.0, b, out=b)  # 1/(x+7)
+    np.multiply(b, b, out=t)
+    np.multiply(t, _BERNOULLI_TERMS[-1], out=a)
+    for coef in reversed(_BERNOULLI_TERMS[:-1]):
+        a += coef
+        a *= t
+    b *= 0.5
+    out -= b
+    out -= a
+    if arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -141,6 +172,9 @@ def dirichlet_geo_rows(params: np.ndarray) -> np.ndarray:
     its weights exp(psi(params) - psi(row sum)), with logs floored at
     ``_LOG_FLOOR``, sum to less than 1 and are divided by their sum.
     """
-    logs = digamma(params) - digamma(params.sum(axis=1))[:, None]
-    weights = np.exp(np.maximum(logs, _LOG_FLOOR, out=logs))
-    return weights / weights.sum(axis=1, keepdims=True)
+    weights = digamma(params)
+    weights -= digamma(params.sum(axis=1))[:, None]
+    np.maximum(weights, _LOG_FLOOR, out=weights)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights

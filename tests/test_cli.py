@@ -420,6 +420,16 @@ class TestEval:
         assert main(["eval", str(model_out), str(corpus)]) == EXIT_FORMAT
         assert "trans_counts" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algo", ["scvi-hdphmm", "scvi-hmm", "svi-hmm"])
+    def test_counts_whose_row_sum_overflows_exit_code(self, tmp_path, capsys, algo):
+        # finite entries whose start row sums to inf: refused on load, before any scoring
+        corpus, model_out = self._train_model(tmp_path, algo=algo)
+        resign_first_count(model_out, 1e308, count=2)
+        assert main(["eval", str(model_out), str(corpus)]) == EXIT_FORMAT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trans_counts row sums must be finite" in captured.err
+
     @pytest.mark.parametrize("prior", ["0.001", "0.0001"])
     def test_svi_model_at_tiny_priors_scores_finite(self, tmp_path, capsys, prior):
         corpus = tmp_path / "corpus.txt"

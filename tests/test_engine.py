@@ -425,6 +425,19 @@ class TestProcessMinibatch:
         with pytest.raises(NumericalError, match="^non-finite local statistics for minibatch$"):
             process_minibatch(model, corpus.sequences[:1], 0.5, 1e308)
 
+    @pytest.mark.filterwarnings("error")
+    def test_blend_whose_row_sum_overflows_aborts(self, monkeypatch):
+        # every blended entry is finite, but the first state's emission row sums to inf
+        def overflowing(params, batch, **kwargs):
+            sums = sweep(params, batch, **kwargs)
+            sums.token_stats[0, :2] = 1e308
+            return sums
+
+        corpus, model = self._setup()
+        monkeypatch.setattr("scvihmm.engine.sweep", overflowing)
+        with pytest.raises(NumericalError, match="^non-finite local statistics for minibatch$"):
+            process_minibatch(model, corpus.sequences[:1], 1.0, 1)
+
     def test_batch_cvb_fixed_point(self):
         # single sequence, rho pinned to 1 at every step: the
         # engine must walk the same trajectory as an independently coded
@@ -622,6 +635,16 @@ class TestTrainedModel:
         # the statistics are checked before the config, whose state count they fix
         with pytest.raises(ValueError, match=message):
             TrainedModel(RunConfig(num_states=3), trans_counts, token_stats)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field", ["trans_counts", "token_stats"])
+    def test_rejects_row_sums_past_the_float_range(self, field):
+        # each entry is finite, but two of 1e308 in a row sum to inf, and the
+        # surrogate's rows divide by that sum
+        stats = dict(trans_counts=np.ones((4, 3)), token_stats=np.ones((3, 5)))
+        stats[field][1, :2] = 1e308
+        with pytest.raises(ValueError, match=f"^{field} row sums must be finite$"):
+            TrainedModel(RunConfig(num_states=3), **stats)
 
     def test_statistics_are_stored_as_float_arrays(self):
         model = TrainedModel(RunConfig(num_states=1), [[1], [2]], [[3, 4]])

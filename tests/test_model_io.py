@@ -54,10 +54,10 @@ def resign_header(path, edit):
     path.write_bytes(payload + hashlib.sha256(payload).digest())
 
 
-def resign_first_count(path, value):
-    """Set a checkpoint's first ``trans_counts`` entry to ``value`` and sign the file again."""
+def resign_first_count(path, value, count=1):
+    """Set a checkpoint's first ``count`` ``trans_counts`` entries to ``value`` and sign the file again."""
     blob = bytearray(path.read_bytes())
-    struct.pack_into("<d", blob, 12 + struct.unpack_from("<I", blob, 8)[0], value)
+    struct.pack_into(f"<{count}d", blob, 12 + struct.unpack_from("<I", blob, 8)[0], *[value] * count)
     payload = bytes(blob[:-32])
     path.write_bytes(payload + hashlib.sha256(payload).digest())
 
@@ -173,8 +173,8 @@ FORMAT2_FILES = {
         "e5d0ad3e8d8edb32cec1e07b4662b8ed404f025d2cc26f0ff1adc91a560ff6e7",
     ),
     "svi-hmm": (
-        "8ad981642c0f158d336e4c77e358c938468b7aec8eb3fd6d1b153722d3b739a8",
-        "4d4a73e9c018666f087a674b5bd0152f809865ff432021c3e8ca1ed39fc4681f",
+        "e00b21ba98b13c9aad085b14916864f85bba6d32c23269887199ffe1b458c67f",
+        "703e883361145e63271c47879a7ecc02b4f47bb9379b3f42890bdd7e18b1c95b",
     ),
 }
 
@@ -286,6 +286,15 @@ class TestCorruption:
         path = self._saved(tmp_path)
         resign_first_count(path, value)
         with pytest.raises(ModelFormatError, match="trans_counts entries must be finite and >= 0") as excinfo:
+            load_model(path)
+        assert type(excinfo.value) is ModelFormatError
+
+    @pytest.mark.filterwarnings("error")
+    def test_counts_whose_row_sum_overflows(self, tmp_path):
+        # two finite entries of 1e308 in the start row sum past the float range
+        path = self._saved(tmp_path)
+        resign_first_count(path, 1e308, count=2)
+        with pytest.raises(ModelFormatError, match="trans_counts row sums must be finite") as excinfo:
             load_model(path)
         assert type(excinfo.value) is ModelFormatError
 

@@ -1,12 +1,14 @@
 """Checks for digamma, the Beta/Gamma expectation helpers and Dirichlet geometric rows."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as scipy_special
 
 from scvihmm.special import (
     BetaParams,
@@ -23,8 +25,30 @@ mpmath.mp.dps = 40
 EULER_MASCHERONI = 0.57721566490153286060
 
 
+# from the smallest arguments the surrogates see to the largest float; 1.46163... is
+# the root of psi, where only the absolute budget can hold
+WHOLE_RANGE = [1e-300, 1e-10, 1.4616321449683622, 1e154, 1e300, np.finfo(float).max]
+
+
 def reference_digamma(x):
     return float(mpmath.digamma(mpmath.mpf(x)))
+
+
+def within_budget(value, ref):
+    """The accuracy budget: 1e-12 absolute, or 1e-14 relative where psi is large."""
+    err = np.abs(np.asarray(value) - ref)
+    return np.all((err < 1e-12) | (err < 1e-14 * np.abs(ref)))
+
+
+def surrogate_params(rng, prior, whole=False, shape=(45, 500)):
+    """Dirichlet parameters drawn like a surrogate's prior + expected counts, many cells empty.
+
+    ``whole`` rounds the counts to whole numbers by a Poisson draw.
+    """
+    counts = rng.gamma(0.3, 40.0, size=shape)
+    if whole:
+        return prior + rng.poisson(counts)
+    return prior + counts * (rng.random(shape) < 0.4)
 
 
 class TestDigamma:
@@ -61,12 +85,32 @@ class TestDigamma:
             ref = reference_digamma(float(x))
             assert abs(digamma(float(x)) - ref) < 1e-14 * abs(ref)
 
+    @pytest.mark.parametrize("x", WHOLE_RANGE)
+    def test_whole_float_range(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = digamma(x)
+        assert math.isfinite(value)
+        assert within_budget(value, reference_digamma(x))
+
     def test_vectorized_matches_scalar(self):
-        xs = np.array([1e-5, 0.3, 1.0, 2.5, 6.9, 7.0, 123.4])
-        out = digamma(xs)
+        xs = np.array([1e-5, 0.3, 1.0, 2.5, 6.9, 7.0, 7.5, 123.4] + WHOLE_RANGE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = digamma(xs)
+            grid = digamma(xs.reshape(2, 7)[:, ::-1])
+            zero_d = [digamma(np.array(x)) for x in xs]
         assert out.shape == xs.shape
-        for x, y in zip(xs, out):
-            assert y == digamma(float(x))
+        for x, y, z in zip(xs, out, zero_d):
+            assert type(z) is float
+            assert y == z == digamma(float(x))
+        assert grid.shape == (2, 7)
+        np.testing.assert_array_equal(grid, out.reshape(2, 7)[:, ::-1])
+
+    @pytest.mark.parametrize("prior", [1e-5, 1e-3, 0.1, 1.0])
+    def test_accuracy_on_a_surrogate_shaped_array(self, prior):
+        params = surrogate_params(np.random.default_rng(11), prior)
+        assert within_budget(digamma(params), scipy_special.digamma(params))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_domain_errors(self, bad):
@@ -209,6 +253,19 @@ class TestDirichletGeoRows:
             rows = dirichlet_geo_rows(rng.gamma(2.0, size=shape))
             assert np.all(rows > 0)
             np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("prior", [1e-5, 1e-3, 0.1, 1.0])
+    def test_matches_scipy_reference(self, prior):
+        # at priors 1e-3 and 1e-5 the empty cells' logs fall below the floor.  A
+        # weight's relative error is its log's absolute error, which digamma's
+        # budget bounds at 1e-12, not 1e-13, for parameters in (1.5e-3, 0.1): the
+        # counts are whole, so every parameter is its prior or above 1
+        params = surrogate_params(np.random.default_rng(12), prior, whole=True)
+        logs = scipy_special.digamma(params) - scipy_special.digamma(params.sum(axis=1))[:, None]
+        weights = np.exp(np.maximum(logs, -650.0))
+        reference = weights / weights.sum(axis=1, keepdims=True)
+        assert (logs < -650.0).any() == (prior < 0.01)
+        np.testing.assert_allclose(dirichlet_geo_rows(params), reference, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("tiny", [1e-3, 1e-5])
     def test_tiny_parameter_floored_not_underflowed(self, tiny):
