@@ -148,6 +148,77 @@ def dense_absence(inner, before, after, unary, n_at, product):
     return pair, row
 
 
+def stepwise_forward(params, columns, tokens, n_at, every, rows, obs, steps=None):
+    """(factors f_t, per-sequence log likelihoods) of one slice, one time per loop turn.
+
+    The reference for ``messages._forward``: its loop as it stood before it
+    stepped through runs of equal running count, slicing each time's blocks
+    afresh.  ``rows`` and ``obs`` hold the whole slice with ``steps`` None;
+    otherwise ``obs`` holds the blocks of ``steps`` times and ``rows`` those
+    of two, each time's block at offset[t] - offset[t - t % s] in a buffer
+    of s times.
+    """
+    inner = params.trans[1:]
+    sizes = n_at.tolist()
+    T = len(sizes)
+    offsets = [0, *np.cumsum(n_at).tolist()]
+    depth, width = (T, T) if steps is None else (2, steps)
+    scales = np.ones(tokens.size)
+    ends = sizes[1:] + [0]
+    prev = None
+    for t, n in enumerate(sizes):
+        at = offsets[t]
+        if t % width == 0:
+            span = tokens[at : offsets[min(t + width, T)]]
+            np.take(columns, span, axis=0, mode="clip", out=obs[: span.size])
+        in_rows, in_obs = at - offsets[t - t % depth], at - offsets[t - t % width]
+        head = rows[in_rows : in_rows + n]
+        if t:
+            np.dot(prev[:n], inner, out=head)
+            head *= obs[in_obs : in_obs + n]
+        else:
+            np.multiply(params.trans[0], obs[:n], out=head)
+        lo = 0 if t % every == every - 1 else ends[t]
+        if lo < n:
+            factor = head[lo:].sum(axis=1, out=scales[at + lo : at + n])
+            head[lo:] /= factor[:, None]
+        prev = head
+    seq = np.arange(tokens.size)
+    seq -= np.repeat(np.cumsum(n_at) - n_at, n_at)
+    return scales, np.bincount(seq, weights=np.log(scales))
+
+
+def stepwise_recursion(params, columns, tokens, n_at, every):
+    """(log likelihoods, (alpha, right, unary)) of one stats slice, one time per loop turn.
+
+    The reference for ``messages._recursion`` with stats: ``stepwise_forward``
+    over the whole slice, then the backward loop as it stood before it
+    stepped through runs, in fresh arrays.
+    """
+    K = params.num_states
+    right, alpha, beta = (np.empty((tokens.size, K)) for _ in range(3))
+    scales, loglik = stepwise_forward(params, columns, tokens, n_at, every, alpha, right)
+    sizes = n_at.tolist()
+    offsets = [0, *np.cumsum(n_at).tolist()]
+    inner_t = params.trans[1:].T
+    beta[offsets[-2] :] = 1.0
+    for t in range(len(sizes) - 1, 0, -1):
+        n, lo, hi = sizes[t], offsets[t - 1], offsets[t]
+        below = beta[lo : lo + n]
+        np.dot(right[hi : hi + n], inner_t, out=below)
+        if (t - 1) % every == every - 1:
+            below /= below.sum(axis=1)[:, None]
+        if lo + n < hi:
+            beta[lo + n : hi] = 1.0
+        right[lo : lo + n] *= below
+    unary = np.multiply(alpha, beta, out=beta)
+    norm = unary.sum(axis=1)
+    unary /= norm[:, None]
+    norm *= scales
+    right /= norm[:, None]
+    return loglik, (alpha, right, unary)
+
+
 def batch_sums(posterior, trans, emit, batch):
     """Batch sums of one posterior routine, the package's sweep layout.
 

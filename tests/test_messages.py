@@ -21,6 +21,8 @@ from oracles import (
     enumerate_paths,
     log_forward_backward,
     log_space_loglik,
+    stepwise_forward,
+    stepwise_recursion,
 )
 from scvihmm import messages
 from scvihmm.corpus import Corpus, Vocabulary
@@ -618,7 +620,8 @@ class TestLazyRenormalization:
 
     @pytest.mark.parametrize("every", [1, 3, 8])
     def test_block_length_is_apart_from_the_cadence(self, monkeypatch, every):
-        # _forward refills its emission block every `steps` times, whatever the cadence
+        # _forward refills its emission block with as many whole times as fit it, and
+        # keeps the rows of two times in a ring, whatever the cadence
         params, batch = self._case()
         monkeypatch.setattr(messages, "SLICE_POSITIONS", 64)
         columns = np.ascontiguousarray(params.emit.T)
@@ -629,11 +632,18 @@ class TestLazyRenormalization:
         for _, tokens, n_at in slices:
             whole = np.empty((tokens.size, K)), np.empty((tokens.size, K))
             ref = messages._forward(params, columns, tokens, n_at, every, *whole)
+            offsets = np.cumsum(n_at) - n_at
             for steps in (1, 3, 8, n_at.size):
-                rows, obs = np.empty((n_at[:2].sum(), K)), np.empty((n_at[:steps].sum(), K))
-                got = messages._forward(params, columns, tokens, n_at, every, rows, obs, steps)
-                for a, b in zip(got, ref):
-                    np.testing.assert_array_equal(a, b)
+                # a block of `steps` whole times, and one a row longer
+                for extra in (0, 1):
+                    rows, obs = np.empty((n_at[:2].sum(), K)), np.empty((n_at[:steps].sum() + extra, K))
+                    got = messages._forward(params, columns, tokens, n_at, every, rows, obs)
+                    for a, b in zip(got, ref):
+                        np.testing.assert_array_equal(a, b)
+                    # the ring holds the rows of the last two times, the block of t at (t % 2) x n_0
+                    for t in range(max(0, n_at.size - 2), n_at.size):
+                        at, n = t % 2 * n_at[0], n_at[t]
+                        np.testing.assert_array_equal(rows[at : at + n], whole[0][offsets[t] : offsets[t] + n])
 
     def _rare_token_case(self):
         # token 0 has emission 1e-90 under every state, so 8 of them in a row
@@ -710,12 +720,14 @@ class TestLazyRenormalization:
         assert not messages._in_range(np.array([np.inf]))
         assert messages._in_range(np.array([messages.RENORM_FLOOR, 1.0]))
 
-    def test_forward_only_memory_stays_per_block(self):
+    def test_forward_only_memory_stays_per_block(self, monkeypatch):
         # 5 chains x 6000 tokens at K = 45: gathering the slice's emissions
-        # whole would take 5 * 6000 * 45 * 8 bytes = 10.8 MB
+        # whole would take 5 * 6000 * 45 * 8 bytes = 10.8 MB; the peak counts
+        # the held buffers' first growth, whatever ran before
         rng = np.random.default_rng(67)
         params = random_params(rng, 45, 500)
         batch = [rng.integers(0, 500, 6000) for _ in range(5)]
+        monkeypatch.setattr(messages._held, "buffers", [np.empty(0)] * 3, raising=False)
         tracemalloc.start()
         try:
             sweep(params, batch, stats=False)
@@ -751,11 +763,14 @@ class TestForwardOnlySlices:
         rng = np.random.default_rng(89)
         return random_params(rng, 45, 500), [rng.integers(0, 500, n) for n in lengths]
 
-    def test_long_chains_make_one_slice_within_a_bound(self):
-        # 8 chains x 6000 tokens at K = 45: the training cap would cut 5 and 3
+    def test_long_chains_make_one_slice_within_a_bound(self, monkeypatch):
+        # 8 chains x 6000 tokens at K = 45, the long-seqs held-out shape: the
+        # training cap would cut 5 and 3.  The peak counts the held buffers'
+        # first growth, a 256-time emission block of 0.7 MB among them
         params, batch = self._chains([6000] * 8)
         assert len(messages._slices(batch, params.vocab_size, stats=False)) == 1
         assert len(messages._slices(batch, params.vocab_size)) == 2
+        monkeypatch.setattr(messages._held, "buffers", [np.empty(0)] * 3, raising=False)
         tracemalloc.start()
         try:
             sweep(params, batch, stats=False)
@@ -779,6 +794,90 @@ class TestForwardOnlySlices:
         slices = messages._slices(batch, params.vocab_size, stats=False)
         assert [c.size for c, _, _ in slices] == [256] * 6 + [64]
         np.testing.assert_array_equal(sweep(params, batch, stats=False).loglik, sweep(params, batch).loglik)
+
+
+class TestStepLoops:
+    """The span-by-span forward and backward loops against the per-time loops of ``oracles``, bit for bit."""
+
+    CADENCES = (1, 3, 7, 8, 2**20)
+    CASES = ("ragged", "one-step-runs", "one-sequence", "one-position")
+
+    def _slice(self, case):
+        rng = np.random.default_rng(107)
+        params = random_params(rng, 5, 9)
+        lengths = {
+            # runs of 3, 6, 11, 13 and 7 times, so most widths change inside a cadence block
+            "ragged": [40, 40, 33, 20, 20, 20, 9, 3],
+            "one-step-runs": list(range(12, 0, -1)),
+            "one-sequence": [50],
+            "one-position": [1],
+        }[case]
+        (_, tokens, n_at), = messages._slices([rng.integers(0, 9, n) for n in lengths], 9)
+        return params, np.ascontiguousarray(params.emit.T), tokens, n_at
+
+    @staticmethod
+    def _fill_times(n_at, cap):
+        # the times at which a block of cap rows is refilled, holding as many whole times as fit
+        fills, used = [], cap
+        for t, n in enumerate(n_at.tolist()):
+            if used + n > cap:
+                fills.append(t)
+                used = 0
+            used += n
+        return fills
+
+    @pytest.mark.parametrize("every", CADENCES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_stats_sweep(self, case, every):
+        params, columns, tokens, n_at = self._slice(case)
+        want_loglik, want = stepwise_recursion(params, columns, tokens, n_at, every)
+        loglik, got, _ = messages._recursion(params, columns, tokens, n_at, True, every)
+        np.testing.assert_array_equal(loglik, want_loglik)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("every", CADENCES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_forward_in_every_block_length(self, case, every):
+        # whole buffers, then a two-time ring under emission blocks of every length
+        # from one time to the slice, each refilled at the first time it lacks
+        params, columns, tokens, n_at = self._slice(case)
+        K = params.num_states
+        whole = np.empty((tokens.size, K)), np.empty((tokens.size, K))
+        want = stepwise_forward(params, columns, tokens, n_at, every, *whole)
+        got = messages._forward(params, columns, tokens, n_at, every, *whole)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        starts = {t for t in range(1, n_at.size) if n_at[t] != n_at[t - 1]}
+        edges = inside = 0
+        for cap in range(int(n_at[0]), tokens.size + 1):
+            rows, obs = np.empty((n_at[:2].sum(), K)), np.empty((cap, K))
+            got = messages._forward(params, columns, tokens, n_at, every, rows, obs)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+            fills = set(self._fill_times(n_at, cap))
+            edges += len(starts & fills)
+            inside += len(starts - fills) * (len(fills) > 1)
+        if case == "ragged":
+            # widths change at a block's edge and inside a block
+            assert edges and inside
+
+    @pytest.mark.parametrize("every", CADENCES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_forward_only_sweep(self, monkeypatch, case, every):
+        # the forward-only sweep against the per-time loop as evaluation ran it, with
+        # blocks of 8 times, and against the stats sweep; a cap of 2 sequences
+        # makes its block 16 rows, so it refills
+        params, columns, tokens, n_at = self._slice(case)
+        K = params.num_states
+        steps = messages.RENORM_EVERY
+        ring, block = np.empty((n_at[:2].sum(), K)), np.empty((n_at[:steps].sum(), K))
+        _, want = stepwise_forward(params, columns, tokens, n_at, every, ring, block, steps)
+        with_stats = messages._recursion(params, columns, tokens, n_at, True, every)[0].copy()
+        monkeypatch.setattr(messages, "SLICE_SEQUENCES", 2)
+        got = messages._recursion(params, columns, tokens, n_at, False, every)[0]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, with_stats)
 
 
 class TestSliceBuffers:
