@@ -59,7 +59,8 @@ b_t are proportional to the exact backward messages, with any positive
 factor per position: b_T = 1, b_{t-1} = r_t A^T with r_t = obs_t * b_t,
 divided by its own sum on the same cadence.  ``right`` holds r_t.
 
-The posteriors then follow from whole-array operations.  With
+The posteriors then follow from whole-array operations over a block of
+times at a time (below).  With
 
     U_t = sum_k a_tk b_tk,
 
@@ -74,14 +75,39 @@ place, and the transition counts are inner * before^T after, one matrix
 product; the pairwise posteriors are never stored.  ``after`` is the rows
 of ``right`` at t >= 1, and ``before`` holds, row for row, the forward
 row a_{t-1} of the same sequence: the first n_t rows of the block of
-t - 1 of ``alpha`` for each t >= 1, moved to its front once per slice.
+t - 1 of ``alpha`` for each t >= 1.
+
+Only ``alpha`` spans a stats slice.  Its backward pass walks the slice in
+blocks of whole times, last block first, and holds one block of ``right``
+and of b_t at a time.  A block takes about ``BLOCK_DOUBLES`` doubles of
+rows, which fit a 2 MB L2 cache with the block's ``alpha`` rows, or
+``BLOCK_TIMES`` times of the slice's first running count where those are
+more, so that a slice of short sequences is one block.  The forward loop
+gathers the emissions of the same blocks ahead of its steps.  The backward
+pass regathers each block's emissions, steps through its times, forms its
+``unary`` and divides its ``right`` by f_t U_t, and then adds the block's
+sums: the start row of the counts, the counts product before^T after, the
+token counts and, with absence sums, the row sums, the series powers, the
+hot-cell corrections and the dense rows below.  The block of times a to
+b - 1 reduces the pair terms at a + 1 to b.  The one at b straddles
+the block's edge and reads the rows of time b, which the later block
+leaves in a carry of n_b <= ``SLICE_SEQUENCES`` rows: r_b before its
+division, where the step into b - 1 starts, and right[b] and unary[b]
+after it.
+``before`` is the block's forward rows, each time's first n_{t+1} moved to
+the front in place.  A slice that fits one block does the arithmetic of
+a whole-slice pass; over several, the sums add up block by block, in
+another order, and move by rounding only.
 
 A product of R factors can underflow where one factor would not: a token
 with emission 1e-90 under every state, repeated R = 8 times, is 1e-720, so
 its sum reads 0 and its renormalization NaN.  If any f_t or any U_t is
 not within [``RENORM_FLOOR``, 1 / ``RENORM_FLOOR``] (a NaN is not),
 the slice is swept again by the same code with R = 1, the textbook
-recursion.  The first attempt runs with floating point warnings off.
+recursion.  The factors are checked before the backward pass and each
+block's U_t before its sums are added; a failed attempt drops the sums of
+the blocks before it.  The first attempt runs with floating point warnings
+off.
 
 The hierarchical prior's pair absence sum, sum_t log(1 - p_tij) with pair
 posterior p_tij = alpha[t-1, i] * inner[i, j] * right[t, j], is a power
@@ -117,37 +143,45 @@ The forward vectors are at most 1 but right[t] is not bounded, so a
 position whose scaled right[t] exceeds ``SERIES_RIGHT_MAX`` (where right^9
 could overflow) is summed exactly over every cell instead.  The row absence
 sum, of log(1 - unary) over the positions t - 1 that ``before`` holds, is
-taken in one call over them, after the same in-place move of ``unary``.
+taken in one call over a block's, after the same in-place move of
+``unary``.
 
-A sweep keeps its slice arrays in three buffers held per thread, which
-only grow, up to ``SLICE_POSITIONS`` x K doubles each (35 MB in all at
-K = 45); a slice needs one row of K doubles per running position in each.
-A stats sweep holds a slice's ``right``, ``alpha`` (later ``before``) and
-``beta`` (later ``unary``) there.  ``right`` is filled by a gather of the
-emission columns; every row of the other two is written before it is read,
-so nothing is zeroed.  The forward-only sweep of evaluation holds there
-a block of gathered emissions, as many whole times as fit
+A sweep keeps its arrays in four buffers held per thread, which only
+grow.  A stats sweep holds there a slice's ``alpha``, one row of K
+doubles per running position, up to ``SLICE_POSITIONS`` x K doubles (11.8
+MB at K = 45); a block's ``right`` and ``beta`` (later ``unary``), up to
+``BLOCK_TIMES`` x ``SLICE_SEQUENCES`` x K doubles each (2.9 MB); and the
+carry.  ``right`` is filled by a
+gather of the emission columns; every row of the others is written before
+it is read, so nothing is zeroed.  The forward-only sweep of evaluation
+holds there a block of gathered emissions, as many whole times as fit
 ``RENORM_EVERY`` x ``SLICE_SEQUENCES`` = 2,048 rows (8 times of a slice
 of 256 sequences, 256 times of 8 long chains), and the running rows of
-two times in turn.  Both run the one forward loop, over the buffers they
-pass: a stats sweep's gather is the loop's one refill of a block as long
-as the slice.  The gathers read a contiguous V x K copy of
-the emission columns, made once per sweep.  An array larger than the
-buffers may grow to (one sequence longer than ``SLICE_POSITIONS``) is
-allocated apart.  Nothing else is kept between calls, and nothing a sweep
-returns is a view of the buffers.
+two times in turn.  Both run the one forward loop, each over the blocks of
+its own plan, and the plan, a slice's runs and blocks, is made once for
+both loops of a slice.  The gathers read a contiguous V x K copy of the
+emission columns, made once per sweep.  An array larger than the buffers
+may grow to (one sequence longer than ``SLICE_POSITIONS``) is allocated
+apart.  Nothing else is kept between calls, and nothing a sweep returns
+is a view of the buffers.
 
 The reason is the allocator, not the copying.  Fresh arrays would be 1.8
 MB each for a slice of 200 sequences and 5000 tokens at K = 45, under
 numpy's 4 MB huge-page cut.  A process whose heap hands such blocks
 back to the kernel faults in their pages again at every sweep, and which
 process does so depends on its allocation history.  So no step makes a
-temporary of a slice's size: ``before`` and the row sum's ``unary`` rows
-are moved in place, ``GATHER_ROWS`` rows per step.  The absence sums still
-allocate, per slice, two boolean masks of a slice's positions and the
+temporary of a slice's size, and none of a block's size but the absence
+sums' masks: ``before`` and the row sum's ``unary`` rows are moved in
+place, ``GATHER_ROWS`` rows per step, and the token counts of a block of
+more than ``GATHER_ROWS`` rows take a bincount per state.  The absence
+sums allocate, per block, two boolean masks of a block's positions and the
 codes and corrections of its hot cells, 16 bytes a cell; the arrays that
-list the cells are made in runs of about ``SLICE_POSITIONS`` cells.
+list the cells are made in runs of about ``BLOCK_DOUBLES`` / 16 cells.  A stats sweep of 4 chains of
+6,000 tokens at K = 45, buffers grown afresh, peaks at 2.0 MiB (with
+absence sums 2.7 MiB) above its 8.2 MiB ``alpha``; a backward pass over
+the whole slice took 26.0 and 36.7 MiB in all.
 """
+import array
 import bisect
 import itertools
 import math
@@ -164,6 +198,11 @@ SLICE_POSITIONS = 2**15
 SLICE_SEQUENCES = 256
 # positions per matrix product of the pair absence series
 SERIES_CHUNK_ROWS = 256
+# doubles per block array of a stats slice's backward pass, so that a block fits a 2 MB L2 cache
+BLOCK_DOUBLES = 2**16
+# times of its slice's first running count that a block's rows take at least (2 or more, for
+# the carry): a block costs about 0.1 ms besides its steps, which 32 times of 200 rows make small
+BLOCK_TIMES = 32
 # rows per step of the in-place gathers that line a slice's t - 1 rows up with its t rows
 GATHER_ROWS = 256
 # c_1 .. c_9 of log(1 - p) ~ -sum_m c_m p^m on [0, 1/16]: the Taylor series of
@@ -285,54 +324,69 @@ def _slices(batch, vocab_size, stats=True):
     return slices
 
 
-def _forward(params, columns, tokens, n_at, every, rows, obs):
+def _plan(n_at, capacity):
+    """(sizes, offsets, runs, fills) of one slice, which its forward and backward loops share.
+
+    ``sizes`` lists each n_t and ``offsets`` the packed offset of each time,
+    with the slice's size last.  ``runs`` lists 0 and each time t at which
+    n_t differs from n_{t-1}.  ``fills`` lists the first time of each block:
+    a block holds as many whole times as fit ``capacity`` rows, and at least
+    one.
+    """
+    sizes = n_at.tolist()
+    # machine integers: a list would hold an int object of 32 bytes per time
+    offsets = array.array("q", [0])
+    offsets.frombytes(np.cumsum(n_at, dtype=np.int64).tobytes())
+    runs = [0, *(np.flatnonzero(n_at[1:] != n_at[:-1]) + 1).tolist()]
+    fills = [0]
+    while offsets[fills[-1]] + capacity < offsets[-1]:
+        # a block shorter than one time's rows fails the gather rather than loop here
+        past = bisect.bisect_right(offsets, offsets[fills[-1]] + capacity) - 1
+        fills.append(max(past, fills[-1] + 1))
+    return sizes, offsets, runs, fills
+
+
+def _forward(params, columns, tokens, plan, every, rows, obs):
     """(factors f_t, per-sequence log likelihoods) of the forward rows of one slice.
 
     A running row is renormalized at each position t with t % every ==
     every - 1 and at its last position; every other factor is 1.  The
     factors come back packed like ``tokens``, and the log likelihoods sum
-    their logs in time order.  ``obs`` takes the packed emission blocks of
-    as many whole times as fit its rows, refilled by one gather at the
-    first time it lacks: a stats sweep's ``obs`` holds the slice, so one
-    gather fills it, and evaluation's holds 2,048 rows, 256 times of 8
-    long chains.  ``rows`` holds the forward rows of every time if it
-    has a row per position, else those of two times in turn, the block of
-    time t at (t % 2) x n_0, so memory stays O(T x B).  No bit depends on
-    either buffer's length, as the gathers only copy.
+    their logs in time order.  ``obs`` takes the packed emissions of one
+    block of the ``plan`` at a time, refilled by one gather at the block's
+    first time: a stats sweep's blocks are those its backward pass reduces,
+    about ``BLOCK_DOUBLES`` doubles each, and evaluation's hold 2,048 rows,
+    256 times of 8 long chains.  ``rows`` holds the forward rows of every
+    time if it has a row per position, else those of two times in turn, the
+    block of time t at (t % 2) x n_0, so memory stays O(T x B).  No bit
+    depends on either buffer's length, as the gathers only copy.
 
     The loop goes span by span: a run of times of one running count n
-    within one fill of ``obs``; time 0 is a span of its own.  A span's row
-    and emission blocks are the views a 3-D view of it yields, one a step,
-    so a step is one matrix product into its row block and one in-place
-    product with its emission block, with no index arithmetic: about 2.2 µs
-    at 4 rows and K = 45, against 1.5 µs for the two calls alone (module
+    within one block; time 0 is a span of its own.  A span's row and
+    emission blocks are the views a 3-D view of it yields, one a step, so a
+    step is one matrix product into its row block and one in-place product
+    with its emission block, with no index arithmetic: about 2.2 µs at 4
+    rows and K = 45, against 1.5 µs for the two calls alone (module
     docstring).  Rows are renormalized at the cadence positions and at the
     span's last time.
     """
     inner = params.trans[1:]
     K = inner.shape[0]
-    sizes = n_at.tolist()
+    sizes, offsets, runs, fills = plan
     T = len(sizes)
-    offsets = [0, *np.cumsum(n_at).tolist()]
     scales = np.ones(tokens.size)
     # rows ends[t] .. n_at[t] - 1 have their last position at t
     ends = sizes[1:] + [0]
     n0, ring = sizes[0], len(rows) < tokens.size
-    # the first time of each fill of obs
-    fills = [0]
-    while offsets[fills[-1]] + len(obs) < tokens.size:
-        # a block shorter than one time's rows fails the gather rather than loop here
-        past = bisect.bisect_right(offsets, offsets[fills[-1]] + len(obs)) - 1
-        fills.append(max(past, fills[-1] + 1))
     # time 0, whose step differs, is a span of its own
-    cuts = sorted({1, *_run_starts(n_at), *fills} - {T}) + [T]
-    fills = iter(fills[1:] + [T])
+    cuts = sorted({1, *runs, *fills} - {T}) + [T]
+    refills = iter(fills[1:] + [T])
     dot, mul, islice = np.dot, np.multiply, itertools.islice
     refill = base = 0
     for a, b in zip(cuts, cuts[1:]):
         n, at = sizes[a], offsets[a]
         if a == refill:
-            base, refill = at, next(fills)
+            base, refill = at, next(refills)
             span = tokens[at : offsets[refill]]
             # _slices has checked the tokens; "clip" lets take write into out without a copy
             np.take(columns, span, axis=0, mode="clip", out=obs[: span.size])
@@ -370,11 +424,11 @@ def _forward(params, columns, tokens, n_at, every, rows, obs):
         if lo < n:
             _renormalize(prev[lo:], scales[offsets[b - 1] + lo : offsets[b]])
     # only renormalized positions have a factor other than 1, and adding log 1 = 0
-    # moves no sum; packed position p holds sequence p - offset[t], and bincount
-    # adds in time order
-    at = np.flatnonzero(scales != 1.0)
-    starts = np.cumsum(n_at) - n_at
-    seq = at - starts[np.searchsorted(starts, at, side="right") - 1]
+    # moves no sum; packed position p at time t holds sequence p - offsets[t], and
+    # bincount adds in time order
+    at = (scales != 1.0).nonzero()[0]
+    starts = np.frombuffer(offsets, np.int64)
+    seq = at - starts[np.searchsorted(starts[1:], at, side="right")]
     return scales, np.bincount(seq, weights=np.log(scales[at]), minlength=n0)
 
 
@@ -383,52 +437,49 @@ def _renormalize(x, sums):
     np.divide(x, np.add.reduce(x, 1, None, sums)[:, None], x)
 
 
-def _run_starts(n_at):
-    """The times t at which n_t differs from n_{t-1}, and 0."""
-    return [0, *(np.flatnonzero(n_at[1:] != n_at[:-1]) + 1).tolist()]
+def _backward(params, plan, every, a, b, right, beta, src, sums):
+    """Write the backward rows b_t of times a .. b - 1 into ``beta`` and turn ``right`` into r_t.
 
-
-def _backward(params, n_at, every, right, beta):
-    """Write the backward rows b_t of one slice into ``beta`` and turn ``right`` into r_t.
-
-    ``right`` comes in holding the emissions obs_t and leaves holding r_t =
-    obs_t * b_t.  A row b_t is divided by its own sum at each t with t %
-    every == every - 1, between its matrix product and its product into
-    ``right``.  The loop goes run by run, last run first, over the runs
-    a .. b - 1 of one running count m.  The step to t reads all of the
-    block of t + 1, which the step before it finished, and writes the first
-    n_{t+1} rows of the block of t.  The step to b - 1 reads the narrower
-    block of b and is taken alone; those to b - 2 .. a step through the
-    views of reversed 3-D views of the run.
+    The times are one block of the ``plan``, packed from row 0 of each
+    buffer.  ``right`` comes in holding their emissions obs_t and leaves
+    holding r_t = obs_t * b_t; ``src`` holds r_b of the next block, or is
+    None for the slice's last block.  A row b_t is divided by its own sum,
+    written into ``sums``, at each t with t % every == every - 1, between
+    its matrix product and its product into ``right``.  The loop goes run
+    by run, last run first, over the runs s .. e - 1 of one running count m
+    within the block.  The step to t reads all of the rows of t + 1, which
+    the step before it finished, and writes the first n_{t+1} rows of the
+    block of t.  The step to e - 1 reads the narrower rows of e, or ``src``,
+    and is taken alone; those to e - 2 .. s step through the views of
+    reversed 3-D views of the run.
     """
     K = params.num_states
     inner_t = params.trans[1:].T
-    sizes = n_at.tolist()
+    sizes, offsets, runs, _ = plan
     T = len(sizes)
-    offsets = [0, *np.cumsum(n_at).tolist()]
     dot, mul, islice = np.dot, np.multiply, itertools.islice
-    sums = np.empty(sizes[0])
-    # every sequence running at the last time ends there
-    beta[offsets[-2] :] = 1.0
-    src = right[offsets[-2] :]
-    starts = _run_starts(n_at)
-    for a, b in zip(starts[::-1], [T, *starts[:0:-1]]):
-        m, top = sizes[a], offsets[b - 1]
-        if b < T:
-            n = sizes[b]
+    starts = [a, *runs[bisect.bisect_right(runs, a) : bisect.bisect_left(runs, b)]]
+    base = offsets[a]
+    for s, e in zip(starts[::-1], [b, *starts[:0:-1]]):
+        m, top = sizes[s], offsets[e - 1] - base
+        if e < T:
+            n = sizes[e]
             row, target = beta[top : top + n], right[top : top + n]
             dot(src, inner_t, row)
-            if (b - 1) % every == every - 1:
+            if (e - 1) % every == every - 1:
                 _renormalize(row, sums[:n])
             mul(target, row, target)
-            # the sequences whose last position is b - 1
+            # the sequences whose last position is e - 1
             beta[top + n : top + m] = 1.0
-            src = right[top : top + m]
-        if b - a == 1:
+        else:
+            # every sequence running at the last time ends there
+            beta[top : top + m] = 1.0
+        src = right[top : top + m]
+        if e - s == 1:
             continue
-        steps = zip(*(x[offsets[a] : top].reshape(b - 1 - a, m, K)[::-1] for x in (beta, right)))
-        t = b - 2
-        for mark in range((b - 1) // every * every - 1, a - 1, -every):
+        steps = zip(*(x[offsets[s] - base : top].reshape(e - 1 - s, m, K)[::-1] for x in (beta, right)))
+        t = e - 2
+        for mark in range((e - 1) // every * every - 1, s - 1, -every):
             for row, target in islice(steps, t - mark):
                 dot(src, inner_t, row)
                 mul(target, row, target)
@@ -448,24 +499,27 @@ def _series(p):
     """-sum_m SERIES_COEFS[m - 1] p^m, the series' log(1 - p), by Horner's rule."""
     acc = np.full_like(p, SERIES_COEFS[-1])
     for coef in SERIES_COEFS[-2::-1]:
-        acc = acc * p + coef
-    return -p * acc
+        acc *= p
+        acc += coef
+    acc *= p
+    return np.negative(acc, out=acc)
 
 
 def _exact_cells(hot_before, hot_after):
     """(row, i, j) of every cell with hot_before[row, i] and hot_after[row, j], in runs.
 
     The cells come in (row, i, j) order, cut into runs of about
-    SLICE_POSITIONS cells, so that the arrays that list them stay that long.
+    BLOCK_DOUBLES / 16 cells, so that the dozen arrays a run makes take
+    about one block array.
     """
-    K = hot_before.shape[1]
+    K, step = hot_before.shape[1], max(1, BLOCK_DOUBLES // 16)
     rows_i, cols_i = np.divmod(np.flatnonzero(hot_before), K)
     rows_j, cols_j = np.divmod(np.flatnonzero(hot_after), K)
     # the hot j of each row sit together in cols_j; pair each hot i with them
     per_row = np.bincount(rows_j, minlength=hot_before.shape[0])
     first_j = np.cumsum(per_row) - per_row
     reps = per_row[rows_i]
-    cuts = np.searchsorted(np.cumsum(reps), np.arange(SLICE_POSITIONS, reps.sum(), SLICE_POSITIONS))
+    cuts = np.searchsorted(np.cumsum(reps), np.arange(step, reps.sum(), step))
     bounds = [0, *cuts.tolist(), reps.size]
     # a generator keeps its locals until it ends; drop those the runs do not read
     del rows_j, per_row
@@ -494,29 +548,14 @@ def _leading_rows(x, n_at):
     return x[: shift.size]
 
 
-def _absence(inner, before, after, unary, n_at, product):
-    """Pair and row absence sums of one slice; see the module docstring.
+def _series_terms(inner, before, after, product):
+    """(the pair absence series over the rows of ``before`` and ``after``, the dense rows).
 
-    ``before`` and ``after`` hold alpha[t - 1] and right[t] of each
-    sequence running at t >= 1, row for row, and ``product`` is
-    before^T after.  ``unary`` is packed and is overwritten.
+    The dense rows, whose scaled right factor exceeds SERIES_RIGHT_MAX, add
+    nothing to the series; ``_absence`` sums them over every cell.  Each
+    chunk's temporaries go when this returns.
     """
     K = inner.shape[0]
-    pair = np.zeros((K + 1, K))
-    row = np.empty(K + 1)
-    first = int(n_at[0])
-    hot_after = unary[first:] > SERIES_BOUND
-    with np.errstate(divide="ignore"):
-        pair[0] = np.log1p(-np.minimum(unary[:first], 1.0)).sum(axis=0)
-        # every sequence leaves the start state at its first position
-        row[0] = -np.inf
-        logs = _leading_rows(unary, n_at)
-        hot_before = logs > SERIES_BOUND
-        # log1p(-min(u, 1)) in place, summed over positions in one call
-        np.minimum(logs, 1.0, out=logs)
-        np.negative(logs, out=logs)
-        row[1:] = np.log1p(logs, out=logs).sum(axis=0)
-
     powers = np.zeros((len(SERIES_COEFS), K, K))
     # the m = 1 term is the counts product, less the dense rows below
     powers[0] = product
@@ -541,19 +580,53 @@ def _absence(inner, before, after, unary, n_at, product):
     dense_rows = np.flatnonzero(dense)
     if dense_rows.size:
         powers[0] -= before[dense_rows].T @ after[dense_rows]
+    series = np.zeros((K, K))
     inner_m = inner.copy()
     for m, coef in enumerate(SERIES_COEFS):
         if m:
             inner_m *= inner
-        pair[1:] -= inner_m * coef * powers[m]
+        series -= inner_m * coef * powers[m]
+    return series, dense_rows
 
-    hot_after[dense] = False
+
+def _absence(inner, before, after, unary, n_at, product):
+    """Pair and row absence sums of one block of a slice; see the module docstring.
+
+    ``before`` and ``after`` hold alpha[t - 1] and right[t] of each
+    sequence running at t, for the block's pair terms, row for row, and
+    ``product`` is before^T after.  ``unary`` is packed like ``n_at``, the
+    block's times and then the first time of the next, and is overwritten.
+    The start row of the pair sum reads the block's first time.
+    """
+    K = inner.shape[0]
+    pair = np.zeros((K + 1, K))
+    row = np.empty(K + 1)
+    first = int(n_at[0])
+    # the series first, so that its chunks and the hot masks never meet
+    pair[1:], dense_rows = _series_terms(inner, before, after, product)
+    hot_after = unary[first:] > SERIES_BOUND
+    hot_after[dense_rows] = False
+    with np.errstate(divide="ignore"):
+        pair[0] = np.log1p(-np.minimum(unary[:first], 1.0)).sum(axis=0)
+        # every sequence leaves the start state at its first position
+        row[0] = -np.inf
+        logs = _leading_rows(unary, n_at)
+        hot_before = logs > SERIES_BOUND
+        # log1p(-min(u, 1)) in place, summed over positions in one call
+        np.minimum(logs, 1.0, out=logs)
+        np.negative(logs, out=logs)
+        row[1:] = np.log1p(logs, out=logs).sum(axis=0)
     # the hot cells' codes i * K + j and corrections, run by run in position order
     cells, exact = [], []
     for at, i, j in _exact_cells(hot_before, hot_after):
         p = before[at, i] * inner[i, j] * after[at, j]
+        series = _series(p)
+        # log1p(-min(p, 1)) - series in place
+        np.minimum(p, 1.0, out=p)
+        np.negative(p, out=p)
         with np.errstate(divide="ignore"):
-            exact.append(np.log1p(-np.minimum(p, 1.0)) - _series(p))
+            np.log1p(p, out=p)
+        exact.append(np.subtract(p, series, out=p))
         cells.append(i * K + j)
     # one sum over every run's cells, in the order of one pass over the slice; the
     # runs' codes go before the corrections are joined, so two copies never meet
@@ -574,13 +647,13 @@ _held = threading.local()
 
 
 def _held_arrays(*shapes):
-    """Views of this thread's held buffers, one per shape (at most three, each ending in K).
+    """Views of this thread's held buffers, one per shape (at most four, each ending in K).
 
     The buffers only grow, up to SLICE_POSITIONS x K entries each; a larger
     array (one sequence longer than SLICE_POSITIONS) is allocated apart.
     """
     if not hasattr(_held, "buffers"):
-        _held.buffers = [np.empty(0)] * 3
+        _held.buffers = [np.empty(0)] * 4
     views = []
     for k, shape in enumerate(shapes):
         size = math.prod(shape)
@@ -594,62 +667,139 @@ def _held_arrays(*shapes):
 
 
 def _in_range(x):
-    """Whether every entry lies in [RENORM_FLOOR, 1 / RENORM_FLOOR]; NaN does not."""
-    return bool(np.all((x >= RENORM_FLOOR) & (x <= 1.0 / RENORM_FLOOR)))
+    """Whether every entry lies in [RENORM_FLOOR, 1 / RENORM_FLOOR]; NaN does not.
+
+    A NaN entry makes both extremes NaN, and every comparison with NaN is false.
+    """
+    return bool(RENORM_FLOOR <= x.min() and x.max() <= 1.0 / RENORM_FLOOR)
 
 
-def _recursion(params, columns, tokens, n_at, stats, every):
-    """(log likelihoods, posteriors, ok) of one slice, renormalizing every ``every`` positions.
+def _recursion(params, columns, tokens, n_at, stats, absence, every):
+    """(log likelihoods, sums, ok) of one slice, renormalizing every ``every`` positions.
 
-    ``posteriors`` is None without ``stats``, else the packed (alpha,
-    right, unary) the module docstring defines.  ``ok`` is false when a
-    factor or a normalizer left [RENORM_FLOOR, 1 / RENORM_FLOOR], which a
-    run with ``every`` = 1 does not check.
+    ``sums`` is () without ``stats``, else the slice's (counts,
+    token_stats), and with ``absence`` its (absence_pair, absence_row)
+    after them.  ``ok`` is false when a factor or a normalizer left
+    [RENORM_FLOOR, 1 / RENORM_FLOOR], which a run with ``every`` = 1 does
+    not check; the sums are then ().
+
+    A stats slice keeps its forward rows ``alpha`` whole.  The backward pass
+    walks the blocks of the plan last first, each in block-sized ``right``
+    and ``beta``: it regathers the block's emissions (the last block's are
+    still there from the forward loop), runs the backward loop over them,
+    forms the block's ``unary`` and divides its ``right`` by f_t U_t, and
+    adds the block's sums (``_block_sums``).  The rows of the next block's
+    first time b come from the carry, r_b before its division as the
+    backward loop's start, and right[b] and unary[b] behind the block's own
+    rows.
     """
     K = params.num_states
+    n0 = int(n_at[0])
+    # the first attempt runs with floating point warnings off
+    quiet = "ignore" if every != 1 else None
     if not stats:
         block = min(tokens.size, RENORM_EVERY * SLICE_SEQUENCES)
-        obs, rows = _held_arrays((block, K), (n_at[:2].sum(), K))
-        scales, loglik = _forward(params, columns, tokens, n_at, every, rows, obs)
-        return loglik, None, every == 1 or _in_range(scales)
-    right, alpha, beta = _held_arrays(*[(tokens.size, K)] * 3)
-    # the forward sweep gathers the emissions obs_t into right; the backward
-    # sweep makes each row r_t = obs_t * b_t
-    scales, loglik = _forward(params, columns, tokens, n_at, every, alpha, right)
-    _backward(params, n_at, every, right, beta)
-    unary = np.multiply(alpha, beta, out=beta)
-    norm = unary.sum(axis=1)
-    ok = every == 1 or (_in_range(scales) and _in_range(norm))
-    unary /= norm[:, None]
-    norm *= scales
-    right /= norm[:, None]
-    return loglik, (alpha, right, unary), ok
+        plan = _plan(n_at, block)
+        obs, rows = _held_arrays((block, K), (sum(plan[0][:2]), K))
+        with np.errstate(all=quiet):
+            scales, loglik = _forward(params, columns, tokens, plan, every, rows, obs)
+        return loglik, (), every == 1 or _in_range(scales)
+    # rows for a block of whole times and, behind it, the first time of the next
+    width = max(BLOCK_DOUBLES // K, BLOCK_TIMES * n0)
+    plan = _plan(n_at, width - n0)
+    sizes, offsets, _, fills = plan
+    T = len(sizes)
+    block = (min(width, tokens.size), K)
+    # r_b before and after its division by f_b U_b, and the unary rows of b
+    alpha, right, beta, carry = _held_arrays((tokens.size, K), block, block, (3 * n0, K))
+    carry = carry.reshape(3, n0, K)
+    with np.errstate(all=quiet):
+        # the forward loop gathers each block's emissions into right; the last stays there
+        scales, loglik = _forward(params, columns, tokens, plan, every, alpha, right)
+    if not (every == 1 or _in_range(scales)):
+        return loglik, (), False
+    renorms = np.empty(n0)
+    # -0.0 + x is x for every x, so a one-block slice keeps the bits of a whole-slice pass
+    shapes = [(K + 1, K), (K, params.vocab_size)] + [(K + 1, K), (K + 1,)] * absence
+    sums = tuple(np.full(shape, -0.0) for shape in shapes)
+    for a, b in reversed(list(zip(fills, fills[1:] + [T]))):
+        lo, hi = offsets[a], offsets[b]
+        size = hi - lo
+        if b < T:
+            np.take(columns, tokens[lo:hi], axis=0, mode="clip", out=right[:size])
+            n = sizes[b]
+            right[size : size + n] = carry[1, :n]
+            beta[size : size + n] = carry[2, :n]
+        with np.errstate(all=quiet):
+            _backward(params, plan, every, a, b, right, beta, carry[0, :n] if b < T else None, renorms)
+            if a:
+                carry[0, : sizes[a]] = right[: sizes[a]]
+            unary = np.multiply(alpha[lo:hi], beta[:size], out=beta[:size])
+            norm = unary.sum(axis=1)
+            if not (every == 1 or _in_range(norm)):
+                return loglik, (), False
+            unary /= norm[:, None]
+            norm *= scales[lo:hi]
+            right[:size] /= norm[:, None]
+        if a:
+            carry[1, : sizes[a]] = right[: sizes[a]]
+            carry[2, : sizes[a]] = unary[: sizes[a]]
+        end = size + (sizes[b] if b < T else 0)
+        block_rows = alpha[lo:hi], right[:end], beta[:end]
+        _block_sums(params, tokens[lo:hi], n_at[a : b + 1], *block_rows, sums, a == 0)
+    return loglik, sums, True
+
+
+def _block_sums(params, tokens, n_at, alpha, right, unary, sums, start):
+    """Add the sums of one block of a stats slice into ``sums``, in place.
+
+    The block holds times a .. b - 1 and the pair terms at a + 1 .. b (at
+    most T - 1); ``n_at`` holds n_a .. n_b, or n_a .. n_{T-1} for the last
+    block.  ``alpha`` holds the block's forward rows, and ``right`` and
+    ``unary`` its rows and then those of b.  ``sums`` holds (counts,
+    token_stats) and, for absence sums, (absence_pair, absence_row).  Their
+    start rows sum over time 0, so only the block that holds it (``start``)
+    adds to them.  ``alpha`` and ``unary`` are overwritten.
+    """
+    inner = params.trans[1:]
+    first = int(n_at[0])
+    counts, token_stats = sums[:2]
+    rows = slice(0 if start else 1, None)
+    # the pair term at t meets alpha[t - 1] and right[t] of each sequence running at t
+    before, after = _leading_rows(alpha, n_at), right[first:]
+    product = before.T @ after
+    if start:
+        counts[0] += unary[:first].sum(axis=0)
+    counts[1:] += inner * product
+    _add_token_counts(token_stats, tokens, unary[: tokens.size])
+    if len(sums) > 2:
+        for total, part in zip(sums[2:], _absence(inner, before, after, unary, n_at, product)):
+            total[rows] += part[rows]
+
+
+def _add_token_counts(token_stats, tokens, unary):
+    """Add each state's expected count of each token, from packed ``unary``, to ``token_stats``.
+
+    Each (token, state) total adds its positions in order from 0, by either
+    rule.  Up to GATHER_ROWS rows take one bincount over the codes v * K + k
+    of position p, token v and state k, which costs a slice of a few tokens
+    one call in place of K; more rows take a bincount per state, so that no
+    temporary grows with the block.
+    """
+    K, V = token_stats.shape
+    if len(tokens) <= GATHER_ROWS:
+        codes = (tokens[:, None] * K + np.arange(K)).ravel()
+        token_stats += np.bincount(codes, unary.ravel(), V * K).reshape(V, K).T
+    else:
+        for k in range(K):
+            token_stats[k] += np.bincount(tokens, weights=unary[:, k], minlength=V)
 
 
 def _slice_sums(params, columns, tokens, n_at, stats, absence):
     """Per-sequence log likelihoods of one slice and, if asked, its sums."""
-    with np.errstate(all="ignore"):
-        loglik, posteriors, ok = _recursion(params, columns, tokens, n_at, stats, RENORM_EVERY)
+    loglik, sums, ok = _recursion(params, columns, tokens, n_at, stats, absence, RENORM_EVERY)
     if not ok:
-        loglik, posteriors, _ = _recursion(params, columns, tokens, n_at, stats, 1)
-    if not stats:
-        return loglik, ()
-    alpha, right, unary = posteriors
-    K = params.num_states
-    inner = params.trans[1:]
-    first = int(n_at[0])
-    # the pair term at t >= 1 meets alpha[t - 1] and right[t] of each sequence running at t
-    before, after = _leading_rows(alpha, n_at), right[first:]
-    product = before.T @ after
-    counts = np.empty((K + 1, K))
-    counts[0] = unary[:first].sum(axis=0)
-    counts[1:] = inner * product
-    by_token = [
-        np.bincount(tokens, weights=unary[:, k], minlength=params.vocab_size) for k in range(K)
-    ]
-    sums = (counts, np.stack(by_token))
-    if absence:
-        sums += _absence(inner, before, after, unary, n_at, product)
+        loglik, sums, _ = _recursion(params, columns, tokens, n_at, stats, absence, 1)
     return loglik, sums
 
 
@@ -662,13 +812,14 @@ def sweep(params: SurrogateParams, batch, stats=True, absence=False) -> BatchSum
     ``absence`` adds the hierarchical prior's absence sums.  The slices'
     sums are added up in slice order.
     """
-    batch = as_windows(batch)
-    loglik = np.empty(len(batch))
+    stats = stats or absence
+    # the slices hold their own tokens, so a list's copy into windows goes here
+    slices = _slices(batch, params.vocab_size, stats)
+    loglik = np.empty(sum(cols.size for cols, _, _ in slices))
     total = None
     # row v is the emission column of token v, contiguous for the gathers
     columns = np.ascontiguousarray(params.emit.T)
-    stats = stats or absence
-    for cols, tokens, n_at in _slices(batch, params.vocab_size, stats):
+    for cols, tokens, n_at in slices:
         loglik[cols], sums = _slice_sums(params, columns, tokens, n_at, stats, absence)
         total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
     return BatchSums(loglik, *total)

@@ -219,6 +219,38 @@ def stepwise_recursion(params, columns, tokens, n_at, every):
     return loglik, (alpha, right, unary)
 
 
+def whole_slice_sums(params, tokens, n_at, alpha, right, unary, absence=None):
+    """(counts, token_stats) of one stats slice and, given ``absence``, its absence sums.
+
+    The reference for the block-by-block sums of ``messages._recursion``:
+    the reductions as they stood before the backward pass reduced a block at
+    a time, over a whole slice's packed rows (``stepwise_recursion``'s).
+    ``before`` is gathered whole, one product gives the transition counts,
+    each state's token counts are one bincount over the slice, and
+    ``absence`` (``messages._absence`` or ``dense_absence``) runs once.  The
+    rows are copied first, as the absence sums overwrite ``unary``.
+    """
+    K, V = params.num_states, params.vocab_size
+    right, unary = np.copy(right), np.copy(unary)
+    inner = params.trans[1:]
+    first = int(n_at[0])
+    starts = np.cumsum(n_at) - n_at
+    # the rows of each time t - 1 whose sequence runs on to t, in time order
+    before = np.concatenate(
+        [np.empty((0, K))] + [alpha[starts[t - 1] : starts[t - 1] + n_at[t]] for t in range(1, len(n_at))]
+    )
+    after = right[first:]
+    product = before.T @ after
+    counts = np.empty((K + 1, K))
+    counts[0] = unary[:first].sum(axis=0)
+    counts[1:] = inner * product
+    by_token = [np.bincount(tokens, weights=unary[:, k], minlength=V) for k in range(K)]
+    sums = (counts, np.stack(by_token))
+    if absence is not None:
+        sums += absence(inner, before, after, unary, n_at, product)
+    return sums
+
+
 def batch_sums(posterior, trans, emit, batch):
     """Batch sums of one posterior routine, the package's sweep layout.
 

@@ -23,6 +23,7 @@ from oracles import (
     log_space_loglik,
     stepwise_forward,
     stepwise_recursion,
+    whole_slice_sums,
 )
 from scvihmm import messages
 from scvihmm.corpus import Corpus, Vocabulary
@@ -398,6 +399,19 @@ def chain_batch(rng, trans, emit, n_seqs, max_len):
     return batch
 
 
+def unreachable_emitter():
+    """Three states, where state 2 is all but unreachable yet alone emits token 2.
+
+    Its right factor at a token 2 is about 1e30, past SERIES_RIGHT_MAX, so
+    the pair term there takes the dense path.
+    """
+    trans = np.array([[0.5, 0.5, 1e-30], [0.7, 0.3, 1e-30], [0.3, 0.7, 1e-30], [0.5, 0.5, 1e-30]])
+    trans /= trans.sum(axis=1, keepdims=True)
+    emit = np.array([[0.5, 0.5, 1e-40], [0.4, 0.6, 1e-40], [1e-12, 1e-12, 1.0]])
+    emit /= emit.sum(axis=1, keepdims=True)
+    return SurrogateParams(trans, emit)
+
+
 class TestAbsenceSeries:
     """The pair absence series against the dense, every-cell reference."""
 
@@ -460,13 +474,7 @@ class TestAbsenceSeries:
         assert pair_max > messages.SERIES_BOUND
 
     def test_large_right_factor_takes_the_dense_path(self, monkeypatch):
-        # state 2 is all but unreachable yet alone emits token 2, so its
-        # right factor at a token 2 is about 1e30, past SERIES_RIGHT_MAX
-        trans = np.array([[0.5, 0.5, 1e-30], [0.7, 0.3, 1e-30], [0.3, 0.7, 1e-30], [0.5, 0.5, 1e-30]])
-        trans /= trans.sum(axis=1, keepdims=True)
-        emit = np.array([[0.5, 0.5, 1e-40], [0.4, 0.6, 1e-40], [1e-12, 1e-12, 1.0]])
-        emit /= emit.sum(axis=1, keepdims=True)
-        params = SurrogateParams(trans, emit)
+        params = unreachable_emitter()
         batch = [np.array([0, 1, 2, 0, 1]), np.array([1, 0, 0, 1, 1, 0, 2]), np.array([1, 1])]
         seen, _ = self._compare(monkeypatch, params, batch)
         right_max = max(args[2].max() for args in seen)
@@ -492,7 +500,8 @@ class TestAbsenceSeries:
                 yield run
 
         monkeypatch.setattr(messages, "_exact_cells", spy)
-        monkeypatch.setattr(messages, "SLICE_POSITIONS", 7)
+        # runs of about 7 cells
+        monkeypatch.setattr(messages, "BLOCK_DOUBLES", 7 * 16)
         got = series_absence(*[np.copy(arg) for arg in args])
         assert len(runs) > 3
         for a, b in zip(got, whole):
@@ -631,13 +640,14 @@ class TestLazyRenormalization:
         assert any(len(set(n_at.tolist())) > 2 for _, _, n_at in slices)
         for _, tokens, n_at in slices:
             whole = np.empty((tokens.size, K)), np.empty((tokens.size, K))
-            ref = messages._forward(params, columns, tokens, n_at, every, *whole)
+            ref = messages._forward(params, columns, tokens, messages._plan(n_at, tokens.size), every, *whole)
             offsets = np.cumsum(n_at) - n_at
             for steps in (1, 3, 8, n_at.size):
                 # a block of `steps` whole times, and one a row longer
                 for extra in (0, 1):
                     rows, obs = np.empty((n_at[:2].sum(), K)), np.empty((n_at[:steps].sum() + extra, K))
-                    got = messages._forward(params, columns, tokens, n_at, every, rows, obs)
+                    plan = messages._plan(n_at, len(obs))
+                    got = messages._forward(params, columns, tokens, plan, every, rows, obs)
                     for a, b in zip(got, ref):
                         np.testing.assert_array_equal(a, b)
                     # the ring holds the rows of the last two times, the block of t at (t % 2) x n_0
@@ -710,7 +720,8 @@ class TestLazyRenormalization:
         logliks = np.empty(len(batch))
         for cols, tokens, n_at in messages._slices(batch, params.vocab_size):
             whole = np.empty((tokens.size, K)), np.empty((tokens.size, K))
-            scales, logliks[cols] = messages._forward(params, columns, tokens, n_at, every, *whole)
+            plan = messages._plan(n_at, tokens.size)
+            scales, logliks[cols] = messages._forward(params, columns, tokens, plan, every, *whole)
             np.testing.assert_array_equal(logliks[cols], self._accumulated(scales, n_at, every))
         np.testing.assert_array_equal(sweep(params, batch, stats=False).loglik, logliks)
 
@@ -796,6 +807,48 @@ class TestForwardOnlySlices:
         np.testing.assert_array_equal(sweep(params, batch, stats=False).loglik, sweep(params, batch).loglik)
 
 
+def reduced_blocks(monkeypatch):
+    """The (tokens, n_at, alpha, right, unary, start) that each ``_block_sums`` call reduces, copied."""
+    blocks = []
+    block_sums = messages._block_sums
+
+    def spy(params, tokens, n_at, alpha, right, unary, sums, start):
+        # the sums overwrite alpha and unary, and the next block refills the buffers
+        blocks.append(tuple(np.copy(x) for x in (tokens, n_at, alpha, right, unary)) + (start,))
+        return block_sums(params, tokens, n_at, alpha, right, unary, sums, start)
+
+    monkeypatch.setattr(messages, "_block_sums", spy)
+    return blocks
+
+
+def check_block_rows(blocks, tokens, n_at, rows):
+    """Assert that ``blocks``, last first, cover the slice and reduce the whole-slice ``rows``, bit for bit.
+
+    ``rows`` is ``stepwise_recursion``'s (alpha, right, unary).  A block of
+    times a .. b - 1 holds their alpha rows, and their right and unary rows
+    followed by those of time b, the next block's first.  Returns each
+    block's first time a, in time order.
+    """
+    alpha, right, unary = rows
+    offsets = np.concatenate([[0], np.cumsum(n_at)])
+    starts, hi = [], tokens.size
+    for got_tokens, got_n_at, got_alpha, got_right, got_unary, start in blocks:
+        lo = hi - got_tokens.size
+        (a,) = np.flatnonzero(offsets == lo)
+        b = a + got_n_at.size - (1 if hi < tokens.size else 0)
+        assert offsets[b] == hi and start == (a == 0)
+        end = hi + (n_at[b] if b < n_at.size else 0)
+        np.testing.assert_array_equal(got_tokens, tokens[lo:hi])
+        np.testing.assert_array_equal(got_n_at, n_at[a : b + 1])
+        np.testing.assert_array_equal(got_alpha, alpha[lo:hi])
+        np.testing.assert_array_equal(got_right, right[lo:end])
+        np.testing.assert_array_equal(got_unary, unary[lo:end])
+        starts.append(int(a))
+        hi = lo
+    assert hi == 0
+    return starts[::-1]
+
+
 class TestStepLoops:
     """The span-by-span forward and backward loops against the per-time loops of ``oracles``, bit for bit."""
 
@@ -828,13 +881,24 @@ class TestStepLoops:
 
     @pytest.mark.parametrize("every", CADENCES)
     @pytest.mark.parametrize("case", CASES)
-    def test_stats_sweep(self, case, every):
+    def test_stats_sweep(self, monkeypatch, case, every):
+        # one block, blocks of a few times, and blocks as small as they go
         params, columns, tokens, n_at = self._slice(case)
         want_loglik, want = stepwise_recursion(params, columns, tokens, n_at, every)
-        loglik, got, _ = messages._recursion(params, columns, tokens, n_at, True, every)
-        np.testing.assert_array_equal(loglik, want_loglik)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        blocks = reduced_blocks(monkeypatch)
+        # a block of the smallest width, two first times, from here on
+        monkeypatch.setattr(messages, "BLOCK_TIMES", 2)
+        for block in (2**16, 40, 0):
+            monkeypatch.setattr(messages, "BLOCK_DOUBLES", block)
+            blocks.clear()
+            loglik, _, ok = messages._recursion(params, columns, tokens, n_at, True, False, every)
+            assert ok
+            np.testing.assert_array_equal(loglik, want_loglik)
+            starts = check_block_rows(blocks, tokens, n_at, want)
+            if block == 2**16:
+                assert starts == [0]
+            else:
+                assert len(starts) > 1 or n_at.size == 1
 
     @pytest.mark.parametrize("every", CADENCES)
     @pytest.mark.parametrize("case", CASES)
@@ -845,14 +909,14 @@ class TestStepLoops:
         K = params.num_states
         whole = np.empty((tokens.size, K)), np.empty((tokens.size, K))
         want = stepwise_forward(params, columns, tokens, n_at, every, *whole)
-        got = messages._forward(params, columns, tokens, n_at, every, *whole)
+        got = messages._forward(params, columns, tokens, messages._plan(n_at, tokens.size), every, *whole)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         starts = {t for t in range(1, n_at.size) if n_at[t] != n_at[t - 1]}
         edges = inside = 0
         for cap in range(int(n_at[0]), tokens.size + 1):
             rows, obs = np.empty((n_at[:2].sum(), K)), np.empty((cap, K))
-            got = messages._forward(params, columns, tokens, n_at, every, rows, obs)
+            got = messages._forward(params, columns, tokens, messages._plan(n_at, cap), every, rows, obs)
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
             fills = set(self._fill_times(n_at, cap))
@@ -873,11 +937,144 @@ class TestStepLoops:
         steps = messages.RENORM_EVERY
         ring, block = np.empty((n_at[:2].sum(), K)), np.empty((n_at[:steps].sum(), K))
         _, want = stepwise_forward(params, columns, tokens, n_at, every, ring, block, steps)
-        with_stats = messages._recursion(params, columns, tokens, n_at, True, every)[0].copy()
+        with_stats = messages._recursion(params, columns, tokens, n_at, True, False, every)[0].copy()
         monkeypatch.setattr(messages, "SLICE_SEQUENCES", 2)
-        got = messages._recursion(params, columns, tokens, n_at, False, every)[0]
+        got = messages._recursion(params, columns, tokens, n_at, False, False, every)[0]
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got, with_stats)
+
+
+class TestBlocks:
+    """A stats slice's sums, added block by block in the backward pass, against the whole slice's."""
+
+    FIELDS = ("counts", "token_stats", "absence_pair", "absence_row")
+
+    @staticmethod
+    def _slice(params, batch):
+        (_, tokens, n_at), = messages._slices(batch, params.vocab_size)
+        return np.ascontiguousarray(params.emit.T), tokens, n_at
+
+    @staticmethod
+    def _reference(params, columns, tokens, n_at, every):
+        loglik, rows = stepwise_recursion(params, columns, tokens, n_at, every)
+        return loglik, rows, whole_slice_sums(params, tokens, n_at, *rows, messages._absence)
+
+    def _check(self, monkeypatch, params, batch, block, every=messages.RENORM_EVERY):
+        """Sweep one slice in blocks of ``block`` doubles; returns its block start times.
+
+        ``every`` is the cadence of the attempt that yields the sums.
+        """
+        columns, tokens, n_at = self._slice(params, batch)
+        want_loglik, rows, want = self._reference(params, columns, tokens, n_at, every)
+        monkeypatch.setattr(messages, "BLOCK_DOUBLES", block)
+        monkeypatch.setattr(messages, "BLOCK_TIMES", 2)
+        blocks = reduced_blocks(monkeypatch)
+        loglik, got = messages._slice_sums(params, columns, tokens, n_at, True, True)
+        np.testing.assert_array_equal(loglik, want_loglik)
+        # the blocks of the last attempt
+        first, held = len(blocks), 0
+        while held < tokens.size:
+            first -= 1
+            held += blocks[first][0].size
+        starts = check_block_rows(blocks[first:], tokens, n_at, rows)
+        for name, a, b in zip(self.FIELDS, got, want):
+            np.testing.assert_array_equal(np.isneginf(a), np.isneginf(b), err_msg=name)
+            finite = np.isfinite(b)
+            assert np.all(np.isfinite(a[finite])), name
+            if len(starts) == 1:
+                # one block does the whole slice's arithmetic
+                np.testing.assert_array_equal(a, b, err_msg=name)
+            else:
+                np.testing.assert_allclose(a[finite], b[finite], rtol=1e-13, atol=0, err_msg=name)
+        return starts
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_block_keeps_the_whole_slice_sums(self, monkeypatch, seed):
+        rng = np.random.default_rng(113 + seed)
+        params = random_params(rng, int(rng.integers(1, 7)), 8)
+        batch = random_batch(rng, 8, int(rng.integers(1, 30)), 40)
+        assert self._check(monkeypatch, params, batch, messages.BLOCK_DOUBLES) == [0]
+
+    @pytest.mark.parametrize("block", [0, 4 * 9, 4 * 20, 4 * 45])
+    def test_edges_inside_runs_and_at_run_starts(self, monkeypatch, block):
+        rng = np.random.default_rng(127)
+        params = random_params(rng, 4, 6)
+        # runs of 7, 6, 3 and 2 sequences, 5, 7, 13 and 5 times long
+        batch = [rng.integers(0, 6, n) for n in (30, 30, 25, 12, 12, 12, 5)]
+        starts = self._check(monkeypatch, params, batch, block)
+        _, _, n_at = self._slice(params, batch)
+        runs = set(np.flatnonzero(n_at[1:] != n_at[:-1]) + 1)
+        edges = set(starts[1:])
+        assert edges & runs and edges - runs
+        if block == 0:
+            # the first block takes one time, as two of 7 rows overfill its 14
+            assert starts[1] == 1
+
+    @pytest.mark.parametrize("block", [0, 3 * 4])
+    def test_straddling_pair_terms_with_hot_cells_and_dense_rows(self, monkeypatch, block):
+        # the pair term at each token 2 takes the dense path; states 0 and 1 leave hot cells
+        params = unreachable_emitter()
+        # tokens 2 at times 3, 4 and 9, 10, 11
+        batch = [np.array([0, 1, 0, 2, 2, 1, 1, 0, 1, 2, 2, 2, 0, 1]), np.array([1, 0, 1, 2, 2, 0, 0, 1, 0, 2])]
+        seen = []
+        series_absence = messages._absence
+
+        def spy(inner, before, after, unary, n_at, product):
+            seen.append((np.copy(before), np.copy(after), np.copy(unary), np.copy(n_at)))
+            return series_absence(inner, before, after, unary, n_at, product)
+
+        monkeypatch.setattr(messages, "_absence", spy)
+        starts = self._check(monkeypatch, params, batch, block)
+        assert len(starts) > 3
+        # the pair terms at each block's end time b: hot cells, and dense rows on both sides of b
+        dense = []
+        straddling_hot = []
+        for before, after, unary, n_at in seen:
+            scaled = after * before.sum(axis=1)[:, None]
+            dense.append(scaled.max(axis=1) > messages.SERIES_RIGHT_MAX)
+            tail = len(after) - (len(unary) - n_at[:-1].sum())
+            if tail < len(after):
+                hot_i = messages._leading_rows(np.copy(unary), n_at)[tail:] > messages.SERIES_BOUND
+                hot_j = unary[len(unary) - (len(after) - tail) :] > messages.SERIES_BOUND
+                straddling_hot.append((hot_i[:, :, None] & hot_j[:, None, :]).any())
+            else:
+                straddling_hot.append(False)
+        # blocks come last first: block k + 1 before block k
+        assert any(
+            hot and dense[k].any() and dense[k - 1].any()
+            for k, hot in enumerate(straddling_hot) if k
+        )
+
+    def test_retry_that_only_a_later_block_triggers(self, monkeypatch):
+        # two sticky states that each emit their own token: the forward factors
+        # stay in range, but where the forward and backward rows back different
+        # states around the switch, their product U_t falls below RENORM_FLOOR
+        eps, eta = 1e-220, 1e-60
+        params = SurrogateParams(
+            np.array([[0.5, 0.5], [1 - eps, eps], [eps, 1 - eps]]), np.array([[1 - eta, eta], [eta, 1 - eta]])
+        )
+        batch = [np.array([0] * 6 + [1] * 14)]
+        columns, tokens, n_at = self._slice(params, batch)
+        plan = messages._plan(n_at, tokens.size)
+        scales, _ = messages._forward(params, columns, tokens, plan, messages.RENORM_EVERY, *np.empty((2, 20, 2)))
+        assert messages._in_range(scales)
+        attempts = []
+        recursion = messages._recursion
+        blocks = reduced_blocks(monkeypatch)
+
+        def spy(*args):
+            out = recursion(*args)
+            attempts.append((args[-1], out[2], len(blocks)))
+            return out
+
+        monkeypatch.setattr(messages, "_recursion", spy)
+        # one time per block, the last first: the blocks after the switch add their sums
+        # before the one that fails
+        self._check(monkeypatch, params, batch, 0, every=1)
+        (every, ok, reduced), retry = attempts
+        assert (every, ok, retry[:2]) == (messages.RENORM_EVERY, False, (1, True))
+        assert 0 < reduced < n_at.size
+        assert retry[2] - reduced == n_at.size
 
 
 class TestSliceBuffers:
@@ -913,11 +1110,32 @@ class TestSliceBuffers:
         peak = self._steady_state_peak(*self._chains(0.8), absence=True)
         assert peak < 16 * 2**20, peak
 
+    @pytest.mark.parametrize("absence, concentration", [(False, 1.0), (True, 0.8)])
+    def test_cold_sweep_holds_one_slice_array(self, monkeypatch, absence, concentration):
+        # the forward rows are the one array with a row per position, 8.6 MB here,
+        # and the peak counts the held buffers' first growth; whole-slice arrays for
+        # the backward pass took 26 MB or more.  Dirichlet(0.8) parameters put
+        # about 11.7 hot cells on each position
+        params, batch = self._chains(concentration)
+        slice_array = sum(seq.size for seq in batch) * params.num_states * 8
+        assert len(messages._slices(batch, params.vocab_size)) == 1
+        monkeypatch.setattr(messages._held, "buffers", [np.empty(0)] * 4, raising=False)
+        tracemalloc.start()
+        try:
+            sweep(params, batch, absence=absence)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < slice_array + 3 * 2**20, peak
+
     def test_slice_arrays_hold_one_row_per_running_position(self, monkeypatch):
         rng = np.random.default_rng(79)
         params = random_params(rng, 4, 7)
         batch = random_batch(rng, 7, 20, 25)
         monkeypatch.setattr(messages, "SLICE_POSITIONS", 60)
+        # a block of 12 rows at K = 4, or of two first times where those are more
+        monkeypatch.setattr(messages, "BLOCK_DOUBLES", 48)
+        monkeypatch.setattr(messages, "BLOCK_TIMES", 2)
         slices = messages._slices(batch, params.vocab_size)
         assert len(slices) > 2
         assert any(n_at[-1] < n_at[0] for _, _, n_at in slices)
@@ -931,8 +1149,16 @@ class TestSliceBuffers:
         monkeypatch.setattr(messages, "_held_arrays", spy)
         sweep(params, batch, absence=True)
         K = params.num_states
-        assert shapes == [((n_at.sum(), K),) * 3 for _, _, n_at in slices]
+        # alpha holds a row per running position, right and beta one block, and the
+        # carry the first rows of three arrays
+        want = []
+        for _, _, n_at in slices:
+            block = (min(max(48 // K, 2 * n_at[0]), n_at.sum()), K)
+            want.append(((n_at.sum(), K), block, block, (3 * n_at[0], K)))
+        assert shapes == want
         assert sum(args[0][0] for args in shapes) == sum(seq.size for seq in batch)
+        # most slices take several blocks
+        assert sum(args[1][0] < args[0][0] for args in shapes) > len(shapes) // 2
 
     FAULTS = """
 import resource
