@@ -149,11 +149,13 @@ taken in one call over a block's, after the same in-place move of
 A sweep keeps its arrays in four buffers held per thread, which only
 grow.  A stats sweep holds there a slice's ``alpha``, one row of K
 doubles per running position, up to ``SLICE_POSITIONS`` x K doubles (11.8
-MB at K = 45); a block's ``right`` and ``beta`` (later ``unary``), up to
-``BLOCK_TIMES`` x ``SLICE_SEQUENCES`` x K doubles each (2.9 MB); and the
-carry.  ``right`` is filled by a
-gather of the emission columns; every row of the others is written before
-it is read, so nothing is zeroed.  The forward-only sweep of evaluation
+MB at K = 45); a block's ``right`` and ``beta`` (later ``unary``), each
+up to the larger of ``BLOCK_DOUBLES`` and ``BLOCK_TIMES`` x
+``SLICE_SEQUENCES`` x K doubles, and no more than the slice's positions x K
+(2.9 MB at K = 45, 0.5 MB for any K below 8); and the carry, 3 x
+``SLICE_SEQUENCES`` x K doubles at most.  ``right`` is filled by a gather
+of the emission columns; every row of the others is written before it is
+read, so nothing is zeroed.  The forward-only sweep of evaluation
 holds there a block of gathered emissions, as many whole times as fit
 ``RENORM_EVERY`` x ``SLICE_SEQUENCES`` = 2,048 rows (8 times of a slice
 of 256 sequences, 256 times of 8 long chains), and the running rows of
@@ -172,14 +174,14 @@ back to the kernel faults in their pages again at every sweep, and which
 process does so depends on its allocation history.  So no step makes a
 temporary of a slice's size, and none of a block's size but the absence
 sums' masks: ``before`` and the row sum's ``unary`` rows are moved in
-place, ``GATHER_ROWS`` rows per step, and the token counts of a block of
-more than ``GATHER_ROWS`` rows take a bincount per state.  The absence
-sums allocate, per block, two boolean masks of a block's positions and the
-codes and corrections of its hot cells, 16 bytes a cell; the arrays that
-list the cells are made in runs of about ``BLOCK_DOUBLES`` / 16 cells.  A stats sweep of 4 chains of
-6,000 tokens at K = 45, buffers grown afresh, peaks at 2.0 MiB (with
-absence sums 2.7 MiB) above its 8.2 MiB ``alpha``; a backward pass over
-the whole slice took 26.0 and 36.7 MiB in all.
+place, ``GATHER_ROWS`` rows per step, and the token counts take a
+bincount per state.  The absence sums allocate, per block, two boolean
+masks of a block's positions and the codes and corrections of its hot
+cells, 16 bytes a cell; the arrays that list the cells are made in runs of
+about ``BLOCK_DOUBLES`` / 16 cells.  A stats sweep of 4 chains of 6,000
+tokens at K = 45, buffers grown afresh, peaks at 2.0 MiB (with absence
+sums 2.7 MiB) above its 8.2 MiB ``alpha``; a backward pass over the whole
+slice took 26.0 and 36.7 MiB in all.
 """
 import array
 import bisect
@@ -771,28 +773,12 @@ def _block_sums(params, tokens, n_at, alpha, right, unary, sums, start):
     if start:
         counts[0] += unary[:first].sum(axis=0)
     counts[1:] += inner * product
-    _add_token_counts(token_stats, tokens, unary[: tokens.size])
+    # bincount adds each (state, token) cell's positions in order from 0
+    for k, row in enumerate(token_stats):
+        row += np.bincount(tokens, weights=unary[: tokens.size, k], minlength=row.size)
     if len(sums) > 2:
         for total, part in zip(sums[2:], _absence(inner, before, after, unary, n_at, product)):
             total[rows] += part[rows]
-
-
-def _add_token_counts(token_stats, tokens, unary):
-    """Add each state's expected count of each token, from packed ``unary``, to ``token_stats``.
-
-    Each (token, state) total adds its positions in order from 0, by either
-    rule.  Up to GATHER_ROWS rows take one bincount over the codes v * K + k
-    of position p, token v and state k, which costs a slice of a few tokens
-    one call in place of K; more rows take a bincount per state, so that no
-    temporary grows with the block.
-    """
-    K, V = token_stats.shape
-    if len(tokens) <= GATHER_ROWS:
-        codes = (tokens[:, None] * K + np.arange(K)).ravel()
-        token_stats += np.bincount(codes, unary.ravel(), V * K).reshape(V, K).T
-    else:
-        for k in range(K):
-            token_stats[k] += np.bincount(tokens, weights=unary[:, k], minlength=V)
 
 
 def _slice_sums(params, columns, tokens, n_at, stats, absence):
